@@ -2,8 +2,7 @@
 """Minimal measurement counts for target key rates on maximally entangled
 pairs, comparing the tight guessing bound with the prior one.
 
-Slow-ish: optimizes the chained functional for every (M, d) the scan
-touches.  Results land in results/key_rate_table.csv.
+Results land in results/key_rate_table.csv.
 """
 
 import math

@@ -4,16 +4,10 @@ boundary sweep of the saturating state family.  Writes a JSON summary and
 a CSV sweep into results/."""
 
 import json
-import math
 import pathlib
 import sys
 
-from monogamy_lab.quantum import (
-    alpha_chsh_max,
-    correlation_matrix,
-    monogamy_montecarlo,
-    saturating_family,
-)
+from monogamy_lab.quantum import family_sweep_csv, monogamy_montecarlo
 
 OUT = pathlib.Path(__file__).resolve().parent.parent / "results"
 
@@ -27,14 +21,7 @@ def main() -> int:
     print(f"{n_states} states: {summary['violations']} violations, "
           f"worst slack {summary['worst_slack']:.3e}")
 
-    lines = ["theta,bell_max,outsider_corr,boundary_residual"]
-    for i in range(50):
-        theta = (math.pi / 4) * i / 49
-        state = saturating_family(theta)
-        bell_max = alpha_chsh_max(correlation_matrix(state, (0, 1)), 1.0)
-        corr = math.sqrt(correlation_matrix(state, (0, 2)).singular_squares[0])
-        lines.append(f"{theta!r},{bell_max!r},{corr!r},{bell_max**2 + 4*corr**2 - 8.0!r}")
-    (OUT / "saturating_family_sweep.csv").write_text("\n".join(lines) + "\n")
+    (OUT / "saturating_family_sweep.csv").write_text(family_sweep_csv(1.0, 50))
     print("wrote results/qubit_monogamy_mc.json and results/saturating_family_sweep.csv")
     return 0
 

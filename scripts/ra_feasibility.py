@@ -7,7 +7,7 @@ import pathlib
 import sys
 from fractions import Fraction
 
-from monogamy_lab.quantum import cached_violation
+from monogamy_lab.quantum import chained_quantum_violation
 from monogamy_lab.svamp import (
     critical_epsilon,
     critical_epsilon_common,
@@ -24,7 +24,7 @@ def main() -> int:
     m_values = [2, 4, 8, 16]
     print(f"critical bias per-party: {critical_epsilon(n):.6f}, "
           f"common-source: {float(critical_epsilon_common(n)):.6f}")
-    violations = {m: cached_violation(m, d) for m in m_values}
+    violations = {m: chained_quantum_violation(m, d).value for m in m_values}
     chunks = []
     for eps in (Fraction(1, 20), Fraction(12, 100), Fraction(1, 5)):
         for variant in ("per-party", "common-source"):

@@ -74,11 +74,7 @@ def cmd_validate(args) -> int:
 
 def cmd_bell(args) -> int:
     config = _config(args)
-    functional = (
-        bell.chained_bkp(args.M, args.d)
-        if args.N == 2
-        else bell.recursive_bkp(args.N, args.M, args.d)
-    )
+    functional = bell.recursive_bkp(args.N, args.M, args.d)
     if args.behavior:
         behavior = scenario.load_behavior(args.behavior, exact=config.mode == "exact")
         value = bell.evaluate(functional, behavior)
@@ -136,7 +132,7 @@ def cmd_ra(args) -> int:
     eps_common = svamp.critical_epsilon_common(args.N)
     verdict = (
         "below both thresholds"
-        if eps < min(Fraction(eps_n) if isinstance(eps_n, Fraction) else eps_n, float(eps_common))
+        if eps < min(eps_n, float(eps_common))
         else (
             "above both thresholds"
             if float(eps) >= float(eps_common) and float(eps) >= float(eps_n)
@@ -147,7 +143,7 @@ def cmd_ra(args) -> int:
     violations = None
     lam = args.lam
     if lam is None:
-        violations = {m: quantum.cached_violation(m, args.d) for m in m_values}
+        violations = {m: quantum.chained_quantum_violation(m, args.d).value for m in m_values}
     rows = svamp.feasibility_curve(
         args.N, args.d, eps, m_values, violations=violations, lam=lam, variant="per-party"
     )
@@ -169,35 +165,18 @@ def cmd_quantum(args) -> int:
         _emit(config, json.dumps(summary, indent=1) + "\n")
         return EXIT_OK if summary["violations"] == 0 else EXIT_VIOLATION
     if args.subtask == "violation":
-        res = quantum.chained_quantum_violation(args.M, args.d, seed=config.seed)
+        res = quantum.chained_quantum_violation(args.M, args.d)
         report = {
             "M": args.M,
             "d": args.d,
             "value": res.value,
-            "converged": res.converged,
             "phases_a": [list(map(float, row)) for row in res.phases_a],
             "phases_b": [list(map(float, row)) for row in res.phases_b],
         }
         _emit(config, json.dumps(report, indent=1) + "\n")
         return EXIT_OK
     if args.subtask == "family-sweep":
-        import csv as _csv
-        import io as _io
-
-        buf = _io.StringIO()
-        writer = _csv.writer(buf)
-        writer.writerow(["theta", "bell_max", "outsider_corr", "boundary_residual"])
-        alpha = args.alpha
-        for i in range(args.points):
-            theta = (math.pi / 4) * i / (args.points - 1)
-            state = quantum.saturating_family(theta)
-            t_ab = quantum.correlation_matrix(state, (0, 1))
-            t_ac = quantum.correlation_matrix(state, (0, 2))
-            bell_max = quantum.alpha_chsh_max(t_ab, alpha)
-            corr = math.sqrt(t_ac.singular_squares[0])
-            residual = bell_max**2 + 4 * corr**2 - 4 * (1 + alpha**2)
-            writer.writerow([repr(theta), repr(bell_max), repr(corr), repr(residual)])
-        _emit(config, buf.getvalue())
+        _emit(config, quantum.family_sweep_csv(args.alpha, args.points))
         return EXIT_OK
     raise InputFormatError(f"unknown quantum subtask {args.subtask!r}")
 

@@ -18,9 +18,11 @@ monogamy inequalities checked here:
 The second family is saturated (for i = 1) by the states
 (b+ |01> + b- |10>)|0> with b+- = sqrt((1 +- sqrt(2) sin t)/2).
 
-Chained-functional violations are minimized numerically over a maximally
-entangled two-qudit state with Fourier-basis measurements carrying one phase
-per setting and outcome.  Everything here is float arithmetic; exactness is
+Chained-functional violations are evaluated on a maximally entangled
+two-qudit pair at the Fourier-basis phase-ladder measurements of Barrett,
+Kent and Pironio, PRL 97, 170409 (2006).  The behavior at those measurements
+attains the value, so it is an upper bound on the quantum minimum; for d = 2
+it equals 2M sin^2(pi/4M).  Everything here is float arithmetic; exactness is
 never claimed.
 """
 
@@ -36,6 +38,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .bell import chained_bkp
+from .monogamy import guessing_bound, guessing_bound_prior
 from .scenario import Behavior, Scenario
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -266,7 +269,6 @@ class ViolationResult:
     value: float
     phases_a: np.ndarray
     phases_b: np.ndarray
-    converged: bool
 
 
 def _term_tables(M: int, d: int):
@@ -294,7 +296,6 @@ def _term_tables(M: int, d: int):
 def _violation_objective(M: int, d: int):
     xs, ys, _, _, idx = _term_tables(M, d)
     weights = np.arange(1, d)
-    n_terms = len(xs)
 
     def value(params: np.ndarray) -> float:
         phases = params.reshape(2 * M, d - 1)
@@ -306,61 +307,38 @@ def _violation_objective(M: int, d: int):
         gathered = np.take_along_axis(circ, idx, axis=1)
         return float(np.sum(gathered * weights))
 
-    return value, n_terms
+    return value
 
 
-def chained_quantum_violation(
-    M: int,
-    d: int,
-    n_starts: int = 8,
-    seed: int = 0,
-    maxiter: int | None = None,
-) -> ViolationResult:
-    """Minimize the chained functional over Fourier-basis measurements on a
-    maximally entangled two-qudit pair.
+def chained_quantum_violation(M: int, d: int, seed: int = 0) -> ViolationResult:
+    """The chained functional on a maximally entangled two-qudit pair at the
+    phase-ladder Fourier-basis measurements.
 
     Measurement bases are |a> = d^{-1/2} sum_q w^{qa} e^{i th_x(q)} |q> per
     setting (conjugated on the second site), giving
     p(a,b|x,y) = |sum_q w^{q(b-a)} e^{-i(th^A_x(q)+th^B_y(q))}|^2 / d^3.
-    The first start is the evenly spread phase ladder that is optimal for
-    the two-setting and two-outcome cases; remaining starts perturb it.
-    Values are upper bounds on the true quantum minimum.
+    The ladder th^A_x(q) = -2 pi q x/(M d), th^B_y(q) = 2 pi q (y + 1/2)/(M d)
+    spaces every chain link by 1/(2M); for d = 2 the value is
+    2M sin^2(pi/4M).  :func:`violation_behavior` attains the value, so it is
+    an upper bound on the quantum minimum.  ``seed`` has no effect; the
+    result is deterministic.
     """
     if M > 16 or d > 8:
         raise ValueError("desk-scale only: need M <= 16 and d <= 8")
-    objective, _ = _violation_objective(M, d)
-    n_params = 2 * M * (d - 1)
-
-    # Phase ladder seed spacing every chain link by 1/(2M): the objective
-    # depends on th^A_x + th^B_y, so Alice descends while Bob ascends.
+    objective = _violation_objective(M, d)
+    # The objective depends on th^A_x + th^B_y, so Alice descends while Bob
+    # ascends.
     q = np.arange(1, d)
-    seed_a = np.stack([2 * math.pi * q * (-x / M) / d for x in range(M)])
-    seed_b = np.stack([2 * math.pi * q * ((y + 0.5) / M) / d for y in range(M)])
-    x_seed = np.concatenate([seed_a, seed_b]).ravel()
-
-    rng = np.random.default_rng(seed)
-    best = None
-    converged = False
-    options = {"xatol": 1e-10, "fatol": 1e-12, "maxiter": maxiter or 400 * n_params}
-    for trial in range(n_starts):
-        x0 = x_seed if trial == 0 else x_seed + rng.normal(0.0, 0.4, size=n_params)
-        res = minimize(objective, x0, method="Nelder-Mead", options=options)
-        if best is None or res.fun < best.fun:
-            best = res
-        converged = converged or bool(res.success)
-    phases = best.x.reshape(2 * M, d - 1)
+    phases_a = np.stack([2 * math.pi * q * (-x / M) / d for x in range(M)])
+    phases_b = np.stack([2 * math.pi * q * ((y + 0.5) / M) / d for y in range(M)])
+    value = objective(np.concatenate([phases_a, phases_b]).ravel())
     return ViolationResult(
-        settings=M,
-        outcomes=d,
-        value=float(best.fun),
-        phases_a=phases[:M],
-        phases_b=phases[M:],
-        converged=converged,
+        settings=M, outcomes=d, value=value, phases_a=phases_a, phases_b=phases_b
     )
 
 
 def violation_behavior(result: ViolationResult) -> Behavior:
-    """The full quantum behavior at the optimized phases (float entries)."""
+    """The full quantum behavior at the result's phases (float entries)."""
     M, d = result.settings, result.outcomes
     scn = Scenario(2, M, d)
     theta_a = np.concatenate([np.zeros((M, 1)), result.phases_a], axis=1)
@@ -378,16 +356,6 @@ def violation_behavior(result: ViolationResult) -> Behavior:
     return Behavior(scn, tuple(float(p) for p in probs))
 
 
-_VIOLATION_CACHE: dict[tuple[int, int], float] = {}
-
-
-def cached_violation(M: int, d: int, n_starts: int = 4, seed: int = 0) -> float:
-    key = (M, d)
-    if key not in _VIOLATION_CACHE:
-        _VIOLATION_CACHE[key] = chained_quantum_violation(M, d, n_starts=n_starts, seed=seed).value
-    return _VIOLATION_CACHE[key]
-
-
 # ---------------------------------------------------------------------------
 # Key rates.
 
@@ -395,16 +363,13 @@ def cached_violation(M: int, d: int, n_starts: int = 4, seed: int = 0) -> float:
 def key_rate(M: int, d: int, bound: str = "tight", violation: float | None = None) -> float:
     """Lower bound -log2(tau) on the key rate of the chained protocol on a
     maximally entangled pair, with tau the guessing-probability cap
-    ('tight': (1+I)/d, 'prior': (1 + d^2 I/4)/d)."""
-    i_q = cached_violation(M, d) if violation is None else violation
+    ('tight': :func:`guessing_bound`, 'prior': :func:`guessing_bound_prior`)."""
+    i_q = chained_quantum_violation(M, d).value if violation is None else violation
     if bound == "tight":
-        tau = (1.0 + i_q) / d
-    elif bound == "prior":
-        tau = (1.0 + (d**2 / 4.0) * i_q) / d
-    else:
-        raise ValueError("bound must be 'tight' or 'prior'")
-    tau = min(tau, 1.0)
-    return -math.log2(tau)
+        return -math.log2(guessing_bound(i_q, d))
+    if bound == "prior":
+        return -math.log2(guessing_bound_prior(i_q, 2, M, d))
+    raise ValueError("bound must be 'tight' or 'prior'")
 
 
 def min_settings(
@@ -418,7 +383,7 @@ def min_settings(
     is unreachable (rate can never exceed log2 d) or not reached by max_m."""
     if target_rate > math.log2(d):
         return None
-    vio = violation or (lambda m, dd: cached_violation(m, dd))
+    vio = violation or (lambda m, dd: chained_quantum_violation(m, dd).value)
     for m in range(2, max_m + 1):
         if key_rate(m, d, bound=bound, violation=vio(m, d)) >= target_rate:
             return m
@@ -431,8 +396,6 @@ def min_settings(
 
 def guessing_curve_csv(d: int, n_points: int = 101, N: int = 2) -> str:
     """Violation grid with both guessing caps (columns I, bound_tight, bound_prior)."""
-    from .monogamy import guessing_bound, guessing_bound_prior
-
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["I", "bound_tight", "bound_prior"])
@@ -441,6 +404,22 @@ def guessing_curve_csv(d: int, n_points: int = 101, N: int = 2) -> str:
         writer.writerow(
             [repr(v), repr(float(guessing_bound(v, d))), repr(float(guessing_bound_prior(v, N, 2, d)))]
         )
+    return buf.getvalue()
+
+
+def family_sweep_csv(alpha: float, n_points: int) -> str:
+    """Boundary sweep of :func:`saturating_family` over theta in [0, pi/4]
+    (columns theta, bell_max, outsider_corr, boundary_residual)."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["theta", "bell_max", "outsider_corr", "boundary_residual"])
+    for i in range(n_points):
+        theta = (math.pi / 4) * i / (n_points - 1)
+        state = saturating_family(theta)
+        bell_max = alpha_chsh_max(correlation_matrix(state, (0, 1)), alpha)
+        corr = math.sqrt(correlation_matrix(state, (0, 2)).singular_squares[0])
+        residual = bell_max**2 + 4 * corr**2 - 4 * (1 + alpha**2)
+        writer.writerow([repr(theta), repr(bell_max), repr(corr), repr(residual)])
     return buf.getvalue()
 
 

@@ -13,7 +13,7 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
-from .bell import chained_bkp, recursive_bkp
+from .bell import recursive_bkp
 from .polylp import LinearProgram, ns_constraints, optimize_over_ns, solve
 from .scenario import Behavior, Scenario, deterministic_vertex, mix, uniform_behavior
 
@@ -56,11 +56,7 @@ def ns_pool(scenario: Scenario, rng: random.Random, n_vertices: int = 24, n_lp: 
         if table not in seen:
             seen.add(table)
             pool.append(deterministic_vertex(scenario, table))
-    functional = (
-        chained_bkp(scenario.settings, scenario.outcomes)
-        if scenario.parties == 2
-        else recursive_bkp(scenario.parties, scenario.settings, scenario.outcomes)
-    )
+    functional = recursive_bkp(scenario.parties, scenario.settings, scenario.outcomes)
     sol = optimize_over_ns(scenario, functional.dense(), "min")
     if sol.status == "optimal":
         pool.append(sol.behavior(scenario))

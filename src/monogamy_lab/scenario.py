@@ -335,13 +335,13 @@ def restrict(behavior: Behavior, parties: Sequence[int]) -> Behavior:
 
 
 def parse_number(text, exact: bool):
-    if isinstance(text, (int, float)):
-        return Fraction(text) if exact else float(text)
+    """A JSON number or a decimal/"p/q" string as a Fraction (exact) or a
+    float; NaN and infinities are rejected in both modes."""
     try:
         f = Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputFormatError(f"cannot parse number {text!r}") from exc
-    return f if exact else float(f)
+        return f if exact else float(f)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise InputFormatError(f"cannot parse finite number {text!r}") from exc
 
 
 def format_number(value) -> str:

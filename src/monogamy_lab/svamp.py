@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .bell import chained_bkp, evaluate, recursive_bkp
+from .bell import evaluate, recursive_bkp
 from .scenario import (
     Behavior,
     Scenario,
@@ -120,8 +120,6 @@ class AdversaryModel:
 
 
 def bell_functional_for(scenario: Scenario):
-    if scenario.parties == 2:
-        return chained_bkp(scenario.settings, scenario.outcomes)
     return recursive_bkp(scenario.parties, scenario.settings, scenario.outcomes)
 
 
@@ -257,10 +255,10 @@ def variational_bound(
 # Critical bias thresholds.
 
 
-def critical_epsilon(N: int):
+def critical_epsilon(N: int) -> float:
     """(2^(1/N) - 1)/(2 (2^(1/N) + 1)): largest tolerable source bias when
-    every party draws its own settings.  Exact Fraction when 2^(1/N) is
-    rational (N = 1), float otherwise."""
+    every party draws its own settings.  A float: 2^(1/N) is irrational for
+    every N >= 2."""
     if N < 2:
         raise ValueError("need N >= 2")
     root = 2.0 ** (1.0 / N)

@@ -52,7 +52,7 @@ _VIOLATIONS: dict = {}
 
 def violation(m: int, d: int) -> float:
     if (m, d) not in _VIOLATIONS:
-        _VIOLATIONS[(m, d)] = chained_quantum_violation(m, d, n_starts=2, seed=0).value
+        _VIOLATIONS[(m, d)] = chained_quantum_violation(m, d).value
     return _VIOLATIONS[(m, d)]
 
 
@@ -162,7 +162,7 @@ def test_criterion_7_qubit_monogamy():
 
 
 def test_criterion_8_quantum_violation():
-    chsh = chained_quantum_violation(2, 2, n_starts=4, seed=0)
+    chsh = chained_quantum_violation(2, 2)
     chsh_ok = abs(chsh.value - (2 - math.sqrt(2))) < 1e-6
     vals = [violation(m, 2) for m in (4, 8, 16)]
     slope = float(np.polyfit(np.log([4.0, 8.0, 16.0]), np.log(vals), 1)[0])

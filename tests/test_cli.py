@@ -1,5 +1,8 @@
 import json
+import math
 from fractions import Fraction
+
+import pytest
 
 from monogamy_lab.cli import main
 from monogamy_lab.scenario import (
@@ -55,6 +58,36 @@ def test_validate_invalid_behavior_exits_one(tmp_path, capsys):
     path = tmp_path / "b.json"
     path.write_text(json.dumps(obj))
     assert main(["validate", str(path)]) == 1
+
+
+def write_values(tmp_path, values):
+    obj = {"scenario": {"N": 2, "M": 2, "d": 2}, "encoding": "x-outer-a-inner", "values": values}
+    path = tmp_path / "b.json"
+    path.write_text(json.dumps(obj))  # non-finite floats become NaN/Infinity literals
+    return str(path)
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf, "NaN", "Infinity"]
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_validate_rejects_non_finite(tmp_path, capsys, mode, bad):
+    values = ["1/4"] * 16
+    values[5] = bad
+    assert main(["validate", write_values(tmp_path, values), "--mode", mode]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error" in captured.err
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_bell_rejects_non_finite(tmp_path, capsys, mode, bad):
+    values = ["1/4"] * 16
+    values[0] = bad
+    assert main(["bell", "2", "2", "2", write_values(tmp_path, values), "--mode", mode]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error" in captured.err
 
 
 def test_bell_export_and_evaluate(tmp_path, capsys):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from monogamy_lab.bell import chained_bkp, evaluate
 from monogamy_lab.quantum import (
@@ -23,6 +24,7 @@ from monogamy_lab.quantum import (
     random_real_state,
     saturating_family,
     violation_behavior,
+    _violation_objective,
 )
 from monogamy_lab.scenario import is_nonsignalling, validate
 
@@ -163,14 +165,28 @@ def test_quantum_guessing_bound_endpoints():
         quantum_guessing_bound(10.0, 1.0)
 
 
-def test_chained_violation_reproduces_chsh():
-    res = chained_quantum_violation(2, 2, n_starts=4, seed=0)
-    assert abs(res.value - (2 - math.sqrt(2))) < 1e-6
-    assert res.converged
+@pytest.mark.parametrize("M", [2, 3, 4, 8, 16])
+def test_chained_violation_reproduces_chsh(M):
+    res = chained_quantum_violation(M, 2)
+    assert abs(res.value - 2 * M * math.sin(math.pi / (4 * M)) ** 2) < 1e-12
+    if M == 2:
+        assert abs(res.value - (2 - math.sqrt(2))) < 1e-6
+
+
+@pytest.mark.parametrize("M, d", [(3, 3), (4, 3), (2, 4)])
+def test_chained_violation_matches_search(M, d):
+    # oracle for the phase ladder: Nelder-Mead started at the returned
+    # phases finds no lower value
+    res = chained_quantum_violation(M, d)
+    objective = _violation_objective(M, d)
+    x0 = np.concatenate([res.phases_a, res.phases_b]).ravel()
+    searched = minimize(objective, x0, method="Nelder-Mead",
+                        options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 400 * x0.size})
+    assert searched.fun >= res.value - 1e-12
 
 
 def test_violation_behavior_consistency():
-    res = chained_quantum_violation(2, 2, n_starts=2, seed=0)
+    res = chained_quantum_violation(2, 2)
     b = violation_behavior(res)
     assert validate(b, 1e-9) == []
     assert is_nonsignalling(b, 1e-9)[0]
@@ -179,12 +195,12 @@ def test_violation_behavior_consistency():
 
 def test_violation_beats_classical_bound():
     for M, d in [(2, 2), (2, 3), (3, 2)]:
-        res = chained_quantum_violation(M, d, n_starts=2, seed=0)
+        res = chained_quantum_violation(M, d)
         assert 0 < res.value < d - 1
 
 
 def test_violation_scaling_slope():
-    vals = {m: chained_quantum_violation(m, 2, n_starts=2, seed=0).value for m in (4, 8, 16)}
+    vals = {m: chained_quantum_violation(m, 2).value for m in (4, 8, 16)}
     slope = np.polyfit(np.log([4, 8, 16]), np.log([vals[4], vals[8], vals[16]]), 1)[0]
     assert -1.2 <= slope <= -0.8
 
