@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import InputFormatError
-from .scenario import Behavior, Scenario, marginal, parse_number, format_number
+from .scenario import Behavior, Scenario, marginal, parse_number, format_number, read_json
 
 
 def modular_mean(dist: Sequence):
@@ -301,7 +301,7 @@ def functional_from_json(obj: dict) -> BellFunctional:
         scn = Scenario(int(s["N"]), int(s["M"]), int(s["d"]))
         terms = tuple(
             ModularTerm(
-                Fraction(parse_number(t["weight"], exact=True)),
+                parse_number(t["weight"], exact=True),
                 tuple(tuple(int(v) for v in c) for c in t["coeffs"]),
                 int(t["shift"]),
             )
@@ -314,9 +314,14 @@ def functional_from_json(obj: dict) -> BellFunctional:
     return BellFunctional(
         scn,
         terms,
-        Fraction(cb) if cb is not None else None,
-        Fraction(nsmin) if nsmin is not None else None,
+        parse_number(cb, exact=True) if cb is not None else None,
+        parse_number(nsmin, exact=True) if nsmin is not None else None,
     )
+
+
+def load_functional(path: str) -> BellFunctional:
+    """Read a :func:`functional_to_json` file; number literals stay exact."""
+    return functional_from_json(read_json(path))
 
 
 def dense_csv(functional: BellFunctional) -> str:

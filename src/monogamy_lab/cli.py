@@ -32,7 +32,6 @@ class RunConfig:
     mode: str = "exact"
     tol: float = 0.0
     seed: int = 0
-    jobs: int = 1
     out: str | None = None
     fmt: str = "csv"
 
@@ -50,7 +49,6 @@ def _config(args) -> RunConfig:
         mode=args.mode,
         tol=args.tol,
         seed=args.seed,
-        jobs=args.jobs,
         out=args.out,
         fmt=args.format,
     )
@@ -95,9 +93,7 @@ def cmd_tightness(args) -> int:
     config = _config(args)
     scn = scenario.Scenario(args.N + 1, args.M, args.d)
     grid = [Fraction(t) for t in args.grid.split(",")] if args.grid else None
-    rows = monogamy.tightness_scan(
-        scn, args.k, args.x_k, args.x_last, grid, jobs=config.jobs
-    )
+    rows = monogamy.tightness_scan(scn, args.k, args.x_k, args.x_last, grid)
     if config.fmt == "json":
         _emit(config, json.dumps(
             monogamy.scan_to_json(rows, args.k, args.x_k, args.x_last), indent=1
@@ -186,7 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--mode", choices=["exact", "float"], default="exact")
     common.add_argument("--tol", type=float, default=1e-9)
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--jobs", type=int, default=1)
     common.add_argument("--out", default=None)
     common.add_argument("--format", choices=["csv", "json"], default="csv")
 

@@ -218,25 +218,13 @@ def tightness_scan(
     x_last: int,
     grid: Sequence | None = None,
     m: int = 0,
-    jobs: int = 1,
 ) -> list[TightnessRow]:
     """Maximize the agreement probability over NS behaviors with the Bell
     value pinned to each grid target; tight means the LP max equals
-    (1 + t)/d exactly.  Grid points are independent LPs and run in parallel
-    when jobs > 1."""
+    (1 + t)/d exactly."""
     if grid is None:
         grid = default_grid(scenario.outcomes)
-    targets = [Fraction(t) for t in grid]
-    if jobs > 1 and len(targets) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_scan_point, scenario, k, x_k, x_last, m, t)
-                for t in targets
-            ]
-            return [f.result() for f in futures]
-    return [_scan_point(scenario, k, x_k, x_last, m, t) for t in targets]
+    return [_scan_point(scenario, k, x_k, x_last, m, Fraction(t)) for t in grid]
 
 
 def minimize_lhs_over_ns(scenario: Scenario, k: int, x_k: int, x_last: int) -> LPSolution:

@@ -1,11 +1,26 @@
 """Exact linear programming over behavior variables.
 
-A dense two-phase primal simplex on rational arithmetic: instances here are
-small (hundreds of variables) and the point of the exercise is certified
-equalities, which floats cannot provide.  Dantzig pricing by default with a
-permanent switch to Bland's rule after a run of degenerate pivots, which
-guarantees termination.  gmpy2 rationals are used internally when available
-(they are several times faster); the public interface speaks Fraction.
+:func:`solve` returns certified optima.  It solves the LP in floats with
+scipy's HiGHS, turns the float answer into rationals and accepts it only
+after an exact check of primal feasibility, dual feasibility
+(``c - A^T y >= 0``) and strong duality on the standard form, the approach of
+QSopt_ex (Applegate, Cook, Dash and Espinoza, Oper. Res. Lett. 35 (2007)).
+The first of these stages whose answer passes the check produces the result,
+and ``LPSolution.engine`` names it:
+
+* ``highs``: HiGHS's primal point and row duals, rounded to the nearest
+  fractions with denominators up to ``_DENOMINATOR_CAP``;
+* ``support``: whichever of the two failed is re-solved exactly by Gaussian
+  elimination on Fractions, the primal on the columns HiGHS made positive
+  and the dual on the columns it priced at zero;
+* ``simplex``: a dense two-phase primal simplex on Fractions (Dantzig
+  pricing, with a permanent switch to Bland's rule after a run of degenerate
+  pivots, which guarantees termination).  It also decides every infeasible
+  or unbounded HiGHS status exactly.
+
+The certificate, not the pivot arithmetic, is the contract: no optimum leaves
+:func:`solve` without duals that :func:`verify_certificate` accepts.
+:func:`solve_float` is the HiGHS stage alone, with a reported tolerance.
 
 Also provides canned constraint generators for the no-signalling polytope:
 per-column normalization plus, for every party, independence of every other
@@ -19,22 +34,20 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
+
+from scipy.optimize import linprog
+from scipy.sparse import csr_matrix
 
 from .scenario import Behavior, Scenario, format_number
 
-try:
-    from gmpy2 import mpq as _rat
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    _rat = Fraction
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
-_ZERO = _rat(0)
-_ONE = _rat(1)
-
-
-def _to_fraction(v) -> Fraction:
-    return Fraction(int(v.numerator), int(v.denominator))
-
+# Largest denominator tried when rounding HiGHS's floats to fractions, and
+# the float magnitude below which a HiGHS value counts as zero.
+_DENOMINATOR_CAP = 10**6
+_ZERO_TOL = 1e-9
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -76,20 +89,22 @@ class LinearProgram:
 
 @dataclass
 class LPSolution:
-    """Solver outcome.  For status 'optimal' in exact mode the point
-    satisfies every constraint exactly and achieves the reported value;
-    basis and duals come from the final tableau and let
-    :func:`verify_certificate` re-check optimality independently of the
-    pivot arithmetic.  Float-mode solutions carry a reported tolerance
-    instead of certificates."""
+    """Solver outcome.
+
+    An 'optimal' result of :func:`solve` satisfies every constraint exactly,
+    achieves the reported value, and carries one dual multiplier per
+    standardized row that :func:`verify_certificate` accepts; ``engine``
+    names the stage that produced it ('highs', 'support' or 'simplex', see
+    the module docstring).  Float-mode solutions from :func:`solve_float`
+    carry a reported tolerance instead of certificates."""
 
     status: str
     value: Fraction | None = None
     point: tuple | None = None
-    basis: tuple | None = None
     dual: tuple | None = None  # one multiplier per standardized row
     iterations: int = 0
     tolerance: float | None = None
+    engine: str | None = None
 
     def behavior(self, scenario: Scenario) -> Behavior:
         if self.point is None:
@@ -97,97 +112,259 @@ class LPSolution:
         return Behavior(scenario, self.point)
 
 
-def _standardize(lp: LinearProgram):
-    """Rewrite as min c.x, A x = b, x >= 0 (variables shifted/split, slacks
-    appended, duplicate rows dropped).
+class _Standard(NamedTuple):
+    """min c.x subject to A x = b, x >= 0.  Each row of A is a tuple of
+    (column, value) pairs in column order; an inequality row ends with its
+    slack column, numbered from n_struct.  rep maps each original variable
+    to (positive column, negative column or None, shift); sign and const
+    restore the original objective value."""
 
-    Returns (rows, rhs, c, const, sign, rep, n_struct, n_slack) where rep
-    maps each original variable to its standard columns and shift, const and
-    sign restore the original objective value.
-    """
+    rows: list
+    rhs: list
+    c: list
+    const: Fraction
+    sign: int
+    rep: list
+    n_struct: int
+
+    @property
+    def n_cols(self) -> int:
+        return len(self.c)
+
+
+def _standardize(lp: LinearProgram) -> _Standard:
+    """Rewrite as min c.x, A x = b, x >= 0 (variables shifted/split, slacks
+    appended, duplicate rows dropped), keeping only the nonzeros."""
     n = lp.n_vars
-    lower = lp.lower if lp.lower is not None else [Fraction(0)] * n
+    lower = lp.lower if lp.lower is not None else [0] * n
     upper = lp.upper if lp.upper is not None else [None] * n
 
     # Original variable j is represented as a nonnegative combination:
     #   x_j = lo + x'_p          (finite lower bound)
     #   x_j = x'_p - x'_q        (free variable)
-    rep = []  # per original var: (pos_col, neg_col or None, shift)
+    rep = []
     cols = 0
-    for j in range(n):
-        lo = lower[j]
+    for lo in lower:
         if lo is None:
-            rep.append((cols, cols + 1, Fraction(0)))
+            rep.append((cols, cols + 1, _ZERO))
             cols += 2
         else:
             rep.append((cols, None, Fraction(lo)))
             cols += 1
 
-    rows: list[list] = []
-    rhs: list = []
-
-    def add_row(coeffs: Sequence, b) -> None:
-        row = [_ZERO] * cols
-        shift_total = _rat(0)
+    def expand(coeffs: Sequence):
+        entries = []
+        shift = _ZERO
         for j, v in enumerate(coeffs):
-            if v == 0:
+            if not v:
                 continue
-            p, q, shift = rep[j]
-            vq = _rat(v)
-            row[p] += vq
+            v = Fraction(v)
+            p, q, lo = rep[j]
+            entries.append((p, v))
             if q is not None:
-                row[q] -= vq
-            if shift:
-                shift_total += vq * _rat(shift)
-        rows.append(row)
-        rhs.append(_rat(b) - shift_total)
+                entries.append((q, -v))
+            shift += v * lo
+        return entries, shift
+
+    rows: list = []
+    rhs: list = []
+    seen = set()
+
+    def add_row(coeffs: Sequence, b, slack=None) -> None:
+        entries, shift = expand(coeffs)
+        if slack is not None:
+            entries.append((slack, _ONE))
+        row = tuple(entries)
+        b = Fraction(b) - shift
+        if (row, b) not in seen:
+            seen.add((row, b))
+            rows.append(row)
+            rhs.append(b)
 
     for row, b in zip(lp.eq_rows, lp.eq_rhs):
         add_row(row, b)
-    n_eq = len(rows)
+    slack = cols
     for row, b in zip(lp.ub_rows, lp.ub_rhs):
-        add_row(row, b)
+        add_row(row, b, slack)
+        slack += 1
     for j in range(n):
         if upper[j] is not None:
             coeffs = [0] * n
             coeffs[j] = 1
-            add_row(coeffs, upper[j])
+            add_row(coeffs, upper[j], slack)
+            slack += 1
 
-    c = [_ZERO] * cols
-    sign = _rat(1) if lp.sense == "min" else _rat(-1)
-    const = _rat(0)
-    for j, v in enumerate(lp.objective):
-        if v == 0:
+    sign = 1 if lp.sense == "min" else -1
+    entries, const = expand(lp.objective)
+    c = [_ZERO] * slack
+    for j, v in entries:
+        c[j] = sign * v
+    return _Standard(rows, rhs, c, sign * const, sign, rep, cols)
+
+
+def _dot(c, x) -> Fraction:
+    return sum((v * x[j] for j, v in enumerate(c) if v), _ZERO)
+
+
+def _primal_feasible(std: _Standard, x) -> bool:
+    return all(v >= 0 for v in x) and all(
+        sum((v * x[j] for j, v in row), _ZERO) == b for row, b in zip(std.rows, std.rhs)
+    )
+
+
+def _dual_feasible(std: _Standard, y, value) -> bool:
+    """c - A^T y >= 0 and strong duality b.y == value (the standard-form
+    objective at the primal point)."""
+    if y is None or len(y) != len(std.rows):
+        return False
+    reduced = list(std.c)
+    for yi, row in zip(y, std.rows):
+        if yi:
+            for j, v in row:
+                reduced[j] -= yi * v
+    return all(r >= 0 for r in reduced) and _dot(std.rhs, y) == value
+
+
+def _optimal(std: _Standard, x, y, engine: str, iterations: int) -> LPSolution | None:
+    """The optimal LPSolution for standard-form point x and row duals y, or
+    None unless they pass the exact check."""
+    value = _dot(std.c, x)
+    if not (_primal_feasible(std, x) and _dual_feasible(std, y, value)):
+        return None
+    point = tuple(
+        x[p] - (x[q] if q is not None else 0) + lo for p, q, lo in std.rep
+    )
+    return LPSolution(
+        status=OPTIMAL,
+        value=std.sign * (value + std.const),
+        point=point,
+        dual=tuple(y),
+        iterations=iterations,
+        engine=engine,
+    )
+
+
+def _highs(std: _Standard):
+    """scipy's HiGHS on the standard form, built from the nonzeros."""
+    data, row_idx, col_idx = [], [], []
+    for i, row in enumerate(std.rows):
+        for j, v in row:
+            row_idx.append(i)
+            col_idx.append(j)
+            data.append(float(v))
+    a_eq = csr_matrix((data, (row_idx, col_idx)), shape=(len(std.rows), std.n_cols))
+    return linprog(
+        [float(v) for v in std.c],
+        A_eq=a_eq,
+        b_eq=[float(v) for v in std.rhs],
+        bounds=(0, None),
+        method="highs",
+    )
+
+
+def _rational(v: float) -> Fraction:
+    return Fraction(v).limit_denominator(_DENOMINATOR_CAP) if v else _ZERO
+
+
+def _subtract(row: dict, f, other: dict) -> None:
+    """row -= f * other on sparse rows, dropping entries that become 0."""
+    for k, v in other.items():
+        w = row.get(k, 0) - f * v
+        if w:
+            row[k] = w
+        else:
+            row.pop(k, None)
+
+
+def _solve_exact(equations) -> dict | None:
+    """One solution, with every free unknown 0, of the linear system given
+    as (coefficient dict, rhs) pairs; None if it is inconsistent.
+
+    Gauss-Jordan elimination on Fractions: the pivot rows are kept reduced,
+    so each holds its own pivot unknown and no other."""
+    pivots: dict = {}  # pivot unknown -> [row dict with coefficient 1, rhs]
+    for coeffs, b in equations:
+        row = dict(coeffs)
+        for p in [k for k in row if k in pivots]:
+            f = row[p]
+            _subtract(row, f, pivots[p][0])
+            b -= f * pivots[p][1]
+        if not row:
+            if b:
+                return None
             continue
-        p, q, shift = rep[j]
-        vq = sign * _rat(v)
-        c[p] += vq
-        if q is not None:
-            c[q] -= vq
-        if shift:
-            const += vq * _rat(shift)
+        q, f = next(iter(row.items()))
+        row = {k: v / f for k, v in row.items()}
+        b /= f
+        for entry in pivots.values():
+            g = entry[0].get(q)
+            if g:
+                _subtract(entry[0], g, row)
+                entry[1] -= g * b
+        pivots[q] = [row, b]
+    return {p: pb for p, (_, pb) in pivots.items()}
 
-    # Slacks for the inequality block (everything after the first n_eq rows).
-    n_rows = len(rows)
-    n_slack = n_rows - n_eq
-    for i in range(n_rows):
-        rows[i] = rows[i] + [_ZERO] * n_slack
-    for s, i in enumerate(range(n_eq, n_rows)):
-        rows[i][cols + s] = _ONE
-    c += [_ZERO] * n_slack
 
-    # Drop exact duplicate rows.
-    seen = {}
-    keep = []
-    for i in range(n_rows):
-        key = (tuple(rows[i]), rhs[i])
-        if key not in seen:
-            seen[key] = i
-            keep.append(i)
-    rows = [rows[i] for i in keep]
-    rhs = [rhs[i] for i in keep]
+def _support_primal(std: _Standard, support: set) -> list | None:
+    """A x = b solved exactly on the columns in support, the rest 0."""
+    sol = _solve_exact(
+        ({j: v for j, v in row if j in support}, b) for row, b in zip(std.rows, std.rhs)
+    )
+    if sol is None:
+        return None
+    x = [_ZERO] * std.n_cols
+    for j, v in sol.items():
+        x[j] = v
+    return x
 
-    return rows, rhs, c, const, sign, rep, cols, n_slack
+
+def _support_dual(std: _Standard, tight: set) -> list | None:
+    """Row duals with zero reduced cost on every column in tight, solved
+    exactly; the rows left free get 0."""
+    columns = {j: {} for j in tight}
+    for i, row in enumerate(std.rows):
+        for j, v in row:
+            if j in columns:
+                columns[j][i] = v
+    sol = _solve_exact((columns[j], std.c[j]) for j in sorted(tight))
+    if sol is None:
+        return None
+    return [sol.get(i, _ZERO) for i in range(len(std.rows))]
+
+
+def _certify_highs(std: _Standard, res) -> LPSolution | None:
+    """The certified optimum from an optimal HiGHS result, or None."""
+    x_float = res.x.tolist()
+    x = [_rational(v) for v in x_float]
+    y = [_rational(v) for v in res.eqlin.marginals.tolist()]
+    sol = _optimal(std, x, y, "highs", int(res.nit))
+    if sol is not None:
+        return sol
+    if not _primal_feasible(std, x):
+        x = _support_primal(std, {j for j, v in enumerate(x_float) if v > _ZERO_TOL})
+        if x is None:
+            return None
+    if not _dual_feasible(std, y, _dot(std.c, x)):
+        # Complementary slackness: zero reduced cost wherever x is positive.
+        tight = {j for j, v in enumerate(res.lower.marginals.tolist()) if abs(v) <= _ZERO_TOL}
+        y = _support_dual(std, tight | {j for j, v in enumerate(x) if v})
+        if y is None:
+            return None
+    return _optimal(std, x, y, "support", int(res.nit))
+
+
+def solve(lp: LinearProgram) -> LPSolution:
+    """Exact, certified optimum of the LP (see the module docstring)."""
+    std = _standardize(lp)
+    try:
+        res = _highs(std)
+    except OverflowError:  # a coefficient beyond float range
+        res = None
+    if res is not None and res.status == 0:
+        sol = _certify_highs(std, res)
+        if sol is not None:
+            return sol
+    return _simplex(lp, std)
 
 
 def _extract_entering(z, allowed, bland):
@@ -266,11 +443,13 @@ def _run_simplex(T, b, z, basis, allowed, obj, stall_limit):
             stall = 0
 
 
-def solve(lp: LinearProgram) -> LPSolution:
-    """Exact optimum of the LP by two-phase simplex on rationals."""
-    rows, rhs, c, const, sign, rep, n_struct, n_slack = _standardize(lp)
-    m = len(rows)
-    ncols = n_struct + n_slack
+def _simplex(lp: LinearProgram, std: _Standard | None = None) -> LPSolution:
+    """Exact optimum of the LP by dense two-phase simplex on Fractions: the
+    last resort of :func:`solve` and its oracle in tests."""
+    if std is None:
+        std = _standardize(lp)
+    m = len(std.rows)
+    ncols = std.n_cols
 
     # Normalize to b >= 0, then give every row a basic column: reuse a +1
     # slack where possible, otherwise add an artificial.  unit_col[i] is the
@@ -279,22 +458,21 @@ def solve(lp: LinearProgram) -> LPSolution:
     T = []
     b = []
     row_sign = []
-    for i in range(m):
-        if rhs[i] < 0:
-            T.append([-v for v in rows[i]])
-            b.append(-rhs[i])
-            row_sign.append(-1)
-        else:
-            T.append(list(rows[i]))
-            b.append(rhs[i])
-            row_sign.append(1)
+    for row, rhs in zip(std.rows, std.rhs):
+        s = -1 if rhs < 0 else 1
+        dense = [_ZERO] * ncols
+        for j, v in row:
+            dense[j] = s * v
+        T.append(dense)
+        b.append(s * rhs)
+        row_sign.append(s)
 
     basis = [-1] * m
     art_cols = []
     unit_col = [-1] * m
     for i in range(m):
         pivot_col = None
-        for j in range(n_struct, ncols):
+        for j in range(std.n_struct, std.n_cols):
             if T[i][j] == 1 and all(T[k][j] == 0 for k in range(m) if k != i):
                 pivot_col = j
                 break
@@ -311,10 +489,10 @@ def solve(lp: LinearProgram) -> LPSolution:
             unit_col[i] = pivot_col
 
     total_iters = 0
+    art_set = set(art_cols)
     if art_cols:
         z = [_ZERO] * ncols
         obj = _ZERO
-        art_set = set(art_cols)
         for i in range(m):
             if basis[i] in art_set:
                 row = T[i]
@@ -326,7 +504,7 @@ def solve(lp: LinearProgram) -> LPSolution:
         status, obj, iters = _run_simplex(T, b, z, basis, allowed, obj, 4 * (m + ncols))
         total_iters += iters
         if obj != 0:
-            return LPSolution(status=INFEASIBLE, iterations=total_iters)
+            return LPSolution(status=INFEASIBLE, iterations=total_iters, engine="simplex")
         # Drive remaining artificials out of the basis; drop redundant rows
         # (their dual multiplier is then 0, which the unit-column readout
         # produces automatically since their column vanishes from kept rows).
@@ -345,10 +523,9 @@ def solve(lp: LinearProgram) -> LPSolution:
         for i in reversed(drop):
             del T[i], b[i], basis[i]
         m = len(T)
-    art_set = set(art_cols)
 
     # Phase II on the real costs; reduce costs of basic columns to zero.
-    z = list(c) + [_ZERO] * (ncols - len(c))
+    z = list(std.c) + [_ZERO] * (ncols - std.n_cols)
     obj = _ZERO
     for i in range(m):
         f = z[basis[i]]
@@ -362,116 +539,78 @@ def solve(lp: LinearProgram) -> LPSolution:
     status, obj, iters = _run_simplex(T, b, z, basis, allowed, obj, 4 * (m + ncols))
     total_iters += iters
     if status == UNBOUNDED:
-        return LPSolution(status=UNBOUNDED, iterations=total_iters)
+        return LPSolution(status=UNBOUNDED, iterations=total_iters, engine="simplex")
 
-    # Recover the standard-form point, then the original variables.
-    x_std = [_ZERO] * ncols
+    x = [_ZERO] * ncols
     for i in range(m):
-        x_std[basis[i]] = b[i]
-    point = []
-    for p, q, shift in rep:
-        v = x_std[p] - (x_std[q] if q is not None else _ZERO) + _rat(shift)
-        point.append(_to_fraction(v))
-    value = _to_fraction(obj + const)
-    if lp.sense == "max":
-        value = -value
+        x[basis[i]] = b[i]
     # Duals of the standardized rows: row i started with identity column
     # unit_col[i] of cost 0, whose final reduced cost is -y_i (sign-adjusted
     # for rows negated during the b >= 0 normalization).
-    dual = tuple(
-        _to_fraction(-z[unit_col[i]]) * row_sign[i] for i in range(len(unit_col))
-    )
-    return LPSolution(
-        status=OPTIMAL,
-        value=value,
-        point=tuple(point),
-        basis=tuple(basis),
-        dual=dual,
-        iterations=total_iters,
-    )
+    y = [-z[unit_col[i]] * row_sign[i] for i in range(len(unit_col))]
+    sol = _optimal(std, x[: std.n_cols], y, "simplex", total_iters)
+    if sol is None:
+        raise RuntimeError("exact simplex optimum failed its own certificate")
+    return sol
 
 
 def solve_float(lp: LinearProgram, tol: float = 1e-9) -> LPSolution:
-    """Float-mode solve via scipy's HiGHS for instances too large for exact
-    arithmetic; the reported tolerance is attached to the solution."""
-    from scipy.optimize import linprog
-
-    c = [float(v) for v in lp.objective]
-    if lp.sense == "max":
-        c = [-v for v in c]
-    lower = lp.lower if lp.lower is not None else [0] * lp.n_vars
-    upper = lp.upper if lp.upper is not None else [None] * lp.n_vars
-    bounds = [
-        (None if lo is None else float(lo), None if up is None else float(up))
-        for lo, up in zip(lower, upper)
-    ]
-    res = linprog(
-        c,
-        A_ub=[[float(v) for v in row] for row in lp.ub_rows] or None,
-        b_ub=[float(v) for v in lp.ub_rhs] or None,
-        A_eq=[[float(v) for v in row] for row in lp.eq_rows] or None,
-        b_eq=[float(v) for v in lp.eq_rhs] or None,
-        bounds=bounds,
-        method="highs",
-    )
+    """Float-mode solve: the HiGHS stage of :func:`solve` alone, for
+    instances too large for exact arithmetic; the reported tolerance is
+    attached to the solution."""
+    std = _standardize(lp)
+    res = _highs(std)
     if res.status == 2:
-        return LPSolution(status=INFEASIBLE, tolerance=tol)
+        return LPSolution(status=INFEASIBLE, tolerance=tol, engine="highs")
     if res.status == 3:
-        return LPSolution(status=UNBOUNDED, tolerance=tol)
+        return LPSolution(status=UNBOUNDED, tolerance=tol, engine="highs")
     if not res.success:
         raise RuntimeError(f"float LP solve failed: {res.message}")
-    value = -res.fun if lp.sense == "max" else res.fun
+    x = res.x.tolist()
     return LPSolution(
         status=OPTIMAL,
-        value=value,
-        point=tuple(float(v) for v in res.x),
+        value=std.sign * (res.fun + float(std.const)),
+        point=tuple(
+            x[p] - (x[q] if q is not None else 0.0) + float(lo) for p, q, lo in std.rep
+        ),
         iterations=int(res.nit),
         tolerance=tol,
+        engine="highs",
     )
+
+
+def _standard_point(std: _Standard, point) -> list:
+    """An original-variable point in standard-form coordinates, with each
+    inequality row's slack set to make the row hold with equality."""
+    x = [_ZERO] * std.n_cols
+    for (p, q, lo), v in zip(std.rep, point):
+        v = Fraction(v) - lo
+        if q is None:
+            x[p] = v
+        else:
+            x[p], x[q] = max(v, _ZERO), max(-v, _ZERO)
+    for row, b in zip(std.rows, std.rhs):
+        if row and row[-1][0] >= std.n_struct:
+            x[row[-1][0]] = b - sum((v * x[j] for j, v in row[:-1]), _ZERO)
+    return x
 
 
 def verify_certificate(lp: LinearProgram, sol: LPSolution, check_dual: bool = True) -> bool:
     """Re-substitute the optimizer and check exact feasibility and value.
 
     With duals available, also checks dual feasibility and strong duality,
-    which certifies optimality without trusting the pivot arithmetic.
+    which certifies optimality without trusting the solver.  This is the
+    check :func:`solve` runs before it returns an optimum.
     """
-    if sol.status != OPTIMAL:
+    if sol.status != OPTIMAL or sol.point is None or len(sol.point) != lp.n_vars:
         return False
-    x = [Fraction(v) for v in sol.point]
-    lower = lp.lower if lp.lower is not None else [Fraction(0)] * lp.n_vars
-    upper = lp.upper if lp.upper is not None else [None] * lp.n_vars
-    for j in range(lp.n_vars):
-        if lower[j] is not None and x[j] < lower[j]:
-            return False
-        if upper[j] is not None and x[j] > upper[j]:
-            return False
-    for row, bb in zip(lp.eq_rows, lp.eq_rhs):
-        if sum(Fraction(v) * x[j] for j, v in enumerate(row) if v) != Fraction(bb):
-            return False
-    for row, bb in zip(lp.ub_rows, lp.ub_rhs):
-        if sum(Fraction(v) * x[j] for j, v in enumerate(row) if v) > Fraction(bb):
-            return False
-    achieved = sum(Fraction(c) * x[j] for j, c in enumerate(lp.objective) if c)
-    if achieved != sol.value:
+    std = _standardize(lp)
+    x = _standard_point(std, sol.point)
+    value = _dot(std.c, x)
+    if std.sign * (value + std.const) != sol.value or not _primal_feasible(std, x):
         return False
     if check_dual and sol.dual is not None:
-        rows, rhs, c, const, sign, rep, n_struct, n_slack = _standardize(lp)
-        if len(sol.dual) != len(rows):
-            return False
-        y = [_rat(int(v.numerator)) / _rat(int(v.denominator)) for v in sol.dual]
-        ncols = n_struct + n_slack
-        for j in range(ncols):
-            red = (c[j] if j < len(c) else _ZERO) - sum(
-                y[i] * rows[i][j] for i in range(len(rows)) if rows[i][j]
-            )
-            if red < 0:
-                return False
-        strong = sum(y[i] * rhs[i] for i in range(len(rows)))
-        val = _rat(int(sol.value.numerator)) / _rat(int(sol.value.denominator))
-        std_val = (val if lp.sense == "min" else -val) - const
-        if strong != std_val:
-            return False
+        return _dual_feasible(std, [Fraction(v) for v in sol.dual], value)
     return True
 
 

@@ -18,6 +18,7 @@ import itertools
 import json
 import os
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -332,16 +333,38 @@ def restrict(behavior: Behavior, parties: Sequence[int]) -> Behavior:
 
 # ---------------------------------------------------------------------------
 # Serialization.  Values are decimal strings; exact mode also accepts "p/q".
+# JSON number literals are read as the Decimal of their source text, so exact
+# mode reads 0.1 as 1/10 and float mode reads the float json itself would.
+
+# Largest |exponent| of a decimal literal that exact mode expands: the
+# Fraction of 1e1000000000 would be a gigabyte-sized integer.
+_MAX_DECIMAL_EXPONENT = 4300
 
 
 def parse_number(text, exact: bool):
-    """A JSON number or a decimal/"p/q" string as a Fraction (exact) or a
-    float; NaN and infinities are rejected in both modes."""
+    """A JSON number (int, float, or the Decimal :func:`read_json` makes of a
+    literal) or a decimal/"p/q" string as a Fraction (exact) or a float;
+    NaN and infinities are rejected in both modes."""
     try:
+        if isinstance(text, Decimal):
+            if not exact:
+                text = float(text)
+            elif abs(text.as_tuple().exponent) > _MAX_DECIMAL_EXPONENT:
+                raise ValueError("exponent out of range")
         f = Fraction(text)
         return f if exact else float(f)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise InputFormatError(f"cannot parse finite number {text!r}") from exc
+
+
+def read_json(path: str):
+    """Parse a JSON file, keeping each non-integer number literal as the
+    Decimal of its text (see :func:`parse_number`)."""
+    with open(path) as fh:
+        try:
+            return json.load(fh, parse_float=Decimal)
+        except json.JSONDecodeError as exc:
+            raise InputFormatError(f"{path}: {exc}") from exc
 
 
 def format_number(value) -> str:
@@ -373,12 +396,7 @@ def behavior_from_json(obj: dict, exact: bool = True) -> Behavior:
 
 
 def load_behavior(path: str, exact: bool = True) -> Behavior:
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputFormatError(f"{path}: {exc}") from exc
-    return behavior_from_json(obj, exact)
+    return behavior_from_json(read_json(path), exact)
 
 
 def save_behavior(behavior: Behavior, path: str) -> None:

@@ -14,6 +14,7 @@ from monogamy_lab.bell import (
     evaluate_assignment,
     evaluate_dense,
     functional_from_json,
+    load_functional,
     functional_to_json,
     modular_mean,
     recursive_bkp,
@@ -164,6 +165,17 @@ def test_functional_json_roundtrip():
     assert back.terms == f.terms
     assert back.classical_bound == f.classical_bound
     assert back.ns_minimum == f.ns_minimum
+
+
+def test_load_functional_reads_number_literals_exactly(tmp_path):
+    obj = functional_to_json(recursive_bkp(2, 2, 2))
+    text = json.dumps(obj).replace('"weight": "1"', '"weight": 0.1')
+    assert text.count('"weight": 0.1') == len(obj["terms"])
+    path = tmp_path / "f.json"
+    path.write_text(text)
+    back = load_functional(str(path))
+    assert all(t.weight == Fraction(1, 10) for t in back.terms)
+    assert back.classical_bound == 1 and back.ns_minimum == 0
 
 
 def test_dense_csv_shape():

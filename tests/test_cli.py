@@ -90,6 +90,37 @@ def test_bell_rejects_non_finite(tmp_path, capsys, mode, bad):
     assert captured.out == "" and "error" in captured.err
 
 
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_validate_reads_json_numbers_as_decimals(tmp_path, capsys, mode):
+    path = tmp_path / "b.json"
+    path.write_text('{"scenario": {"N": 1, "M": 1, "d": 2}, "values": [0.1, 0.9]}')
+    assert main(["validate", str(path), "--mode", mode]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["valid"] and report["problems"] == []
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_json_numbers_and_decimal_strings_agree(tmp_path, capsys, mode):
+    numbers = [0.1, 0.2, 0.3, 0.4] * 4
+    reports = []
+    for values in (numbers, [repr(v) for v in numbers]):
+        path = write_values(tmp_path, values)
+        for argv in (["validate", path], ["bell", "2", "2", "2", path]):
+            assert main(argv + ["--mode", mode]) == 0
+            reports.append(capsys.readouterr().out)
+    assert reports[:2] == reports[2:]
+    if mode == "exact":
+        assert json.loads(reports[1])["value"] == "2"
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_validate_rejects_huge_exponent(tmp_path, capsys, mode):
+    path = tmp_path / "b.json"
+    path.write_text('{"scenario": {"N": 1, "M": 1, "d": 2}, "values": [1e999999999, 0]}')
+    assert main(["validate", str(path), "--mode", mode]) == 2
+    assert "error" in capsys.readouterr().err
+
+
 def test_bell_export_and_evaluate(tmp_path, capsys):
     assert main(["bell", "3", "2", "2", "--format", "json"]) == 0
     exported = json.loads(capsys.readouterr().out)

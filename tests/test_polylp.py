@@ -2,6 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from monogamy_lab.bell import chained_bkp, classical_minimum, evaluate, recursive_bkp
 from monogamy_lab.polylp import (
@@ -9,6 +10,7 @@ from monogamy_lab.polylp import (
     LinearProgram,
     OPTIMAL,
     UNBOUNDED,
+    _simplex,
     lp_to_json,
     ns_constraints,
     optimize_over_ns,
@@ -166,6 +168,15 @@ def test_certificate_rejects_tampered_value():
     assert not verify_certificate(lp, sol)
 
 
+def test_certificate_rejects_suboptimal_point():
+    # (0, 1) is feasible and y = 1 is dual feasible, but 2 != b.y = 1
+    lp = LinearProgram(2, [1, 2], "min", eq_rows=[[1, 1]], eq_rhs=[1])
+    sol = solve(lp)
+    assert sol.dual == (1,) and verify_certificate(lp, sol)
+    sol.point, sol.value = (Fraction(0), Fraction(1)), Fraction(2)
+    assert not verify_certificate(lp, sol)
+
+
 def test_float_mode_agrees_with_exact_on_random_lps():
     import random as _random
 
@@ -200,3 +211,95 @@ def test_lp_json_dump_roundtrips():
     assert obj["n_vars"] == 2
     assert obj["objective"] == ["1/3", "1"]
     assert obj["eq_rhs"] == ["1"]
+
+
+@st.composite
+def small_lps(draw):
+    """Random LPs of up to 4 variables with equalities, inequalities, upper
+    bounds, shifted lower bounds and free variables."""
+    n = draw(st.integers(1, 4))
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    vec = st.lists(coeff, min_size=n, max_size=n)
+    n_eq = draw(st.integers(0, 2))
+    n_ub = draw(st.integers(0, 2))
+    return LinearProgram(
+        n,
+        draw(vec),
+        draw(st.sampled_from(["min", "max"])),
+        eq_rows=[draw(vec) for _ in range(n_eq)],
+        eq_rhs=[draw(coeff) for _ in range(n_eq)],
+        ub_rows=[draw(vec) for _ in range(n_ub)],
+        ub_rhs=[draw(coeff) for _ in range(n_ub)],
+        lower=[draw(st.sampled_from([0, None, -1, Fraction(1, 2)])) for _ in range(n)],
+        upper=[draw(st.sampled_from([None, 2, Fraction(5, 2)])) for _ in range(n)],
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_lps())
+def test_solve_agrees_with_simplex_oracle(lp):
+    sol = solve(lp)
+    oracle = _simplex(lp)
+    assert sol.status == oracle.status
+    if sol.status == OPTIMAL:
+        assert sol.value == oracle.value
+        assert verify_certificate(lp, sol)
+
+
+def test_ns_optimum_is_certified_by_highs():
+    scn = Scenario(3, 2, 2)
+    rows, rhs = ns_constraints(scn).all_rows()
+    lp = LinearProgram(scn.size, list(recursive_bkp(3, 2, 2).dense()), "min", eq_rows=rows, eq_rhs=rhs)
+    sol = solve(lp)
+    assert sol.engine == "highs" and sol.value == 0
+    assert verify_certificate(lp, sol)
+
+
+@pytest.mark.parametrize(
+    "lp",
+    [
+        # the primal point 1/1000003 has a denominator above the rounding cap
+        LinearProgram(1, [1], "min", eq_rows=[[1]], eq_rhs=[Fraction(1, 1000003)]),
+        # so has the dual multiplier of the only row
+        LinearProgram(1, [Fraction(1, 1000003)], "min", eq_rows=[[1]], eq_rhs=[1]),
+    ],
+    ids=["primal", "dual"],
+)
+def test_support_stage_recovers_large_denominators(lp):
+    sol = solve(lp)
+    assert sol.engine == "support"
+    assert sol.value == Fraction(1, 1000003)
+    assert verify_certificate(lp, sol)
+
+
+@pytest.mark.parametrize(
+    "lp, value",
+    [
+        # x_1 <= 1e-20 is zero to HiGHS, so its support misses the optimum
+        (
+            LinearProgram(2, [0, -1], "min", eq_rows=[[1, 1]], eq_rhs=[1],
+                          ub_rows=[[0, 1]], ub_rhs=[Fraction(1, 10**20)]),
+            Fraction(-1, 10**20),
+        ),
+        # both costs round to the same float: a zero reduced cost on each
+        # column asks the support dual for y = 1 and y = 1 - 1e-20 at once
+        (
+            LinearProgram(2, [1, 1 - Fraction(1, 10**20)], "min", eq_rows=[[1, 1]], eq_rhs=[1]),
+            1 - Fraction(1, 10**20),
+        ),
+    ],
+    ids=["tiny-bound", "tied-costs"],
+)
+def test_simplex_stage_when_support_cannot_certify(lp, value):
+    sol = solve(lp)
+    assert sol.engine == "simplex"
+    assert sol.value == value
+    assert verify_certificate(lp, sol)
+
+
+def test_infeasible_and_unbounded_go_to_simplex():
+    infeasible = LinearProgram(1, [1], "min", eq_rows=[[1]], eq_rhs=[2], upper=[Fraction(1)])
+    unbounded = LinearProgram(1, [-1], "min")
+    for lp, status in [(infeasible, INFEASIBLE), (unbounded, UNBOUNDED)]:
+        sol = solve(lp)
+        assert (sol.status, sol.engine) == (status, "simplex")
