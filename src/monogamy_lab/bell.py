@@ -31,7 +31,10 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import InputFormatError
-from .scenario import Behavior, Scenario, marginal, parse_number, format_number, read_json
+from .scenario import (
+    Behavior, Scenario, format_number, marginal, parse_int, parse_number, read_json,
+    scenario_from_json,
+)
 
 
 def modular_mean(dist: Sequence):
@@ -75,18 +78,12 @@ class ModularTerm:
     def __post_init__(self) -> None:
         if not self.coeffs:
             raise ValueError("term needs at least one observable")
+        for _, _, sign in self.coeffs:  # also rejects entries that are not triples
+            if sign not in (-1, 1):
+                raise ValueError("signs must be +-1")
         parties = [c[0] for c in self.coeffs]
         if len(set(parties)) != len(parties):
             raise ValueError("term references a party twice")
-        for _, _, sign in self.coeffs:
-            if sign not in (-1, 1):
-                raise ValueError("signs must be +-1")
-
-    def sign_of(self, party: int) -> int:
-        for k, _, sign in self.coeffs:
-            if k == party:
-                return sign
-        raise KeyError(f"party {party} not in term")
 
 
 def _resolved_term(weight, raw_coeffs, shift, scenario: Scenario) -> ModularTerm:
@@ -297,13 +294,12 @@ def functional_to_json(functional: BellFunctional) -> dict:
 
 def functional_from_json(obj: dict) -> BellFunctional:
     try:
-        s = obj["scenario"]
-        scn = Scenario(int(s["N"]), int(s["M"]), int(s["d"]))
+        scn = scenario_from_json(obj["scenario"])
         terms = tuple(
             ModularTerm(
                 parse_number(t["weight"], exact=True),
-                tuple(tuple(int(v) for v in c) for c in t["coeffs"]),
-                int(t["shift"]),
+                tuple(tuple(parse_int(v) for v in c) for c in t["coeffs"]),
+                parse_int(t["shift"]),
             )
             for t in obj["terms"]
         )

@@ -13,9 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import bell, monogamy, quantum, scenario, svamp
@@ -27,37 +25,17 @@ EXIT_INPUT = 2
 EXIT_RESOURCE = 3
 
 
-@dataclass
-class RunConfig:
-    mode: str = "exact"
-    tol: float = 0.0
-    seed: int = 0
-    out: str | None = None
-    fmt: str = "csv"
-
-
-def _emit(config: RunConfig, text: str) -> None:
-    if config.out:
-        with open(config.out, "w") as fh:
+def _emit(args, text: str) -> None:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _config(args) -> RunConfig:
-    return RunConfig(
-        mode=args.mode,
-        tol=args.tol,
-        seed=args.seed,
-        out=args.out,
-        fmt=args.format,
-    )
-
-
 def cmd_validate(args) -> int:
-    config = _config(args)
-    behavior = scenario.load_behavior(args.behavior, exact=config.mode == "exact")
-    tol = 0 if config.mode == "exact" else config.tol
+    behavior = scenario.load_behavior(args.behavior, exact=args.mode == "exact")
+    tol = 0 if args.mode == "exact" else args.tol
     problems = scenario.validate(behavior, tol)
     ns_ok, worst = scenario.is_nonsignalling(behavior, tol)
     report = {
@@ -66,61 +44,56 @@ def cmd_validate(args) -> int:
         "nonsignalling": ns_ok,
         "worst_ns_deviation": scenario.format_number(worst),
     }
-    _emit(config, json.dumps(report, indent=1) + "\n")
+    _emit(args, json.dumps(report, indent=1) + "\n")
     return EXIT_OK if not problems else EXIT_VIOLATION
 
 
 def cmd_bell(args) -> int:
-    config = _config(args)
     functional = bell.recursive_bkp(args.N, args.M, args.d)
     if args.behavior:
-        behavior = scenario.load_behavior(args.behavior, exact=config.mode == "exact")
+        behavior = scenario.load_behavior(args.behavior, exact=args.mode == "exact")
         value = bell.evaluate(functional, behavior)
         report = {
             "value": scenario.format_number(value),
             "classical_bound": scenario.format_number(functional.classical_bound),
             "ns_minimum": scenario.format_number(functional.ns_minimum),
         }
-        _emit(config, json.dumps(report, indent=1) + "\n")
-    elif config.fmt == "json":
-        _emit(config, json.dumps(bell.functional_to_json(functional), indent=1) + "\n")
+        _emit(args, json.dumps(report, indent=1) + "\n")
+    elif args.format == "json":
+        _emit(args, json.dumps(bell.functional_to_json(functional), indent=1) + "\n")
     else:
-        _emit(config, bell.dense_csv(functional))
+        _emit(args, bell.dense_csv(functional))
     return EXIT_OK
 
 
 def cmd_tightness(args) -> int:
-    config = _config(args)
     scn = scenario.Scenario(args.N + 1, args.M, args.d)
     grid = [Fraction(t) for t in args.grid.split(",")] if args.grid else None
     rows = monogamy.tightness_scan(scn, args.k, args.x_k, args.x_last, grid)
-    if config.fmt == "json":
-        _emit(config, json.dumps(
+    if args.format == "json":
+        _emit(args, json.dumps(
             monogamy.scan_to_json(rows, args.k, args.x_k, args.x_last), indent=1
         ) + "\n")
     else:
-        _emit(config, monogamy.scan_to_csv(rows, args.k, args.x_k, args.x_last))
+        _emit(args, monogamy.scan_to_csv(rows, args.k, args.x_k, args.x_last))
     feasible = [r for r in rows if r.status == "optimal"]
     return EXIT_OK if all(r.tight for r in feasible) else EXIT_VIOLATION
 
 
 def cmd_figures(args) -> int:
-    config = _config(args)
     if args.which in ("guessing", "2a"):
-        _emit(config, quantum.guessing_curve_csv(args.d, n_points=args.points))
+        _emit(args, quantum.guessing_curve_csv(args.d, n_points=args.points))
         return EXIT_OK
-    if args.which in ("keyrate", "2b"):
-        ds = [int(v) for v in args.d_list.split(",")]
-        targets = []
-        for t in args.rates.split(","):
-            targets.append(math.log2(3) if t.strip() == "log2(3)" else float(t))
-        _emit(config, quantum.key_rate_table_csv(ds, targets, max_m=args.max_m))
-        return EXIT_OK
-    raise InputFormatError(f"unknown dataset {args.which!r}")
+    # argparse's choices leave "keyrate" and "2b"
+    ds = [int(v) for v in args.d_list.split(",")]
+    targets = []
+    for t in args.rates.split(","):
+        targets.append(math.log2(3) if t.strip() == "log2(3)" else float(t))
+    _emit(args, quantum.key_rate_table_csv(ds, targets, max_m=args.max_m))
+    return EXIT_OK
 
 
 def cmd_ra(args) -> int:
-    config = _config(args)
     eps = Fraction(args.epsilon)
     if not 0 <= eps < Fraction(1, 2):
         raise InputFormatError("epsilon must lie in [0, 1/2)")
@@ -150,15 +123,14 @@ def cmd_ra(args) -> int:
         f"epsilon={float(eps)!r} critical_per_party={float(eps_n)!r} "
         f"critical_common={float(eps_common)!r} verdict={verdict}\n"
     )
-    _emit(config, header + svamp.curve_to_csv(args.N, args.d, eps, rows))
+    _emit(args, header + svamp.curve_to_csv(args.N, args.d, eps, rows))
     return EXIT_OK
 
 
 def cmd_quantum(args) -> int:
-    config = _config(args)
     if args.subtask == "monogamy-check":
-        summary = quantum.monogamy_montecarlo(args.samples, [1.0, 1.5, 2.0, 3.0], seed=config.seed)
-        _emit(config, json.dumps(summary, indent=1) + "\n")
+        summary = quantum.monogamy_montecarlo(args.samples, [1.0, 1.5, 2.0, 3.0], seed=args.seed)
+        _emit(args, json.dumps(summary, indent=1) + "\n")
         return EXIT_OK if summary["violations"] == 0 else EXIT_VIOLATION
     if args.subtask == "violation":
         res = quantum.chained_quantum_violation(args.M, args.d)
@@ -169,43 +141,47 @@ def cmd_quantum(args) -> int:
             "phases_a": [list(map(float, row)) for row in res.phases_a],
             "phases_b": [list(map(float, row)) for row in res.phases_b],
         }
-        _emit(config, json.dumps(report, indent=1) + "\n")
+        _emit(args, json.dumps(report, indent=1) + "\n")
         return EXIT_OK
-    if args.subtask == "family-sweep":
-        _emit(config, quantum.family_sweep_csv(args.alpha, args.points))
-        return EXIT_OK
-    raise InputFormatError(f"unknown quantum subtask {args.subtask!r}")
+    # argparse's choices leave "family-sweep"
+    _emit(args, quantum.family_sweep_csv(args.alpha, args.points))
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--mode", choices=["exact", "float"], default="exact")
-    common.add_argument("--tol", type=float, default=1e-9)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--out", default=None)
-    common.add_argument("--format", choices=["csv", "json"], default="csv")
-
     parser = argparse.ArgumentParser(
         prog="monogamy-lab",
         description="Bell-functional monogamy over no-signalling polytopes",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def sub_parser(name, **kwargs):
-        return sub.add_parser(name, parents=[common], **kwargs)
+    flags = {
+        "out": dict(default=None, help="write the output to this file"),
+        "mode": dict(choices=["exact", "float"], default="exact"),
+        "tol": dict(type=float, default=1e-9, help="float-mode tolerance"),
+        "format": dict(choices=["csv", "json"], default="csv"),
+        "seed": dict(type=int, default=0),
+    }
 
-    p = sub_parser("validate", help="validate a behavior file and report NS status")
+    def sub_parser(name, *reads, **kwargs):
+        """A subcommand taking --out and the shared flags it reads."""
+        p = sub.add_parser(name, **kwargs)
+        for flag in ("out",) + reads:
+            p.add_argument(f"--{flag}", **flags[flag])
+        return p
+
+    p = sub_parser("validate", "mode", "tol", help="validate a behavior file and report NS status")
     p.add_argument("behavior")
     p.set_defaults(func=cmd_validate)
 
-    p = sub_parser("bell", help="construct/evaluate the chained functional")
+    p = sub_parser("bell", "mode", "format", help="construct/evaluate the chained functional")
     p.add_argument("N", type=int)
     p.add_argument("M", type=int)
     p.add_argument("d", type=int)
     p.add_argument("behavior", nargs="?", default=None)
     p.set_defaults(func=cmd_bell)
 
-    p = sub_parser("tightness", help="LP scan of the agreement-probability bound")
+    p = sub_parser("tightness", "format", help="LP scan of the agreement-probability bound")
     p.add_argument("N", type=int, help="number of Bell-test parties")
     p.add_argument("M", type=int)
     p.add_argument("d", type=int)
@@ -232,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lam", type=float, default=None, help="use lam/M instead of computed violations")
     p.set_defaults(func=cmd_ra)
 
-    p = sub_parser("quantum", help="quantum monogamy checks and violations")
+    p = sub_parser("quantum", "seed", help="quantum monogamy checks and violations")
     p.add_argument("subtask", choices=["monogamy-check", "violation", "family-sweep"])
     p.add_argument("--M", type=int, default=2)
     p.add_argument("--d", type=int, default=2)
@@ -246,7 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    random.seed(args.seed)
     try:
         return args.func(args)
     except ScenarioTooLargeError as exc:

@@ -25,9 +25,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import SignallingInputError
-from .bell import BellFunctional, ModularTerm, evaluate, modular_mean, recursive_bkp
+from .bell import BellFunctional, ModularTerm, evaluate, recursive_bkp
 from .polylp import LPSolution, optimize_over_ns
-from .scenario import Behavior, Scenario, format_number, is_nonsignalling, marginal, restrict
+from .scenario import Behavior, Scenario, format_number, is_nonsignalling, marginal
 
 
 def _require_ns(behavior: Behavior, tol) -> None:
@@ -55,14 +55,6 @@ def pair_difference_distribution(
     return tuple(out)
 
 
-def cross_means(behavior: Behavior, k: int, x_k: int, l: int, x_l: int):
-    """<[A^k - A^l]> + <[A^l - A^k]> at the given settings."""
-    d = behavior.scenario.outcomes
-    dist = pair_difference_distribution(behavior, k, x_k, l, x_l)
-    rev = tuple(dist[(-i) % d] for i in range(d))
-    return modular_mean(dist) + modular_mean(rev)
-
-
 def monogamy_lhs_general(
     behavior: Behavior,
     k: int,
@@ -72,7 +64,8 @@ def monogamy_lhs_general(
     tol=0,
 ):
     """I^{N,M,d} on the first N parties plus both cross means with the last
-    party; at least d-1 for every nonsignalling behavior."""
+    party (the terms of :func:`monogamy_functional`); at least d-1 for every
+    nonsignalling behavior."""
     scn = behavior.scenario
     if scn.parties < 3:
         raise ValueError("need at least 3 parties (N >= 2 plus the outsider)")
@@ -80,10 +73,7 @@ def monogamy_lhs_general(
         raise ValueError("k must index one of the first N parties")
     if check:
         _require_ns(behavior, tol)
-    n = scn.parties - 1
-    functional = recursive_bkp(n, scn.settings, scn.outcomes)
-    value = evaluate(functional, restrict(behavior, range(n)))
-    return value + cross_means(behavior, k, x_k, n, x_last)
+    return evaluate(monogamy_functional(scn, k, x_k, x_last), behavior)
 
 
 def monogamy_lhs_tripartite(
@@ -114,9 +104,7 @@ def agreement_probability(
         _require_ns(behavior, tol)
     dist = pair_difference_distribution(behavior, k, x_k, scn.parties - 1, x_last)
     p = dist[m % d]
-    n = scn.parties - 1
-    functional = recursive_bkp(n, scn.settings, scn.outcomes)
-    value = evaluate(functional, restrict(behavior, range(n)))
+    value = evaluate(embedded_bkp(scn), behavior)
     return p, value + 1 >= d * p
 
 
@@ -259,8 +247,7 @@ def monogamy_report(behavior: Behavior, tol=0) -> list[MonogamyRecord]:
     _require_ns(behavior, tol)
     d = scn.outcomes
     n = scn.parties - 1
-    functional = recursive_bkp(n, scn.settings, scn.outcomes)
-    value = evaluate(functional, restrict(behavior, range(n)))
+    value = evaluate(embedded_bkp(scn), behavior)
     records = []
     for k in range(n):
         for x_k in range(scn.settings):
@@ -293,23 +280,6 @@ def report_to_csv(records: Sequence[MonogamyRecord]) -> str:
              format_number(r.lhs), format_number(r.bound), format_number(r.slack)]
         )
     return buf.getvalue()
-
-
-def report_to_json(records: Sequence[MonogamyRecord]) -> list[dict]:
-    return [
-        {
-            "k": r.k,
-            "x_k": r.x_k,
-            "x_last": r.x_last,
-            "m": r.m,
-            "lhs": format_number(r.lhs),
-            "bound": format_number(r.bound),
-            "agreement": format_number(r.agreement),
-            "slack": format_number(r.slack),
-            "satisfied": r.satisfied,
-        }
-        for r in records
-    ]
 
 
 def scan_to_json(rows: Sequence[TightnessRow], k: int, x_k: int, x_last: int, m: int = 0) -> list[dict]:

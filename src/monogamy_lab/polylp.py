@@ -20,7 +20,6 @@ and ``LPSolution.engine`` names it:
 
 The certificate, not the pivot arithmetic, is the contract: no optimum leaves
 :func:`solve` without duals that :func:`verify_certificate` accepts.
-:func:`solve_float` is the HiGHS stage alone, with a reported tolerance.
 
 Also provides canned constraint generators for the no-signalling polytope:
 per-column normalization plus, for every party, independence of every other
@@ -95,15 +94,13 @@ class LPSolution:
     achieves the reported value, and carries one dual multiplier per
     standardized row that :func:`verify_certificate` accepts; ``engine``
     names the stage that produced it ('highs', 'support' or 'simplex', see
-    the module docstring).  Float-mode solutions from :func:`solve_float`
-    carry a reported tolerance instead of certificates."""
+    the module docstring)."""
 
     status: str
     value: Fraction | None = None
     point: tuple | None = None
     dual: tuple | None = None  # one multiplier per standardized row
     iterations: int = 0
-    tolerance: float | None = None
     engine: str | None = None
 
     def behavior(self, scenario: Scenario) -> Behavior:
@@ -554,31 +551,6 @@ def _simplex(lp: LinearProgram, std: _Standard | None = None) -> LPSolution:
     return sol
 
 
-def solve_float(lp: LinearProgram, tol: float = 1e-9) -> LPSolution:
-    """Float-mode solve: the HiGHS stage of :func:`solve` alone, for
-    instances too large for exact arithmetic; the reported tolerance is
-    attached to the solution."""
-    std = _standardize(lp)
-    res = _highs(std)
-    if res.status == 2:
-        return LPSolution(status=INFEASIBLE, tolerance=tol, engine="highs")
-    if res.status == 3:
-        return LPSolution(status=UNBOUNDED, tolerance=tol, engine="highs")
-    if not res.success:
-        raise RuntimeError(f"float LP solve failed: {res.message}")
-    x = res.x.tolist()
-    return LPSolution(
-        status=OPTIMAL,
-        value=std.sign * (res.fun + float(std.const)),
-        point=tuple(
-            x[p] - (x[q] if q is not None else 0.0) + float(lo) for p, q, lo in std.rep
-        ),
-        iterations=int(res.nit),
-        tolerance=tol,
-        engine="highs",
-    )
-
-
 def _standard_point(std: _Standard, point) -> list:
     """An original-variable point in standard-form coordinates, with each
     inequality row's slack set to make the row hold with equality."""
@@ -595,11 +567,10 @@ def _standard_point(std: _Standard, point) -> list:
     return x
 
 
-def verify_certificate(lp: LinearProgram, sol: LPSolution, check_dual: bool = True) -> bool:
-    """Re-substitute the optimizer and check exact feasibility and value.
-
-    With duals available, also checks dual feasibility and strong duality,
-    which certifies optimality without trusting the solver.  This is the
+def verify_certificate(lp: LinearProgram, sol: LPSolution) -> bool:
+    """Re-substitute the optimizer and its duals and check exact feasibility,
+    value, dual feasibility and strong duality, which certifies optimality
+    without trusting the solver; an optimum without duals fails.  This is the
     check :func:`solve` runs before it returns an optimum.
     """
     if sol.status != OPTIMAL or sol.point is None or len(sol.point) != lp.n_vars:
@@ -609,9 +580,7 @@ def verify_certificate(lp: LinearProgram, sol: LPSolution, check_dual: bool = Tr
     value = _dot(std.c, x)
     if std.sign * (value + std.const) != sol.value or not _primal_feasible(std, x):
         return False
-    if check_dual and sol.dual is not None:
-        return _dual_feasible(std, [Fraction(v) for v in sol.dual], value)
-    return True
+    return sol.dual is not None and _dual_feasible(std, [Fraction(v) for v in sol.dual], value)
 
 
 # ---------------------------------------------------------------------------
@@ -678,27 +647,20 @@ def optimize_over_ns(
     objective: Sequence,
     sense: str = "min",
     extra_eq: Sequence[tuple] = (),
-    extra_ub: Sequence[tuple] = (),
 ) -> LPSolution:
     """Optimize a linear functional of the behavior over the NS polytope,
-    optionally intersected with extra equality/inequality constraints."""
+    optionally intersected with extra (row, rhs) equality constraints."""
     cons = ns_constraints(scenario)
     rows, rhs = cons.all_rows()
     for row, b in extra_eq:
         rows.append(list(row))
         rhs.append(b)
-    ub_rows, ub_rhs = [], []
-    for row, b in extra_ub:
-        ub_rows.append(list(row))
-        ub_rhs.append(b)
     lp = LinearProgram(
         n_vars=scenario.size,
         objective=list(objective),
         sense=sense,
         eq_rows=rows,
         eq_rhs=rhs,
-        ub_rows=ub_rows,
-        ub_rhs=ub_rhs,
     )
     return solve(lp)
 

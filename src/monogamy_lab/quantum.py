@@ -394,15 +394,15 @@ def min_settings(
 # Dataset emitters.
 
 
-def guessing_curve_csv(d: int, n_points: int = 101, N: int = 2) -> str:
-    """Violation grid with both guessing caps (columns I, bound_tight, bound_prior)."""
+def guessing_curve_csv(d: int, n_points: int = 101) -> str:
+    """Violation grid with both N = 2 guessing caps (columns I, bound_tight, bound_prior)."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["I", "bound_tight", "bound_prior"])
     for i in range(n_points):
         v = (d - 1) * i / (n_points - 1)
         writer.writerow(
-            [repr(v), repr(float(guessing_bound(v, d))), repr(float(guessing_bound_prior(v, N, 2, d)))]
+            [repr(v), repr(float(guessing_bound(v, d))), repr(float(guessing_bound_prior(v, 2, 2, d)))]
         )
     return buf.getvalue()
 

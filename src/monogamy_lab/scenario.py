@@ -53,23 +53,12 @@ class Scenario:
                 f"need parties >= 1, settings >= 1, outcomes >= 2, got "
                 f"({self.parties}, {self.settings}, {self.outcomes})"
             )
-        if self.size > size_cap():
+        cap = size_cap()
+        # size >= 2^parties: rule out a huge exponent before size is computed
+        if self.parties >= cap.bit_length() or self.size > cap:
             raise ScenarioTooLargeError(
-                f"behavior would need {self.size} entries, cap is {size_cap()}"
+                f"scenario {self.parties, self.settings, self.outcomes} exceeds the size cap {cap}"
             )
-
-    # Short aliases matching the standard (N, M, d) notation.
-    @property
-    def N(self) -> int:
-        return self.parties
-
-    @property
-    def M(self) -> int:
-        return self.settings
-
-    @property
-    def d(self) -> int:
-        return self.outcomes
 
     @property
     def n_columns(self) -> int:
@@ -343,18 +332,40 @@ _MAX_DECIMAL_EXPONENT = 4300
 
 def parse_number(text, exact: bool):
     """A JSON number (int, float, or the Decimal :func:`read_json` makes of a
-    literal) or a decimal/"p/q" string as a Fraction (exact) or a float;
-    NaN and infinities are rejected in both modes."""
+    literal) or a decimal/"p/q" string as a Fraction (exact) or a float.
+    Decimal strings get the exponent cap of literals; NaN, infinities and
+    booleans are rejected in both modes."""
     try:
-        if isinstance(text, Decimal):
+        value = text
+        if isinstance(value, bool):
+            raise TypeError("boolean")
+        if isinstance(value, str) and "/" not in value:
+            value = Decimal(value)
+        if isinstance(value, Decimal):
             if not exact:
-                text = float(text)
-            elif abs(text.as_tuple().exponent) > _MAX_DECIMAL_EXPONENT:
+                value = float(value)
+            elif not value.is_finite() or abs(value.as_tuple().exponent) > _MAX_DECIMAL_EXPONENT:
                 raise ValueError("exponent out of range")
-        f = Fraction(text)
+        f = Fraction(value)
         return f if exact else float(f)
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+    except (TypeError, ValueError, ArithmeticError) as exc:
         raise InputFormatError(f"cannot parse finite number {text!r}") from exc
+
+
+def parse_int(value) -> int:
+    """An integer field: a JSON integer or a string of one, never a boolean
+    or a truncated fraction."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise InputFormatError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def scenario_from_json(obj) -> Scenario:
+    """The Scenario of a ``{"N": ..., "M": ..., "d": ...}`` object."""
+    try:
+        return Scenario(parse_int(obj["N"]), parse_int(obj["M"]), parse_int(obj["d"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputFormatError(f"bad scenario object: {exc}") from exc
 
 
 def read_json(path: str):
@@ -384,14 +395,15 @@ def behavior_to_json(behavior: Behavior) -> dict:
 
 def behavior_from_json(obj: dict, exact: bool = True) -> Behavior:
     try:
-        s = obj["scenario"]
-        scn = Scenario(int(s["N"]), int(s["M"]), int(s["d"]))
+        scn = scenario_from_json(obj["scenario"])
         encoding = obj.get("encoding", "x-outer-a-inner")
         values = obj["values"]
     except (KeyError, TypeError) as exc:
         raise InputFormatError(f"bad behavior object: {exc}") from exc
     if encoding != "x-outer-a-inner":
         raise InputFormatError(f"unknown encoding {encoding!r}")
+    if not isinstance(values, list):
+        raise InputFormatError(f"values must be a list, got {values!r}")
     return Behavior(scn, tuple(parse_number(v, exact) for v in values))
 
 

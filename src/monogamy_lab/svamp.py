@@ -39,21 +39,19 @@ from .scenario import (
     is_nonsignalling,
     marginal,
     parse_number,
+    scenario_from_json,
 )
 
 
 @dataclass(frozen=True)
 class SVSource:
-    """epsilon-source: n bits, each within eps of unbiased given all causes."""
+    """epsilon-source: bits each within eps of unbiased given all causes."""
 
     epsilon: Fraction
-    n_bits: int = 1
 
     def __post_init__(self) -> None:
         if not 0 <= self.epsilon < Fraction(1, 2):
             raise ValueError("epsilon must lie in [0, 1/2)")
-        if self.n_bits < 1:
-            raise ValueError("need at least one bit")
 
     @property
     def low(self) -> Fraction:
@@ -269,10 +267,7 @@ def critical_epsilon_common(N: int):
     """Common-source variant with N replaced by N - 1; exactly 1/6 for N = 2."""
     if N < 2:
         raise ValueError("need N >= 2")
-    if N == 2:
-        return Fraction(1, 6)
-    root = 2.0 ** (1.0 / (N - 1))
-    return (root - 1.0) / (2.0 * (root + 1.0))
+    return Fraction(1, 6) if N == 2 else critical_epsilon(N - 1)
 
 
 def source_uses(M: int) -> int:
@@ -437,8 +432,7 @@ def model_to_json(model: AdversaryModel) -> dict:
 def model_from_json(obj: dict, exact: bool = True) -> AdversaryModel:
     from .scenario import behavior_from_json
 
-    s = obj["scenario"]
-    scn = Scenario(int(s["N"]), int(s["M"]), int(s["d"]))
+    scn = scenario_from_json(obj["scenario"])
     prior = [parse_number(p, exact) for p in obj["prior"]]
     behaviors = []
     input_dists = []

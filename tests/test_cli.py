@@ -113,12 +113,63 @@ def test_json_numbers_and_decimal_strings_agree(tmp_path, capsys, mode):
         assert json.loads(reports[1])["value"] == "2"
 
 
-@pytest.mark.parametrize("mode", ["exact", "float"])
-def test_validate_rejects_huge_exponent(tmp_path, capsys, mode):
+@pytest.mark.parametrize(
+    "mode, entry",
+    [
+        ("exact", "1e999999999"),
+        ("float", "1e999999999"),
+        ("exact", '"1e999999999"'),
+        ("float", '"1e999999999"'),
+        ("exact", '"0e-5000"'),
+    ],
+    ids=["exact", "float", "exact-string", "float-string", "exact-string-zero"],
+)
+def test_validate_rejects_huge_exponent(tmp_path, capsys, mode, entry):
     path = tmp_path / "b.json"
-    path.write_text('{"scenario": {"N": 1, "M": 1, "d": 2}, "values": [1e999999999, 0]}')
+    path.write_text('{"scenario": {"N": 1, "M": 1, "d": 2}, "values": [%s, 0]}' % entry)
     assert main(["validate", str(path), "--mode", mode]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"scenario": {"N": 1, "M": 1, "d": 2}, "values": 5},
+        {"scenario": {"N": 1, "M": 1, "d": 2}, "values": None},
+        {"scenario": {"N": 1, "M": 1, "d": 2}, "values": True},
+        {"scenario": {"N": 1, "M": 1, "d": 2.7}, "values": ["1/2", "1/2"]},
+    ],
+    ids=["int", "null", "true", "fractional-size"],
+)
+def test_validate_rejects_malformed_behavior(tmp_path, capsys, obj):
+    path = tmp_path / "b.json"
+    path.write_text(json.dumps(obj))
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tightness", "2", "2", "2", "--mode", "float"],
+        ["figures", "2a", "--format", "json"],
+        ["ra", "2", "2", "0.05", "--lam", "1.23", "--seed", "1"],
+        ["quantum", "violation", "--mode", "float"],
+        ["validate", "{behavior}", "--format", "json"],
+        ["bell", "2", "2", "2", "--tol", "1e-3"],
+    ],
+    ids=[
+        "tightness-mode", "figures-format", "ra-seed", "quantum-mode", "validate-format", "bell-tol"
+    ],
+)
+def test_unread_flags_are_rejected(tmp_path, capsys, argv):
+    path = write_behavior(tmp_path, uniform_behavior(Scenario(2, 2, 2)))
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(behavior=path) for a in argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments" in captured.err
 
 
 def test_bell_export_and_evaluate(tmp_path, capsys):

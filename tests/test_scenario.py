@@ -1,11 +1,13 @@
 import json
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from monogamy_lab.errors import ScenarioTooLargeError
+from monogamy_lab.bell import functional_from_json
+from monogamy_lab.errors import InputFormatError, ScenarioTooLargeError
 from monogamy_lab.scenario import (
     Behavior,
     Scenario,
@@ -212,3 +214,70 @@ def test_json_accepts_rational_and_decimal_strings():
     assert b.probs[0] == Fraction(1, 3)
     f = behavior_from_json(obj, exact=False)
     assert isinstance(f.probs[0], float)
+
+
+# Any JSON value, as read_json returns it (non-integer literals as Decimal),
+# with the readers' own keys and small integers made likely.
+_KEYS = ["scenario", "N", "M", "d", "values", "encoding", "terms", "weight", "coeffs", "shift"]
+_json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 5)
+    | st.integers()
+    | st.floats()
+    | st.decimals(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=6)
+    | st.sampled_from(["1/2", "0.5", "x-outer-a-inner", "1e999999999", "2.7"]),
+    lambda children: st.lists(children, max_size=5)
+    | st.dictionaries(st.sampled_from(_KEYS) | st.text(max_size=3), children, max_size=5),
+    max_leaves=24,
+)
+_scenarios = st.fixed_dictionaries(
+    {"N": st.integers(1, 2), "M": st.integers(1, 2), "d": st.integers(2, 3)}
+) | st.fixed_dictionaries({"N": _json_values, "M": _json_values, "d": _json_values})
+_behaviors = st.fixed_dictionaries(
+    {"scenario": _scenarios, "values": _json_values},
+    optional={"encoding": _json_values},
+)
+_coeffs = st.lists(st.lists(st.integers(-1, 2) | _json_values, max_size=4), max_size=3)
+_terms = st.fixed_dictionaries(
+    {"weight": _json_values, "coeffs": _coeffs | _json_values, "shift": _json_values}
+)
+_functionals = st.fixed_dictionaries(
+    {"scenario": _scenarios, "terms": st.lists(_terms, max_size=3) | _json_values},
+    optional={"classical_bound": _json_values, "ns_minimum": _json_values},
+)
+# What a malformed object may raise: InputFormatError and ValueError exit the
+# CLI with code 2, ScenarioTooLargeError with code 3; anything else is a crash.
+_READER_ERRORS = (InputFormatError, ValueError, ScenarioTooLargeError)
+
+
+@settings(max_examples=400, deadline=None)
+@given(obj=_json_values | _behaviors, exact=st.booleans())
+def test_behavior_reader_loads_or_rejects(obj, exact):
+    try:
+        b = behavior_from_json(obj, exact)
+    except _READER_ERRORS:
+        return
+    assert len(b.probs) == b.scenario.size
+
+
+@settings(max_examples=400, deadline=None)
+@given(obj=_json_values | _functionals)
+def test_functional_reader_loads_or_rejects(obj):
+    try:
+        f = functional_from_json(obj)
+    except _READER_ERRORS:
+        return
+    assert all(isinstance(k, int) for t in f.terms for c in t.coeffs for k in c)
+
+
+@pytest.mark.parametrize("field", ["N", "M", "d"])
+@pytest.mark.parametrize("bad", [2.7, True, None, "two", [2]])
+def test_scenario_sizes_must_be_integers(field, bad):
+    scenario = {"N": 1, "M": 1, "d": 2}
+    scenario[field] = Decimal(str(bad)) if isinstance(bad, float) else bad
+    with pytest.raises(InputFormatError):
+        behavior_from_json({"scenario": scenario, "values": ["1/2", "1/2"]})
+    with pytest.raises(InputFormatError):
+        functional_from_json({"scenario": scenario, "terms": []})
