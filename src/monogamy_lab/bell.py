@@ -32,8 +32,8 @@ from typing import Sequence
 
 from .errors import InputFormatError
 from .scenario import (
-    Behavior, Scenario, format_number, marginal, parse_int, parse_number, read_json,
-    scenario_from_json,
+    Behavior, Scenario, enumerate_assignments, format_number, marginal, parse_int,
+    parse_number, read_json, scenario_from_json,
 )
 
 
@@ -177,8 +177,6 @@ def recursive_bkp(N: int, M: int, d: int) -> BellFunctional:
     """
     if N < 2:
         raise ValueError("need N >= 2")
-    if N == 2:
-        return chained_bkp(M, d)
     scn = Scenario(N, M, d)
     weight = Fraction(1, M ** (N - 2))
     terms = []
@@ -238,14 +236,10 @@ def evaluate_assignment(functional: BellFunctional, table: Sequence[Sequence[int
 
 def classical_minimum(functional: BellFunctional):
     """Exact minimum over all local deterministic strategies."""
-    scn = functional.scenario
-    best = None
-    rows = list(itertools.product(range(scn.outcomes), repeat=scn.settings))
-    for table in itertools.product(rows, repeat=scn.parties):
-        v = evaluate_assignment(functional, table)
-        if best is None or v < best:
-            best = v
-    return best
+    return min(
+        evaluate_assignment(functional, a.table)
+        for a in enumerate_assignments(functional.scenario)
+    )
 
 
 def symmetry_check(N: int, M: int, d: int) -> bool:
@@ -305,6 +299,13 @@ def functional_from_json(obj: dict) -> BellFunctional:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"bad functional object: {exc}") from exc
+    for term in terms:
+        for party, setting, _ in term.coeffs:
+            if not (0 <= party < scn.parties and 0 <= setting < scn.settings):
+                raise InputFormatError(
+                    f"observable (party {party}, setting {setting}) outside "
+                    f"N={scn.parties}, M={scn.settings}"
+                )
     cb = obj.get("classical_bound")
     nsmin = obj.get("ns_minimum")
     return BellFunctional(

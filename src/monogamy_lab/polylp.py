@@ -1,9 +1,14 @@
 """Exact linear programming over behavior variables.
 
-:func:`solve` returns certified optima.  It solves the LP in floats with
-scipy's HiGHS, turns the float answer into rationals and accepts it only
-after an exact check of primal feasibility, dual feasibility
-(``c - A^T y >= 0``) and strong duality on the standard form, the approach of
+Every LP has the form of the no-signalling polytope itself::
+
+    min/max c.x  subject to  A x = b,  x >= 0
+
+with equality rows only and every variable nonnegative.  :func:`solve`
+returns certified optima.  It solves the LP in floats with scipy's HiGHS,
+turns the float answer into rationals and accepts it only after an exact
+check of primal feasibility, dual feasibility (``c - A^T y >= 0``, with the
+sign of c flipped for 'max') and strong duality, the approach of
 QSopt_ex (Applegate, Cook, Dash and Espinoza, Oper. Res. Lett. 35 (2007)).
 The first of these stages whose answer passes the check produces the result,
 and ``LPSolution.engine`` names it:
@@ -38,7 +43,7 @@ from typing import NamedTuple, Sequence
 from scipy.optimize import linprog
 from scipy.sparse import csr_matrix
 
-from .scenario import Behavior, Scenario, format_number
+from .scenario import Behavior, Scenario
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -55,35 +60,28 @@ UNBOUNDED = "unbounded"
 
 @dataclass
 class LinearProgram:
-    """min/max objective . x subject to eq_rows . x = eq_rhs,
-    ub_rows . x <= ub_rhs and lower <= x <= upper (None = unbounded side).
+    """min/max objective . x subject to eq_rows . x = eq_rhs and x >= 0.
 
-    Default bounds are x >= 0.
-    """
+    Every variable is nonnegative; write a bounded variable or an inequality
+    row with a slack column of its own."""
 
-    n_vars: int
     objective: list
     sense: str = "min"
     eq_rows: list = field(default_factory=list)
     eq_rhs: list = field(default_factory=list)
-    ub_rows: list = field(default_factory=list)
-    ub_rhs: list = field(default_factory=list)
-    lower: list | None = None  # default 0 per variable
-    upper: list | None = None  # default unbounded above
 
     def __post_init__(self) -> None:
         if self.sense not in ("min", "max"):
             raise ValueError("sense must be 'min' or 'max'")
-        if len(self.objective) != self.n_vars:
-            raise ValueError("objective length mismatch")
         for row in self.eq_rows:
             if len(row) != self.n_vars:
                 raise ValueError("equality row length mismatch")
-        for row in self.ub_rows:
-            if len(row) != self.n_vars:
-                raise ValueError("inequality row length mismatch")
-        if len(self.eq_rows) != len(self.eq_rhs) or len(self.ub_rows) != len(self.ub_rhs):
+        if len(self.eq_rows) != len(self.eq_rhs):
             raise ValueError("rhs length mismatch")
+
+    @property
+    def n_vars(self) -> int:
+        return len(self.objective)
 
 
 @dataclass
@@ -92,14 +90,14 @@ class LPSolution:
 
     An 'optimal' result of :func:`solve` satisfies every constraint exactly,
     achieves the reported value, and carries one dual multiplier per
-    standardized row that :func:`verify_certificate` accepts; ``engine``
+    distinct equality row that :func:`verify_certificate` accepts; ``engine``
     names the stage that produced it ('highs', 'support' or 'simplex', see
     the module docstring)."""
 
     status: str
     value: Fraction | None = None
     point: tuple | None = None
-    dual: tuple | None = None  # one multiplier per standardized row
+    dual: tuple | None = None  # one multiplier per distinct equality row
     iterations: int = 0
     engine: str | None = None
 
@@ -110,19 +108,14 @@ class LPSolution:
 
 
 class _Standard(NamedTuple):
-    """min c.x subject to A x = b, x >= 0.  Each row of A is a tuple of
-    (column, value) pairs in column order; an inequality row ends with its
-    slack column, numbered from n_struct.  rep maps each original variable
-    to (positive column, negative column or None, shift); sign and const
-    restore the original objective value."""
+    """min c.x subject to A x = b, x >= 0, with duplicate rows dropped.  Each
+    row of A is a tuple of (column, value) pairs in column order; sign
+    restores the objective value of a 'max' LP."""
 
     rows: list
     rhs: list
     c: list
-    const: Fraction
     sign: int
-    rep: list
-    n_struct: int
 
     @property
     def n_cols(self) -> int:
@@ -130,73 +123,20 @@ class _Standard(NamedTuple):
 
 
 def _standardize(lp: LinearProgram) -> _Standard:
-    """Rewrite as min c.x, A x = b, x >= 0 (variables shifted/split, slacks
-    appended, duplicate rows dropped), keeping only the nonzeros."""
-    n = lp.n_vars
-    lower = lp.lower if lp.lower is not None else [0] * n
-    upper = lp.upper if lp.upper is not None else [None] * n
-
-    # Original variable j is represented as a nonnegative combination:
-    #   x_j = lo + x'_p          (finite lower bound)
-    #   x_j = x'_p - x'_q        (free variable)
-    rep = []
-    cols = 0
-    for lo in lower:
-        if lo is None:
-            rep.append((cols, cols + 1, _ZERO))
-            cols += 2
-        else:
-            rep.append((cols, None, Fraction(lo)))
-            cols += 1
-
-    def expand(coeffs: Sequence):
-        entries = []
-        shift = _ZERO
-        for j, v in enumerate(coeffs):
-            if not v:
-                continue
-            v = Fraction(v)
-            p, q, lo = rep[j]
-            entries.append((p, v))
-            if q is not None:
-                entries.append((q, -v))
-            shift += v * lo
-        return entries, shift
-
+    """The LP's nonzeros as Fractions, duplicate rows dropped and a 'max'
+    objective negated."""
     rows: list = []
     rhs: list = []
     seen = set()
-
-    def add_row(coeffs: Sequence, b, slack=None) -> None:
-        entries, shift = expand(coeffs)
-        if slack is not None:
-            entries.append((slack, _ONE))
-        row = tuple(entries)
-        b = Fraction(b) - shift
+    for coeffs, b in zip(lp.eq_rows, lp.eq_rhs):
+        row = tuple((j, Fraction(v)) for j, v in enumerate(coeffs) if v)
+        b = Fraction(b)
         if (row, b) not in seen:
             seen.add((row, b))
             rows.append(row)
             rhs.append(b)
-
-    for row, b in zip(lp.eq_rows, lp.eq_rhs):
-        add_row(row, b)
-    slack = cols
-    for row, b in zip(lp.ub_rows, lp.ub_rhs):
-        add_row(row, b, slack)
-        slack += 1
-    for j in range(n):
-        if upper[j] is not None:
-            coeffs = [0] * n
-            coeffs[j] = 1
-            add_row(coeffs, upper[j], slack)
-            slack += 1
-
     sign = 1 if lp.sense == "min" else -1
-    entries, const = expand(lp.objective)
-    c = [_ZERO] * slack
-    for j, v in entries:
-        c[j] = sign * v
-    return _Standard(rows, rhs, c, sign * const, sign, rep, cols)
+    return _Standard(rows, rhs, [sign * Fraction(v) for v in lp.objective], sign)
 
 
 def _dot(c, x) -> Fraction:
@@ -228,13 +168,10 @@ def _optimal(std: _Standard, x, y, engine: str, iterations: int) -> LPSolution |
     value = _dot(std.c, x)
     if not (_primal_feasible(std, x) and _dual_feasible(std, y, value)):
         return None
-    point = tuple(
-        x[p] - (x[q] if q is not None else 0) + lo for p, q, lo in std.rep
-    )
     return LPSolution(
         status=OPTIMAL,
-        value=std.sign * (value + std.const),
-        point=point,
+        value=std.sign * value,
+        point=tuple(x),
         dual=tuple(y),
         iterations=iterations,
         engine=engine,
@@ -446,125 +383,76 @@ def _simplex(lp: LinearProgram, std: _Standard | None = None) -> LPSolution:
     if std is None:
         std = _standardize(lp)
     m = len(std.rows)
-    ncols = std.n_cols
+    n = std.n_cols
+    ncols = n + m
 
-    # Normalize to b >= 0, then give every row a basic column: reuse a +1
-    # slack where possible, otherwise add an artificial.  unit_col[i] is the
-    # column that started as row i's identity vector; the final reduced cost
-    # there reads off the dual multiplier of row i.
+    # Normalize to b >= 0, then give row i the artificial column n + i.  It
+    # starts as row i's identity vector, so its final reduced cost reads off
+    # the dual multiplier of row i.
     T = []
     b = []
     row_sign = []
-    for row, rhs in zip(std.rows, std.rhs):
+    for i, (row, rhs) in enumerate(zip(std.rows, std.rhs)):
         s = -1 if rhs < 0 else 1
         dense = [_ZERO] * ncols
         for j, v in row:
             dense[j] = s * v
+        dense[n + i] = _ONE
         T.append(dense)
         b.append(s * rhs)
         row_sign.append(s)
+    basis = list(range(n, ncols))
+    allowed = list(range(n))
 
-    basis = [-1] * m
-    art_cols = []
-    unit_col = [-1] * m
+    # Phase I: minimize the sum of the artificials.
+    z = [_ZERO] * ncols
+    for row in T:
+        for j in allowed:
+            if row[j]:
+                z[j] -= row[j]
+    _, obj, total_iters = _run_simplex(T, b, z, basis, allowed, sum(b, _ZERO), 4 * (m + ncols))
+    if obj != 0:
+        return LPSolution(status=INFEASIBLE, iterations=total_iters, engine="simplex")
+    # Drive remaining artificials out of the basis; drop redundant rows
+    # (their dual multiplier is then 0, which the identity-column readout
+    # produces automatically since their column vanishes from kept rows).
+    drop = []
     for i in range(m):
-        pivot_col = None
-        for j in range(std.n_struct, std.n_cols):
-            if T[i][j] == 1 and all(T[k][j] == 0 for k in range(m) if k != i):
-                pivot_col = j
-                break
-        if pivot_col is None:
-            for row_k in T:
-                row_k.append(_ZERO)
-            T[i][ncols] = _ONE
-            art_cols.append(ncols)
-            basis[i] = ncols
-            unit_col[i] = ncols
-            ncols += 1
-        else:
-            basis[i] = pivot_col
-            unit_col[i] = pivot_col
-
-    total_iters = 0
-    art_set = set(art_cols)
-    if art_cols:
-        z = [_ZERO] * ncols
-        obj = _ZERO
-        for i in range(m):
-            if basis[i] in art_set:
-                row = T[i]
-                for j in range(ncols):
-                    if row[j] and j not in art_set:
-                        z[j] -= row[j]
-                obj += b[i]
-        allowed = [j for j in range(ncols) if j not in art_set]
-        status, obj, iters = _run_simplex(T, b, z, basis, allowed, obj, 4 * (m + ncols))
-        total_iters += iters
-        if obj != 0:
-            return LPSolution(status=INFEASIBLE, iterations=total_iters, engine="simplex")
-        # Drive remaining artificials out of the basis; drop redundant rows
-        # (their dual multiplier is then 0, which the unit-column readout
-        # produces automatically since their column vanishes from kept rows).
-        drop = []
-        for i in range(m):
-            if basis[i] in art_set:
-                pivot_col = next(
-                    (j for j in allowed if T[i][j] != 0),
-                    None,
-                )
-                if pivot_col is None:
-                    drop.append(i)
-                else:
-                    z_dummy = [_ZERO] * ncols
-                    _pivot(T, b, z_dummy, basis, i, pivot_col)
-        for i in reversed(drop):
-            del T[i], b[i], basis[i]
-        m = len(T)
+        if basis[i] >= n:
+            pivot_col = next((j for j in allowed if T[i][j] != 0), None)
+            if pivot_col is None:
+                drop.append(i)
+            else:
+                _pivot(T, b, [_ZERO] * ncols, basis, i, pivot_col)
+    for i in reversed(drop):
+        del T[i], b[i], basis[i]
 
     # Phase II on the real costs; reduce costs of basic columns to zero.
-    z = list(std.c) + [_ZERO] * (ncols - std.n_cols)
+    z = list(std.c) + [_ZERO] * m
     obj = _ZERO
-    for i in range(m):
-        f = z[basis[i]]
+    for row, bi, j in zip(T, b, basis):
+        f = z[j]
         if f:
-            row = T[i]
-            for j in range(ncols):
-                if row[j]:
-                    z[j] -= f * row[j]
-            obj += f * b[i]
-    allowed = [j for j in range(ncols) if j not in art_set]
-    status, obj, iters = _run_simplex(T, b, z, basis, allowed, obj, 4 * (m + ncols))
+            for k in range(ncols):
+                if row[k]:
+                    z[k] -= f * row[k]
+            obj += f * bi
+    status, obj, iters = _run_simplex(T, b, z, basis, allowed, obj, 4 * (len(T) + ncols))
     total_iters += iters
     if status == UNBOUNDED:
         return LPSolution(status=UNBOUNDED, iterations=total_iters, engine="simplex")
 
     x = [_ZERO] * ncols
-    for i in range(m):
-        x[basis[i]] = b[i]
-    # Duals of the standardized rows: row i started with identity column
-    # unit_col[i] of cost 0, whose final reduced cost is -y_i (sign-adjusted
-    # for rows negated during the b >= 0 normalization).
-    y = [-z[unit_col[i]] * row_sign[i] for i in range(len(unit_col))]
-    sol = _optimal(std, x[: std.n_cols], y, "simplex", total_iters)
+    for bi, j in zip(b, basis):
+        x[j] = bi
+    # Duals of the standardized rows: artificial n + i has cost 0 and final
+    # reduced cost -y_i (sign-adjusted for rows negated during the b >= 0
+    # normalization).
+    y = [-z[n + i] * row_sign[i] for i in range(m)]
+    sol = _optimal(std, x[:n], y, "simplex", total_iters)
     if sol is None:
         raise RuntimeError("exact simplex optimum failed its own certificate")
     return sol
-
-
-def _standard_point(std: _Standard, point) -> list:
-    """An original-variable point in standard-form coordinates, with each
-    inequality row's slack set to make the row hold with equality."""
-    x = [_ZERO] * std.n_cols
-    for (p, q, lo), v in zip(std.rep, point):
-        v = Fraction(v) - lo
-        if q is None:
-            x[p] = v
-        else:
-            x[p], x[q] = max(v, _ZERO), max(-v, _ZERO)
-    for row, b in zip(std.rows, std.rhs):
-        if row and row[-1][0] >= std.n_struct:
-            x[row[-1][0]] = b - sum((v * x[j] for j, v in row[:-1]), _ZERO)
-    return x
 
 
 def verify_certificate(lp: LinearProgram, sol: LPSolution) -> bool:
@@ -576,9 +464,9 @@ def verify_certificate(lp: LinearProgram, sol: LPSolution) -> bool:
     if sol.status != OPTIMAL or sol.point is None or len(sol.point) != lp.n_vars:
         return False
     std = _standardize(lp)
-    x = _standard_point(std, sol.point)
+    x = [Fraction(v) for v in sol.point]
     value = _dot(std.c, x)
-    if std.sign * (value + std.const) != sol.value or not _primal_feasible(std, x):
+    if std.sign * value != sol.value or not _primal_feasible(std, x):
         return False
     return sol.dual is not None and _dual_feasible(std, [Fraction(v) for v in sol.dual], value)
 
@@ -655,24 +543,5 @@ def optimize_over_ns(
     for row, b in extra_eq:
         rows.append(list(row))
         rhs.append(b)
-    lp = LinearProgram(
-        n_vars=scenario.size,
-        objective=list(objective),
-        sense=sense,
-        eq_rows=rows,
-        eq_rhs=rhs,
-    )
-    return solve(lp)
+    return solve(LinearProgram(list(objective), sense, rows, rhs))
 
-
-def lp_to_json(lp: LinearProgram) -> dict:
-    """Debug dump allowing any reported optimum to be reproduced."""
-    return {
-        "n_vars": lp.n_vars,
-        "sense": lp.sense,
-        "objective": [format_number(Fraction(v)) for v in lp.objective],
-        "eq_rows": [[format_number(Fraction(v)) for v in row] for row in lp.eq_rows],
-        "eq_rhs": [format_number(Fraction(v)) for v in lp.eq_rhs],
-        "ub_rows": [[format_number(Fraction(v)) for v in row] for row in lp.ub_rows],
-        "ub_rhs": [format_number(Fraction(v)) for v in lp.ub_rhs],
-    }

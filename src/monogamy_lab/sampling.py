@@ -79,37 +79,19 @@ def random_ns_mixture(pool: Sequence[Behavior], rng: random.Random, k: int = 4) 
 def project_to_ns(behavior: Behavior) -> Behavior:
     """Nearest nonsignalling behavior in L1 distance, solved exactly.
 
-    Intended for small scenarios; the LP doubles the variable count.
+    The LP is p - u + v = q with p NS and p, u, v >= 0, minimizing
+    sum(u + v); intended for small scenarios, as it triples the variables.
     """
     scn = behavior.scenario
     n = scn.size
-    cons = ns_constraints(scn)
-    rows, rhs = cons.all_rows()
-    eq_rows = [list(row) + [0] * n for row in rows]
-    ub_rows = []
-    ub_rhs = []
-    for i in range(n):
-        # p_i - t_i <= q_i  and  -p_i - t_i <= -q_i
-        row = [0] * (2 * n)
-        row[i] = 1
-        row[n + i] = -1
-        ub_rows.append(row)
-        ub_rhs.append(Fraction(behavior.probs[i]))
-        row = [0] * (2 * n)
-        row[i] = -1
-        row[n + i] = -1
-        ub_rows.append(row)
-        ub_rhs.append(-Fraction(behavior.probs[i]))
-    lp = LinearProgram(
-        n_vars=2 * n,
-        objective=[0] * n + [1] * n,
-        sense="min",
-        eq_rows=eq_rows,
-        eq_rhs=list(rhs),
-        ub_rows=ub_rows,
-        ub_rhs=ub_rhs,
-    )
-    sol = solve(lp)
+    rows, rhs = ns_constraints(scn).all_rows()
+    eq_rows = [list(row) + [0] * (2 * n) for row in rows]
+    for i, q in enumerate(behavior.probs):
+        row = [0] * (3 * n)
+        row[i], row[n + i], row[2 * n + i] = 1, -1, 1
+        eq_rows.append(row)
+        rhs.append(Fraction(q))
+    sol = solve(LinearProgram([0] * n + [1] * (2 * n), "min", eq_rows, rhs))
     if sol.status != "optimal":
         raise RuntimeError(f"projection LP ended with status {sol.status}")
     return Behavior(scn, tuple(sol.point[:n]))

@@ -32,12 +32,14 @@ from fractions import Fraction
 from typing import Sequence
 
 from .bell import evaluate, recursive_bkp
+from .errors import InputFormatError
 from .scenario import (
     Behavior,
     Scenario,
     format_number,
     is_nonsignalling,
     marginal,
+    parse_int,
     parse_number,
     scenario_from_json,
 )
@@ -430,17 +432,26 @@ def model_to_json(model: AdversaryModel) -> dict:
 
 
 def model_from_json(obj: dict, exact: bool = True) -> AdversaryModel:
+    """Read a :func:`model_to_json` object; malformed input raises
+    InputFormatError, an inconsistent model ValueError."""
     from .scenario import behavior_from_json
 
-    scn = scenario_from_json(obj["scenario"])
-    prior = [parse_number(p, exact) for p in obj["prior"]]
-    behaviors = []
-    input_dists = []
-    for strat in obj["strategies"]:
-        behaviors.append(behavior_from_json(strat["behavior"], exact))
-        dist = {}
-        for key, p in strat["inputs"].items():
-            x = tuple(int(v) for v in key.split(","))
-            dist[x] = parse_number(p, exact)
-        input_dists.append(dist)
+    try:
+        scn = scenario_from_json(obj["scenario"])
+        prior = [parse_number(p, exact) for p in obj["prior"]]
+        behaviors = []
+        input_dists = []
+        for strat in obj["strategies"]:
+            behaviors.append(behavior_from_json(strat["behavior"], exact))
+            dist = {}
+            for key, p in strat["inputs"].items():
+                x = tuple(parse_int(v) for v in key.split(","))
+                if len(x) != scn.parties or not all(0 <= v < scn.settings for v in x):
+                    raise InputFormatError(
+                        f"input {key!r} is not a setting tuple of N={scn.parties}, M={scn.settings}"
+                    )
+                dist[x] = parse_number(p, exact)
+            input_dists.append(dist)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise InputFormatError(f"bad adversary model object: {exc}") from exc
     return AdversaryModel(scn, behaviors, input_dists, prior)

@@ -95,7 +95,9 @@ def test_chained_on_uniform():
 
 
 def test_recursive_base_case_matches_chained():
-    assert recursive_bkp(2, 3, 4).terms == chained_bkp(3, 4).terms
+    # recursive_bkp builds N = 2 by its general formula; chained_bkp is the reference
+    for M, d in [(3, 4), (2, 2), (2, 3), (3, 2), (4, 3), (5, 5), (6, 2)]:
+        assert recursive_bkp(2, M, d).terms == chained_bkp(M, d).terms
 
 
 def test_recursive_weights_and_term_count():

@@ -17,7 +17,7 @@ from monogamy_lab.monogamy import (
     scan_to_csv,
     tightness_scan,
 )
-from monogamy_lab.polylp import optimize_over_ns
+from monogamy_lab.polylp import LinearProgram, _simplex, ns_constraints, optimize_over_ns
 from monogamy_lab.sampling import (
     ns_pool,
     project_to_ns,
@@ -28,8 +28,11 @@ from monogamy_lab.scenario import (
     Behavior,
     Scenario,
     deterministic_vertex,
+    is_nonsignalling,
+    mix,
     product,
     uniform_behavior,
+    validate,
 )
 
 
@@ -124,11 +127,57 @@ def test_projected_random_points_satisfy_monogamy():
     rng = random.Random(8)
     for _ in range(5):
         b = project_to_ns(random_behavior(scn, rng))
-        from monogamy_lab.scenario import is_nonsignalling, validate
-
         assert validate(b, 0) == []
         assert is_nonsignalling(b, 0)[0]
         assert monogamy_lhs_tripartite(b, 0, 0, 0, check=False) >= 1
+
+
+def _l1(b1, b2):
+    return sum(abs(u - v) for u, v in zip(b1.probs, b2.probs))
+
+
+def test_projection_fixes_ns_behaviors():
+    scn = Scenario(2, 2, 2)
+    box = optimize_over_ns(scn, chained_bkp(2, 2).dense(), "min").behavior(scn)
+    for b in [
+        uniform_behavior(scn),
+        deterministic_vertex(scn, [(0, 1), (1, 1)]),
+        box,
+    ]:
+        assert project_to_ns(b).probs == b.probs
+
+
+def _l1_distance_to_ns(b):
+    """min sum(t) over NS p with |p - q| <= t, in the epigraph form of the
+    inequalities (slacks s, r >= 0), solved by the exact simplex alone."""
+    n = b.scenario.size
+    rows, rhs = ns_constraints(b.scenario).all_rows()
+    eq_rows = [list(row) + [0] * (3 * n) for row in rows]
+    for i, q in enumerate(b.probs):
+        upper = [0] * (4 * n)  # p - t + s = q
+        upper[i], upper[n + i], upper[2 * n + i] = 1, -1, 1
+        lower = [0] * (4 * n)  # p + t - r = q
+        lower[i], lower[n + i], lower[3 * n + i] = 1, 1, -1
+        eq_rows += [upper, lower]
+        rhs += [q, q]
+    return _simplex(LinearProgram([0] * n + [1] * n + [0] * (2 * n), "min", eq_rows, rhs)).value
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2), (2, 2, 3)])
+def test_projection_is_nearest_ns_point(dims):
+    # a signalling behavior near the NS point q: q and the uniform behavior
+    # bound the distance, and an independent LP gives its exact value
+    scn = Scenario(*dims)
+    rng = random.Random(11)
+    pool = ns_pool(scn, rng, n_vertices=6, n_lp=1)
+    for _ in range(2):
+        q = random_ns_mixture(pool, rng)
+        b = mix([q, random_behavior(scn, rng)], [Fraction(9, 10), Fraction(1, 10)])
+        p = project_to_ns(b)
+        assert not is_nonsignalling(b, 0)[0]
+        assert validate(p, 0) == [] and is_nonsignalling(p, 0)[0]
+        assert _l1(b, p) <= min(_l1(b, q), _l1(b, uniform_behavior(scn)))
+        assert _l1(b, p) == _l1_distance_to_ns(b)
 
 
 def test_guessing_bound_values():

@@ -1,4 +1,3 @@
-import json
 from fractions import Fraction
 
 import pytest
@@ -11,7 +10,6 @@ from monogamy_lab.polylp import (
     OPTIMAL,
     UNBOUNDED,
     _simplex,
-    lp_to_json,
     ns_constraints,
     optimize_over_ns,
     solve,
@@ -26,48 +24,27 @@ from monogamy_lab.scenario import (
 
 
 def test_box_maximum():
-    lp = LinearProgram(1, [1], "max", upper=[Fraction(1)])
+    # max x subject to x + s = 1
+    lp = LinearProgram([1, 0], "max", eq_rows=[[1, 1]], eq_rhs=[1])
     sol = solve(lp)
     assert sol.status == OPTIMAL and sol.value == 1
     assert verify_certificate(lp, sol)
 
 
 def test_infeasible_detected():
-    lp = LinearProgram(1, [1], "min", eq_rows=[[1]], eq_rhs=[2], upper=[Fraction(1)])
+    # x = 2 and x + s = 1
+    lp = LinearProgram([1, 0], "min", eq_rows=[[1, 0], [1, 1]], eq_rhs=[2, 1])
     assert solve(lp).status == INFEASIBLE
 
 
 def test_unbounded_detected():
-    lp = LinearProgram(1, [-1], "min")
+    lp = LinearProgram([-1], "min")
     assert solve(lp).status == UNBOUNDED
-
-
-def test_free_variable_handling():
-    # min x with x free and x >= -3 via constraint: optimum -3
-    lp = LinearProgram(
-        1, [1], "min", ub_rows=[[-1]], ub_rhs=[3], lower=[None]
-    )
-    sol = solve(lp)
-    assert sol.status == OPTIMAL and sol.value == -3
-    assert verify_certificate(lp, sol)
-
-
-def test_shifted_lower_bounds():
-    lp = LinearProgram(2, [1, 2], "min", lower=[Fraction(-1), Fraction(2)])
-    sol = solve(lp)
-    assert sol.value == -1 + 4
-    assert sol.point == (Fraction(-1), Fraction(2))
 
 
 def test_degenerate_redundant_rows():
     # duplicated and linearly dependent equalities must not break anything
-    lp = LinearProgram(
-        2,
-        [1, 1],
-        "min",
-        eq_rows=[[1, 1], [1, 1], [2, 2]],
-        eq_rhs=[1, 1, 2],
-    )
+    lp = LinearProgram([1, 1], "min", eq_rows=[[1, 1], [1, 1], [2, 2]], eq_rhs=[1, 1, 2])
     sol = solve(lp)
     assert sol.status == OPTIMAL and sol.value == 1
     assert verify_certificate(lp, sol)
@@ -154,7 +131,7 @@ def test_certificates_on_ns_optimum():
     f = chained_bkp(2, 3)
     cons = ns_constraints(scn)
     rows, rhs = cons.all_rows()
-    lp = LinearProgram(scn.size, list(f.dense()), "min", eq_rows=rows, eq_rhs=rhs)
+    lp = LinearProgram(list(f.dense()), "min", eq_rows=rows, eq_rhs=rhs)
     sol = solve(lp)
     assert sol.status == OPTIMAL
     assert sol.dual is not None
@@ -162,7 +139,7 @@ def test_certificates_on_ns_optimum():
 
 
 def test_certificate_rejects_tampered_value():
-    lp = LinearProgram(2, [1, 1], "min", eq_rows=[[1, 1]], eq_rhs=[1])
+    lp = LinearProgram([1, 1], "min", eq_rows=[[1, 1]], eq_rhs=[1])
     sol = solve(lp)
     sol.value = Fraction(2)
     assert not verify_certificate(lp, sol)
@@ -170,7 +147,7 @@ def test_certificate_rejects_tampered_value():
 
 def test_certificate_rejects_suboptimal_point():
     # (0, 1) is feasible and y = 1 is dual feasible, but 2 != b.y = 1
-    lp = LinearProgram(2, [1, 2], "min", eq_rows=[[1, 1]], eq_rhs=[1])
+    lp = LinearProgram([1, 2], "min", eq_rows=[[1, 1]], eq_rhs=[1])
     sol = solve(lp)
     assert sol.dual == (1,) and verify_certificate(lp, sol)
     sol.point, sol.value = (Fraction(0), Fraction(1)), Fraction(2)
@@ -178,42 +155,45 @@ def test_certificate_rejects_suboptimal_point():
 
 
 def test_certificate_requires_duals():
-    lp = LinearProgram(2, [1, 2], "min", eq_rows=[[1, 1]], eq_rhs=[1])
+    lp = LinearProgram([1, 2], "min", eq_rows=[[1, 1]], eq_rhs=[1])
     sol = solve(lp)
     assert verify_certificate(lp, sol)
     sol.dual = None
     assert not verify_certificate(lp, sol)
 
 
-def test_lp_json_dump_roundtrips():
-    lp = LinearProgram(
-        2, [Fraction(1, 3), 1], "min", eq_rows=[[1, 1]], eq_rhs=[1]
-    )
-    obj = json.loads(json.dumps(lp_to_json(lp)))
-    assert obj["n_vars"] == 2
-    assert obj["objective"] == ["1/3", "1"]
-    assert obj["eq_rhs"] == ["1"]
+def with_slacks(objective, sense, eq_rows, eq_rhs, ub_rows, ub_rhs, upper):
+    """The LP with rows ub_rows . x <= ub_rhs and bounds x_j <= upper[j]
+    (None = no bound) written as equalities, one slack column per row."""
+    n = len(objective)
+    ub_rows, ub_rhs = list(ub_rows), list(ub_rhs)
+    for j, u in enumerate(upper):
+        if u is not None:
+            ub_rows.append([int(k == j) for k in range(n)])
+            ub_rhs.append(u)
+    k = len(ub_rows)
+    rows = [list(row) + [0] * k for row in eq_rows]
+    rows += [list(row) + [int(i == s) for s in range(k)] for i, row in enumerate(ub_rows)]
+    return LinearProgram(list(objective) + [0] * k, sense, rows, list(eq_rhs) + ub_rhs)
 
 
 @st.composite
 def small_lps(draw):
-    """Random LPs of up to 4 variables with equalities, inequalities, upper
-    bounds, shifted lower bounds and free variables."""
+    """Random LPs of up to 4 variables with equalities, inequalities and
+    upper bounds, the last two through slack columns."""
     n = draw(st.integers(1, 4))
     coeff = st.fractions(min_value=-3, max_value=3, max_denominator=3)
     vec = st.lists(coeff, min_size=n, max_size=n)
     n_eq = draw(st.integers(0, 2))
     n_ub = draw(st.integers(0, 2))
-    return LinearProgram(
-        n,
+    return with_slacks(
         draw(vec),
         draw(st.sampled_from(["min", "max"])),
-        eq_rows=[draw(vec) for _ in range(n_eq)],
-        eq_rhs=[draw(coeff) for _ in range(n_eq)],
-        ub_rows=[draw(vec) for _ in range(n_ub)],
-        ub_rhs=[draw(coeff) for _ in range(n_ub)],
-        lower=[draw(st.sampled_from([0, None, -1, Fraction(1, 2)])) for _ in range(n)],
-        upper=[draw(st.sampled_from([None, 2, Fraction(5, 2)])) for _ in range(n)],
+        [draw(vec) for _ in range(n_eq)],
+        [draw(coeff) for _ in range(n_eq)],
+        [draw(vec) for _ in range(n_ub)],
+        [draw(coeff) for _ in range(n_ub)],
+        [draw(st.sampled_from([None, 2, Fraction(5, 2)])) for _ in range(n)],
     )
 
 
@@ -231,7 +211,7 @@ def test_solve_agrees_with_simplex_oracle(lp):
 def test_ns_optimum_is_certified_by_highs():
     scn = Scenario(3, 2, 2)
     rows, rhs = ns_constraints(scn).all_rows()
-    lp = LinearProgram(scn.size, list(recursive_bkp(3, 2, 2).dense()), "min", eq_rows=rows, eq_rhs=rhs)
+    lp = LinearProgram(list(recursive_bkp(3, 2, 2).dense()), "min", eq_rows=rows, eq_rhs=rhs)
     sol = solve(lp)
     assert sol.engine == "highs" and sol.value == 0
     assert verify_certificate(lp, sol)
@@ -241,9 +221,9 @@ def test_ns_optimum_is_certified_by_highs():
     "lp",
     [
         # the primal point 1/1000003 has a denominator above the rounding cap
-        LinearProgram(1, [1], "min", eq_rows=[[1]], eq_rhs=[Fraction(1, 1000003)]),
+        LinearProgram([1], "min", eq_rows=[[1]], eq_rhs=[Fraction(1, 1000003)]),
         # so has the dual multiplier of the only row
-        LinearProgram(1, [Fraction(1, 1000003)], "min", eq_rows=[[1]], eq_rhs=[1]),
+        LinearProgram([Fraction(1, 1000003)], "min", eq_rows=[[1]], eq_rhs=[1]),
     ],
     ids=["primal", "dual"],
 )
@@ -257,16 +237,16 @@ def test_support_stage_recovers_large_denominators(lp):
 @pytest.mark.parametrize(
     "lp, value",
     [
-        # x_1 <= 1e-20 is zero to HiGHS, so its support misses the optimum
+        # x_1 + s = 1e-20 is zero to HiGHS, so its support misses the optimum
         (
-            LinearProgram(2, [0, -1], "min", eq_rows=[[1, 1]], eq_rhs=[1],
-                          ub_rows=[[0, 1]], ub_rhs=[Fraction(1, 10**20)]),
+            LinearProgram([0, -1, 0], "min", eq_rows=[[1, 1, 0], [0, 1, 1]],
+                          eq_rhs=[1, Fraction(1, 10**20)]),
             Fraction(-1, 10**20),
         ),
         # both costs round to the same float: a zero reduced cost on each
         # column asks the support dual for y = 1 and y = 1 - 1e-20 at once
         (
-            LinearProgram(2, [1, 1 - Fraction(1, 10**20)], "min", eq_rows=[[1, 1]], eq_rhs=[1]),
+            LinearProgram([1, 1 - Fraction(1, 10**20)], "min", eq_rows=[[1, 1]], eq_rhs=[1]),
             1 - Fraction(1, 10**20),
         ),
     ],
@@ -280,8 +260,8 @@ def test_simplex_stage_when_support_cannot_certify(lp, value):
 
 
 def test_infeasible_and_unbounded_go_to_simplex():
-    infeasible = LinearProgram(1, [1], "min", eq_rows=[[1]], eq_rhs=[2], upper=[Fraction(1)])
-    unbounded = LinearProgram(1, [-1], "min")
+    infeasible = LinearProgram([1, 0], "min", eq_rows=[[1, 0], [1, 1]], eq_rhs=[2, 1])
+    unbounded = LinearProgram([-1], "min")
     for lp, status in [(infeasible, INFEASIBLE), (unbounded, UNBOUNDED)]:
         sol = solve(lp)
         assert (sol.status, sol.engine) == (status, "simplex")

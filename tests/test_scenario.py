@@ -1,7 +1,9 @@
 import json
+import os
 import random
 from decimal import Decimal
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +26,7 @@ from monogamy_lab.scenario import (
     validate,
 )
 from monogamy_lab.sampling import random_behavior, random_local_vertex
+from monogamy_lab.svamp import model_from_json
 
 
 def test_scenario_validation():
@@ -243,8 +246,25 @@ _coeffs = st.lists(st.lists(st.integers(-1, 2) | _json_values, max_size=4), max_
 _terms = st.fixed_dictionaries(
     {"weight": _json_values, "coeffs": _coeffs | _json_values, "shift": _json_values}
 )
+# Well-formed terms, whose indices may still lie outside the scenario.
+_well_formed_terms = st.fixed_dictionaries(
+    {
+        "weight": st.sampled_from(["1", "1/2"]),
+        "coeffs": st.lists(
+            st.tuples(st.integers(-1, 2), st.integers(-1, 2), st.sampled_from([-1, 1])).map(list),
+            min_size=1,
+            max_size=2,
+        ),
+        "shift": st.integers(0, 2),
+    }
+)
 _functionals = st.fixed_dictionaries(
-    {"scenario": _scenarios, "terms": st.lists(_terms, max_size=3) | _json_values},
+    {
+        "scenario": _scenarios,
+        "terms": st.lists(_well_formed_terms, min_size=1, max_size=3)
+        | st.lists(_terms, max_size=3)
+        | _json_values,
+    },
     optional={"classical_bound": _json_values, "ns_minimum": _json_values},
 )
 # What a malformed object may raise: InputFormatError and ValueError exit the
@@ -265,11 +285,77 @@ def test_behavior_reader_loads_or_rejects(obj, exact):
 @settings(max_examples=400, deadline=None)
 @given(obj=_json_values | _functionals)
 def test_functional_reader_loads_or_rejects(obj):
+    # a small size cap keeps dense() cheap on every functional that loads
+    with mock.patch.dict(os.environ, {"MONOGAMY_LAB_CAP": "4096"}):
+        try:
+            f = functional_from_json(obj)
+        except _READER_ERRORS:
+            return
+        assert all(isinstance(k, int) for t in f.terms for c in t.coeffs for k in c)
+        assert len(f.dense()) == f.scenario.size
+
+
+@pytest.mark.parametrize("coeff", [[5, 0, 1], [0, 9, 1], [-1, 0, 1], [0, -1, 1]])
+def test_functional_reader_rejects_observables_outside_scenario(coeff):
+    obj = {
+        "scenario": {"N": 2, "M": 2, "d": 2},
+        "terms": [{"weight": "1", "coeffs": [coeff], "shift": 0}],
+    }
+    with pytest.raises(InputFormatError):
+        functional_from_json(obj)
+
+
+_inputs = st.dictionaries(
+    st.sampled_from(["0", "1", "2", "-1", "0,0", "x"]) | st.text(max_size=3),
+    st.sampled_from(["1", "1/2", "0"]) | _json_values,
+    max_size=3,
+)
+_MODEL_PATHS = [
+    ("scenario",),
+    ("scenario", "M"),
+    ("prior",),
+    ("prior", 0),
+    ("strategies",),
+    ("strategies", 0),
+    ("strategies", 0, "behavior"),
+    ("strategies", 0, "behavior", "values"),
+    ("strategies", 0, "inputs"),
+    ("strategies", 0, "inputs", "1"),
+]
+
+
+@st.composite
+def _models(draw):
+    """A valid one-party adversary model with up to two fields replaced."""
+    one_party = {"N": 1, "M": 2, "d": 2}
+    obj = {
+        "scenario": dict(one_party),
+        "prior": ["1"],
+        "strategies": [
+            {"behavior": {"scenario": dict(one_party), "values": ["1/2"] * 4}, "inputs": {"0": "1"}}
+        ],
+    }
+    for path in draw(st.lists(st.sampled_from(_MODEL_PATHS), max_size=2)):
+        value = draw(_json_values | _inputs | st.sampled_from(["0", "1/2", "2", "-1"]))
+        try:
+            target = obj
+            for key in path[:-1]:
+                target = target[key]
+            target[path[-1]] = value
+        except (KeyError, IndexError, TypeError):
+            pass  # an earlier replacement removed the path
+    return obj
+
+
+@settings(max_examples=400, deadline=None)
+@given(obj=_json_values | _models(), exact=st.booleans())
+def test_model_reader_loads_or_rejects(obj, exact):
     try:
-        f = functional_from_json(obj)
+        m = model_from_json(obj, exact)
     except _READER_ERRORS:
         return
-    assert all(isinstance(k, int) for t in f.terms for c in t.coeffs for k in c)
+    assert len(m.prior) == m.n_strategies
+    assert all(m.scenario.column_index(x) >= 0 for dist in m.input_dists for x in dist)
 
 
 @pytest.mark.parametrize("field", ["N", "M", "d"])

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from monogamy_lab.bell import chained_bkp, evaluate
+from monogamy_lab.errors import InputFormatError
 from monogamy_lab.sampling import ns_pool
 from monogamy_lab.scenario import Behavior, Scenario
 from monogamy_lab.svamp import (
@@ -258,3 +259,22 @@ def test_model_json_roundtrip(pool_222):
     assert back.prior == model.prior
     assert back.behaviors[0].probs == model.behaviors[0].probs
     assert back.input_dists == model.input_dists
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda obj: obj.clear(),
+        lambda obj: obj.update(prior=5),
+        lambda obj: obj["strategies"][0].update(inputs=[]),
+        lambda obj: obj["strategies"][0]["inputs"].update({"0,2": "0"}),
+        lambda obj: obj["strategies"][0]["inputs"].update({"0": "0"}),
+    ],
+    ids=["empty", "prior-number", "inputs-list", "setting-out-of-range", "short-input"],
+)
+def test_model_reader_rejects_malformed(pool_222, change):
+    obj = model_to_json(random_adversary_model(Scenario(2, 2, 2), random.Random(3), pool_222))
+    model_from_json(obj)
+    change(obj)
+    with pytest.raises(InputFormatError):
+        model_from_json(obj)
