@@ -35,7 +35,9 @@ nonsignalling behaviors.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -487,6 +489,34 @@ class NSConstraints:
         return self.normalization_rows + self.ns_rows, self.normalization_rhs + self.ns_rhs
 
 
+@functools.lru_cache(maxsize=None)
+def _ns_row_nonzeros(scenario: Scenario) -> tuple:
+    """The no-signalling rows of :func:`ns_constraints` as (index,
+    coefficient) nonzeros, built once per scenario."""
+    scn = scenario
+    rows = []
+    for k in range(scn.parties):
+        others = [j for j in range(scn.parties) if j != k]
+        for xo in itertools.product(range(scn.settings), repeat=len(others)):
+            for xk in range(1, scn.settings):
+                for ao in itertools.product(range(scn.outcomes), repeat=len(others)):
+                    x = [0] * scn.parties
+                    a = [0] * scn.parties
+                    for j, v in zip(others, xo):
+                        x[j] = v
+                    for j, v in zip(others, ao):
+                        a[j] = v
+                    row = []
+                    for ak in range(scn.outcomes):
+                        a[k] = ak
+                        x[k] = xk
+                        row.append((scn.index(x, a), 1))
+                        x[k] = 0
+                        row.append((scn.index(x, a), -1))
+                    rows.append(tuple(row))
+    return tuple(rows)
+
+
 def ns_constraints(scenario: Scenario) -> NSConstraints:
     """Equalities cutting out the NS polytope (with x >= 0 bounds).
 
@@ -506,28 +536,34 @@ def ns_constraints(scenario: Scenario) -> NSConstraints:
         norm_rows.append(row)
         norm_rhs.append(1)
 
-    ns_rows, ns_rhs = [], []
-    for k in range(scn.parties):
-        others = [j for j in range(scn.parties) if j != k]
-        for xo in itertools.product(range(scn.settings), repeat=len(others)):
-            for xk in range(1, scn.settings):
-                for ao in itertools.product(range(scn.outcomes), repeat=len(others)):
-                    row = [0] * n
-                    x = [0] * scn.parties
-                    a = [0] * scn.parties
-                    for j, v in zip(others, xo):
-                        x[j] = v
-                    for j, v in zip(others, ao):
-                        a[j] = v
-                    for ak in range(scn.outcomes):
-                        a[k] = ak
-                        x[k] = xk
-                        row[scn.index(x, a)] += 1
-                        x[k] = 0
-                        row[scn.index(x, a)] -= 1
-                    ns_rows.append(row)
-                    ns_rhs.append(0)
+    ns_rows = []
+    for nonzeros in _ns_row_nonzeros(scn):
+        row = [0] * n
+        for i, c in nonzeros:
+            row[i] += c
+        ns_rows.append(row)
+    ns_rhs = [0] * len(ns_rows)
     return NSConstraints(scn, norm_rows, norm_rhs, ns_rows, ns_rhs)
+
+
+def ns_row_residual(behavior: Behavior):
+    """Largest |A p| over the no-signalling rows A of :func:`ns_constraints`.
+
+    Each row sums out one party, and these rows imply the conditions for
+    every party subset, so the residual is 0 exactly when the behavior is
+    nonsignalling (``scenario.is_nonsignalling`` checks every subset and
+    stays the reference).  Exact entries are evaluated in integers over
+    their common denominator and give an exact Fraction; float entries give
+    a float.
+    """
+    rows = _ns_row_nonzeros(behavior.scenario)
+    probs = behavior.probs
+    if not behavior.is_exact:
+        return max((abs(sum(c * probs[i] for i, c in row)) for row in rows), default=0.0)
+    denom = math.lcm(*(p.denominator for p in probs))
+    ints = [p.numerator * (denom // p.denominator) for p in probs]
+    worst = max((abs(sum(c * ints[i] for i, c in row)) for row in rows), default=0)
+    return Fraction(worst, denom)
 
 
 def optimize_over_ns(

@@ -278,7 +278,12 @@ def mix(behaviors: Sequence[Behavior], weights: Sequence) -> Behavior:
     for b, w in zip(behaviors, weights):
         if w == 0:
             continue
+        exact_w = isinstance(w, (int, Fraction))
         for i, p in enumerate(b.probs):
+            # an exact zero term moves neither the value nor the type of a
+            # Fraction entry; any other term is added, so types match the sum
+            if exact_w and type(probs[i]) is Fraction and isinstance(p, (int, Fraction)) and p == 0:
+                continue
             probs[i] += w * p
     return Behavior(scn, tuple(probs))
 

@@ -24,20 +24,21 @@ doubling the tolerable bias for N = 2 (to 1/6).
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
 from .bell import evaluate, recursive_bkp
 from .errors import InputFormatError
+from .polylp import ns_row_residual
 from .scenario import (
     Behavior,
     Scenario,
     format_number,
-    is_nonsignalling,
     marginal,
     parse_int,
     parse_number,
@@ -72,32 +73,85 @@ class SVSource:
         return ((1 + 2 * self.epsilon) / (1 - 2 * self.epsilon)) ** uses
 
 
+# Tolerance of the float checks: distribution sums and NS row residuals.
+_FLOAT_TOL = 1e-9
+
+
+def _is_distribution(values) -> bool:
+    """Nonnegative entries summing to 1: exactly, or within _FLOAT_TOL once
+    a float enters the sum."""
+    if any(p < 0 for p in values):
+        return False
+    total = sum(values)
+    return abs(total - 1) <= _FLOAT_TOL if isinstance(total, float) else total == 1
+
+
 @dataclass
 class AdversaryModel:
     """w-indexed strategies: NS behavior and input distribution per w, plus
-    a prior; the scenario is shared."""
+    a prior; the scenario is shared.
+
+    Construction checks the model, then builds once the tables that every
+    per-setting quantity reads: the posterior p(w|x) of every setting (None
+    where p(x) = 0), p_min(w) over the functional's settings, and for each
+    (w, party, setting) the deviation sum_a |m_a - 1/d| of the strategy's
+    outcome marginal m from uniform.  The model is fixed after construction:
+    changing behaviors, input_dists or prior afterwards leaves the tables
+    stale.
+
+    Each strategy must satisfy the no-signalling rows of
+    :func:`polylp.ns_constraints` (exactly, or within 1e-9 for float
+    entries); a signalling strategy is rejected with its largest row
+    residual.  The prior and each input distribution must be distributions
+    (float sums within 1e-9 of 1).
+    """
 
     scenario: Scenario
     behaviors: list[Behavior]
     input_dists: list[dict]  # per w: {setting tuple: probability}
     prior: list
+    _posteriors: dict = field(init=False, repr=False, compare=False)
+    _p_min: list | None = field(init=False, repr=False, compare=False)
+    _deviations: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.behaviors)
         if not (n == len(self.input_dists) == len(self.prior)):
             raise ValueError("need one behavior, input distribution and prior entry per w")
-        if sum(self.prior) != 1 or any(p < 0 for p in self.prior):
+        if not _is_distribution(self.prior):
             raise ValueError("prior must be a distribution")
         for b in self.behaviors:
             if b.scenario != self.scenario:
                 raise ValueError("behavior scenario mismatch")
-            ok, worst = is_nonsignalling(b, 0 if b.is_exact else 1e-9)
-            if not ok:
-                raise ValueError(f"strategy behavior is signalling (deviation {worst})")
+            worst = ns_row_residual(b)
+            if worst > (0 if b.is_exact else _FLOAT_TOL):
+                raise ValueError(f"strategy behavior is signalling (NS row residual {worst})")
         for dist in self.input_dists:
-            total = sum(dist.values())
-            if total != 1 or any(p < 0 for p in dist.values()):
+            if not _is_distribution(dist.values()):
                 raise ValueError("input distribution must be normalized and nonnegative")
+
+        scn = self.scenario
+        self._posteriors = {}
+        for x in scn.all_settings():
+            px = self.input_probability(x)
+            self._posteriors[x] = None if px == 0 else [
+                pw * dist.get(x, 0) / px for pw, dist in zip(self.prior, self.input_dists)
+            ]
+        # None when a setting of the functional has p(x) = 0, or when one
+        # party has no functional; q_factor then raises
+        self._p_min = None
+        if scn.parties > 1:
+            posts = [self._posteriors[s] for s in _bell_settings(scn)]
+            if None not in posts:
+                self._p_min = [min(p[w] for p in posts) for w in range(n)]
+        uniform = Fraction(1, scn.outcomes)
+        self._deviations = [
+            [
+                [sum(abs(m - uniform) for m in marginal(b, [k], [s])) for s in range(scn.settings)]
+                for k in range(scn.parties)
+            ]
+            for b in self.behaviors
+        ]
 
     @property
     def n_strategies(self) -> int:
@@ -109,23 +163,29 @@ class AdversaryModel:
             pw * dist.get(x, 0) for pw, dist in zip(self.prior, self.input_dists)
         )
 
+    def _posterior(self, x: tuple) -> list:
+        post = self._posteriors.get(x)
+        if post is None:
+            raise ValueError(f"setting {x} has zero probability")
+        return post
+
     def posterior(self, x: tuple) -> list:
         """p(w|x) by Bayes; requires p(x) > 0."""
-        px = self.input_probability(x)
-        if px == 0:
-            raise ValueError(f"setting {x} has zero probability")
-        return [
-            pw * dist.get(x, 0) / px for pw, dist in zip(self.prior, self.input_dists)
-        ]
+        return list(self._posterior(tuple(x)))
 
 
 def bell_functional_for(scenario: Scenario):
     return recursive_bkp(scenario.parties, scenario.settings, scenario.outcomes)
 
 
+@functools.lru_cache(maxsize=None)
+def _bell_settings(scenario: Scenario) -> tuple:
+    return tuple(bell_functional_for(scenario).settings_in_terms())
+
+
 def bell_settings(scenario: Scenario) -> list[tuple]:
     """Setting tuples that occur in the chained functional."""
-    return bell_functional_for(scenario).settings_in_terms()
+    return list(_bell_settings(scenario))
 
 
 def observed_behavior(model: AdversaryModel) -> Behavior:
@@ -137,15 +197,14 @@ def observed_behavior(model: AdversaryModel) -> Behavior:
     Bell value).
     """
     scn = model.scenario
-    for x in bell_settings(scn):
-        if model.input_probability(x) == 0:
+    for x in _bell_settings(scn):
+        if model._posteriors[x] is None:
             raise ValueError(f"setting {x} appears in the functional but has p(x)=0")
     probs = [0] * scn.size
     for x in scn.all_settings():
-        try:
-            post = model.posterior(x)
-        except ValueError:
-            post = list(model.prior)
+        post = model._posteriors[x]
+        if post is None:
+            post = model.prior
         base = scn.column_index(x) * scn.column_size
         for w, b in enumerate(model.behaviors):
             pw = post[w]
@@ -162,24 +221,24 @@ def q_factor(model: AdversaryModel, x: tuple):
 
     Returns None when some p_min(w) = 0 (unbounded).
     """
-    settings = bell_settings(model.scenario)
-    post_x = model.posterior(tuple(x))
-    posts = [model.posterior(s) for s in settings]
+    post_x = model._posterior(tuple(x))
+    if model._p_min is None:
+        zero = next(s for s in _bell_settings(model.scenario) if model._posteriors[s] is None)
+        raise ValueError(f"setting {zero} has zero probability")
     best = None
-    for w in range(model.n_strategies):
-        p_min = min(p[w] for p in posts)
+    for pw, p_min in zip(post_x, model._p_min):
         if p_min == 0:
-            if post_x[w] > 0:
+            if pw > 0:
                 return None
             continue
-        ratio = post_x[w] / p_min
+        ratio = pw / p_min
         best = ratio if best is None or ratio > best else best
     return best
 
 
 def q_factor_tilde(model: AdversaryModel, x: tuple):
     """Variant with input likelihoods: max_w p(x|w)/min_x' p(x'|w)."""
-    settings = bell_settings(model.scenario)
+    settings = _bell_settings(model.scenario)
     x = tuple(x)
     best = None
     for dist in model.input_dists:
@@ -223,14 +282,10 @@ def variational_bound(
         observed = observed_behavior(model)
     if bell_value is None:
         bell_value = evaluate(bell_functional_for(scn), observed)
-    post = model.posterior(x)
+    # sum_{a,w} |p_w m_a - p_w/d| = sum_w p_w sum_a |m_a - 1/d|, as p_w >= 0
     lhs = 0
-    for w, b in enumerate(model.behaviors):
-        pw = post[w]
-        outcome_dist = marginal(b, [party], [x[party]])
-        for a in range(d):
-            diff = pw * outcome_dist[a] - pw * Fraction(1, d)
-            lhs += diff if diff >= 0 else -diff
+    for pw, dev in zip(model._posterior(x), model._deviations):
+        lhs += pw * dev[party][x[party]]
     q = q_factor(model, x)
     if q is None:
         rhs = None

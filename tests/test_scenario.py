@@ -367,3 +367,24 @@ def test_scenario_sizes_must_be_integers(field, bad):
         behavior_from_json({"scenario": scenario, "values": ["1/2", "1/2"]})
     with pytest.raises(InputFormatError):
         functional_from_json({"scenario": scenario, "terms": []})
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [[Fraction(1, 3), Fraction(2, 3), Fraction(0)], [1, 0, 0], [0.25, 0.75, 0.0], [Fraction(1, 2), 0.5, 0]],
+    ids=["fractions", "integers", "floats", "mixed"],
+)
+def test_mix_keeps_the_type_of_each_summed_entry(weights):
+    # skipping zero terms must not change a value or a type: format_number
+    # prints int and float 0 as "0.0" but Fraction 0 as "0"
+    scn = Scenario(2, 2, 2)
+    v1 = deterministic_vertex(scn, [(0, 1), (1, 0)])
+    v2 = deterministic_vertex(scn, [(1, 1), (0, 0)])
+    ints = Behavior(scn, tuple(int(p) for p in v1.probs))
+    behaviors = [v1, ints, v2]
+    expected = [0] * scn.size
+    for b, w in zip(behaviors, weights):
+        if w != 0:
+            expected = [e + w * p for e, p in zip(expected, b.probs)]
+    got = mix(behaviors, weights).probs
+    assert [(type(p), p) for p in got] == [(type(p), p) for p in expected]

@@ -1,16 +1,19 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from monogamy_lab.bell import chained_bkp, evaluate
+from monogamy_lab.bell import chained_bkp, evaluate, recursive_bkp
 from monogamy_lab.errors import InputFormatError
-from monogamy_lab.sampling import ns_pool
-from monogamy_lab.scenario import Behavior, Scenario
+from monogamy_lab.polylp import ns_row_residual
+from monogamy_lab.sampling import ns_pool, random_behavior, random_ns_mixture
+from monogamy_lab.scenario import Behavior, Scenario, is_nonsignalling, marginal, mix, uniform_behavior
 from monogamy_lab.svamp import (
     AdversaryModel,
     SVSource,
+    VariationalCheck,
     bell_functional_for,
     bell_settings,
     critical_epsilon,
@@ -278,3 +281,213 @@ def test_model_reader_rejects_malformed(pool_222, change):
     change(obj)
     with pytest.raises(InputFormatError):
         model_from_json(obj)
+
+
+def test_float_prior_sum_uses_tolerance(pool_222):
+    obj = model_to_json(random_adversary_model(Scenario(2, 2, 2), random.Random(4), pool_222, n_strategies=3))
+    for prior in (["0.7", "0.2", "0.1"], ["0.1", "0.2", "0.7"]):
+        obj["prior"] = prior
+        assert model_from_json(obj, exact=False).prior == [float(p) for p in prior]
+    obj["prior"] = ["0.6", "0.2", "0.1"]
+    with pytest.raises(ValueError):
+        model_from_json(obj, exact=False)
+    # exact models stay exact: a prior off by 10^-12 is rejected
+    obj["prior"] = ["7/10", "2/10", "100000000001/1000000000000"]
+    with pytest.raises(ValueError):
+        model_from_json(obj, exact=True)
+
+
+# Reference: the per-call formulas the model tables replace, kept verbatim.
+
+
+def ref_posterior(model, x):
+    px = model.input_probability(x)
+    if px == 0:
+        raise ValueError(f"setting {x} has zero probability")
+    return [pw * dist.get(x, 0) / px for pw, dist in zip(model.prior, model.input_dists)]
+
+
+def ref_bell_settings(scn):
+    return recursive_bkp(scn.parties, scn.settings, scn.outcomes).settings_in_terms()
+
+
+def ref_observed_behavior(model):
+    scn = model.scenario
+    for x in ref_bell_settings(scn):
+        if model.input_probability(x) == 0:
+            raise ValueError(f"setting {x} appears in the functional but has p(x)=0")
+    probs = [0] * scn.size
+    for x in scn.all_settings():
+        try:
+            post = ref_posterior(model, x)
+        except ValueError:
+            post = list(model.prior)
+        base = scn.column_index(x) * scn.column_size
+        for w, b in enumerate(model.behaviors):
+            pw = post[w]
+            if pw == 0:
+                continue
+            col = b.column(x)
+            for i, p in enumerate(col):
+                probs[base + i] += pw * p
+    return Behavior(scn, tuple(probs))
+
+
+def ref_q_factor(model, x):
+    settings = ref_bell_settings(model.scenario)
+    post_x = ref_posterior(model, tuple(x))
+    posts = [ref_posterior(model, s) for s in settings]
+    best = None
+    for w in range(model.n_strategies):
+        p_min = min(p[w] for p in posts)
+        if p_min == 0:
+            if post_x[w] > 0:
+                return None
+            continue
+        ratio = post_x[w] / p_min
+        best = ratio if best is None or ratio > best else best
+    return best
+
+
+def ref_variational_bound(model, x, party, observed, bell_value):
+    d = model.scenario.outcomes
+    post = ref_posterior(model, x)
+    lhs = 0
+    for w, b in enumerate(model.behaviors):
+        pw = post[w]
+        outcome_dist = marginal(b, [party], [x[party]])
+        for a in range(d):
+            diff = pw * outcome_dist[a] - pw * Fraction(1, d)
+            lhs += diff if diff >= 0 else -diff
+    q = ref_q_factor(model, x)
+    if q is None:
+        rhs, satisfied = None, True
+    else:
+        rhs = Fraction((d - 1) ** 2 + 1, d) * q * bell_value
+        satisfied = lhs <= rhs
+    return VariationalCheck(x, party, lhs, rhs, lhs / 2, q, bell_value, satisfied)
+
+
+def same(a, b):
+    """Equal in value and in type, elementwise for lists and tuples."""
+    if isinstance(a, (list, tuple)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(same, a, b))
+    return type(a) is type(b) and a == b
+
+
+def outcome(fn, *args):
+    """fn's result, or the ValueError it raised, as a comparable value."""
+    try:
+        return fn(*args)
+    except ValueError:
+        return ValueError
+
+
+DIFF_SCENARIOS = [Scenario(2, 2, 2), Scenario(2, 3, 2), Scenario(2, 2, 3), Scenario(3, 2, 2)]
+
+
+@pytest.fixture(scope="module")
+def diff_pools():
+    rng = random.Random(31)
+    return {scn: ns_pool(scn, rng, n_vertices=8, n_lp=1) for scn in DIFF_SCENARIOS}
+
+
+def test_model_tables_match_per_call_reference(diff_pools):
+    rng = random.Random(32)
+    for i in range(52):
+        scn = DIFF_SCENARIOS[i % 4]
+        model = random_adversary_model(
+            scn, rng, diff_pools[scn],
+            n_strategies=rng.randrange(1, 6),
+            epsilon=Fraction(rng.randrange(0, 13), 100),
+        )
+        if i % 8 in (0, 1):
+            # (2,2,2): strategy 0 never picks the functional's setting (1, 0),
+            # so p_min(0) = 0 (and p(x) = 0 with one strategy); (2,3,2): no
+            # strategy picks (0, 1), a setting outside the functional
+            empty, emptied = ((1, 0), 1) if i % 8 == 0 else ((0, 1), model.n_strategies)
+            dists = [dict(dist) for dist in model.input_dists]
+            for dist in dists[:emptied]:
+                dist[(0, 0)] += dist[empty]
+                dist[empty] = Fraction(0)
+            model = AdversaryModel(scn, model.behaviors, dists, model.prior)
+        observed = outcome(observed_behavior, model)
+        ref_observed = outcome(ref_observed_behavior, model)
+        if ref_observed is ValueError:
+            assert observed is ValueError
+            observed = ref_observed = uniform_behavior(scn)
+        assert same(observed.probs, ref_observed.probs)
+        value = evaluate(bell_functional_for(scn), observed)
+        for x in scn.all_settings():
+            assert same(outcome(model.posterior, x), outcome(ref_posterior, model, x))
+            assert same(outcome(q_factor, model, x), outcome(ref_q_factor, model, x))
+            for k in range(scn.parties):
+                got = outcome(variational_bound, model, x, k, observed, value)
+                ref = outcome(ref_variational_bound, model, x, k, observed, value)
+                if ref is ValueError:
+                    assert got is ValueError
+                    continue
+                assert all(
+                    same(getattr(got, f.name), getattr(ref, f.name)) for f in dataclasses.fields(ref)
+                )
+                assert got.satisfied
+                assert got.q is not None or i % 8 == 0
+
+
+def test_zero_probability_bell_setting_raises_at_call_time(pool_222):
+    scn = Scenario(2, 2, 2)
+    dist = {x: Fraction(0) for x in scn.all_settings()}
+    dist[(0, 0)] = Fraction(1)
+    model = AdversaryModel(scn, [pool_222[0]], [dist], [Fraction(1)])
+    assert model.posterior((0, 0)) == [1]
+    for call in (
+        lambda: q_factor(model, (0, 0)),
+        lambda: q_factor(model, (1, 1)),
+        lambda: variational_bound(model, (0, 0), 0, observed=pool_222[0], bell_value=Fraction(0)),
+    ):
+        with pytest.raises(ValueError):
+            call()
+
+
+def test_ns_row_residual_agrees_with_all_subsets_check(diff_pools):
+    rng = random.Random(33)
+    for scn, pool in diff_pools.items():
+        draws = list(pool)
+        draws += [random_ns_mixture(pool, rng) for _ in range(6)]
+        draws += [random_behavior(scn, rng) for _ in range(6)]
+        draws += [mix([pool[1], random_behavior(scn, rng)], [Fraction(999, 1000), Fraction(1, 1000)])]
+        for b in draws:
+            residual = ns_row_residual(b)
+            assert type(residual) is Fraction
+            assert (residual == 0) == is_nonsignalling(b, 0)[0]
+        assert all(ns_row_residual(b) == 0 for b in pool)
+        assert ns_row_residual(draws[-1]) > 0
+
+
+def test_signalling_strategy_reports_row_residual(pool_222):
+    scn = Scenario(2, 2, 2)
+    probs = [Fraction(0)] * scn.size
+    for x in scn.all_settings():
+        for a in scn.all_outcomes():
+            if a[0] == x[1]:
+                probs[scn.index(x, a)] = Fraction(1, 2)
+    signalling = Behavior(scn, tuple(probs))
+    assert ns_row_residual(signalling) == 1
+    with pytest.raises(ValueError, match="NS row residual 1"):
+        AdversaryModel(scn, [signalling], [uniform_inputs(scn)], [Fraction(1)])
+
+
+@pytest.mark.parametrize("eps, accepted", [(1e-12, True), (1e-6, False)])
+def test_float_strategy_row_tolerance(pool_222, eps, accepted):
+    scn = Scenario(2, 2, 2)
+    probs = [float(p) for p in pool_222[0].probs]  # uniform
+    # move eps between two outcomes of one column: normalized, but signalling
+    probs[0] += eps
+    probs[1] -= eps
+    strategy = Behavior(scn, tuple(probs))
+    inputs = {x: 1 / scn.n_columns for x in scn.all_settings()}
+    if accepted:
+        AdversaryModel(scn, [strategy], [inputs], [1.0])
+    else:
+        with pytest.raises(ValueError, match="signalling"):
+            AdversaryModel(scn, [strategy], [inputs], [1.0])
