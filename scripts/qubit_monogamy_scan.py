@@ -1,29 +1,33 @@
 #!/usr/bin/env python3
 """Monte-Carlo scan of the three-qubit monogamy inequalities plus the
-boundary sweep of the saturating state family.  Writes a JSON summary and
-a CSV sweep into results/."""
+boundary sweep of the saturating state family.  Runs
 
-import json
+    monogamy-lab quantum monogamy-check --samples N --seed 0
+    monogamy-lab quantum family-sweep --alpha 1.0 --points 50
+
+and writes their outputs to results/qubit_monogamy_mc.json and
+results/saturating_family_sweep.csv."""
+
 import pathlib
 import sys
 
-from monogamy_lab.quantum import family_sweep_csv, monogamy_montecarlo
+from monogamy_lab.cli import main as cli
 
 OUT = pathlib.Path(__file__).resolve().parent.parent / "results"
 
 
 def main() -> int:
-    n_states = int(sys.argv[1]) if len(sys.argv) > 1 else 10000
+    n_states = sys.argv[1] if len(sys.argv) > 1 else "10000"
     OUT.mkdir(exist_ok=True)
-
-    summary = monogamy_montecarlo(n_states, [1.0, 1.5, 2.0, 3.0], seed=0)
-    (OUT / "qubit_monogamy_mc.json").write_text(json.dumps(summary, indent=1) + "\n")
-    print(f"{n_states} states: {summary['violations']} violations, "
-          f"worst slack {summary['worst_slack']:.3e}")
-
-    (OUT / "saturating_family_sweep.csv").write_text(family_sweep_csv(1.0, 50))
-    print("wrote results/qubit_monogamy_mc.json and results/saturating_family_sweep.csv")
-    return 0
+    runs = {
+        "qubit_monogamy_mc.json": ["monogamy-check", "--samples", n_states, "--seed", "0"],
+        "saturating_family_sweep.csv": ["family-sweep", "--alpha", "1.0", "--points", "50"],
+    }
+    codes = []
+    for name, args in runs.items():
+        codes.append(cli(["quantum", *args, "--out", str(OUT / name)]))
+        print(f"quantum {args[0]} -> results/{name}: exit code {codes[-1]}")
+    return max(codes)
 
 
 if __name__ == "__main__":

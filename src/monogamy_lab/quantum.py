@@ -43,6 +43,15 @@ from .scenario import Behavior, Scenario
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
+# sigma_u x sigma_v for (u, v) = xx, xz, zx, zz: the entries of a correlation matrix
+_PAULI_PAIRS = np.stack([np.kron(su, sv) for su in (SIGMA_X, SIGMA_Z) for sv in (SIGMA_X, SIGMA_Z)])
+# states drawn, and their correlation matrices held, at a time in monogamy_montecarlo
+_MC_BLOCK = 1024
+
+
+def _check_alpha(alpha: float) -> None:
+    if not (math.isfinite(alpha) and alpha >= 1):
+        raise ValueError(f"alpha must be a finite number >= 1, got {alpha}")
 
 
 @dataclass
@@ -93,19 +102,24 @@ class CorrelationMatrix:
         return float(s[0] ** 2), float(s[1] ** 2)
 
 
-def correlation_matrix(state: RealPureState, pair: tuple[int, int]) -> CorrelationMatrix:
+def _correlation_matrices(
+    amplitudes: np.ndarray, n_qubits: int, pair: tuple[int, int]
+) -> np.ndarray:
+    """(k, 2, 2) correlation matrices of one qubit pair for the k real
+    states in the rows of ``amplitudes``."""
     i, j = pair
-    if i == j or not (0 <= i < state.n_qubits and 0 <= j < state.n_qubits):
+    if i == j or not (0 <= i < n_qubits and 0 <= j < n_qubits):
         raise ValueError("need two distinct qubit indices in range")
-    psi = state.amplitudes.reshape((2,) * state.n_qubits)
-    psi = np.moveaxis(psi, (i, j), (0, 1)).reshape(4, -1)
-    rho = psi @ psi.T  # reduced 4x4 density matrix of the pair (real state)
-    paulis = (SIGMA_X, SIGMA_Z)
-    t = np.empty((2, 2))
-    for u, su in enumerate(paulis):
-        for v, sv in enumerate(paulis):
-            t[u, v] = float(np.trace(rho @ np.kron(su, sv)))
-    return CorrelationMatrix(t)
+    k = amplitudes.shape[0]
+    psi = amplitudes.reshape((k,) + (2,) * n_qubits)
+    psi = np.moveaxis(psi, (i + 1, j + 1), (1, 2)).reshape(k, 4, -1)
+    rho = psi @ psi.transpose(0, 2, 1)  # reduced 4x4 density matrices of the pair
+    t = np.trace(rho[:, None] @ _PAULI_PAIRS, axis1=-2, axis2=-1)
+    return t.reshape(k, 2, 2)
+
+
+def correlation_matrix(state: RealPureState, pair: tuple[int, int]) -> CorrelationMatrix:
+    return CorrelationMatrix(_correlation_matrices(state.amplitudes[None], state.n_qubits, pair)[0])
 
 
 def pair_expectation(t: CorrelationMatrix, a: PlaneObservable, b: PlaneObservable) -> float:
@@ -120,8 +134,7 @@ def alpha_chsh_value(
     alpha: float,
 ) -> float:
     """alpha (<A1B1> + <A1B2>) + <A2B1> - <A2B2> at explicit angles."""
-    if alpha < 1:
-        raise ValueError("alpha must be >= 1")
+    _check_alpha(alpha)
     a1, a2 = (PlaneObservable(v) for v in a_angles)
     b1, b2 = (PlaneObservable(v) for v in b_angles)
     return (
@@ -133,8 +146,7 @@ def alpha_chsh_value(
 
 def alpha_chsh_max(t: CorrelationMatrix, alpha: float) -> float:
     """Maximum of the alpha-CHSH form over plane observables: 2 sqrt(a^2 l1 + l2)."""
-    if alpha < 1:
-        raise ValueError("alpha must be >= 1")
+    _check_alpha(alpha)
     l1, l2 = t.singular_squares
     return 2.0 * math.sqrt(alpha**2 * l1 + l2)
 
@@ -172,6 +184,31 @@ class QubitMonogamyReport:
         return min(self.slack_pair_tradeoff, self.slack_agreement)
 
 
+def monogamy_slacks(
+    lam_ab: np.ndarray, lam_ac: np.ndarray, lam_bc: np.ndarray, alphas: Sequence[float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Slacks of both monogamy inequalities over states x alphas.
+
+    ``lam_ab``, ``lam_ac`` and ``lam_bc`` are (k, 2) arrays of the singular
+    squares l1 >= l2 of each state's (0, 1), (0, 2) and (1, 2) correlation
+    matrices; ``alphas`` has shape (m,).  Returns the (k, m) slacks of the
+    pair trade-off (worst over both orderings) and of the agreement form
+    (worst over X in {A, B}).
+    """
+    a2 = np.asarray(alphas, dtype=float) ** 2
+    l1, l2 = lam_ab[:, :1], lam_ab[:, 1:]
+    t1, t2 = lam_ac[:, :1], lam_ac[:, 1:]
+    cap_pair = 4.0 * a2 * (1.0 + a2)
+    v_ab_major = 4.0 * (a2 * (a2 * l1 + l2) + a2 * t1 + t2)
+    v_ac_major = 4.0 * (a2 * (a2 * t1 + t2) + a2 * l1 + l2)
+    slack_pair = cap_pair - np.maximum(v_ab_major, v_ac_major)
+    cap_agree = 4.0 * (1.0 + a2)
+    v_a_centered = 4.0 * (a2 * l1 + l2) + 4.0 * t1
+    v_b_centered = 4.0 * (a2 * l1 + l2) + 4.0 * lam_bc[:, :1]
+    slack_agree = cap_agree - np.maximum(v_a_centered, v_b_centered)
+    return slack_pair, slack_agree
+
+
 def check_qubit_monogamy(state: RealPureState, alpha: float) -> QubitMonogamyReport:
     """Worst-case slacks of both monogamy inequalities for one state.
 
@@ -180,55 +217,73 @@ def check_qubit_monogamy(state: RealPureState, alpha: float) -> QubitMonogamyRep
     trade-off; both X = A and X = B for the agreement form), so a
     nonnegative slack certifies the inequality for every measurement choice.
     """
-    if alpha < 1:
-        raise ValueError("alpha must be >= 1")
+    _check_alpha(alpha)
     if state.n_qubits != 3:
         raise ValueError("need a three-qubit state")
     lam = correlation_matrix(state, (0, 1)).singular_squares
     lam_t = correlation_matrix(state, (0, 2)).singular_squares
     lam_bc = correlation_matrix(state, (1, 2)).singular_squares
-    a2 = alpha**2
-    cap_pair = 4.0 * a2 * (1.0 + a2)
-    v_ab_major = 4.0 * (a2 * (a2 * lam[0] + lam[1]) + a2 * lam_t[0] + lam_t[1])
-    v_ac_major = 4.0 * (a2 * (a2 * lam_t[0] + lam_t[1]) + a2 * lam[0] + lam[1])
-    slack_pair = cap_pair - max(v_ab_major, v_ac_major)
-    cap_agree = 4.0 * (1.0 + a2)
-    v_a_centered = 4.0 * (a2 * lam[0] + lam[1]) + 4.0 * lam_t[0]
-    v_b_centered = 4.0 * (a2 * lam[0] + lam[1]) + 4.0 * lam_bc[0]
-    slack_agree = cap_agree - max(v_a_centered, v_b_centered)
+    slack_pair, slack_agree = monogamy_slacks(
+        np.array([lam]), np.array([lam_t]), np.array([lam_bc]), [alpha]
+    )
     return QubitMonogamyReport(
         alpha=alpha,
-        slack_pair_tradeoff=slack_pair,
-        slack_agreement=slack_agree,
+        slack_pair_tradeoff=float(slack_pair[0, 0]),
+        slack_agreement=float(slack_agree[0, 0]),
         lambdas_ab=lam,
         lambdas_ac=lam_t,
         lambdas_bc=lam_bc,
     )
 
 
+def _random_real_states(k: int, rng: np.random.Generator) -> np.ndarray:
+    """(k, 8) unit rows, the states of k calls of random_real_state(3, rng)."""
+    v = rng.standard_normal((k, 8))
+    # a norm per row: one vectorized norm rounds some amplitudes differently
+    states = v / np.array([np.linalg.norm(row) for row in v])[:, None]
+    norms = np.sum(states**2, axis=1)
+    worst = norms[np.argmax(np.abs(norms - 1.0))]
+    if abs(worst - 1.0) > 1e-12:
+        raise ValueError(f"state norm^2 = {worst}, not normalized")
+    return states
+
+
+def _worst_slacks(states: np.ndarray, alphas: Sequence[float]) -> np.ndarray:
+    """(k, m) worst slack of each of k three-qubit states (rows) at each alpha."""
+    t = np.stack([_correlation_matrices(states, 3, pair) for pair in ((0, 1), (0, 2), (1, 2))])
+    lam_ab, lam_ac, lam_bc = np.linalg.svd(t, compute_uv=False) ** 2
+    return np.minimum(*monogamy_slacks(lam_ab, lam_ac, lam_bc, alphas))
+
+
 def monogamy_montecarlo(
     n_states: int, alphas: Sequence[float], seed: int = 0
 ) -> dict:
-    """Slack statistics over random real three-qubit states."""
+    """Slack statistics over random real three-qubit states.
+
+    States are drawn and checked in blocks: each state's three correlation
+    matrices are built once for every alpha, and the singular values of a
+    block come from one stacked SVD.  A seed gives the states of n_states
+    calls of :func:`random_real_state`.
+    """
+    if n_states < 1:
+        raise ValueError("need at least one state")
+    if len(alphas) == 0:
+        raise ValueError("need at least one alpha")
+    for a in alphas:
+        _check_alpha(a)
     rng = np.random.default_rng(seed)
-    worst = math.inf
+    per_alpha = np.full(len(alphas), math.inf)
     violations = 0
-    per_alpha = {a: math.inf for a in alphas}
-    for _ in range(n_states):
-        state = random_real_state(3, rng)
-        for a in alphas:
-            rep = check_qubit_monogamy(state, a)
-            s = rep.worst_slack
-            per_alpha[a] = min(per_alpha[a], s)
-            worst = min(worst, s)
-            if s < -1e-7:
-                violations += 1
+    for start in range(0, n_states, _MC_BLOCK):
+        slack = _worst_slacks(_random_real_states(min(_MC_BLOCK, n_states - start), rng), alphas)
+        per_alpha = np.minimum(per_alpha, slack.min(axis=0))
+        violations += int(np.count_nonzero(slack < -1e-7))
     return {
         "n_states": n_states,
         "alphas": list(alphas),
         "seed": seed,
-        "worst_slack": worst,
-        "worst_slack_per_alpha": {str(a): per_alpha[a] for a in alphas},
+        "worst_slack": float(per_alpha.min()),
+        "worst_slack_per_alpha": {str(a): float(s) for a, s in zip(alphas, per_alpha)},
         "violations": violations,
     }
 
@@ -250,8 +305,7 @@ def saturating_family(theta: float) -> RealPureState:
 def quantum_guessing_bound(violation: float, alpha: float) -> float:
     """Quantum cap on the guessing probability:
     (1 + sqrt(1 + alpha^2 - (I/2)^2))/2, clamped to 1."""
-    if alpha < 1:
-        raise ValueError("alpha must be >= 1")
+    _check_alpha(alpha)
     rad = 1.0 + alpha**2 - (violation / 2.0) ** 2
     if rad < -1e-12:
         raise ValueError("violation outside the quantum range")
@@ -394,8 +448,15 @@ def min_settings(
 # Dataset emitters.
 
 
+def _check_points(n_points: int) -> None:
+    # a grid includes both endpoints
+    if n_points < 2:
+        raise ValueError(f"need at least 2 grid points, got {n_points}")
+
+
 def guessing_curve_csv(d: int, n_points: int = 101) -> str:
     """Violation grid with both N = 2 guessing caps (columns I, bound_tight, bound_prior)."""
+    _check_points(n_points)
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["I", "bound_tight", "bound_prior"])
@@ -410,6 +471,7 @@ def guessing_curve_csv(d: int, n_points: int = 101) -> str:
 def family_sweep_csv(alpha: float, n_points: int) -> str:
     """Boundary sweep of :func:`saturating_family` over theta in [0, pi/4]
     (columns theta, bell_max, outsider_corr, boundary_residual)."""
+    _check_points(n_points)
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["theta", "bell_max", "outsider_corr", "boundary_residual"])

@@ -95,9 +95,10 @@ class AdversaryModel:
     per-setting quantity reads: the posterior p(w|x) of every setting (None
     where p(x) = 0), p_min(w) over the functional's settings, and for each
     (w, party, setting) the deviation sum_a |m_a - 1/d| of the strategy's
-    outcome marginal m from uniform.  The model is fixed after construction:
-    changing behaviors, input_dists or prior afterwards leaves the tables
-    stale.
+    outcome marginal m from uniform.  The observed behavior and its Bell
+    value are built on first use and kept.  The model is fixed after
+    construction: changing behaviors, input_dists or prior afterwards leaves
+    the tables stale.
 
     Each strategy must satisfy the no-signalling rows of
     :func:`polylp.ns_constraints` (exactly, or within 1e-9 for float
@@ -172,6 +173,16 @@ class AdversaryModel:
     def posterior(self, x: tuple) -> list:
         """p(w|x) by Bayes; requires p(x) > 0."""
         return list(self._posterior(tuple(x)))
+
+    @functools.cached_property
+    def observed(self) -> Behavior:
+        """:func:`observed_behavior` of the model, built on first use."""
+        return observed_behavior(self)
+
+    @functools.cached_property
+    def bell_value(self):
+        """The functional's value on :attr:`observed`, computed on first use."""
+        return evaluate(bell_functional_for(self.scenario), self.observed)
 
 
 def bell_functional_for(scenario: Scenario):
@@ -279,7 +290,9 @@ def variational_bound(
     if not 0 <= party < scn.parties:
         raise ValueError("party out of range")
     if observed is None:
-        observed = observed_behavior(model)
+        observed = model.observed
+        if bell_value is None:
+            bell_value = model.bell_value
     if bell_value is None:
         bell_value = evaluate(bell_functional_for(scn), observed)
     # sum_{a,w} |p_w m_a - p_w/d| = sum_w p_w sum_a |m_a - 1/d|, as p_w >= 0

@@ -253,6 +253,33 @@ def test_quantum_theorem_check_cli(capsys):
     assert report["violations"] == 0
 
 
+def test_quantum_monogamy_check_stdout_is_stable(capsys):
+    # stdout of the per-state, per-alpha loop that the batched Monte-Carlo replaced
+    assert main(["quantum", "monogamy-check", "--samples", "200", "--seed", "3"]) == 0
+    assert capsys.readouterr().out == (
+        '{\n "n_states": 200,\n "alphas": [\n  1.0,\n  1.5,\n  2.0,\n  3.0\n ],\n "seed": 3,\n'
+        ' "worst_slack": 1.6772356178584857e-05,\n "worst_slack_per_alpha": {\n'
+        '  "1.0": 1.6772356178584857e-05,\n  "1.5": 0.03398627050712477,\n'
+        '  "2.0": 0.06026109579402217,\n  "3.0": 0.13533202518516418\n },\n "violations": 0\n}\n'
+    )
+
+
+@pytest.mark.parametrize("args", [
+    ["quantum", "monogamy-check", "--samples", "0"],
+    ["quantum", "monogamy-check", "--samples", "-5"],
+    ["quantum", "family-sweep", "--alpha", "nan"],
+    ["quantum", "family-sweep", "--alpha", "inf"],
+    ["quantum", "family-sweep", "--points", "1"],
+    ["quantum", "family-sweep", "--points", "0"],
+    ["figures", "2a", "--points", "1"],
+])
+def test_quantum_rejects_bad_values(capsys, args):
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_quantum_family_sweep_cli(capsys):
     assert main(["quantum", "family-sweep", "--alpha", "1.0", "--points", "9"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from scipy.optimize import minimize
 
 from monogamy_lab.bell import chained_bkp, evaluate
+from monogamy_lab import quantum
 from monogamy_lab.quantum import (
     CorrelationMatrix,
     PlaneObservable,
@@ -15,6 +17,7 @@ from monogamy_lab.quantum import (
     chained_quantum_violation,
     check_qubit_monogamy,
     correlation_matrix,
+    family_sweep_csv,
     guessing_curve_csv,
     key_rate,
     key_rate_table_csv,
@@ -116,6 +119,79 @@ def test_monogamy_montecarlo_small():
     summary = monogamy_montecarlo(300, [1.0, 1.5, 2.0, 3.0], seed=7)
     assert summary["violations"] == 0
     assert summary["worst_slack"] >= -1e-7
+
+
+MC_ALPHAS = [1.0, 1.5, 2.0, 3.0]
+# json.dumps(monogamy_montecarlo(300, MC_ALPHAS, seed=7), indent=1) from the
+# per-state, per-alpha loop that the batched Monte-Carlo replaced
+MC_300_SEED_7 = (
+    '{\n "n_states": 300,\n "alphas": [\n  1.0,\n  1.5,\n  2.0,\n  3.0\n ],\n "seed": 7,\n'
+    ' "worst_slack": 4.434101888239894e-05,\n "worst_slack_per_alpha": {\n'
+    '  "1.0": 4.434101888239894e-05,\n  "1.5": 0.0004013141117908958,\n'
+    '  "2.0": 0.0013265816158991584,\n  "3.0": 0.006705593460822001\n },\n "violations": 0\n}'
+)
+
+
+def test_monogamy_montecarlo_matches_per_state_summary():
+    assert json.dumps(monogamy_montecarlo(300, MC_ALPHAS, seed=7), indent=1) == MC_300_SEED_7
+
+
+@pytest.mark.parametrize("n_states, sizes", [(21, [7, 7, 7]), (22, [7, 7, 7, 1]), (23, [7, 7, 7, 2])])
+def test_monogamy_montecarlo_block_boundaries(monkeypatch, n_states, sizes):
+    whole = monogamy_montecarlo(n_states, MC_ALPHAS, seed=5)
+    blocks = []
+    worst_slacks = quantum._worst_slacks
+    monkeypatch.setattr(quantum, "_worst_slacks", lambda s, a: blocks.append(s) or worst_slacks(s, a))
+    monkeypatch.setattr(quantum, "_MC_BLOCK", 7)
+    assert monogamy_montecarlo(n_states, MC_ALPHAS, seed=5) == whole
+    # every state is checked once, in the order of the per-state draws
+    assert [len(b) for b in blocks] == sizes
+    rng = np.random.default_rng(5)
+    for amps in np.concatenate(blocks):
+        assert np.array_equal(amps, random_real_state(3, rng).amplitudes)
+
+
+def test_batched_slacks_match_per_state_check():
+    alphas = [1.0, 1.25, 2.0, 3.5]
+    states = quantum._random_real_states(300, np.random.default_rng(21))
+    rng = np.random.default_rng(21)
+    slacks = quantum._worst_slacks(states, alphas)
+    assert slacks.shape == (300, 4)
+    for row, amps in zip(slacks, states):
+        state = random_real_state(3, rng)
+        assert np.array_equal(amps, state.amplitudes)
+        for s, a in zip(row, alphas):
+            assert abs(s - check_qubit_monogamy(state, a).worst_slack) <= 1e-12
+
+
+@pytest.mark.parametrize("n_states", [0, -5])
+def test_monogamy_montecarlo_rejects_empty_runs(n_states):
+    with pytest.raises(ValueError):
+        monogamy_montecarlo(n_states, MC_ALPHAS)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf, 0.5])
+def test_alpha_must_be_finite_and_at_least_one(alpha):
+    t = CorrelationMatrix(np.eye(2))
+    state = saturating_family(0.0)
+    for call in (
+        lambda: alpha_chsh_value(t, (0, 0), (0, 0), alpha),
+        lambda: alpha_chsh_max(t, alpha),
+        lambda: check_qubit_monogamy(state, alpha),
+        lambda: quantum_guessing_bound(1.0, alpha),
+        lambda: monogamy_montecarlo(5, [1.0, alpha]),
+        lambda: family_sweep_csv(alpha, 5),
+    ):
+        with pytest.raises(ValueError, match="alpha"):
+            call()
+
+
+@pytest.mark.parametrize("n_points", [1, 0, -3])
+def test_sweeps_need_two_points(n_points):
+    with pytest.raises(ValueError, match="grid points"):
+        family_sweep_csv(1.0, n_points)
+    with pytest.raises(ValueError, match="grid points"):
+        guessing_curve_csv(2, n_points)
 
 
 def test_product_state_saturates_monogamy():

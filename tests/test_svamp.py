@@ -491,3 +491,32 @@ def test_float_strategy_row_tolerance(pool_222, eps, accepted):
     else:
         with pytest.raises(ValueError, match="signalling"):
             AdversaryModel(scn, [strategy], [inputs], [1.0])
+
+
+def test_variational_bound_defaults_match_explicit(diff_pools, monkeypatch):
+    from monogamy_lab import svamp
+
+    calls = []
+    monkeypatch.setattr(svamp, "observed_behavior", lambda m: calls.append(m) or observed_behavior(m))
+    rng = random.Random(33)
+    for i, scn in enumerate(DIFF_SCENARIOS * 2):
+        model = random_adversary_model(
+            scn, rng, diff_pools[scn],
+            n_strategies=rng.randrange(1, 5),
+            epsilon=Fraction(rng.randrange(0, 13), 100),
+        )
+        observed = observed_behavior(model)
+        value = evaluate(bell_functional_for(scn), observed)
+        for x in scn.all_settings():
+            for k in range(scn.parties):
+                explicit = variational_bound(model, x, k, observed, value)
+                defaulted = variational_bound(model, x, k)
+                assert defaulted == explicit
+                assert all(
+                    same(getattr(defaulted, f.name), getattr(explicit, f.name))
+                    for f in dataclasses.fields(explicit)
+                )
+                # an explicit observed behavior without its value is evaluated, not cached
+                assert variational_bound(model, x, k, observed) == explicit
+        # the defaults are built once per model
+        assert len(calls) == i + 1
