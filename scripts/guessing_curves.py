@@ -1,23 +1,28 @@
 #!/usr/bin/env python3
-"""Emit guessing-probability bound curves (tight vs prior) for several
-outcome counts; one CSV per d under results/."""
+"""Guessing-probability bound curves (tight vs prior) for several outcome
+counts.  For each d (default 2, 3, 4 and 8) runs
+
+    monogamy-lab figures 2a --d D --out results/guessing_bounds_dD.csv
+
+and returns the largest exit code."""
 
 import pathlib
 import sys
 
-from monogamy_lab.quantum import guessing_curve_csv
+from monogamy_lab.cli import main as cli
 
 OUT = pathlib.Path(__file__).resolve().parent.parent / "results"
 
 
 def main() -> int:
-    ds = [int(v) for v in sys.argv[1:]] or [2, 3, 4, 8]
+    ds = sys.argv[1:] or ["2", "3", "4", "8"]
     OUT.mkdir(exist_ok=True)
+    codes = []
     for d in ds:
-        path = OUT / f"guessing_bounds_d{d}.csv"
-        path.write_text(guessing_curve_csv(d))
-        print(f"wrote {path}")
-    return 0
+        name = f"guessing_bounds_d{d}.csv"
+        codes.append(cli(["figures", "2a", "--d", d, "--out", str(OUT / name)]))
+        print(f"figures 2a --d {d} -> results/{name}: exit code {codes[-1]}")
+    return max(codes)
 
 
 if __name__ == "__main__":

@@ -33,7 +33,7 @@ from typing import Sequence
 from .errors import InputFormatError
 from .scenario import (
     Behavior, Scenario, enumerate_assignments, format_number, marginal, parse_int,
-    parse_number, read_json, scenario_from_json,
+    parse_number, read_json, scaled_marginal, scenario_from_json,
 )
 
 
@@ -195,23 +195,33 @@ def recursive_bkp(N: int, M: int, d: int) -> BellFunctional:
 
 
 def evaluate(functional: BellFunctional, behavior: Behavior):
-    """Value of the functional on a behavior, term by term."""
+    """Value of the functional on a behavior, term by term.
+
+    An exact behavior's marginals are summed as the integer numerators of
+    :attr:`Behavior.scaled`, so each term's mean is one Fraction (also when
+    every entry and weight is an int); float behaviors are summed as floats.
+    """
     if behavior.scenario != functional.scenario:
         raise ValueError("behavior and functional scenarios differ")
     scn = functional.scenario
     d = scn.outcomes
+    scaled = behavior.scaled
     total = 0
     for term in functional.terms:
         parties = [k for k, _, _ in term.coeffs]
         settings = [xk for _, xk, _ in term.coeffs]
-        dist = marginal(behavior, parties, settings)
+        if scaled is None:
+            dist = marginal(behavior, parties, settings)
+        else:
+            dist = scaled_marginal(behavior, parties, settings)
         omega = [0] * d
         for a_idx, a in enumerate(itertools.product(range(d), repeat=len(parties))):
             w = term.shift
             for (_, _, sign), ak in zip(term.coeffs, a):
                 w += sign * ak
             omega[w % d] += dist[a_idx]
-        total += term.weight * sum(i * p for i, p in enumerate(omega) if p)
+        mean = sum(i * p for i, p in enumerate(omega) if p)
+        total += term.weight * (mean if scaled is None else Fraction(mean, scaled[0]))
     return total
 
 

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -553,15 +552,14 @@ def ns_row_residual(behavior: Behavior):
     every party subset, so the residual is 0 exactly when the behavior is
     nonsignalling (``scenario.is_nonsignalling`` checks every subset and
     stays the reference).  Exact entries are evaluated in integers over
-    their common denominator and give an exact Fraction; float entries give
-    a float.
+    their common denominator (:attr:`Behavior.scaled`) and give an exact
+    Fraction; float entries give a float.
     """
     rows = _ns_row_nonzeros(behavior.scenario)
-    probs = behavior.probs
-    if not behavior.is_exact:
+    if behavior.scaled is None:
+        probs = behavior.probs
         return max((abs(sum(c * probs[i] for i, c in row)) for row in rows), default=0.0)
-    denom = math.lcm(*(p.denominator for p in probs))
-    ints = [p.numerator * (denom // p.denominator) for p in probs]
+    denom, ints = behavior.scaled
     worst = max((abs(sum(c * ints[i] for i, c in row)) for row in rows), default=0)
     return Fraction(worst, denom)
 

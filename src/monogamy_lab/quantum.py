@@ -454,8 +454,14 @@ def _check_points(n_points: int) -> None:
         raise ValueError(f"need at least 2 grid points, got {n_points}")
 
 
+def _check_outcomes(d: int) -> None:
+    if d < 2:
+        raise ValueError(f"need d >= 2 outcomes, got {d}")
+
+
 def guessing_curve_csv(d: int, n_points: int = 101) -> str:
     """Violation grid with both N = 2 guessing caps (columns I, bound_tight, bound_prior)."""
+    _check_outcomes(d)
     _check_points(n_points)
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -492,7 +498,13 @@ def key_rate_table_csv(
     violation: Callable[[int, int], float] | None = None,
 ) -> str:
     """Minimal settings table (columns d, rate_target, min_m_tight, min_m_prior);
-    empty cell when the target is not reached by max_m."""
+    empty cell when the target is not reached by max_m.  Every d must be at
+    least 2 and every target finite."""
+    for d in ds:
+        _check_outcomes(d)
+    for r in targets:
+        if not math.isfinite(r):
+            raise ValueError(f"rate target must be finite, got {r}")
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["d", "rate_target", "min_m_tight", "min_m_prior"])

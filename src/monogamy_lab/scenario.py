@@ -14,8 +14,10 @@ quantum numerics and scans.  All operations here are backend-agnostic.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import math
 import os
 from dataclasses import dataclass
 from decimal import Decimal
@@ -122,9 +124,15 @@ class Behavior:
         x, a = key
         return self.probs[self.scenario.index(x, a)]
 
-    @property
-    def is_exact(self) -> bool:
-        return all(isinstance(p, (Fraction, int)) for p in self.probs)
+    @functools.cached_property
+    def scaled(self) -> tuple[int, tuple[int, ...]] | None:
+        """The entries as integers over one denominator: (D, (n_i)) with
+        p_i = n_i / D and D the least common denominator; None unless every
+        entry is an int or a Fraction.  Built on first use and kept."""
+        if not all(isinstance(p, (Fraction, int)) for p in self.probs):
+            return None
+        denom = math.lcm(*(p.denominator for p in self.probs))
+        return denom, tuple(p.numerator * (denom // p.denominator) for p in self.probs)
 
     def column(self, x: Sequence[int]) -> tuple:
         base = self.scenario.column_index(x) * self.scenario.column_size
@@ -182,7 +190,22 @@ def marginal(
     ``complement_settings`` supplies them (the convention every module in
     this package shares).
     """
-    scn = behavior.scenario
+    return _marginal(behavior.scenario, behavior.probs, parties, settings, complement_settings)
+
+
+def scaled_marginal(
+    behavior: Behavior,
+    parties: Sequence[int],
+    settings: Sequence[int],
+    complement_settings: Sequence[int] | None = None,
+) -> tuple:
+    """:func:`marginal` of an exact behavior as integer numerators over the
+    denominator D of :attr:`Behavior.scaled`."""
+    return _marginal(behavior.scenario, behavior.scaled[1], parties, settings, complement_settings)
+
+
+def _marginal(scn: Scenario, values: Sequence, parties, settings, complement_settings) -> tuple:
+    """The marginal of the flat table ``values`` (entries or numerators)."""
     parties = list(parties)
     if not parties:
         raise ValueError("party subset must be nonempty")
@@ -201,7 +224,8 @@ def marginal(
         x[k] = xk
     for k, xk in zip(rest, complement_settings):
         x[k] = xk
-    col = behavior.column(x)
+    base = scn.column_index(x) * scn.column_size
+    col = values[base : base + scn.column_size]
 
     out = [0] * (scn.outcomes ** len(parties))
     for a_idx, a in enumerate(itertools.product(range(scn.outcomes), repeat=scn.parties)):
@@ -274,18 +298,77 @@ def mix(behaviors: Sequence[Behavior], weights: Sequence) -> Behavior:
     total = sum(weights)
     if total != 1:
         raise ValueError(f"weights sum to {total}, expected 1")
-    probs = [0] * scn.size
-    for b, w in zip(behaviors, weights):
-        if w == 0:
+    return _weighted_sum(scn, behaviors, [weights])
+
+
+def mix_columns(behaviors: Sequence[Behavior], column_weights: Sequence[Sequence]) -> Behavior:
+    """The behavior whose column x mixes the behaviors' columns x with the
+    weights ``column_weights[x]`` (one list per setting tuple, in column
+    order).  The weights are not checked: the observed behavior of an
+    adversary model mixes by posteriors, which its model has checked."""
+    if not behaviors or any(len(w) != len(behaviors) for w in column_weights):
+        raise ValueError("need one weight per behavior for every column")
+    scn = behaviors[0].scenario
+    if len(column_weights) != scn.n_columns:
+        raise ValueError(f"need {scn.n_columns} weight lists, got {len(column_weights)}")
+    return _weighted_sum(scn, behaviors, column_weights)
+
+
+def _weighted_sum(scn: Scenario, behaviors: Sequence[Behavior], block_weights: Sequence) -> Behavior:
+    """sum_j w_j p_j over equal blocks of the flat tables, block i weighted
+    by ``block_weights[i]``; zero weights are skipped.
+
+    Each entry has the value and the type of the left-to-right sum
+    0 + w_1 p_1 + ... .  When the weights of a block are exact, at least one
+    of them is a Fraction and every summed behavior is exact, every entry is
+    a Fraction: the block is summed as integer numerators over the lcm of
+    (weight denominator x D) and each entry's Fraction is built once.  When
+    every block is, the result carries that integer form as its
+    :attr:`Behavior.scaled`.  Other blocks are summed entry by entry.
+    """
+    width = scn.size // len(block_weights)
+    probs = []
+    blocks = []  # (denominator, numerators) per block, while all are exact
+    for i, weights in enumerate(block_weights):
+        lo, hi = i * width, (i + 1) * width
+        terms = [(w, b) for w, b in zip(weights, behaviors) if w != 0]
+        if (
+            any(isinstance(w, Fraction) for w, _ in terms)
+            and all(isinstance(w, (int, Fraction)) and b.scaled is not None for w, b in terms)
+        ):
+            denom = math.lcm(*(w.denominator * b.scaled[0] for w, b in terms))
+            nums = [0] * width
+            for w, b in terms:
+                b_denom, b_nums = b.scaled
+                c = w.numerator * (denom // (w.denominator * b_denom))
+                nums = [n + c * m for n, m in zip(nums, b_nums[lo:hi])]
+            g = math.gcd(denom, *nums)
+            if g > 1:
+                denom //= g
+                nums = [n // g for n in nums]
+            probs += [Fraction(n, denom) for n in nums]
+            if blocks is not None:
+                blocks.append((denom, nums))
             continue
-        exact_w = isinstance(w, (int, Fraction))
-        for i, p in enumerate(b.probs):
-            # an exact zero term moves neither the value nor the type of a
-            # Fraction entry; any other term is added, so types match the sum
-            if exact_w and type(probs[i]) is Fraction and isinstance(p, (int, Fraction)) and p == 0:
-                continue
-            probs[i] += w * p
-    return Behavior(scn, tuple(probs))
+        blocks = None
+        col = [0] * width
+        for w, b in terms:
+            exact_w = isinstance(w, (int, Fraction))
+            for j, p in enumerate(b.probs[lo:hi]):
+                # an exact zero term moves neither the value nor the type of
+                # a Fraction entry; any other term is added
+                if exact_w and type(col[j]) is Fraction and isinstance(p, (int, Fraction)) and p == 0:
+                    continue
+                col[j] += w * p
+        probs += col
+    result = Behavior(scn, tuple(probs))
+    if blocks is not None:
+        denom = math.lcm(*(d for d, _ in blocks))
+        # fills the cached property: the integer form is already at hand
+        result.__dict__["scaled"] = (
+            denom, tuple(n * (denom // d) for d, nums in blocks for n in nums)
+        )
+    return result
 
 
 def product(b1: Behavior, b2: Behavior) -> Behavior:

@@ -27,6 +27,7 @@ import csv
 import functools
 import io
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -40,8 +41,10 @@ from .scenario import (
     Scenario,
     format_number,
     marginal,
+    mix_columns,
     parse_int,
     parse_number,
+    scaled_marginal,
     scenario_from_json,
 )
 
@@ -125,19 +128,14 @@ class AdversaryModel:
             if b.scenario != self.scenario:
                 raise ValueError("behavior scenario mismatch")
             worst = ns_row_residual(b)
-            if worst > (0 if b.is_exact else _FLOAT_TOL):
+            if worst > (0 if b.scaled is not None else _FLOAT_TOL):
                 raise ValueError(f"strategy behavior is signalling (NS row residual {worst})")
         for dist in self.input_dists:
             if not _is_distribution(dist.values()):
                 raise ValueError("input distribution must be normalized and nonnegative")
 
         scn = self.scenario
-        self._posteriors = {}
-        for x in scn.all_settings():
-            px = self.input_probability(x)
-            self._posteriors[x] = None if px == 0 else [
-                pw * dist.get(x, 0) / px for pw, dist in zip(self.prior, self.input_dists)
-            ]
+        self._posteriors = {x: self._bayes(x) for x in scn.all_settings()}
         # None when a setting of the functional has p(x) = 0, or when one
         # party has no functional; q_factor then raises
         self._p_min = None
@@ -145,14 +143,33 @@ class AdversaryModel:
             posts = [self._posteriors[s] for s in _bell_settings(scn)]
             if None not in posts:
                 self._p_min = [min(p[w] for p in posts) for w in range(n)]
-        uniform = Fraction(1, scn.outcomes)
         self._deviations = [
-            [
-                [sum(abs(m - uniform) for m in marginal(b, [k], [s])) for s in range(scn.settings)]
-                for k in range(scn.parties)
-            ]
+            [[_deviation(b, k, s) for s in range(scn.settings)] for k in range(scn.parties)]
             for b in self.behaviors
         ]
+
+    def _bayes(self, x: tuple) -> list | None:
+        """p(w|x) = p(w) p(x|w) / p(x) for every w; None where p(x) = 0.
+
+        When every factor is exact and one is a Fraction, the terms
+        p(w) p(x|w) are summed as integers over one denominator, so each
+        posterior is one Fraction(t_w, sum t) with the value and type of the
+        quotient; otherwise the quotient is taken as written.
+        """
+        factors = [(pw, dist.get(x, 0)) for pw, dist in zip(self.prior, self.input_dists)]
+        flat = [f for pair in factors for f in pair]
+        if any(isinstance(f, Fraction) for f in flat) and all(
+            isinstance(f, (int, Fraction)) for f in flat
+        ):
+            denom = math.lcm(*(pw.denominator * q.denominator for pw, q in factors))
+            terms = [
+                pw.numerator * q.numerator * (denom // (pw.denominator * q.denominator))
+                for pw, q in factors
+            ]
+            total = sum(terms)
+            return None if total == 0 else [Fraction(t, total) for t in terms]
+        px = self.input_probability(x)
+        return None if px == 0 else [pw * q / px for pw, q in factors]
 
     @property
     def n_strategies(self) -> int:
@@ -185,6 +202,18 @@ class AdversaryModel:
         return evaluate(bell_functional_for(self.scenario), self.observed)
 
 
+def _deviation(b: Behavior, party: int, setting: int):
+    """sum_a |m_a - 1/d| for the outcome marginal m of one party at one
+    setting; for an exact behavior sum_a |d n_a - D| / (d D) over the
+    integer marginal n of :attr:`Behavior.scaled`."""
+    d = b.scenario.outcomes
+    if b.scaled is None:
+        uniform = Fraction(1, d)
+        return sum(abs(m - uniform) for m in marginal(b, [party], [setting]))
+    denom = b.scaled[0]
+    return Fraction(sum(abs(d * n - denom) for n in scaled_marginal(b, [party], [setting])), d * denom)
+
+
 def bell_functional_for(scenario: Scenario):
     return recursive_bkp(scenario.parties, scenario.settings, scenario.outcomes)
 
@@ -211,20 +240,8 @@ def observed_behavior(model: AdversaryModel) -> Behavior:
     for x in _bell_settings(scn):
         if model._posteriors[x] is None:
             raise ValueError(f"setting {x} appears in the functional but has p(x)=0")
-    probs = [0] * scn.size
-    for x in scn.all_settings():
-        post = model._posteriors[x]
-        if post is None:
-            post = model.prior
-        base = scn.column_index(x) * scn.column_size
-        for w, b in enumerate(model.behaviors):
-            pw = post[w]
-            if pw == 0:
-                continue
-            col = b.column(x)
-            for i, p in enumerate(col):
-                probs[base + i] += pw * p
-    return Behavior(scn, tuple(probs))
+    posts = [model._posteriors[x] for x in scn.all_settings()]
+    return mix_columns(model.behaviors, [model.prior if p is None else p for p in posts])
 
 
 def q_factor(model: AdversaryModel, x: tuple):
@@ -377,6 +394,8 @@ def feasibility_curve(
         raise ValueError("epsilon must lie in [0, 1/2)")
     if violations is None and lam is None:
         raise ValueError("need measured violations or a lam proxy")
+    if lam is not None and not math.isfinite(lam):
+        raise ValueError(f"lam must be finite, got {lam}")
     if variant not in ("per-party", "common-source"):
         raise ValueError("variant must be 'per-party' or 'common-source'")
     ratio = (1 + 2 * float(epsilon)) / (1 - 2 * float(epsilon))
@@ -428,34 +447,29 @@ def random_sv_input_dist(
     """
     source = SVSource(Fraction(epsilon))
     r = source_uses(scenario.settings)
-    party_dists = []
+    # each bit probability low + span * k / denom is b / B over one denominator B
+    low, span = source.low, source.high - source.low
+    big = math.lcm(low.denominator, span.denominator * denom)
+    base = low.numerator * (big // low.denominator)
+    step = span.numerator * (big // (span.denominator * denom))
+    party_weights = []  # per party: each valid setting's pattern probability times B^r
     for _ in range(scenario.parties):
-        bit_probs = []
-        for _ in range(r):
-            span = source.high - source.low
-            p = source.low + span * Fraction(rng.randrange(denom + 1), denom)
-            bit_probs.append(p)
-        raw = []
+        bit_nums = [base + step * rng.randrange(denom + 1) for _ in range(r)]
+        weights = [0] * scenario.settings
         for bits in itertools.product((0, 1), repeat=r):
             setting = int("".join(map(str, bits)), 2)
             if setting >= scenario.settings:
                 continue
-            p = Fraction(1)
-            for b, pb in zip(bits, bit_probs):
-                p *= pb if b else 1 - pb
-            raw.append((setting, p))
-        total = sum(p for _, p in raw)
-        dist = [Fraction(0)] * scenario.settings
-        for setting, p in raw:
-            dist[setting] += p / total
-        party_dists.append(dist)
-    joint = {}
-    for x in scenario.all_settings():
-        p = Fraction(1)
-        for k, xk in enumerate(x):
-            p *= party_dists[k][xk]
-        joint[x] = p
-    return joint
+            p = 1
+            for b, n in zip(bits, bit_nums):
+                p *= n if b else big - n
+            weights[setting] = p
+        party_weights.append(weights)
+    total = math.prod(sum(weights) for weights in party_weights)
+    return {
+        x: Fraction(math.prod(weights[xk] for weights, xk in zip(party_weights, x)), total)
+        for x in scenario.all_settings()
+    }
 
 
 def random_adversary_model(

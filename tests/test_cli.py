@@ -272,6 +272,13 @@ def test_quantum_monogamy_check_stdout_is_stable(capsys):
     ["quantum", "family-sweep", "--points", "1"],
     ["quantum", "family-sweep", "--points", "0"],
     ["figures", "2a", "--points", "1"],
+    ["figures", "2a", "--d", "1", "--points", "3"],
+    ["figures", "2a", "--d", "0"],
+    ["figures", "2b", "--d-list", "1"],
+    ["figures", "2b", "--rates", "nan"],
+    ["figures", "2b", "--rates", "1,inf"],
+    ["ra", "2", "2", "0.12", "--lam", "nan"],
+    ["ra", "2", "2", "0.12", "--lam=-inf"],
 ])
 def test_quantum_rejects_bad_values(capsys, args):
     assert main(args) == 2

@@ -1,4 +1,7 @@
 import dataclasses
+import hashlib
+import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -8,7 +11,9 @@ import pytest
 from monogamy_lab.bell import chained_bkp, evaluate, recursive_bkp
 from monogamy_lab.errors import InputFormatError
 from monogamy_lab.polylp import ns_row_residual
-from monogamy_lab.sampling import ns_pool, random_behavior, random_ns_mixture
+from monogamy_lab.sampling import (
+    ns_pool, random_behavior, random_local_vertex, random_ns_mixture, random_weights,
+)
 from monogamy_lab.scenario import Behavior, Scenario, is_nonsignalling, marginal, mix, uniform_behavior
 from monogamy_lab.svamp import (
     AdversaryModel,
@@ -520,3 +525,215 @@ def test_variational_bound_defaults_match_explicit(diff_pools, monkeypatch):
                 assert variational_bound(model, x, k, observed) == explicit
         # the defaults are built once per model
         assert len(calls) == i + 1
+
+
+# Reference: the Fraction loops that the integer kernels replace, kept
+# verbatim (the observed behavior's is ref_observed_behavior above).
+
+
+def ref_mix(behaviors, weights):
+    scn = behaviors[0].scenario
+    probs = [0] * scn.size
+    for b, w in zip(behaviors, weights):
+        if w == 0:
+            continue
+        exact_w = isinstance(w, (int, Fraction))
+        for i, p in enumerate(b.probs):
+            if exact_w and type(probs[i]) is Fraction and isinstance(p, (int, Fraction)) and p == 0:
+                continue
+            probs[i] += w * p
+    return Behavior(scn, tuple(probs))
+
+
+def ref_deviations(model):
+    scn = model.scenario
+    uniform = Fraction(1, scn.outcomes)
+    return [
+        [
+            [sum(abs(m - uniform) for m in marginal(b, [k], [s])) for s in range(scn.settings)]
+            for k in range(scn.parties)
+        ]
+        for b in model.behaviors
+    ]
+
+
+def ref_random_sv_input_dist(scenario, rng, epsilon, denom=32):
+    source = SVSource(Fraction(epsilon))
+    r = source_uses(scenario.settings)
+    party_dists = []
+    for _ in range(scenario.parties):
+        bit_probs = []
+        for _ in range(r):
+            span = source.high - source.low
+            p = source.low + span * Fraction(rng.randrange(denom + 1), denom)
+            bit_probs.append(p)
+        raw = []
+        for bits in itertools.product((0, 1), repeat=r):
+            setting = int("".join(map(str, bits)), 2)
+            if setting >= scenario.settings:
+                continue
+            p = Fraction(1)
+            for b, pb in zip(bits, bit_probs):
+                p *= pb if b else 1 - pb
+            raw.append((setting, p))
+        total = sum(p for _, p in raw)
+        dist = [Fraction(0)] * scenario.settings
+        for setting, p in raw:
+            dist[setting] += p / total
+        party_dists.append(dist)
+    joint = {}
+    for x in scenario.all_settings():
+        p = Fraction(1)
+        for k, xk in enumerate(x):
+            p *= party_dists[k][xk]
+        joint[x] = p
+    return joint
+
+
+def ref_evaluate(functional, behavior):
+    d = functional.scenario.outcomes
+    total = 0
+    for term in functional.terms:
+        parties = [k for k, _, _ in term.coeffs]
+        settings = [xk for _, xk, _ in term.coeffs]
+        dist = marginal(behavior, parties, settings)
+        omega = [0] * d
+        for a_idx, a in enumerate(itertools.product(range(d), repeat=len(parties))):
+            w = term.shift
+            for (_, _, sign), ak in zip(term.coeffs, a):
+                w += sign * ak
+            omega[w % d] += dist[a_idx]
+        total += term.weight * sum(i * p for i, p in enumerate(omega) if p)
+    return total
+
+
+def assert_scaled_form(b):
+    """Behavior.scaled holds every entry over the least common denominator,
+    also when a kernel handed it over."""
+    denom, nums = b.scaled
+    assert all(Fraction(n, denom) == p for n, p in zip(nums, b.probs))
+    assert denom == math.lcm(*(Fraction(p).denominator for p in b.probs))
+    assert b.scaled == Behavior(b.scenario, b.probs).scaled
+
+
+def random_mix_case(scn, pool, rng):
+    """Pool points under random weights, one of them zero when there are
+    more than two; half the time one point has its 0 and 1 entries as ints."""
+    k = rng.randrange(1, 5)
+    behaviors = rng.sample(pool, k)
+    if rng.random() < 0.5:
+        i = rng.randrange(k)
+        behaviors[i] = Behavior(scn, tuple(int(p) if p in (0, 1) else p for p in behaviors[i].probs))
+    weights = random_weights(k, rng)
+    if k > 2:
+        weights[0] += weights[2]
+        weights[2] = rng.choice([0, Fraction(0)])
+    return behaviors, weights
+
+
+def test_integer_kernels_match_fraction_loops(diff_pools):
+    rng = random.Random(34)
+    for i in range(48):
+        scn = DIFF_SCENARIOS[i % 4]
+        pool = diff_pools[scn]
+        behaviors, weights = random_mix_case(scn, pool, rng)
+        got = mix(behaviors, weights)
+        assert same(got.probs, ref_mix(behaviors, weights).probs)
+        assert_scaled_form(got)
+
+        eps = Fraction(rng.randrange(0, 13), 100)
+        seed = rng.random()
+        a, b = random.Random(seed), random.Random(seed)
+        dist = random_sv_input_dist(scn, a, eps)
+        ref = ref_random_sv_input_dist(scn, b, eps)
+        assert list(dist) == list(ref) and same(list(dist.values()), list(ref.values()))
+        assert a.getstate() == b.getstate()
+
+        model = random_adversary_model(scn, rng, pool, n_strategies=rng.randrange(1, 5), epsilon=eps)
+        if i % 5 == 0:
+            # a setting of zero probability under every strategy: outside the
+            # functional at (2,3,2), where the prior fills its column, and
+            # inside it elsewhere, where observed_behavior raises
+            empty = (0, 1) if scn == Scenario(2, 3, 2) else (1,) * scn.parties
+            zero = (0,) * scn.parties
+            dists = [dict(dist) for dist in model.input_dists]
+            for dist in dists:
+                dist[zero] += dist[empty]
+                dist[empty] = Fraction(0)
+            model = AdversaryModel(scn, model.behaviors, dists, model.prior)
+        assert same(model._deviations, ref_deviations(model))
+        for strategy in model.behaviors:
+            assert_scaled_form(strategy)
+        observed = outcome(observed_behavior, model)
+        if outcome(ref_observed_behavior, model) is ValueError:
+            assert observed is ValueError
+            continue
+        assert same(observed.probs, ref_observed_behavior(model).probs)
+        assert_scaled_form(observed)
+        functional = bell_functional_for(scn)
+        assert same(evaluate(functional, observed), ref_evaluate(functional, observed))
+
+
+def test_mix_of_int_entries_and_zero_weights(diff_pools):
+    scn = Scenario(2, 2, 3)
+    vertex = diff_pools[scn][1]
+    ints = Behavior(scn, tuple(int(p) for p in vertex.probs))
+    assert ints.scaled == vertex.scaled
+    uniform = uniform_behavior(scn)
+    for behaviors, weights in [
+        ([ints, uniform], [Fraction(1, 3), Fraction(2, 3)]),
+        ([ints, uniform], [1, Fraction(0)]),
+        ([uniform, ints], [0, 1]),
+        ([ints, ints], [Fraction(1, 2), Fraction(1, 2)]),
+        ([uniform, ints, vertex], [Fraction(1, 2), 0, Fraction(1, 2)]),
+    ]:
+        got = mix(behaviors, weights)
+        assert same(got.probs, ref_mix(behaviors, weights).probs)
+        assert_scaled_form(got)
+
+
+def test_float_behaviors_take_the_entrywise_path(diff_pools):
+    rng = random.Random(35)
+    for i in range(12):
+        scn = DIFF_SCENARIOS[i % 4]
+        model = random_adversary_model(scn, rng, diff_pools[scn], n_strategies=3)
+        floats = [Behavior(scn, tuple(float(p) for p in b.probs)) for b in model.behaviors]
+        assert all(b.scaled is None for b in floats)
+        assert Behavior(scn, (Fraction(1, 2),) + floats[0].probs[1:]).scaled is None
+        for weights in ([0.25, 0.5, 0.25], [Fraction(1, 4), 0.5, Fraction(1, 4)], [0.0, 1, 0]):
+            assert same(mix(floats, weights).probs, ref_mix(floats, weights).probs)
+        mixed = [model.behaviors[0], floats[1], model.behaviors[2]]
+        weights = [Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)]
+        assert same(mix(mixed, weights).probs, ref_mix(mixed, weights).probs)
+        float_model = AdversaryModel(
+            scn,
+            floats,
+            [{x: float(p) for x, p in dist.items()} for dist in model.input_dists],
+            [float(p) for p in model.prior],
+        )
+        assert same(float_model._deviations, ref_deviations(float_model))
+        observed = observed_behavior(float_model)
+        assert same(observed.probs, ref_observed_behavior(float_model).probs)
+        functional = bell_functional_for(scn)
+        assert same(evaluate(functional, observed), ref_evaluate(functional, observed))
+
+
+# sha256 of the model_to_json, the VariationalCheck list and the next draw of
+# random_adversary_model on a fixed seed and pool, from the Fraction loops.
+GOLDEN_MODEL_DIGESTS = {
+    (2, 2, 2): "fae20bf520cb67e8223b8419967af09e61a3bb7b19908abdf95fa2e169ae1312",
+    (2, 3, 2): "ab8d179992ba4e72dc2098a8521d449911f0fa953811d1fd558d1a251b1ca0a4",
+    (2, 2, 3): "764ab46cbf85e65eda959a8f0520f1dc5d29734e55f16ba381150e48e602961b",
+}
+
+
+@pytest.mark.parametrize("dims", sorted(GOLDEN_MODEL_DIGESTS))
+def test_random_adversary_model_draws_are_pinned(dims):
+    scn = Scenario(*dims)
+    rng = random.Random(f"golden/{dims}")
+    # local vertices only, so that no LP choice enters the pin
+    pool = [uniform_behavior(scn)] + [random_local_vertex(scn, rng) for _ in range(8)]
+    model = random_adversary_model(scn, rng, pool)
+    checks = [variational_bound(model, x, k) for x in scn.all_settings() for k in range(scn.parties)]
+    text = json.dumps(model_to_json(model), sort_keys=True) + repr(checks) + repr(rng.random())
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_MODEL_DIGESTS[dims]
