@@ -177,6 +177,8 @@ def recursive_bkp(N: int, M: int, d: int) -> BellFunctional:
     """
     if N < 2:
         raise ValueError("need N >= 2")
+    if M < 2 or d < 2:
+        raise ValueError("need M >= 2 and d >= 2")
     scn = Scenario(N, M, d)
     weight = Fraction(1, M ** (N - 2))
     terms = []

@@ -68,7 +68,9 @@ def cmd_bell(args) -> int:
 
 def cmd_tightness(args) -> int:
     scn = scenario.Scenario(args.N + 1, args.M, args.d)
-    grid = [Fraction(t) for t in args.grid.split(",")] if args.grid else None
+    grid = None
+    if args.grid:
+        grid = [scenario.parse_number(t, exact=True) for t in args.grid.split(",")]
     rows = monogamy.tightness_scan(scn, args.k, args.x_k, args.x_last, grid)
     if args.format == "json":
         _emit(args, json.dumps(
@@ -94,7 +96,7 @@ def cmd_figures(args) -> int:
 
 
 def cmd_ra(args) -> int:
-    eps = Fraction(args.epsilon)
+    eps = scenario.parse_number(args.epsilon, exact=True)
     if not 0 <= eps < Fraction(1, 2):
         raise InputFormatError("epsilon must lie in [0, 1/2)")
     eps_n = svamp.critical_epsilon(args.N)

@@ -39,6 +39,14 @@ def _require_ns(behavior: Behavior, tol) -> None:
         )
 
 
+def _check_party(scenario: Scenario, k: int) -> None:
+    """k must name one of the N Bell-test parties of an (N+1)-party scenario."""
+    if scenario.parties < 3:
+        raise ValueError("need at least 3 parties (N >= 2 plus the outsider)")
+    if not 0 <= k < scenario.parties - 1:
+        raise ValueError("k must index one of the first N parties")
+
+
 def pair_difference_distribution(
     behavior: Behavior, k: int, x_k: int, l: int, x_l: int
 ) -> tuple:
@@ -67,10 +75,7 @@ def monogamy_lhs_general(
     party (the terms of :func:`monogamy_functional`); at least d-1 for every
     nonsignalling behavior."""
     scn = behavior.scenario
-    if scn.parties < 3:
-        raise ValueError("need at least 3 parties (N >= 2 plus the outsider)")
-    if not 0 <= k < scn.parties - 1:
-        raise ValueError("k must index one of the first N parties")
+    _check_party(scn, k)
     if check:
         _require_ns(behavior, tol)
     return evaluate(monogamy_functional(scn, k, x_k, x_last), behavior)
@@ -191,9 +196,9 @@ def _scan_point(scenario: Scenario, k: int, x_k: int, x_last: int, m: int, t: Fr
         # the trade-off only constrains targets up to the classical bound;
         # beyond it the cap (1+t)/d exceeds 1
         return TightnessRow(t, "out-of-range", None, bound, False)
-    i_vec = embedded_bkp(scenario).dense()
+    i_row = [(j, c) for j, c in enumerate(embedded_bkp(scenario).dense()) if c]
     obj = agreement_vector(scenario, k, x_k, x_last, m)
-    sol = optimize_over_ns(scenario, obj, "max", extra_eq=[(list(i_vec), t)])
+    sol = optimize_over_ns(scenario, obj, "max", extra_eq=[(i_row, t)])
     if sol.status != "optimal":
         return TightnessRow(t, sol.status, None, bound, False)
     return TightnessRow(t, sol.status, sol.value, bound, sol.value == bound)
@@ -210,6 +215,7 @@ def tightness_scan(
     """Maximize the agreement probability over NS behaviors with the Bell
     value pinned to each grid target; tight means the LP max equals
     (1 + t)/d exactly."""
+    _check_party(scenario, k)
     if grid is None:
         grid = default_grid(scenario.outcomes)
     return [_scan_point(scenario, k, x_k, x_last, m, Fraction(t)) for t in grid]

@@ -4,12 +4,14 @@ Every LP has the form of the no-signalling polytope itself::
 
     min/max c.x  subject to  A x = b,  x >= 0
 
-with equality rows only and every variable nonnegative.  :func:`solve`
-returns certified optima.  It solves the LP in floats with scipy's HiGHS,
-turns the float answer into rationals and accepts it only after an exact
-check of primal feasibility, dual feasibility (``c - A^T y >= 0``, with the
-sign of c flipped for 'max') and strong duality, the approach of
-QSopt_ex (Applegate, Cook, Dash and Espinoza, Oper. Res. Lett. 35 (2007)).
+with equality rows only and every variable nonnegative.  Each row of A is
+a sequence of (column, coefficient) pairs; only the objective is dense.
+:func:`solve` returns certified optima.  It solves the LP in floats with
+scipy's HiGHS, turns the float answer into rationals and accepts it only
+after an exact check of primal feasibility, dual feasibility
+(``c - A^T y >= 0``, with the sign of c flipped for 'max') and strong
+duality, the approach of QSopt_ex (Applegate, Cook, Dash and Espinoza,
+Oper. Res. Lett. 35 (2007)).
 The first of these stages whose answer passes the check produces the result,
 and ``LPSolution.engine`` names it:
 
@@ -26,11 +28,11 @@ and ``LPSolution.engine`` names it:
 The certificate, not the pivot arithmetic, is the contract: no optimum leaves
 :func:`solve` without duals that :func:`verify_certificate` accepts.
 
-Also provides canned constraint generators for the no-signalling polytope:
-per-column normalization plus, for every party, independence of every other
-party's marginal from that party's setting choice (pairwise against setting
-0), which together with nonnegativity carve out exactly the valid
-nonsignalling behaviors.
+Also provides the sparse rows of the no-signalling polytope: per-column
+normalization plus, for every party, independence of every other party's
+marginal from that party's setting choice (pairwise against setting 0),
+which together with nonnegativity carve out exactly the valid nonsignalling
+behaviors.
 """
 
 from __future__ import annotations
@@ -63,8 +65,10 @@ UNBOUNDED = "unbounded"
 class LinearProgram:
     """min/max objective . x subject to eq_rows . x = eq_rhs and x >= 0.
 
-    Every variable is nonnegative; write a bounded variable or an inequality
-    row with a slack column of its own."""
+    The objective is dense.  Each equality row is a sequence of (column,
+    coefficient) pairs with distinct columns in range(n_vars); a column left
+    out has coefficient 0.  Every variable is nonnegative; write a bounded
+    variable or an inequality row with a slack column of its own."""
 
     objective: list
     sense: str = "min"
@@ -74,9 +78,11 @@ class LinearProgram:
     def __post_init__(self) -> None:
         if self.sense not in ("min", "max"):
             raise ValueError("sense must be 'min' or 'max'")
+        columns = range(self.n_vars)
         for row in self.eq_rows:
-            if len(row) != self.n_vars:
-                raise ValueError("equality row length mismatch")
+            cols = [j for j, _ in row]
+            if len(set(cols)) != len(cols) or not all(j in columns for j in cols):
+                raise ValueError("equality row columns must be distinct and in range(n_vars)")
         if len(self.eq_rows) != len(self.eq_rhs):
             raise ValueError("rhs length mismatch")
 
@@ -124,13 +130,14 @@ class _Standard(NamedTuple):
 
 
 def _standardize(lp: LinearProgram) -> _Standard:
-    """The LP's nonzeros as Fractions, duplicate rows dropped and a 'max'
-    objective negated."""
+    """The LP's nonzeros as Fractions in column order, duplicate rows dropped
+    and a 'max' objective negated."""
     rows: list = []
     rhs: list = []
     seen = set()
-    for coeffs, b in zip(lp.eq_rows, lp.eq_rhs):
-        row = tuple((j, Fraction(v)) for j, v in enumerate(coeffs) if v)
+    for pairs, b in zip(lp.eq_rows, lp.eq_rhs):
+        # columns are distinct, so sorting the pairs never compares values
+        row = tuple((j, Fraction(v)) for j, v in sorted(pairs) if v)
         b = Fraction(b)
         if (row, b) not in seen:
             seen.add((row, b))
@@ -476,22 +483,10 @@ def verify_certificate(lp: LinearProgram, sol: LPSolution) -> bool:
 # No-signalling polytope constraints.
 
 
-@dataclass
-class NSConstraints:
-    scenario: Scenario
-    normalization_rows: list
-    normalization_rhs: list
-    ns_rows: list
-    ns_rhs: list
-
-    def all_rows(self):
-        return self.normalization_rows + self.ns_rows, self.normalization_rhs + self.ns_rhs
-
-
 @functools.lru_cache(maxsize=None)
 def _ns_row_nonzeros(scenario: Scenario) -> tuple:
-    """The no-signalling rows of :func:`ns_constraints` as (index,
-    coefficient) nonzeros, built once per scenario."""
+    """The no-signalling rows of :func:`ns_constraints` as (column,
+    coefficient) pairs, built once per scenario."""
     scn = scenario
     rows = []
     for k in range(scn.parties):
@@ -516,33 +511,20 @@ def _ns_row_nonzeros(scenario: Scenario) -> tuple:
     return tuple(rows)
 
 
-def ns_constraints(scenario: Scenario) -> NSConstraints:
-    """Equalities cutting out the NS polytope (with x >= 0 bounds).
+def ns_constraints(scenario: Scenario) -> tuple[list, list]:
+    """Sparse equalities (rows, rhs) cutting out the NS polytope (with x >= 0
+    bounds), as fresh lists that a caller may extend.
 
-    Normalization: one row per setting tuple.  No-signalling: for each party
-    k, each setting tuple of the others, each outcome tuple of the others and
-    each x_k > 0, the marginal with party k summed out equals its value at
-    x_k = 0.  Redundancies are tolerated by the solver.
+    Normalization first: one row per setting tuple, in column order.  Then
+    no-signalling: for each party k, each setting tuple of the others, each
+    outcome tuple of the others and each x_k > 0, the marginal with party k
+    summed out equals its value at x_k = 0.  Redundancies are tolerated by
+    the solver.
     """
-    scn = scenario
-    n = scn.size
-    norm_rows, norm_rhs = [], []
-    for x in scn.all_settings():
-        row = [0] * n
-        base = scn.column_index(x) * scn.column_size
-        for i in range(scn.column_size):
-            row[base + i] = 1
-        norm_rows.append(row)
-        norm_rhs.append(1)
-
-    ns_rows = []
-    for nonzeros in _ns_row_nonzeros(scn):
-        row = [0] * n
-        for i, c in nonzeros:
-            row[i] += c
-        ns_rows.append(row)
-    ns_rhs = [0] * len(ns_rows)
-    return NSConstraints(scn, norm_rows, norm_rhs, ns_rows, ns_rhs)
+    size = scenario.column_size
+    norm = [tuple((base + i, 1) for i in range(size)) for base in range(0, scenario.size, size)]
+    ns = _ns_row_nonzeros(scenario)
+    return norm + list(ns), [1] * len(norm) + [0] * len(ns)
 
 
 def ns_row_residual(behavior: Behavior):
@@ -571,11 +553,11 @@ def optimize_over_ns(
     extra_eq: Sequence[tuple] = (),
 ) -> LPSolution:
     """Optimize a linear functional of the behavior over the NS polytope,
-    optionally intersected with extra (row, rhs) equality constraints."""
-    cons = ns_constraints(scenario)
-    rows, rhs = cons.all_rows()
+    optionally intersected with extra (row, rhs) equality constraints whose
+    rows are sparse (column, coefficient) pairs."""
+    rows, rhs = ns_constraints(scenario)
     for row, b in extra_eq:
-        rows.append(list(row))
+        rows.append(row)
         rhs.append(b)
     return solve(LinearProgram(list(objective), sense, rows, rhs))
 

@@ -84,14 +84,11 @@ def project_to_ns(behavior: Behavior) -> Behavior:
     """
     scn = behavior.scenario
     n = scn.size
-    rows, rhs = ns_constraints(scn).all_rows()
-    eq_rows = [list(row) + [0] * (2 * n) for row in rows]
+    rows, rhs = ns_constraints(scn)
     for i, q in enumerate(behavior.probs):
-        row = [0] * (3 * n)
-        row[i], row[n + i], row[2 * n + i] = 1, -1, 1
-        eq_rows.append(row)
+        rows.append(((i, 1), (n + i, -1), (2 * n + i, 1)))
         rhs.append(Fraction(q))
-    sol = solve(LinearProgram([0] * n + [1] * (2 * n), "min", eq_rows, rhs))
+    sol = solve(LinearProgram([0] * n + [1] * (2 * n), "min", rows, rhs))
     if sol.status != "optimal":
         raise RuntimeError(f"projection LP ended with status {sol.status}")
     return Behavior(scn, tuple(sol.point[:n]))

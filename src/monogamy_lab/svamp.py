@@ -394,8 +394,10 @@ def feasibility_curve(
         raise ValueError("epsilon must lie in [0, 1/2)")
     if violations is None and lam is None:
         raise ValueError("need measured violations or a lam proxy")
-    if lam is not None and not math.isfinite(lam):
-        raise ValueError(f"lam must be finite, got {lam}")
+    if d < 2 or any(m < 2 for m in m_values):
+        raise ValueError("need M >= 2 and d >= 2")
+    if lam is not None and not (math.isfinite(lam) and lam >= 0):
+        raise ValueError(f"lam must be finite and nonnegative, got {lam}")
     if variant not in ("per-party", "common-source"):
         raise ValueError("variant must be 'per-party' or 'common-source'")
     ratio = (1 + 2 * float(epsilon)) / (1 - 2 * float(epsilon))

@@ -279,6 +279,18 @@ def test_quantum_monogamy_check_stdout_is_stable(capsys):
     ["figures", "2b", "--rates", "1,inf"],
     ["ra", "2", "2", "0.12", "--lam", "nan"],
     ["ra", "2", "2", "0.12", "--lam=-inf"],
+    ["ra", "2", "2", "0.12", "--lam", "1", "--m-list", "0,1"],
+    ["ra", "2", "2", "0.12", "--lam", "1", "--m-list", "2,1"],
+    ["ra", "2", "2", "0.12", "--lam=-1"],
+    ["ra", "2", "1", "0.12", "--lam", "1"],
+    ["ra", "2", "0", "0.12", "--lam", "1"],
+    ["tightness", "2", "2", "2", "--k", "2"],
+    ["tightness", "2", "2", "2", "--k", "-1"],
+    ["tightness", "2", "2", "2", "--k", "5"],
+    ["tightness", "2", "2", "2", "--grid", "1/0"],
+    ["tightness", "2", "2", "2", "--grid", "1e100000000"],
+    ["tightness", "2", "1", "2"],
+    ["bell", "2", "1", "2"],
 ])
 def test_quantum_rejects_bad_values(capsys, args):
     assert main(args) == 2

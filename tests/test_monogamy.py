@@ -147,18 +147,23 @@ def test_projection_fixes_ns_behaviors():
         assert project_to_ns(b).probs == b.probs
 
 
+def sparse(rows):
+    """Dense equality rows as the (column, coefficient) nonzeros that
+    LinearProgram takes."""
+    return [[(j, v) for j, v in enumerate(row) if v] for row in rows]
+
+
 def _l1_distance_to_ns(b):
     """min sum(t) over NS p with |p - q| <= t, in the epigraph form of the
     inequalities (slacks s, r >= 0), solved by the exact simplex alone."""
     n = b.scenario.size
-    rows, rhs = ns_constraints(b.scenario).all_rows()
-    eq_rows = [list(row) + [0] * (3 * n) for row in rows]
+    eq_rows, rhs = ns_constraints(b.scenario)
     for i, q in enumerate(b.probs):
         upper = [0] * (4 * n)  # p - t + s = q
         upper[i], upper[n + i], upper[2 * n + i] = 1, -1, 1
         lower = [0] * (4 * n)  # p + t - r = q
         lower[i], lower[n + i], lower[3 * n + i] = 1, 1, -1
-        eq_rows += [upper, lower]
+        eq_rows += sparse([upper, lower])
         rhs += [q, q]
     return _simplex(LinearProgram([0] * n + [1] * n + [0] * (2 * n), "min", eq_rows, rhs)).value
 

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from monogamy_lab.polylp import (
     OPTIMAL,
     UNBOUNDED,
     _simplex,
+    _standardize,
     ns_constraints,
     optimize_over_ns,
     solve,
@@ -23,9 +25,15 @@ from monogamy_lab.scenario import (
 )
 
 
+def sparse(rows):
+    """Dense equality rows as the (column, coefficient) nonzeros that
+    LinearProgram takes."""
+    return [[(j, v) for j, v in enumerate(row) if v] for row in rows]
+
+
 def test_box_maximum():
     # max x subject to x + s = 1
-    lp = LinearProgram([1, 0], "max", eq_rows=[[1, 1]], eq_rhs=[1])
+    lp = LinearProgram([1, 0], "max", eq_rows=sparse([[1, 1]]), eq_rhs=[1])
     sol = solve(lp)
     assert sol.status == OPTIMAL and sol.value == 1
     assert verify_certificate(lp, sol)
@@ -33,7 +41,7 @@ def test_box_maximum():
 
 def test_infeasible_detected():
     # x = 2 and x + s = 1
-    lp = LinearProgram([1, 0], "min", eq_rows=[[1, 0], [1, 1]], eq_rhs=[2, 1])
+    lp = LinearProgram([1, 0], "min", eq_rows=sparse([[1, 0], [1, 1]]), eq_rhs=[2, 1])
     assert solve(lp).status == INFEASIBLE
 
 
@@ -44,31 +52,60 @@ def test_unbounded_detected():
 
 def test_degenerate_redundant_rows():
     # duplicated and linearly dependent equalities must not break anything
-    lp = LinearProgram([1, 1], "min", eq_rows=[[1, 1], [1, 1], [2, 2]], eq_rhs=[1, 1, 2])
+    lp = LinearProgram([1, 1], "min", eq_rows=sparse([[1, 1], [1, 1], [2, 2]]), eq_rhs=[1, 1, 2])
     sol = solve(lp)
     assert sol.status == OPTIMAL and sol.value == 1
     assert verify_certificate(lp, sol)
 
 
 def test_ns_constraint_counts():
-    cons = ns_constraints(Scenario(2, 2, 2))
-    assert len(cons.normalization_rows) == 4
-    assert len(cons.ns_rows) == 8
-    cons = ns_constraints(Scenario(2, 3, 2))
-    assert len(cons.normalization_rows) == 9
-    assert len(cons.ns_rows) == 2 * 2 * 3 * 2  # (M-1) M d per party
+    # the normalization rows (rhs 1) come first, then the NS rows (rhs 0)
+    rows, rhs = ns_constraints(Scenario(2, 2, 2))
+    assert len(rows) == 12 and rhs == [1] * 4 + [0] * 8
+    rows, rhs = ns_constraints(Scenario(2, 3, 2))
+    assert len(rows) == 33 and rhs == [1] * 9 + [0] * (2 * 2 * 3 * 2)  # (M-1) M d per party
+
+
+# sha256 of repr([(row nonzeros in column order, rhs), ...]) over the rows of
+# ns_constraints, computed from the dense rows it built before rows were sparse
+NS_ROWS_SHA256 = {
+    (2, 2, 2): "76d2b2a662ad8ae102654eee5c8c5dff7a41349fa9bc5481b879b1a77c676f11",
+    (2, 3, 2): "6265662d04e4fc2135751ca9af0f453ee253c817e6692427964348af87c6ab09",
+    (2, 2, 3): "43291c04e9a85b46c1f57f55b671c74872a9e3930c843784bbe05d79ebda51a2",
+    (3, 2, 2): "b5d73483e883337c8e00dad263c7f8579e1f91b56e39833ed4b1bb06e57c2fa8",
+}
+
+
+@pytest.mark.parametrize("dims", sorted(NS_ROWS_SHA256))
+def test_ns_rows_match_dense_rows(dims):
+    rows, rhs = ns_constraints(Scenario(*dims))
+    pinned = repr([(tuple(sorted(row)), b) for row, b in zip(rows, rhs)])
+    assert hashlib.sha256(pinned.encode()).hexdigest() == NS_ROWS_SHA256[dims]
+
+
+@pytest.mark.parametrize(
+    "row", [[(2, 1)], [(-1, 1)], [(0, 1), (1, 2), (0, 3)]], ids=["past-end", "negative", "repeated"]
+)
+def test_rows_need_distinct_columns_in_range(row):
+    with pytest.raises(ValueError):
+        LinearProgram([1, 1], "min", eq_rows=[row], eq_rhs=[1])
+
+
+def test_standard_rows_are_sorted_nonzeros():
+    row = [(2, 1), (0, 0), (1, Fraction(1, 2))]
+    lp = LinearProgram([1, 1, 1], "min", eq_rows=[row], eq_rhs=[1])
+    assert _standardize(lp).rows == [((1, Fraction(1, 2)), (2, Fraction(1)))]
 
 
 def _satisfies(rows, rhs, probs):
     return all(
-        sum(c * p for c, p in zip(row, probs)) == b for row, b in zip(rows, rhs)
+        sum(c * probs[j] for j, c in row) == b for row, b in zip(rows, rhs)
     )
 
 
 def test_uniform_satisfies_ns_constraints():
     scn = Scenario(2, 2, 2)
-    cons = ns_constraints(scn)
-    rows, rhs = cons.all_rows()
+    rows, rhs = ns_constraints(scn)
     assert _satisfies(rows, rhs, uniform_behavior(scn).probs)
 
 
@@ -79,9 +116,10 @@ def test_signalling_point_violates_ns_equality():
         for a in scn.all_outcomes():
             if a[0] == x[1]:
                 probs[scn.index(x, a)] = Fraction(1, 2)
-    cons = ns_constraints(scn)
-    assert _satisfies(cons.normalization_rows, cons.normalization_rhs, probs)
-    assert not _satisfies(cons.ns_rows, cons.ns_rhs, probs)
+    rows, rhs = ns_constraints(scn)
+    n = scn.n_columns  # the normalization rows come first
+    assert _satisfies(rows[:n], rhs[:n], probs)
+    assert not _satisfies(rows[n:], rhs[n:], probs)
 
 
 @pytest.mark.parametrize("M,d", [(2, 2), (3, 2), (2, 3), (3, 3)])
@@ -115,7 +153,7 @@ def test_agreement_max_under_zero_violation():
     scn = Scenario(3, 2, 2)
     obj = agreement_vector(scn, 0, 0, 0)
     i_vec = list(embedded_bkp(scn).dense())
-    sol = optimize_over_ns(scn, obj, "max", extra_eq=[(i_vec, Fraction(0))])
+    sol = optimize_over_ns(scn, obj, "max", extra_eq=[(sparse([i_vec])[0], Fraction(0))])
     assert sol.status == OPTIMAL and sol.value == Fraction(1, 2)
 
 
@@ -129,8 +167,7 @@ def test_ns_min_below_local_min():
 def test_certificates_on_ns_optimum():
     scn = Scenario(2, 2, 3)
     f = chained_bkp(2, 3)
-    cons = ns_constraints(scn)
-    rows, rhs = cons.all_rows()
+    rows, rhs = ns_constraints(scn)
     lp = LinearProgram(list(f.dense()), "min", eq_rows=rows, eq_rhs=rhs)
     sol = solve(lp)
     assert sol.status == OPTIMAL
@@ -139,7 +176,7 @@ def test_certificates_on_ns_optimum():
 
 
 def test_certificate_rejects_tampered_value():
-    lp = LinearProgram([1, 1], "min", eq_rows=[[1, 1]], eq_rhs=[1])
+    lp = LinearProgram([1, 1], "min", eq_rows=sparse([[1, 1]]), eq_rhs=[1])
     sol = solve(lp)
     sol.value = Fraction(2)
     assert not verify_certificate(lp, sol)
@@ -147,7 +184,7 @@ def test_certificate_rejects_tampered_value():
 
 def test_certificate_rejects_suboptimal_point():
     # (0, 1) is feasible and y = 1 is dual feasible, but 2 != b.y = 1
-    lp = LinearProgram([1, 2], "min", eq_rows=[[1, 1]], eq_rhs=[1])
+    lp = LinearProgram([1, 2], "min", eq_rows=sparse([[1, 1]]), eq_rhs=[1])
     sol = solve(lp)
     assert sol.dual == (1,) and verify_certificate(lp, sol)
     sol.point, sol.value = (Fraction(0), Fraction(1)), Fraction(2)
@@ -155,7 +192,7 @@ def test_certificate_rejects_suboptimal_point():
 
 
 def test_certificate_requires_duals():
-    lp = LinearProgram([1, 2], "min", eq_rows=[[1, 1]], eq_rhs=[1])
+    lp = LinearProgram([1, 2], "min", eq_rows=sparse([[1, 1]]), eq_rhs=[1])
     sol = solve(lp)
     assert verify_certificate(lp, sol)
     sol.dual = None
@@ -174,7 +211,7 @@ def with_slacks(objective, sense, eq_rows, eq_rhs, ub_rows, ub_rhs, upper):
     k = len(ub_rows)
     rows = [list(row) + [0] * k for row in eq_rows]
     rows += [list(row) + [int(i == s) for s in range(k)] for i, row in enumerate(ub_rows)]
-    return LinearProgram(list(objective) + [0] * k, sense, rows, list(eq_rhs) + ub_rhs)
+    return LinearProgram(list(objective) + [0] * k, sense, sparse(rows), list(eq_rhs) + ub_rhs)
 
 
 @st.composite
@@ -210,7 +247,7 @@ def test_solve_agrees_with_simplex_oracle(lp):
 
 def test_ns_optimum_is_certified_by_highs():
     scn = Scenario(3, 2, 2)
-    rows, rhs = ns_constraints(scn).all_rows()
+    rows, rhs = ns_constraints(scn)
     lp = LinearProgram(list(recursive_bkp(3, 2, 2).dense()), "min", eq_rows=rows, eq_rhs=rhs)
     sol = solve(lp)
     assert sol.engine == "highs" and sol.value == 0
@@ -221,9 +258,9 @@ def test_ns_optimum_is_certified_by_highs():
     "lp",
     [
         # the primal point 1/1000003 has a denominator above the rounding cap
-        LinearProgram([1], "min", eq_rows=[[1]], eq_rhs=[Fraction(1, 1000003)]),
+        LinearProgram([1], "min", eq_rows=sparse([[1]]), eq_rhs=[Fraction(1, 1000003)]),
         # so has the dual multiplier of the only row
-        LinearProgram([Fraction(1, 1000003)], "min", eq_rows=[[1]], eq_rhs=[1]),
+        LinearProgram([Fraction(1, 1000003)], "min", eq_rows=sparse([[1]]), eq_rhs=[1]),
     ],
     ids=["primal", "dual"],
 )
@@ -239,14 +276,16 @@ def test_support_stage_recovers_large_denominators(lp):
     [
         # x_1 + s = 1e-20 is zero to HiGHS, so its support misses the optimum
         (
-            LinearProgram([0, -1, 0], "min", eq_rows=[[1, 1, 0], [0, 1, 1]],
+            LinearProgram([0, -1, 0], "min", eq_rows=sparse([[1, 1, 0], [0, 1, 1]]),
                           eq_rhs=[1, Fraction(1, 10**20)]),
             Fraction(-1, 10**20),
         ),
         # both costs round to the same float: a zero reduced cost on each
         # column asks the support dual for y = 1 and y = 1 - 1e-20 at once
         (
-            LinearProgram([1, 1 - Fraction(1, 10**20)], "min", eq_rows=[[1, 1]], eq_rhs=[1]),
+            LinearProgram(
+                [1, 1 - Fraction(1, 10**20)], "min", eq_rows=sparse([[1, 1]]), eq_rhs=[1]
+            ),
             1 - Fraction(1, 10**20),
         ),
     ],
@@ -260,7 +299,7 @@ def test_simplex_stage_when_support_cannot_certify(lp, value):
 
 
 def test_infeasible_and_unbounded_go_to_simplex():
-    infeasible = LinearProgram([1, 0], "min", eq_rows=[[1, 0], [1, 1]], eq_rhs=[2, 1])
+    infeasible = LinearProgram([1, 0], "min", eq_rows=sparse([[1, 0], [1, 1]]), eq_rhs=[2, 1])
     unbounded = LinearProgram([-1], "min")
     for lp, status in [(infeasible, INFEASIBLE), (unbounded, UNBOUNDED)]:
         sol = solve(lp)
