@@ -43,9 +43,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from scipy.optimize import linprog
-from scipy.sparse import csr_matrix
-
 from .scenario import Behavior, Scenario
 
 _ZERO = Fraction(0)
@@ -187,7 +184,11 @@ def _optimal(std: _Standard, x, y, engine: str, iterations: int) -> LPSolution |
 
 
 def _highs(std: _Standard):
-    """scipy's HiGHS on the standard form, built from the nonzeros."""
+    """scipy's HiGHS on the standard form, built from the nonzeros.  scipy is
+    imported here, so that only an LP solve loads it."""
+    from scipy.optimize import linprog
+    from scipy.sparse import csr_matrix
+
     data, row_idx, col_idx = [], [], []
     for i, row in enumerate(std.rows):
         for j, v in row:

@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .bell import chained_bkp
 from .monogamy import guessing_bound, guessing_bound_prior
@@ -149,25 +148,6 @@ def alpha_chsh_max(t: CorrelationMatrix, alpha: float) -> float:
     _check_alpha(alpha)
     l1, l2 = t.singular_squares
     return 2.0 * math.sqrt(alpha**2 * l1 + l2)
-
-
-def alpha_chsh_max_search(
-    t: CorrelationMatrix, alpha: float, n_starts: int = 32, seed: int = 0
-) -> float:
-    """Direct numerical maximization over the four angles (oracle for
-    :func:`alpha_chsh_max`)."""
-    rng = np.random.default_rng(seed)
-
-    def neg(angles):
-        return -alpha_chsh_value(t, (angles[0], angles[1]), (angles[2], angles[3]), alpha)
-
-    best = -math.inf
-    for _ in range(n_starts):
-        x0 = rng.uniform(0.0, 2.0 * math.pi, size=4)
-        res = minimize(neg, x0, method="Nelder-Mead",
-                       options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 4000})
-        best = max(best, -res.fun)
-    return best
 
 
 @dataclass
@@ -435,6 +415,7 @@ def min_settings(
 ) -> int | None:
     """Smallest M with key_rate(M, d) >= target_rate, or None if the target
     is unreachable (rate can never exceed log2 d) or not reached by max_m."""
+    _check_max_m(max_m)
     if target_rate > math.log2(d):
         return None
     vio = violation or (lambda m, dd: chained_quantum_violation(m, dd).value)
@@ -457,6 +438,12 @@ def _check_points(n_points: int) -> None:
 def _check_outcomes(d: int) -> None:
     if d < 2:
         raise ValueError(f"need d >= 2 outcomes, got {d}")
+
+
+def _check_max_m(max_m: int) -> None:
+    # the chained functional needs M >= 2 settings
+    if max_m < 2:
+        raise ValueError(f"need max_m >= 2 settings, got {max_m}")
 
 
 def guessing_curve_csv(d: int, n_points: int = 101) -> str:
@@ -498,8 +485,9 @@ def key_rate_table_csv(
     violation: Callable[[int, int], float] | None = None,
 ) -> str:
     """Minimal settings table (columns d, rate_target, min_m_tight, min_m_prior);
-    empty cell when the target is not reached by max_m.  Every d must be at
-    least 2 and every target finite."""
+    empty cell when the target is not reached by max_m.  Every d and max_m
+    must be at least 2 and every target finite."""
+    _check_max_m(max_m)
     for d in ds:
         _check_outcomes(d)
     for r in targets:

@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import monogamy_lab
 from monogamy_lab.cli import main
 from monogamy_lab.scenario import (
     Behavior,
@@ -291,6 +295,8 @@ def test_quantum_monogamy_check_stdout_is_stable(capsys):
     ["tightness", "2", "2", "2", "--grid", "1e100000000"],
     ["tightness", "2", "1", "2"],
     ["bell", "2", "1", "2"],
+    ["figures", "2b", "--max-m", "1"],
+    ["figures", "2b", "--max-m", "-3"],
 ])
 def test_quantum_rejects_bad_values(capsys, args):
     assert main(args) == 2
@@ -315,3 +321,41 @@ def test_seed_reproducibility(tmp_path):
     assert main(args + ["--out", str(f1)]) == 0
     assert main(args + ["--out", str(f2)]) == 0
     assert f1.read_bytes() == f2.read_bytes()
+
+
+# Runs CLI commands in one fresh interpreter and prints, as JSON, their exit
+# codes and whether scipy was loaded before and after the LP command.
+_SCIPY_GUARD = """
+import contextlib, io, json, sys
+import monogamy_lab
+from monogamy_lab.cli import main
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return main(list(argv))
+
+codes = [
+    run("bell", "2", "2", "2"),
+    run("validate", sys.argv[1]),
+    run("figures", "2a", "--d", "3", "--points", "5"),
+    run("ra", "2", "2", "0.12", "--lam", "1.23"),
+    run("quantum", "violation", "--M", "2", "--d", "3"),
+    run("quantum", "monogamy-check", "--samples", "50"),
+]
+before = "scipy" in sys.modules
+lp_code = run("tightness", "2", "2", "2")
+print(json.dumps([codes, before, lp_code, "scipy" in sys.modules]))
+"""
+
+
+def test_only_the_lp_path_loads_scipy(tmp_path):
+    # a fresh process: this one has loaded scipy already
+    path = write_behavior(tmp_path, uniform_behavior(Scenario(2, 2, 2)))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(monogamy_lab.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_GUARD, path],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    codes, before, lp_code, after = json.loads(proc.stdout)
+    assert codes == [0] * 6
+    assert not before
+    assert lp_code == 0 and after

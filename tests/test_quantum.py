@@ -12,7 +12,6 @@ from monogamy_lab.quantum import (
     PlaneObservable,
     RealPureState,
     alpha_chsh_max,
-    alpha_chsh_max_search,
     alpha_chsh_value,
     chained_quantum_violation,
     check_qubit_monogamy,
@@ -30,6 +29,25 @@ from monogamy_lab.quantum import (
     _violation_objective,
 )
 from monogamy_lab.scenario import is_nonsignalling, validate
+
+
+def alpha_chsh_max_search(
+    t: CorrelationMatrix, alpha: float, n_starts: int = 32, seed: int = 0
+) -> float:
+    """Direct numerical maximization over the four angles (oracle for
+    :func:`alpha_chsh_max`)."""
+    rng = np.random.default_rng(seed)
+
+    def neg(angles):
+        return -alpha_chsh_value(t, (angles[0], angles[1]), (angles[2], angles[3]), alpha)
+
+    best = -math.inf
+    for _ in range(n_starts):
+        x0 = rng.uniform(0.0, 2.0 * math.pi, size=4)
+        res = minimize(neg, x0, method="Nelder-Mead",
+                       options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 4000})
+        best = max(best, -res.fun)
+    return best
 
 
 def test_state_normalization_enforced():
@@ -301,6 +319,15 @@ def test_key_rate_monotone_in_violation():
 
 def test_min_settings_unreachable_target():
     assert min_settings(2, 1.5, violation=lambda m, d: 0.0) is None
+
+
+@pytest.mark.parametrize("max_m", [1, 0, -3])
+def test_settings_ladder_needs_two_settings(max_m):
+    # an unreachable target (rate above log2 d) is rejected too, not answered None
+    with pytest.raises(ValueError, match="max_m"):
+        min_settings(2, 1.5, max_m=max_m, violation=lambda m, d: 0.0)
+    with pytest.raises(ValueError, match="max_m"):
+        key_rate_table_csv([3], [1.0], max_m=max_m, violation=lambda m, d: 0.0)
 
 
 def test_min_settings_with_proxy_violations():
