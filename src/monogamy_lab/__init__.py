@@ -24,13 +24,11 @@ from .scenario import (
 from .bell import (
     BellFunctional,
     ModularTerm,
-    chained_bkp,
     classical_minimum,
     complement_mean_residuals,
     evaluate,
     modular_mean,
     recursive_bkp,
-    symmetry_check,
 )
 from .polylp import (
     LinearProgram,
@@ -46,7 +44,6 @@ from .monogamy import (
     guessing_bound_prior,
     minimize_lhs_over_ns,
     monogamy_lhs_general,
-    monogamy_lhs_tripartite,
     monogamy_report,
     tightness_scan,
 )
@@ -57,7 +54,6 @@ from .quantum import (
     alpha_chsh_max,
     alpha_chsh_value,
     chained_quantum_violation,
-    check_qubit_monogamy,
     correlation_matrix,
     key_rate,
     min_settings,

@@ -145,18 +145,6 @@ class BellFunctional:
         return sorted(seen)
 
 
-def chained_bkp(M: int, d: int) -> BellFunctional:
-    """The bipartite chained functional on (2, M, d); classical bound d-1."""
-    if M < 2 or d < 2:
-        raise ValueError("need M >= 2 and d >= 2")
-    scn = Scenario(2, M, d)
-    terms = []
-    for x in range(M):
-        terms.append(_resolved_term(1, [(0, x, 1), (1, x, -1)], 0, scn))
-        terms.append(_resolved_term(1, [(1, x, 1), (0, x + 1, -1)], 0, scn))
-    return BellFunctional(scn, tuple(terms), Fraction(d - 1), Fraction(0))
-
-
 def recursive_bkp(N: int, M: int, d: int) -> BellFunctional:
     """The N-party chained functional on (N, M, d); classical bound d-1.
 
@@ -227,13 +215,6 @@ def evaluate(functional: BellFunctional, behavior: Behavior):
     return total
 
 
-def evaluate_dense(functional: BellFunctional, behavior: Behavior):
-    """Value via the dense coefficient tensor (must match :func:`evaluate`)."""
-    if behavior.scenario != functional.scenario:
-        raise ValueError("behavior and functional scenarios differ")
-    return sum(c * p for c, p in zip(functional.dense(), behavior.probs) if c)
-
-
 def evaluate_assignment(functional: BellFunctional, table: Sequence[Sequence[int]]):
     """Value on a local deterministic strategy, without building the behavior."""
     d = functional.scenario.outcomes
@@ -252,25 +233,6 @@ def classical_minimum(functional: BellFunctional):
         evaluate_assignment(functional, a.table)
         for a in enumerate_assignments(functional.scenario)
     )
-
-
-def symmetry_check(N: int, M: int, d: int) -> bool:
-    """Whether the N-party functional is invariant under swapping the last
-    and the (N-2)-th party (1-based), e.g. parties 1 and 3 for N = 3."""
-    if N < 3:
-        raise ValueError("need N >= 3")
-    functional = recursive_bkp(N, M, d)
-    scn = functional.scenario
-    perm = list(range(N))
-    perm[N - 1], perm[N - 3] = perm[N - 3], perm[N - 1]
-    dense = functional.dense()
-    for x in scn.all_settings():
-        xs = tuple(x[perm[k]] for k in range(N))
-        for a in scn.all_outcomes():
-            a_s = tuple(a[perm[k]] for k in range(N))
-            if dense[scn.index(x, a)] != dense[scn.index(xs, a_s)]:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------

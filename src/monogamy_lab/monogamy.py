@@ -81,18 +81,6 @@ def monogamy_lhs_general(
     return evaluate(monogamy_functional(scn, k, x_k, x_last), behavior)
 
 
-def monogamy_lhs_tripartite(
-    behavior: Behavior, x_party: int, i: int, j: int, check: bool = True, tol=0
-):
-    """Three-party special case; x_party in {0, 1} picks which of the two
-    Bell-test parties is compared with the third."""
-    if behavior.scenario.parties != 3:
-        raise ValueError("tripartite form needs exactly 3 parties")
-    if x_party not in (0, 1):
-        raise ValueError("x_party must be 0 or 1")
-    return monogamy_lhs_general(behavior, x_party, i, j, check=check, tol=tol)
-
-
 def agreement_probability(
     behavior: Behavior,
     k: int,

@@ -6,9 +6,9 @@ Every LP has the form of the no-signalling polytope itself::
 
 with equality rows only and every variable nonnegative.  Each row of A is
 a sequence of (column, coefficient) pairs; only the objective is dense.
-:func:`solve` returns certified optima.  It solves the LP in floats with
-scipy's HiGHS, turns the float answer into rationals and accepts it only
-after an exact check of primal feasibility, dual feasibility
+:func:`solve` returns certified results.  It solves the LP in floats with
+scipy's HiGHS, turns the float answer into rationals and accepts an optimum
+only after an exact check of primal feasibility, dual feasibility
 (``c - A^T y >= 0``, with the sign of c flipped for 'max') and strong
 duality, the approach of QSopt_ex (Applegate, Cook, Dash and Espinoza,
 Oper. Res. Lett. 35 (2007)).
@@ -18,15 +18,25 @@ and ``LPSolution.engine`` names it:
 * ``highs``: HiGHS's primal point and row duals, rounded to the nearest
   fractions with denominators up to ``_DENOMINATOR_CAP``;
 * ``support``: whichever of the two failed is re-solved exactly by Gaussian
-  elimination on Fractions, the primal on the columns HiGHS made positive
-  and the dual on the columns it priced at zero;
-* ``simplex``: a dense two-phase primal simplex on Fractions (Dantzig
-  pricing, with a permanent switch to Bland's rule after a run of degenerate
-  pivots, which guarantees termination).  It also decides every infeasible
-  or unbounded HiGHS status exactly.
+  elimination on Fractions.  The primal is solved on the columns HiGHS made
+  positive, or else on the columns it priced at zero; the dual on the
+  columns HiGHS priced at zero plus the point's support, or else on the
+  support alone;
+* ``simplex``: a dense two-phase primal simplex on Fractions with Bland's
+  rule, which cannot cycle.  It decides every infeasible or unbounded HiGHS
+  status, and every optimum whose float image hides the exact one: costs
+  or right-hand sides that differ by less than HiGHS's tolerances.  For
+  example, ``tightness 2 2 2 --grid
+  1/1000000000000000000,1/2,999999999999999999/1000000000000000000`` pins
+  the Bell value to targets that HiGHS reads as 0 and 1, and only this
+  stage certifies those two rows.  It alone also certifies
+  ``min 0 x0 + 10^-18 x1`` subject to ``x0 + x1 = 2``, where HiGHS returns
+  the wrong vertex of what is a tie in floats.
 
-The certificate, not the pivot arithmetic, is the contract: no optimum leaves
-:func:`solve` without duals that :func:`verify_certificate` accepts.
+The certificate, not the pivot arithmetic, is the contract: every result
+leaves :func:`solve` with a certificate that :func:`verify_certificate`
+accepts (see :class:`LPSolution`): duals for an optimum, a Farkas vector for
+an infeasible LP, a feasible point and an improving ray for an unbounded one.
 
 Also provides the sparse rows of the no-signalling polytope: per-column
 normalization plus, for every party, independence of every other party's
@@ -39,7 +49,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -90,23 +100,30 @@ class LinearProgram:
 
 @dataclass
 class LPSolution:
-    """Solver outcome.
+    """Solver outcome, with a certificate that :func:`verify_certificate`
+    accepts for every status :func:`solve` returns.
 
-    An 'optimal' result of :func:`solve` satisfies every constraint exactly,
-    achieves the reported value, and carries one dual multiplier per
-    distinct equality row that :func:`verify_certificate` accepts; ``engine``
-    names the stage that produced it ('highs', 'support' or 'simplex', see
-    the module docstring)."""
+    * 'optimal': ``point`` satisfies every constraint exactly and achieves
+      ``value``; ``dual`` holds one multiplier per distinct equality row,
+      dual feasible with the same value.
+    * 'infeasible': ``dual`` is a Farkas vector y, with A^T y <= 0 and
+      b.y > 0 on the distinct equality rows.
+    * 'unbounded': ``point`` is feasible and ``ray`` is a direction r >= 0
+      with A r = 0 along which the objective improves.
+
+    ``engine`` names the stage that produced it ('highs', 'support' or
+    'simplex', see the module docstring)."""
 
     status: str
     value: Fraction | None = None
     point: tuple | None = None
-    dual: tuple | None = None  # one multiplier per distinct equality row
+    dual: tuple | None = None
     iterations: int = 0
     engine: str | None = None
+    ray: tuple | None = None
 
     def behavior(self, scenario: Scenario) -> Behavior:
-        if self.point is None:
+        if self.status != OPTIMAL:
             raise ValueError(f"no optimizer point (status {self.status})")
         return Behavior(scenario, self.point)
 
@@ -149,14 +166,17 @@ def _dot(c, x) -> Fraction:
 
 
 def _primal_feasible(std: _Standard, x) -> bool:
-    return all(v >= 0 for v in x) and all(
-        sum((v * x[j] for j, v in row), _ZERO) == b for row, b in zip(std.rows, std.rhs)
+    """x >= 0 and A x = b."""
+    return (
+        x is not None
+        and len(x) == std.n_cols
+        and all(v >= 0 for v in x)
+        and all(sum((v * x[j] for j, v in row), _ZERO) == b for row, b in zip(std.rows, std.rhs))
     )
 
 
-def _dual_feasible(std: _Standard, y, value) -> bool:
-    """c - A^T y >= 0 and strong duality b.y == value (the standard-form
-    objective at the primal point)."""
+def _dual_feasible(std: _Standard, y) -> bool:
+    """c - A^T y >= 0, one multiplier per row."""
     if y is None or len(y) != len(std.rows):
         return False
     reduced = list(std.c)
@@ -164,23 +184,37 @@ def _dual_feasible(std: _Standard, y, value) -> bool:
         if yi:
             for j, v in row:
                 reduced[j] -= yi * v
-    return all(r >= 0 for r in reduced) and _dot(std.rhs, y) == value
+    return all(r >= 0 for r in reduced)
+
+
+def _certified(std: _Standard, sol: LPSolution) -> bool:
+    """Whether sol carries a valid certificate of its status for the
+    standard form (see :class:`LPSolution`); the entries must be exact."""
+    if sol.status == OPTIMAL:
+        if not (_primal_feasible(std, sol.point) and _dual_feasible(std, sol.dual)):
+            return False
+        # strong duality: b.y equals the objective at the point
+        value = _dot(std.c, sol.point)
+        return std.sign * value == sol.value and _dot(std.rhs, sol.dual) == value
+    if sol.status == INFEASIBLE:
+        # Farkas: c = 0 turns the dual check into A^T y <= 0
+        no_cost = std._replace(c=[_ZERO] * std.n_cols)
+        return _dual_feasible(no_cost, sol.dual) and _dot(std.rhs, sol.dual) > 0
+    if sol.status == UNBOUNDED:
+        homogeneous = std._replace(rhs=[_ZERO] * len(std.rows))
+        return (
+            _primal_feasible(std, sol.point)
+            and _primal_feasible(homogeneous, sol.ray)
+            and _dot(std.c, sol.ray) < 0
+        )
+    return False
 
 
 def _optimal(std: _Standard, x, y, engine: str, iterations: int) -> LPSolution | None:
     """The optimal LPSolution for standard-form point x and row duals y, or
     None unless they pass the exact check."""
-    value = _dot(std.c, x)
-    if not (_primal_feasible(std, x) and _dual_feasible(std, y, value)):
-        return None
-    return LPSolution(
-        status=OPTIMAL,
-        value=std.sign * value,
-        point=tuple(x),
-        dual=tuple(y),
-        iterations=iterations,
-        engine=engine,
-    )
+    sol = LPSolution(OPTIMAL, std.sign * _dot(std.c, x), tuple(x), tuple(y), iterations, engine)
+    return sol if _certified(std, sol) else None
 
 
 def _highs(std: _Standard):
@@ -283,21 +317,31 @@ def _certify_highs(std: _Standard, res) -> LPSolution | None:
     sol = _optimal(std, x, y, "highs", int(res.nit))
     if sol is not None:
         return sol
+    tight = {j for j, v in enumerate(res.lower.marginals.tolist()) if abs(v) <= _ZERO_TOL}
     if not _primal_feasible(std, x):
         x = _support_primal(std, {j for j, v in enumerate(x_float) if v > _ZERO_TOL})
-        if x is None:
-            return None
-    if not _dual_feasible(std, y, _dot(std.c, x)):
+        if x is None or any(v < 0 for v in x):
+            # the point may need a value that HiGHS read as 0; the columns
+            # it prices at zero hold its whole basis
+            x = _support_primal(std, tight)
+            if x is None:
+                return None
+    if not (_dual_feasible(std, y) and _dot(std.rhs, y) == _dot(std.c, x)):
         # Complementary slackness: zero reduced cost wherever x is positive.
-        tight = {j for j, v in enumerate(res.lower.marginals.tolist()) if abs(v) <= _ZERO_TOL}
-        y = _support_dual(std, tight | {j for j, v in enumerate(x) if v})
+        positive = {j for j, v in enumerate(x) if v}
+        y = _support_dual(std, tight | positive)
         if y is None:
-            return None
+            # costs that tie in floats make HiGHS price both columns at zero;
+            # the point's own support decides between them
+            y = _support_dual(std, positive)
+            if y is None:
+                return None
     return _optimal(std, x, y, "support", int(res.nit))
 
 
 def solve(lp: LinearProgram) -> LPSolution:
-    """Exact, certified optimum of the LP (see the module docstring)."""
+    """Exact, certified solution of the LP (see the module docstring): an
+    optimum, or a proof of infeasibility or unboundedness."""
     std = _standardize(lp)
     try:
         res = _highs(std)
@@ -307,33 +351,17 @@ def solve(lp: LinearProgram) -> LPSolution:
         sol = _certify_highs(std, res)
         if sol is not None:
             return sol
-    return _simplex(lp, std)
-
-
-def _extract_entering(z, allowed, bland):
-    if bland:
-        for j in allowed:
-            if z[j] < 0:
-                return j
-        return None
-    best, best_j = _ZERO, None
-    for j in allowed:
-        v = z[j]
-        if v < best:
-            best, best_j = v, j
-    return best_j
+    sol = _simplex(std)
+    if not _certified(std, sol):
+        raise RuntimeError(f"exact simplex result ({sol.status}) failed its own certificate")
+    return sol
 
 
 def _ratio_leaving(T, b, basis, col):
-    best_t = None
-    best_i = None
-    for i, row in enumerate(T):
-        a = row[col]
-        if a > 0:
-            t = b[i] / a
-            if best_t is None or t < best_t or (t == best_t and basis[i] < basis[best_i]):
-                best_t, best_i = t, i
-    return best_i
+    """The row of the minimum ratio, ties to the lowest basic column; None
+    if no entry of column col is positive."""
+    ratios = [(b[i] / row[col], basis[i], i) for i, row in enumerate(T) if row[col] > 0]
+    return min(ratios)[2] if ratios else None
 
 
 def _pivot(T, b, z, basis, r, c):
@@ -356,41 +384,34 @@ def _pivot(T, b, z, basis, r, c):
             if br:
                 b[i] -= f * br
     f = z[c]
-    delta = f * br if f else _ZERO
     if f:
         for j in nz:
             z[j] -= f * prow[j]
     basis[r] = c
-    return delta
 
 
-def _run_simplex(T, b, z, basis, allowed, obj, stall_limit):
-    """Pivot to optimality; returns (status, obj, iterations)."""
-    bland = False
-    stall = 0
+def _run_simplex(T, b, z, basis, allowed):
+    """Pivot by Bland's rule, which cannot cycle: the first column with a
+    negative reduced cost enters.  Returns (iterations, column), where column
+    is the entering column with no leaving row if the LP is unbounded and
+    None otherwise."""
     iters = 0
     while True:
-        c = _extract_entering(z, allowed, bland)
+        c = next((j for j in allowed if z[j] < 0), None)
         if c is None:
-            return OPTIMAL, obj, iters
+            return iters, None
         r = _ratio_leaving(T, b, basis, c)
         if r is None:
-            return UNBOUNDED, obj, iters
-        obj += _pivot(T, b, z, basis, r, c)
+            return iters, c
+        _pivot(T, b, z, basis, r, c)
         iters += 1
-        if b[r] == 0:
-            stall += 1
-            if stall > stall_limit:
-                bland = True
-        else:
-            stall = 0
 
 
-def _simplex(lp: LinearProgram, std: _Standard | None = None) -> LPSolution:
-    """Exact optimum of the LP by dense two-phase simplex on Fractions: the
-    last resort of :func:`solve` and its oracle in tests."""
-    if std is None:
-        std = _standardize(lp)
+def _simplex(std: _Standard) -> LPSolution:
+    """Dense two-phase simplex on Fractions over the standard form: the last
+    resort of :func:`solve` and its oracle in tests.  Every result carries
+    its certificate: duals for an optimum, a Farkas vector (in ``dual``) for
+    an infeasible LP, a feasible point and a ray for an unbounded one."""
     m = len(std.rows)
     n = std.n_cols
     ncols = n + m
@@ -419,9 +440,13 @@ def _simplex(lp: LinearProgram, std: _Standard | None = None) -> LPSolution:
         for j in allowed:
             if row[j]:
                 z[j] -= row[j]
-    _, obj, total_iters = _run_simplex(T, b, z, basis, allowed, sum(b, _ZERO), 4 * (m + ncols))
-    if obj != 0:
-        return LPSolution(status=INFEASIBLE, iterations=total_iters, engine="simplex")
+    total_iters, _ = _run_simplex(T, b, z, basis, allowed)
+    if any(bi for bi, j in zip(b, basis) if j >= n):
+        # Artificial n + i has cost 1 and reduced cost 1 - w_i, where w are
+        # the phase-I duals of the normalized rows; y = sign * w then has
+        # A^T y <= 0 and b.y = the positive sum of the artificials.
+        farkas = [(1 - z[n + i]) * row_sign[i] for i in range(m)]
+        return LPSolution(INFEASIBLE, dual=tuple(farkas), iterations=total_iters, engine="simplex")
     # Drive remaining artificials out of the basis; drop redundant rows
     # (their dual multiplier is then 0, which the identity-column readout
     # produces automatically since their column vanishes from kept rows).
@@ -438,46 +463,53 @@ def _simplex(lp: LinearProgram, std: _Standard | None = None) -> LPSolution:
 
     # Phase II on the real costs; reduce costs of basic columns to zero.
     z = list(std.c) + [_ZERO] * m
-    obj = _ZERO
-    for row, bi, j in zip(T, b, basis):
+    for row, j in zip(T, basis):
         f = z[j]
         if f:
             for k in range(ncols):
                 if row[k]:
                     z[k] -= f * row[k]
-            obj += f * bi
-    status, obj, iters = _run_simplex(T, b, z, basis, allowed, obj, 4 * (len(T) + ncols))
+    iters, unbounded = _run_simplex(T, b, z, basis, allowed)
     total_iters += iters
-    if status == UNBOUNDED:
-        return LPSolution(status=UNBOUNDED, iterations=total_iters, engine="simplex")
 
-    x = [_ZERO] * ncols
+    x = [_ZERO] * n
     for bi, j in zip(b, basis):
         x[j] = bi
+    if unbounded is not None:
+        # Raising the entering column by t moves basic variable j by
+        # -T[i][col] t; no such entry is positive, so the point stays
+        # feasible for every t >= 0 while c.x falls at the rate z[col] < 0.
+        ray = [_ZERO] * n
+        ray[unbounded] = _ONE
+        for row, j in zip(T, basis):
+            ray[j] = -row[unbounded]
+        return LPSolution(
+            UNBOUNDED, point=tuple(x), ray=tuple(ray), iterations=total_iters, engine="simplex"
+        )
     # Duals of the standardized rows: artificial n + i has cost 0 and final
     # reduced cost -y_i (sign-adjusted for rows negated during the b >= 0
     # normalization).
     y = [-z[n + i] * row_sign[i] for i in range(m)]
-    sol = _optimal(std, x[:n], y, "simplex", total_iters)
-    if sol is None:
-        raise RuntimeError("exact simplex optimum failed its own certificate")
-    return sol
+    return LPSolution(
+        OPTIMAL, std.sign * _dot(std.c, x), tuple(x), tuple(y), total_iters, "simplex"
+    )
 
 
 def verify_certificate(lp: LinearProgram, sol: LPSolution) -> bool:
-    """Re-substitute the optimizer and its duals and check exact feasibility,
-    value, dual feasibility and strong duality, which certifies optimality
-    without trusting the solver; an optimum without duals fails.  This is the
-    check :func:`solve` runs before it returns an optimum.
+    """Check sol's certificate exactly, without trusting the solver (see
+    :class:`LPSolution`): for an optimum, feasibility, the value, dual
+    feasibility and strong duality; for 'infeasible', the Farkas vector; for
+    'unbounded', the feasible point and the improving ray.  A missing vector
+    fails.  This is the check :func:`solve` runs before it returns.
     """
-    if sol.status != OPTIMAL or sol.point is None or len(sol.point) != lp.n_vars:
-        return False
-    std = _standardize(lp)
-    x = [Fraction(v) for v in sol.point]
-    value = _dot(std.c, x)
-    if std.sign * value != sol.value or not _primal_feasible(std, x):
-        return False
-    return sol.dual is not None and _dual_feasible(std, [Fraction(v) for v in sol.dual], value)
+
+    def exact(v):
+        return None if v is None else [Fraction(e) for e in v]
+
+    return _certified(
+        _standardize(lp),
+        replace(sol, point=exact(sol.point), dual=exact(sol.dual), ray=exact(sol.ray)),
+    )
 
 
 # ---------------------------------------------------------------------------

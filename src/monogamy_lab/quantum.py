@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bell import chained_bkp
+from .bell import recursive_bkp
 from .monogamy import guessing_bound, guessing_bound_prior
 from .scenario import Behavior, Scenario
 
@@ -150,20 +150,6 @@ def alpha_chsh_max(t: CorrelationMatrix, alpha: float) -> float:
     return 2.0 * math.sqrt(alpha**2 * l1 + l2)
 
 
-@dataclass
-class QubitMonogamyReport:
-    alpha: float
-    slack_pair_tradeoff: float  # alpha^2 max + min form
-    slack_agreement: float      # I^2 + 4 <XC>^2 form, worst over X in {A, B}
-    lambdas_ab: tuple[float, float]
-    lambdas_ac: tuple[float, float]
-    lambdas_bc: tuple[float, float]
-
-    @property
-    def worst_slack(self) -> float:
-        return min(self.slack_pair_tradeoff, self.slack_agreement)
-
-
 def monogamy_slacks(
     lam_ab: np.ndarray, lam_ac: np.ndarray, lam_bc: np.ndarray, alphas: Sequence[float]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -187,33 +173,6 @@ def monogamy_slacks(
     v_b_centered = 4.0 * (a2 * l1 + l2) + 4.0 * lam_bc[:, :1]
     slack_agree = cap_agree - np.maximum(v_a_centered, v_b_centered)
     return slack_pair, slack_agree
-
-
-def check_qubit_monogamy(state: RealPureState, alpha: float) -> QubitMonogamyReport:
-    """Worst-case slacks of both monogamy inequalities for one state.
-
-    The left-hand sides are maximized over all plane observables in closed
-    form via the correlation-matrix eigenvalues (both orderings of the pair
-    trade-off; both X = A and X = B for the agreement form), so a
-    nonnegative slack certifies the inequality for every measurement choice.
-    """
-    _check_alpha(alpha)
-    if state.n_qubits != 3:
-        raise ValueError("need a three-qubit state")
-    lam = correlation_matrix(state, (0, 1)).singular_squares
-    lam_t = correlation_matrix(state, (0, 2)).singular_squares
-    lam_bc = correlation_matrix(state, (1, 2)).singular_squares
-    slack_pair, slack_agree = monogamy_slacks(
-        np.array([lam]), np.array([lam_t]), np.array([lam_bc]), [alpha]
-    )
-    return QubitMonogamyReport(
-        alpha=alpha,
-        slack_pair_tradeoff=float(slack_pair[0, 0]),
-        slack_agreement=float(slack_agree[0, 0]),
-        lambdas_ab=lam,
-        lambdas_ac=lam_t,
-        lambdas_bc=lam_bc,
-    )
 
 
 def _random_real_states(k: int, rng: np.random.Generator) -> np.ndarray:
@@ -309,7 +268,7 @@ def _term_tables(M: int, d: int):
     """Setting pairs, signs, shifts of the bipartite chained terms, plus the
     gather index J[t, m] mapping the circulant distribution of [A - B] to
     P([Omega] = m) for each term."""
-    functional = chained_bkp(M, d)
+    functional = recursive_bkp(2, M, d)
     xs, ys, signs, shifts = [], [], [], []
     for term in functional.terms:
         by_party = {k: (x, s) for k, x, s in term.coeffs}

@@ -6,22 +6,27 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from monogamy_lab.bell import (
-    chained_bkp,
+    BellFunctional,
     classical_minimum,
     complement_mean_residuals,
     dense_csv,
     evaluate,
     evaluate_assignment,
-    evaluate_dense,
     functional_from_json,
     load_functional,
     functional_to_json,
     modular_mean,
     recursive_bkp,
-    symmetry_check,
 )
-from monogamy_lab.scenario import Scenario, deterministic_vertex, mix, uniform_behavior
+from monogamy_lab.scenario import (
+    Behavior,
+    Scenario,
+    deterministic_vertex,
+    mix,
+    uniform_behavior,
+)
 from monogamy_lab.sampling import random_behavior
+from reference import chained_bkp
 
 
 def rational_dist(d, seed):
@@ -123,9 +128,35 @@ def test_classical_bound_attained(N, M, d):
     assert evaluate_assignment(f, [[0] * M] * N) == d - 1
 
 
+def symmetry_check(N: int, M: int, d: int) -> bool:
+    """Whether the N-party functional is invariant under swapping the last
+    and the (N-2)-th party (1-based), e.g. parties 1 and 3 for N = 3."""
+    if N < 3:
+        raise ValueError("need N >= 3")
+    functional = recursive_bkp(N, M, d)
+    scn = functional.scenario
+    perm = list(range(N))
+    perm[N - 1], perm[N - 3] = perm[N - 3], perm[N - 1]
+    dense = functional.dense()
+    for x in scn.all_settings():
+        xs = tuple(x[perm[k]] for k in range(N))
+        for a in scn.all_outcomes():
+            a_s = tuple(a[perm[k]] for k in range(N))
+            if dense[scn.index(x, a)] != dense[scn.index(xs, a_s)]:
+                return False
+    return True
+
+
 @pytest.mark.parametrize("N,M,d", [(3, 2, 2), (3, 3, 2), (3, 2, 3), (4, 2, 2)])
 def test_party_swap_symmetry(N, M, d):
     assert symmetry_check(N, M, d)
+
+
+def evaluate_dense(functional: BellFunctional, behavior: Behavior):
+    """Value via the dense coefficient tensor (must match :func:`evaluate`)."""
+    if behavior.scenario != functional.scenario:
+        raise ValueError("behavior and functional scenarios differ")
+    return sum(c * p for c, p in zip(functional.dense(), behavior.probs) if c)
 
 
 @pytest.mark.parametrize("N,M,d", [(2, 2, 2), (2, 2, 3), (3, 2, 2)])

@@ -8,7 +8,9 @@ from fractions import Fraction
 import pytest
 
 import monogamy_lab
+from monogamy_lab import monogamy, polylp
 from monogamy_lab.cli import main
+from monogamy_lab.polylp import LPSolution
 from monogamy_lab.scenario import (
     Behavior,
     Scenario,
@@ -202,6 +204,51 @@ def test_tightness_cli(tmp_path, capsys):
     assert lines[0] == "k,x_k,x_last,m,t,lhs,bound,slack"
     assert len(lines) == 4
     assert all(line.endswith(",0") for line in lines[1:])  # zero slack: tight
+
+
+def recorded_engines(monkeypatch):
+    """The engine of every LP that polylp.solve returns from now on."""
+    engines = []
+    solve = polylp.solve
+
+    def recording(lp):
+        sol = solve(lp)
+        engines.append(sol.engine)
+        return sol
+
+    monkeypatch.setattr(polylp, "solve", recording)
+    return engines
+
+
+def test_tightness_near_ties_reach_the_simplex_stage(capsys, monkeypatch):
+    # HiGHS reads t = 1e-18 as 0 and 1 - 1e-18 as 1, so only the exact
+    # simplex certifies the rows at both ends
+    engines = recorded_engines(monkeypatch)
+    grid = "1/1000000000000000000,1/2,999999999999999999/1000000000000000000"
+    assert main(["tightness", "2", "2", "2", "--grid", grid]) == 0
+    assert capsys.readouterr().out == (
+        "k,x_k,x_last,m,t,lhs,bound,slack\r\n"
+        "0,0,0,0,1/1000000000000000000,1000000000000000001/2000000000000000000,"
+        "1000000000000000001/2000000000000000000,0\r\n"
+        "0,0,0,0,1/2,3/4,3/4,0\r\n"
+        "0,0,0,0,999999999999999999/1000000000000000000,"
+        "1999999999999999999/2000000000000000000,1999999999999999999/2000000000000000000,0\r\n"
+    )
+    assert engines == ["simplex", "highs", "simplex"]
+
+
+@pytest.mark.parametrize(
+    "grid, code, status",
+    [("0,1/2", 1, "infeasible"), ("2", 0, "out-of-range")],
+    ids=["in-range", "out-of-range"],
+)
+def test_tightness_fails_on_rows_without_an_optimum(capsys, monkeypatch, grid, code, status):
+    # every target in [0, d-1] is feasible, so any other status is a failure;
+    # a target outside that range is reported and not solved
+    monkeypatch.setattr(monogamy, "optimize_over_ns", lambda *args, **kw: LPSolution("infeasible"))
+    assert main(["tightness", "2", "2", "2", "--grid", grid]) == code
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == len(grid.split(",")) and all(r.endswith("," + status) for r in rows)
 
 
 def test_figures_guessing(capsys):

