@@ -26,6 +26,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -188,14 +189,20 @@ def evaluate(functional: BellFunctional, behavior: Behavior):
     """Value of the functional on a behavior, term by term.
 
     An exact behavior's marginals are summed as the integer numerators of
-    :attr:`Behavior.scaled`, so each term's mean is one Fraction (also when
-    every entry and weight is an int); float behaviors are summed as floats.
+    :attr:`Behavior.scaled`.  When every weight is exact too, the weighted
+    means are summed as integers over lcm(weight denominators) x D and the
+    value is one Fraction (also when every entry and weight is an int);
+    float behaviors are summed as floats.
     """
     if behavior.scenario != functional.scenario:
         raise ValueError("behavior and functional scenarios differ")
     scn = functional.scenario
     d = scn.outcomes
     scaled = behavior.scaled
+    weights = [term.weight for term in functional.terms]
+    exact = scaled is not None and all(isinstance(w, (int, Fraction)) for w in weights)
+    if exact:
+        w_denom = math.lcm(*(w.denominator for w in weights))
     total = 0
     for term in functional.terms:
         parties = [k for k, _, _ in term.coeffs]
@@ -211,7 +218,12 @@ def evaluate(functional: BellFunctional, behavior: Behavior):
                 w += sign * ak
             omega[w % d] += dist[a_idx]
         mean = sum(i * p for i, p in enumerate(omega) if p)
-        total += term.weight * (mean if scaled is None else Fraction(mean, scaled[0]))
+        if exact:
+            total += term.weight.numerator * (w_denom // term.weight.denominator) * mean
+        else:
+            total += term.weight * (mean if scaled is None else Fraction(mean, scaled[0]))
+    if exact and weights:
+        return Fraction(total, w_denom * scaled[0])
     return total
 
 

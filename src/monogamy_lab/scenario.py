@@ -109,16 +109,39 @@ class Behavior:
     ``probs`` has length d^N * M^N, indexed by scenario.index(x, a).
     Immutable after construction; cheap validity checks only (use
     :func:`validate` for the full report).
+
+    An exact behavior also has an integer form, :attr:`scaled`.  The mixing
+    kernels (:func:`mix`, :func:`mix_columns`) build an all-exact result in
+    that form only: it holds ``scaled`` and builds ``probs``, one Fraction
+    per entry, on first read.  Such a behavior has the entries, equality,
+    hash and repr of ``Behavior(scenario, probs)``, and the same length check.
     """
 
     scenario: Scenario
     probs: tuple
 
     def __post_init__(self) -> None:
-        if len(self.probs) != self.scenario.size:
-            raise ValueError(
-                f"expected {self.scenario.size} entries, got {len(self.probs)}"
-            )
+        _check_length(self.scenario, len(self.probs))
+
+    @classmethod
+    def _from_scaled(cls, scenario: Scenario, denom: int, nums: tuple) -> Behavior:
+        """The behavior with entries n_i / denom, denom the least common
+        denominator; ``probs`` is built on first read."""
+        _check_length(scenario, len(nums))
+        behavior = object.__new__(cls)
+        object.__setattr__(behavior, "scenario", scenario)
+        behavior.__dict__["scaled"] = (denom, nums)
+        return behavior
+
+    def __getattr__(self, name: str):
+        # reached only for attributes the instance lacks: ``probs`` of a
+        # behavior made by _from_scaled before its first read
+        if name != "probs" or "scaled" not in self.__dict__:
+            raise AttributeError(name)
+        denom, nums = self.__dict__["scaled"]
+        probs = tuple(Fraction(n, denom) for n in nums)
+        object.__setattr__(self, "probs", probs)
+        return probs
 
     def __getitem__(self, key) -> object:
         x, a = key
@@ -137,6 +160,11 @@ class Behavior:
     def column(self, x: Sequence[int]) -> tuple:
         base = self.scenario.column_index(x) * self.scenario.column_size
         return self.probs[base : base + self.scenario.column_size]
+
+
+def _check_length(scenario: Scenario, n: int) -> None:
+    if n != scenario.size:
+        raise ValueError(f"expected {scenario.size} entries, got {n}")
 
 
 @dataclass(frozen=True)
@@ -160,10 +188,10 @@ def validate(behavior: Behavior, tol=0) -> list[str]:
     """Report violated behavior constraints (empty list means valid).
 
     Checks entrywise nonnegativity and per-column normalization.  With
-    exact entries pass tol=0 for exact checks.
+    exact entries pass tol=0 for exact checks.  The tolerance must be finite
+    and nonnegative.
     """
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
+    _check_tol(tol)
     scn = behavior.scenario
     report = []
     for i, p in enumerate(behavior.probs):
@@ -175,6 +203,12 @@ def validate(behavior: Behavior, tol=0) -> list[str]:
         if abs(total - 1) > tol:
             report.append(f"column {x} sums to {total}, expected 1")
     return report
+
+
+def _check_tol(tol) -> None:
+    # also rejects NaN, which every comparison would let pass
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
 
 
 def marginal(
@@ -228,20 +262,32 @@ def _marginal(scn: Scenario, values: Sequence, parties, settings, complement_set
     col = values[base : base + scn.column_size]
 
     out = [0] * (scn.outcomes ** len(parties))
-    for a_idx, a in enumerate(itertools.product(range(scn.outcomes), repeat=scn.parties)):
+    for sub, p in zip(_restriction_indices(scn, tuple(parties)), col):
+        out[sub] += p
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=None)
+def _restriction_indices(scn: Scenario, parties: tuple) -> tuple[int, ...]:
+    """For each outcome tuple a of the scenario, in index order, the index
+    of its restriction (a_k for k in parties) among the subset's tuples."""
+    subs = []
+    for a in scn.all_outcomes():
         sub = 0
         for k in parties:
             sub = sub * scn.outcomes + a[k]
-        out[sub] += col[a_idx]
-    return tuple(out)
+        subs.append(sub)
+    return tuple(subs)
 
 
 def is_nonsignalling(behavior: Behavior, tol=0) -> tuple[bool, object]:
     """Check the no-signalling conditions; returns (ok, worst violation).
 
     For every proper nonempty subset S of parties, the marginal on S must
-    not depend on the settings chosen outside S.
+    not depend on the settings chosen outside S.  The tolerance must be
+    finite and nonnegative.
     """
+    _check_tol(tol)
     scn = behavior.scenario
     worst = 0
     for r in range(1, scn.parties):
@@ -295,7 +341,12 @@ def mix(behaviors: Sequence[Behavior], weights: Sequence) -> Behavior:
         raise ValueError("behaviors live on different scenarios")
     if any(w < 0 for w in weights):
         raise ValueError("weights must be nonnegative")
-    total = sum(weights)
+    exact = exact_sum(weights)
+    if exact is None:
+        total = sum(weights)
+    else:
+        num, denom = exact
+        total = 1 if num == denom else Fraction(num, denom)
     if total != 1:
         raise ValueError(f"weights sum to {total}, expected 1")
     return _weighted_sum(scn, behaviors, [weights])
@@ -319,38 +370,35 @@ def _weighted_sum(scn: Scenario, behaviors: Sequence[Behavior], block_weights: S
     by ``block_weights[i]``; zero weights are skipped.
 
     Each entry has the value and the type of the left-to-right sum
-    0 + w_1 p_1 + ... .  When the weights of a block are exact, at least one
-    of them is a Fraction and every summed behavior is exact, every entry is
-    a Fraction: the block is summed as integer numerators over the lcm of
-    (weight denominator x D) and each entry's Fraction is built once.  When
-    every block is, the result carries that integer form as its
-    :attr:`Behavior.scaled`.  Other blocks are summed entry by entry.
+    0 + w_1 p_1 + ... .  A block is exact when its weights are exact, at
+    least one of them is a Fraction and every summed behavior is exact; its
+    entries are then Fractions, summed as integer numerators over one
+    denominator.  When every block is exact, the result is built from that
+    integer form alone (:meth:`Behavior._from_scaled`).  Otherwise each
+    exact block's Fractions are built once and the other blocks are summed
+    entry by entry.
     """
     width = scn.size // len(block_weights)
+    blocks = [[(w, b) for w, b in zip(weights, behaviors) if w != 0] for weights in block_weights]
+    exact = [
+        any(isinstance(w, Fraction) for w, _ in terms)
+        and all(isinstance(w, (int, Fraction)) and b.scaled is not None for w, b in terms)
+        for terms in blocks
+    ]
+    if all(exact):
+        denom = math.lcm(*(w.denominator * b.scaled[0] for terms in blocks for w, b in terms))
+        nums = []
+        for i, terms in enumerate(blocks):
+            nums += _block_numerators(terms, i * width, (i + 1) * width, denom)
+        g = math.gcd(denom, *nums)
+        return Behavior._from_scaled(scn, denom // g, tuple(n // g for n in nums))
     probs = []
-    blocks = []  # (denominator, numerators) per block, while all are exact
-    for i, weights in enumerate(block_weights):
+    for i, (terms, block_exact) in enumerate(zip(blocks, exact)):
         lo, hi = i * width, (i + 1) * width
-        terms = [(w, b) for w, b in zip(weights, behaviors) if w != 0]
-        if (
-            any(isinstance(w, Fraction) for w, _ in terms)
-            and all(isinstance(w, (int, Fraction)) and b.scaled is not None for w, b in terms)
-        ):
+        if block_exact:
             denom = math.lcm(*(w.denominator * b.scaled[0] for w, b in terms))
-            nums = [0] * width
-            for w, b in terms:
-                b_denom, b_nums = b.scaled
-                c = w.numerator * (denom // (w.denominator * b_denom))
-                nums = [n + c * m for n, m in zip(nums, b_nums[lo:hi])]
-            g = math.gcd(denom, *nums)
-            if g > 1:
-                denom //= g
-                nums = [n // g for n in nums]
-            probs += [Fraction(n, denom) for n in nums]
-            if blocks is not None:
-                blocks.append((denom, nums))
+            probs += [Fraction(n, denom) for n in _block_numerators(terms, lo, hi, denom)]
             continue
-        blocks = None
         col = [0] * width
         for w, b in terms:
             exact_w = isinstance(w, (int, Fraction))
@@ -361,14 +409,28 @@ def _weighted_sum(scn: Scenario, behaviors: Sequence[Behavior], block_weights: S
                     continue
                 col[j] += w * p
         probs += col
-    result = Behavior(scn, tuple(probs))
-    if blocks is not None:
-        denom = math.lcm(*(d for d, _ in blocks))
-        # fills the cached property: the integer form is already at hand
-        result.__dict__["scaled"] = (
-            denom, tuple(n * (denom // d) for d, nums in blocks for n in nums)
-        )
-    return result
+    return Behavior(scn, tuple(probs))
+
+
+def _block_numerators(terms, lo: int, hi: int, denom: int) -> list[int]:
+    """Numerators over ``denom`` of sum_j w_j p_j on entries lo..hi of exact
+    behaviors; ``denom`` is a multiple of every w_j's denominator times D_j."""
+    nums = [0] * (hi - lo)
+    for w, b in terms:
+        b_denom, b_nums = b.scaled
+        c = w.numerator * (denom // (w.denominator * b_denom))
+        nums = [n + c * m for n, m in zip(nums, b_nums[lo:hi])]
+    return nums
+
+
+def exact_sum(values) -> tuple[int, int] | None:
+    """sum(values) as (numerator, denominator) over the lcm of the
+    denominators, not reduced; None unless every value is an int or a
+    Fraction."""
+    if not all(isinstance(v, (int, Fraction)) for v in values):
+        return None
+    denom = math.lcm(*(v.denominator for v in values))
+    return sum(v.numerator * (denom // v.denominator) for v in values), denom
 
 
 def product(b1: Behavior, b2: Behavior) -> Behavior:

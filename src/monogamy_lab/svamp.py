@@ -39,6 +39,7 @@ from .polylp import ns_row_residual
 from .scenario import (
     Behavior,
     Scenario,
+    exact_sum,
     format_number,
     marginal,
     mix_columns,
@@ -82,7 +83,11 @@ _FLOAT_TOL = 1e-9
 
 def _is_distribution(values) -> bool:
     """Nonnegative entries summing to 1: exactly, or within _FLOAT_TOL once
-    a float enters the sum."""
+    a float enters the sum.  Exact entries are summed as integer numerators
+    over the lcm of their denominators."""
+    exact = exact_sum(values)
+    if exact is not None:
+        return exact[0] == exact[1] and all(p.numerator >= 0 for p in values)
     if any(p < 0 for p in values):
         return False
     total = sum(values)
@@ -98,10 +103,15 @@ class AdversaryModel:
     per-setting quantity reads: the posterior p(w|x) of every setting (None
     where p(x) = 0), p_min(w) over the functional's settings, and for each
     (w, party, setting) the deviation sum_a |m_a - 1/d| of the strategy's
-    outcome marginal m from uniform.  The observed behavior and its Bell
+    outcome marginal m from uniform.  Exact parts of the model also get
+    integer tables: a posterior summed in integers keeps its terms
+    (T_x, [t_w]) with p(w|x) = t_w / T_x, and when every strategy is exact
+    each deviation is kept as an integer numerator over one denominator
+    d L, L the lcm of the strategies' denominators.  :func:`q_factor` keeps
+    Q(x) per setting on first use, and the observed behavior and its Bell
     value are built on first use and kept.  The model is fixed after
     construction: changing behaviors, input_dists or prior afterwards leaves
-    the tables stale.
+    the tables, the integer tables and the kept Q(x) stale.
 
     Each strategy must satisfy the no-signalling rows of
     :func:`polylp.ns_constraints` (exactly, or within 1e-9 for float
@@ -115,8 +125,11 @@ class AdversaryModel:
     input_dists: list[dict]  # per w: {setting tuple: probability}
     prior: list
     _posteriors: dict = field(init=False, repr=False, compare=False)
+    _terms: dict = field(init=False, repr=False, compare=False)
     _p_min: list | None = field(init=False, repr=False, compare=False)
-    _deviations: list = field(init=False, repr=False, compare=False)
+    _dev_sums: list = field(init=False, repr=False, compare=False)
+    _dev_ints: tuple | None = field(init=False, repr=False, compare=False)
+    _q: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.behaviors)
@@ -135,7 +148,9 @@ class AdversaryModel:
                 raise ValueError("input distribution must be normalized and nonnegative")
 
         scn = self.scenario
-        self._posteriors = {x: self._bayes(x) for x in scn.all_settings()}
+        self._posteriors, self._terms = {}, {}
+        for x in scn.all_settings():
+            self._posteriors[x], self._terms[x] = self._bayes(x)
         # None when a setting of the functional has p(x) = 0, or when one
         # party has no functional; q_factor then raises
         self._p_min = None
@@ -143,18 +158,38 @@ class AdversaryModel:
             posts = [self._posteriors[s] for s in _bell_settings(scn)]
             if None not in posts:
                 self._p_min = [min(p[w] for p in posts) for w in range(n)]
-        self._deviations = [
-            [[_deviation(b, k, s) for s in range(scn.settings)] for k in range(scn.parties)]
-            for b in self.behaviors
+        self._q = {}
+
+        self._dev_sums = [_deviation_sums(b) for b in self.behaviors]
+        # (d L, [w][k][s] numerators over d L) when every strategy is exact
+        self._dev_ints = None
+        if all(b.scaled is not None for b in self.behaviors):
+            denoms = [b.scaled[0] for b in self.behaviors]
+            lcm = math.lcm(*denoms)
+            self._dev_ints = scn.outcomes * lcm, [
+                [[v * (lcm // denom) for v in row] for row in table]
+                for table, denom in zip(self._dev_sums, denoms)
+            ]
+
+    @functools.cached_property
+    def _deviations(self) -> list:
+        """Deviation of strategy w's party-k outcome marginal at setting s,
+        [w][k][s]: a Fraction for an exact strategy, a float otherwise."""
+        d = self.scenario.outcomes
+        return [
+            table if b.scaled is None else [[Fraction(v, d * b.scaled[0]) for v in row] for row in table]
+            for table, b in zip(self._dev_sums, self.behaviors)
         ]
 
-    def _bayes(self, x: tuple) -> list | None:
-        """p(w|x) = p(w) p(x|w) / p(x) for every w; None where p(x) = 0.
+    def _bayes(self, x: tuple) -> tuple[list | None, tuple | None]:
+        """p(w|x) = p(w) p(x|w) / p(x) for every w, None where p(x) = 0;
+        paired with its integer terms (T_x, [t_w]), or None.
 
         When every factor is exact and one is a Fraction, the terms
-        p(w) p(x|w) are summed as integers over one denominator, so each
-        posterior is one Fraction(t_w, sum t) with the value and type of the
-        quotient; otherwise the quotient is taken as written.
+        t_w = p(w) p(x|w) T are summed as integers over one denominator T,
+        so T_x = sum t_w and each posterior is one Fraction(t_w, T_x) with the
+        value and type of the quotient; otherwise the quotient is taken as
+        written and there are no integer terms.
         """
         factors = [(pw, dist.get(x, 0)) for pw, dist in zip(self.prior, self.input_dists)]
         flat = [f for pair in factors for f in pair]
@@ -167,9 +202,11 @@ class AdversaryModel:
                 for pw, q in factors
             ]
             total = sum(terms)
-            return None if total == 0 else [Fraction(t, total) for t in terms]
+            if total == 0:
+                return None, None
+            return [Fraction(t, total) for t in terms], (total, terms)
         px = self.input_probability(x)
-        return None if px == 0 else [pw * q / px for pw, q in factors]
+        return (None if px == 0 else [pw * q / px for pw, q in factors]), None
 
     @property
     def n_strategies(self) -> int:
@@ -202,16 +239,23 @@ class AdversaryModel:
         return evaluate(bell_functional_for(self.scenario), self.observed)
 
 
-def _deviation(b: Behavior, party: int, setting: int):
-    """sum_a |m_a - 1/d| for the outcome marginal m of one party at one
-    setting; for an exact behavior sum_a |d n_a - D| / (d D) over the
-    integer marginal n of :attr:`Behavior.scaled`."""
-    d = b.scenario.outcomes
+def _deviation_sums(b: Behavior) -> list[list]:
+    """Per (party, setting) the deviation sum_a |m_a - 1/d| of the outcome
+    marginal m; for an exact behavior its numerator sum_a |d n_a - D| over
+    d D, from the integer marginal n of :attr:`Behavior.scaled`."""
+    scn = b.scenario
+    d = scn.outcomes
     if b.scaled is None:
         uniform = Fraction(1, d)
-        return sum(abs(m - uniform) for m in marginal(b, [party], [setting]))
+        return [
+            [sum(abs(m - uniform) for m in marginal(b, [k], [s])) for s in range(scn.settings)]
+            for k in range(scn.parties)
+        ]
     denom = b.scaled[0]
-    return Fraction(sum(abs(d * n - denom) for n in scaled_marginal(b, [party], [setting])), d * denom)
+    return [
+        [sum(abs(d * n - denom) for n in scaled_marginal(b, [k], [s])) for s in range(scn.settings)]
+        for k in range(scn.parties)
+    ]
 
 
 def bell_functional_for(scenario: Scenario):
@@ -247,19 +291,32 @@ def observed_behavior(model: AdversaryModel) -> Behavior:
 def q_factor(model: AdversaryModel, x: tuple):
     """Q(x) = max_w p(w|x)/p_min(w), p_min over the functional's settings.
 
-    Returns None when some p_min(w) = 0 (unbounded).
+    Returns None when some p_min(w) = 0 (unbounded).  Worked out once per
+    setting and kept in the model.
     """
-    post_x = model._posterior(tuple(x))
+    x = tuple(x)
+    post_x = model._posterior(x)
     if model._p_min is None:
         zero = next(s for s in _bell_settings(model.scenario) if model._posteriors[s] is None)
         raise ValueError(f"setting {zero} has zero probability")
+    if x not in model._q:
+        q = _max_ratio(post_x, model._p_min)
+        d = model.scenario.outcomes
+        # kept with ((d-1)^2+1)/d * Q(x), the factor of variational_bound's rhs
+        model._q[x] = q, (None if q is None else Fraction((d - 1) ** 2 + 1, d) * q)
+    return model._q[x][0]
+
+
+def _max_ratio(values: list, mins: list):
+    """max_w values[w]/mins[w] over mins[w] != 0; None when some mins[w] = 0
+    has values[w] > 0 (the ratio is unbounded)."""
     best = None
-    for pw, p_min in zip(post_x, model._p_min):
-        if p_min == 0:
-            if pw > 0:
+    for v, low in zip(values, mins):
+        if low == 0:
+            if v > 0:
                 return None
             continue
-        ratio = pw / p_min
+        ratio = v / low
         best = ratio if best is None or ratio > best else best
     return best
 
@@ -268,17 +325,10 @@ def q_factor_tilde(model: AdversaryModel, x: tuple):
     """Variant with input likelihoods: max_w p(x|w)/min_x' p(x'|w)."""
     settings = _bell_settings(model.scenario)
     x = tuple(x)
-    best = None
-    for dist in model.input_dists:
-        p_min = min(dist.get(s, 0) for s in settings)
-        px = dist.get(x, 0)
-        if p_min == 0:
-            if px > 0:
-                return None
-            continue
-        ratio = px / p_min
-        best = ratio if best is None or ratio > best else best
-    return best
+    return _max_ratio(
+        [dist.get(x, 0) for dist in model.input_dists],
+        [min(dist.get(s, 0) for s in settings) for dist in model.input_dists],
+    )
 
 
 @dataclass
@@ -302,7 +352,6 @@ def variational_bound(
 ) -> VariationalCheck:
     """Check the outcome-vs-W variational bound for one setting and party."""
     scn = model.scenario
-    d = scn.outcomes
     x = tuple(x)
     if not 0 <= party < scn.parties:
         raise ValueError("party out of range")
@@ -313,15 +362,24 @@ def variational_bound(
     if bell_value is None:
         bell_value = evaluate(bell_functional_for(scn), observed)
     # sum_{a,w} |p_w m_a - p_w/d| = sum_w p_w sum_a |m_a - 1/d|, as p_w >= 0
-    lhs = 0
-    for pw, dev in zip(model._posterior(x), model._deviations):
-        lhs += pw * dev[party][x[party]]
+    post = model._posterior(x)
+    terms = model._terms[x]
+    if terms is not None and model._dev_ints is not None:
+        # p_w = t_w / T_x and each deviation is an integer over d L: one Fraction
+        total, t = terms
+        dev_denom, dev_nums = model._dev_ints
+        num = sum(tw * dev[party][x[party]] for tw, dev in zip(t, dev_nums))
+        lhs = Fraction(num, total * dev_denom)
+    else:
+        lhs = 0
+        for pw, dev in zip(post, model._deviations):
+            lhs += pw * dev[party][x[party]]
     q = q_factor(model, x)
     if q is None:
         rhs = None
         satisfied = True  # unbounded factor: the bound is vacuous
     else:
-        rhs = Fraction((d - 1) ** 2 + 1, d) * q * bell_value
+        rhs = model._q[x][1] * bell_value
         exact = isinstance(lhs, (int, Fraction)) and isinstance(rhs, (int, Fraction))
         satisfied = lhs <= rhs if exact else lhs <= rhs + 1e-12
     return VariationalCheck(

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from monogamy_lab.bell import (
     BellFunctional,
+    ModularTerm,
     classical_minimum,
     complement_mean_residuals,
     dense_csv,
@@ -167,6 +168,20 @@ def test_dense_and_terms_agree_on_random_behaviors(N, M, d):
     for _ in range(100):
         b = random_behavior(scn, rng)  # generally signalling; must still agree
         assert evaluate(f, b) == evaluate_dense(f, b)
+
+
+def test_evaluate_with_unequal_weights_matches_dense():
+    scn = Scenario(2, 2, 3)
+    base = recursive_bkp(2, 2, 3)
+    weights = [Fraction(1, 2), Fraction(2, 3), 1, Fraction(5, 7)]
+    f = BellFunctional(scn, tuple(
+        ModularTerm(w, t.coeffs, t.shift) for w, t in zip(weights, base.terms)
+    ))
+    rng = random.Random(43)
+    for _ in range(20):
+        b = random_behavior(scn, rng)
+        value = evaluate(f, b)
+        assert type(value) is Fraction and value == evaluate_dense(f, b)
 
 
 def test_evaluate_is_linear_under_mixing():

@@ -86,6 +86,20 @@ def test_validate_rejects_non_finite(tmp_path, capsys, mode, bad):
     assert captured.out == "" and "error" in captured.err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+def test_validate_rejects_non_finite_tolerance(tmp_path, capsys, tol):
+    values = ["1/4"] * 16
+    values[:4] = ["1.5", "-0.5", "0", "0"]  # a negative entry in the first column
+    path = write_values(tmp_path, values)
+    assert main(["validate", path, "--mode", "float", f"--tol={tol}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: tol must be finite and nonnegative, got {float(tol)}\n"
+    # a finite tolerance reports the table as invalid
+    assert main(["validate", path, "--mode", "float", "--tol", "1e-9"]) == 1
+    assert not json.loads(capsys.readouterr().out)["valid"]
+
+
 @pytest.mark.parametrize("mode", ["exact", "float"])
 @pytest.mark.parametrize("bad", NON_FINITE)
 def test_bell_rejects_non_finite(tmp_path, capsys, mode, bad):

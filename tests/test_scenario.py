@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 import os
 import random
 from decimal import Decimal
@@ -72,6 +74,15 @@ def test_validate_flags_bad_normalization():
     assert any("sums to" in line for line in report)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-9])
+def test_tolerance_must_be_finite_and_nonnegative(tol):
+    b = uniform_behavior(Scenario(2, 2, 2), exact=False)
+    for check in (validate, is_nonsignalling):
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+            check(b, tol)
+    assert validate(b, 0.0) == [] and is_nonsignalling(b, 1e300)[0]
+
+
 def test_uniform_and_products_are_nonsignalling():
     u = uniform_behavior(Scenario(2, 2, 2))
     ok, worst = is_nonsignalling(u, 0)
@@ -110,6 +121,39 @@ def test_marginal_on_all_parties_is_column():
     rng = random.Random(0)
     b = random_behavior(scn, rng)
     assert marginal(b, [0, 1], [1, 0]) == b.column((1, 0))
+
+
+def ref_marginal(behavior, parties, settings, complement_settings):
+    """The outcome loop that the cached restriction indices replace."""
+    scn = behavior.scenario
+    rest = [k for k in range(scn.parties) if k not in parties]
+    x = [0] * scn.parties
+    for k, xk in zip(list(parties) + rest, list(settings) + list(complement_settings)):
+        x[k] = xk
+    col = behavior.column(x)
+    out = [0] * (scn.outcomes ** len(parties))
+    for a_idx, a in enumerate(itertools.product(range(scn.outcomes), repeat=scn.parties)):
+        sub = 0
+        for k in parties:
+            sub = sub * scn.outcomes + a[k]
+        out[sub] += col[a_idx]
+    return tuple(out)
+
+
+@pytest.mark.parametrize("dims", [(3, 2, 2), (2, 2, 3), (3, 2, 3)])
+def test_marginal_matches_the_outcome_loop(dims):
+    scn = Scenario(*dims)
+    rng = random.Random(4)
+    b = random_behavior(scn, rng)
+    ints = Behavior(scn, tuple(int(2 * p) for p in b.probs))  # int entries stay ints
+    for r in range(1, scn.parties + 1):
+        for parties in itertools.permutations(range(scn.parties), r):
+            settings = [rng.randrange(scn.settings) for _ in parties]
+            comp = [rng.randrange(scn.settings) for _ in range(scn.parties - r)]
+            for behavior in (b, ints):
+                got = marginal(behavior, parties, settings, comp)
+                ref = ref_marginal(behavior, parties, settings, comp)
+                assert got == ref and [type(v) for v in got] == [type(v) for v in ref]
 
 
 def test_marginal_rejects_empty_subset():

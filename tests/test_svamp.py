@@ -14,7 +14,15 @@ from monogamy_lab.polylp import ns_row_residual
 from monogamy_lab.sampling import (
     ns_pool, random_behavior, random_local_vertex, random_ns_mixture, random_weights,
 )
-from monogamy_lab.scenario import Behavior, Scenario, is_nonsignalling, marginal, mix, uniform_behavior
+from monogamy_lab.scenario import (
+    Behavior,
+    Scenario,
+    is_nonsignalling,
+    marginal,
+    mix,
+    uniform_behavior,
+    validate,
+)
 from monogamy_lab.svamp import (
     AdversaryModel,
     SVSource,
@@ -91,6 +99,13 @@ def test_adversary_model_validation(pool_222):
     scn = Scenario(2, 2, 2)
     with pytest.raises(ValueError):
         AdversaryModel(scn, [pool_222[0]], [uniform_inputs(scn)], [Fraction(1, 2)])
+    # exact entries summing to 1 with a negative one: prior and inputs rejected
+    with pytest.raises(ValueError, match="prior"):
+        AdversaryModel(scn, [pool_222[0]] * 2, [uniform_inputs(scn)] * 2, [Fraction(3, 2), Fraction(-1, 2)])
+    skewed = uniform_inputs(scn)
+    skewed[(0, 0)], skewed[(1, 1)] = Fraction(3, 4), Fraction(-1, 4)
+    with pytest.raises(ValueError, match="input distribution"):
+        AdversaryModel(scn, [pool_222[0]], [skewed], [1])
     # signalling strategy rejected
     probs = [Fraction(0)] * scn.size
     for x in scn.all_settings():
@@ -355,7 +370,7 @@ def ref_q_factor(model, x):
     return best
 
 
-def ref_variational_bound(model, x, party, observed, bell_value):
+def ref_per_call_variational_bound(model, x, party, observed, bell_value):
     d = model.scenario.outcomes
     post = ref_posterior(model, x)
     lhs = 0
@@ -429,7 +444,7 @@ def test_model_tables_match_per_call_reference(diff_pools):
             assert same(outcome(q_factor, model, x), outcome(ref_q_factor, model, x))
             for k in range(scn.parties):
                 got = outcome(variational_bound, model, x, k, observed, value)
-                ref = outcome(ref_variational_bound, model, x, k, observed, value)
+                ref = outcome(ref_per_call_variational_bound, model, x, k, observed, value)
                 if ref is ValueError:
                     assert got is ValueError
                     continue
@@ -558,6 +573,23 @@ def ref_deviations(model):
     ]
 
 
+def ref_variational_bound(model, x, party, observed, bell_value):
+    d = model.scenario.outcomes
+    x = tuple(x)
+    lhs = 0
+    for pw, dev in zip(model._posterior(x), model._deviations):
+        lhs += pw * dev[party][x[party]]
+    q = ref_q_factor(model, x)
+    if q is None:
+        rhs = None
+        satisfied = True
+    else:
+        rhs = Fraction((d - 1) ** 2 + 1, d) * q * bell_value
+        exact = isinstance(lhs, (int, Fraction)) and isinstance(rhs, (int, Fraction))
+        satisfied = lhs <= rhs if exact else lhs <= rhs + 1e-12
+    return VariationalCheck(x, party, lhs, rhs, lhs / 2, q, bell_value, satisfied)
+
+
 def ref_random_sv_input_dist(scenario, rng, epsilon, denom=32):
     source = SVSource(Fraction(epsilon))
     r = source_uses(scenario.settings)
@@ -617,6 +649,20 @@ def assert_scaled_form(b):
     assert b.scaled == Behavior(b.scenario, b.probs).scaled
 
 
+def assert_bounds_match(model, observed, value):
+    """variational_bound agrees with the Fraction loop in value and type
+    for every (x, k), raising where it raises."""
+    scn = model.scenario
+    for x in scn.all_settings():
+        for k in range(scn.parties):
+            got = outcome(variational_bound, model, x, k, observed, value)
+            ref = outcome(ref_variational_bound, model, x, k, observed, value)
+            if ref is ValueError:
+                assert got is ValueError
+                continue
+            assert all(same(getattr(got, f.name), getattr(ref, f.name)) for f in dataclasses.fields(ref))
+
+
 def random_mix_case(scn, pool, rng):
     """Pool points under random weights, one of them zero when there are
     more than two; half the time one point has its 0 and 1 entries as ints."""
@@ -663,16 +709,23 @@ def test_integer_kernels_match_fraction_loops(diff_pools):
                 dist[empty] = Fraction(0)
             model = AdversaryModel(scn, model.behaviors, dists, model.prior)
         assert same(model._deviations, ref_deviations(model))
+        assert model._dev_ints is not None  # the integer path
         for strategy in model.behaviors:
             assert_scaled_form(strategy)
         observed = outcome(observed_behavior, model)
         if outcome(ref_observed_behavior, model) is ValueError:
             assert observed is ValueError
+            # the settings of zero probability raise, the others are checked
+            assert_bounds_match(model, uniform_behavior(scn), Fraction(1, 7))
             continue
         assert same(observed.probs, ref_observed_behavior(model).probs)
         assert_scaled_form(observed)
         functional = bell_functional_for(scn)
-        assert same(evaluate(functional, observed), ref_evaluate(functional, observed))
+        value = evaluate(functional, observed)
+        assert same(value, ref_evaluate(functional, observed))
+        assert_bounds_match(model, observed, value)
+        # a float Bell value makes a float rhs
+        assert_bounds_match(model, observed, float(value))
 
 
 def test_mix_of_int_entries_and_zero_weights(diff_pools):
@@ -713,10 +766,76 @@ def test_float_behaviors_take_the_entrywise_path(diff_pools):
             [float(p) for p in model.prior],
         )
         assert same(float_model._deviations, ref_deviations(float_model))
+        assert float_model._dev_ints is None
         observed = observed_behavior(float_model)
         assert same(observed.probs, ref_observed_behavior(float_model).probs)
         functional = bell_functional_for(scn)
-        assert same(evaluate(functional, observed), ref_evaluate(functional, observed))
+        value = evaluate(functional, observed)
+        assert same(value, ref_evaluate(functional, observed))
+        assert_bounds_match(float_model, observed, value)
+        # exact strategies under a float prior: float posteriors, Fraction deviations
+        mixed = AdversaryModel(scn, model.behaviors, model.input_dists, [float(p) for p in model.prior])
+        assert all(terms is None for terms in mixed._terms.values())
+        assert_bounds_match(mixed, observed_behavior(mixed), value)
+
+
+def test_int_and_fraction_factors_match_the_fraction_loop(diff_pools):
+    # int 0/1 beside Fractions: a setting with a Fraction factor is summed in
+    # integers, a setting whose factors are all ints takes the quotient path
+    scn = Scenario(2, 3, 2)
+    pool = diff_pools[scn]
+    uniform_dist = {x: Fraction(1, 9) for x in scn.all_settings()}
+    point = {x: int(x == (0, 0)) for x in scn.all_settings()}
+    outside = {**uniform_dist, (0, 0): Fraction(2, 9), (0, 1): 0}  # (0, 1) is not in the functional
+    int_vertex = Behavior(scn, tuple(int(p) if p in (0, 1) else p for p in pool[1].probs))
+    models = [
+        AdversaryModel(scn, [pool[0], int_vertex], [uniform_dist, point], [1, 0]),
+        AdversaryModel(scn, [int_vertex, pool[2]], [point, uniform_dist], [Fraction(1, 3), Fraction(2, 3)]),
+        AdversaryModel(scn, [pool[2]], [outside], [1]),
+    ]
+    assert models[2]._terms[(0, 1)] is None and models[2]._posteriors[(0, 1)] is None
+    assert all(models[2]._terms[x] is not None for x in scn.all_settings() if x != (0, 1))
+    functional = bell_functional_for(scn)
+    for model in models:
+        assert model._dev_ints is not None
+        observed = observed_behavior(model)
+        assert same(observed.probs, ref_observed_behavior(model).probs)
+        value = evaluate(functional, observed)
+        assert same(value, ref_evaluate(functional, observed))
+        assert_bounds_match(model, observed, value)
+
+
+def test_integer_form_behaviors_build_probs_on_first_read(diff_pools):
+    rng = random.Random(36)
+    for i in range(8):
+        scn = DIFF_SCENARIOS[i % 4]
+        model = random_adversary_model(scn, rng, diff_pools[scn], n_strategies=3)
+        observed = observed_behavior(model)
+        value = evaluate(bell_functional_for(scn), observed)
+        for x in scn.all_settings():
+            for k in range(scn.parties):
+                variational_bound(model, x, k, observed, value)
+        lazy = model.behaviors + [observed]
+        # the model path reads only the integer form
+        assert all("probs" not in b.__dict__ for b in lazy)
+        for b in lazy:
+            denom, nums = b.scaled
+            eager = Behavior(scn, tuple(Fraction(n, denom) for n in nums))
+            # checks that read the entries agree with the eager behavior's
+            assert validate(mix([b], [Fraction(1)])) == validate(eager)
+            assert same(is_nonsignalling(mix([b], [Fraction(1)])), is_nonsignalling(eager))
+            fresh = mix([b], [Fraction(1)])
+            assert "probs" not in fresh.__dict__
+            assert_scaled_form(fresh)
+            # once read, the entries, equality, hash and repr are the eager ones
+            assert same(b.probs, eager.probs)
+            assert b == eager and eager == b and hash(b) == hash(eager) and repr(b) == repr(eager)
+            assert b.scaled == eager.scaled
+    scn = Scenario(2, 2, 2)
+    with pytest.raises(ValueError, match="expected 16 entries, got 15"):
+        Behavior._from_scaled(scn, 1, (0,) * 15)
+    with pytest.raises(ValueError, match="expected 16 entries, got 15"):
+        Behavior(scn, (Fraction(0),) * 15)
 
 
 # sha256 of the model_to_json, the VariationalCheck list and the next draw of
