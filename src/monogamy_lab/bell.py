@@ -33,7 +33,7 @@ from typing import Sequence
 
 from .errors import InputFormatError
 from .scenario import (
-    Behavior, Scenario, enumerate_assignments, format_number, marginal, parse_int,
+    FLOAT_TOL, Behavior, Scenario, enumerate_assignments, format_number, marginal, parse_int,
     parse_number, read_json, scaled_marginal, scenario_from_json,
 )
 
@@ -41,10 +41,7 @@ from .scenario import (
 def modular_mean(dist: Sequence):
     """<W> = sum_i i P(W = i) for a distribution over {0..d-1}."""
     total = sum(dist)
-    if isinstance(total, float):
-        if abs(total - 1) > 1e-9:
-            raise ValueError(f"distribution sums to {total}")
-    elif total != 1:
+    if abs(total - 1) > FLOAT_TOL if isinstance(total, float) else total != 1:
         raise ValueError(f"distribution sums to {total}")
     return sum(i * p for i, p in enumerate(dist))
 
@@ -188,29 +185,24 @@ def recursive_bkp(N: int, M: int, d: int) -> BellFunctional:
 def evaluate(functional: BellFunctional, behavior: Behavior):
     """Value of the functional on a behavior, term by term.
 
-    An exact behavior's marginals are summed as the integer numerators of
-    :attr:`Behavior.scaled`.  When every weight is exact too, the weighted
-    means are summed as integers over lcm(weight denominators) x D and the
-    value is one Fraction (also when every entry and weight is an int);
-    float behaviors are summed as floats.
+    When the behavior is exact and every weight is an int or a Fraction,
+    the marginals are the integer numerators of :attr:`Behavior.scaled`,
+    the weighted means are summed as integers over lcm(weight denominators)
+    x D and the value is one Fraction.  Otherwise the weighted means of the
+    entries are summed in plain arithmetic.
     """
     if behavior.scenario != functional.scenario:
         raise ValueError("behavior and functional scenarios differ")
     scn = functional.scenario
     d = scn.outcomes
-    scaled = behavior.scaled
     weights = [term.weight for term in functional.terms]
-    exact = scaled is not None and all(isinstance(w, (int, Fraction)) for w in weights)
-    if exact:
-        w_denom = math.lcm(*(w.denominator for w in weights))
+    exact = behavior.scaled is not None and all(isinstance(w, (int, Fraction)) for w in weights)
+    w_denom = math.lcm(*(w.denominator for w in weights)) if exact else 1
     total = 0
     for term in functional.terms:
         parties = [k for k, _, _ in term.coeffs]
         settings = [xk for _, xk, _ in term.coeffs]
-        if scaled is None:
-            dist = marginal(behavior, parties, settings)
-        else:
-            dist = scaled_marginal(behavior, parties, settings)
+        dist = (scaled_marginal if exact else marginal)(behavior, parties, settings)
         omega = [0] * d
         for a_idx, a in enumerate(itertools.product(range(d), repeat=len(parties))):
             w = term.shift
@@ -221,10 +213,8 @@ def evaluate(functional: BellFunctional, behavior: Behavior):
         if exact:
             total += term.weight.numerator * (w_denom // term.weight.denominator) * mean
         else:
-            total += term.weight * (mean if scaled is None else Fraction(mean, scaled[0]))
-    if exact and weights:
-        return Fraction(total, w_denom * scaled[0])
-    return total
+            total += term.weight * mean
+    return Fraction(total, w_denom * behavior.scaled[0]) if exact else total
 
 
 def evaluate_assignment(functional: BellFunctional, table: Sequence[Sequence[int]]):

@@ -93,6 +93,7 @@ def agreement_probability(
     """p(A^k_{x_k} = [A^{last}_{x_last} + m]) and whether I + 1 >= d p holds."""
     scn = behavior.scenario
     d = scn.outcomes
+    _check_party(scn, k)
     if check:
         _require_ns(behavior, tol)
     dist = pair_difference_distribution(behavior, k, x_k, scn.parties - 1, x_last)

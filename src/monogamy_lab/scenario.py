@@ -77,6 +77,8 @@ class Scenario:
         return self.n_columns * self.column_size
 
     def column_index(self, x: Sequence[int]) -> int:
+        if len(x) != self.parties:
+            raise ValueError(f"need {self.parties} settings, got {len(x)}")
         idx = 0
         for xk in x:
             if not 0 <= xk < self.settings:
@@ -85,6 +87,8 @@ class Scenario:
         return idx
 
     def outcome_index(self, a: Sequence[int]) -> int:
+        if len(a) != self.parties:
+            raise ValueError(f"need {self.parties} outcomes, got {len(a)}")
         idx = 0
         for ak in a:
             if not 0 <= ak < self.outcomes:
@@ -110,11 +114,13 @@ class Behavior:
     Immutable after construction; cheap validity checks only (use
     :func:`validate` for the full report).
 
-    An exact behavior also has an integer form, :attr:`scaled`.  The mixing
-    kernels (:func:`mix`, :func:`mix_columns`) build an all-exact result in
-    that form only: it holds ``scaled`` and builds ``probs``, one Fraction
+    A behavior is exact when every entry is an int or a Fraction; it then
+    also has an integer form, :attr:`scaled`.  A mixture of exact behaviors
+    with int or Fraction weights (:func:`mix`, :func:`mix_columns`) is built
+    in that form only: it holds ``scaled`` and builds ``probs``, one Fraction
     per entry, on first read.  Such a behavior has the entries, equality,
     hash and repr of ``Behavior(scenario, probs)``, and the same length check.
+    A float entry or weight makes a mixture of plain float sums.
     """
 
     scenario: Scenario
@@ -245,6 +251,8 @@ def _marginal(scn: Scenario, values: Sequence, parties, settings, complement_set
         raise ValueError("party subset must be nonempty")
     if len(set(parties)) != len(parties):
         raise ValueError("party subset has duplicates")
+    if min(parties) < 0 or max(parties) >= scn.parties:
+        raise ValueError(f"party subset {parties} out of range for N={scn.parties}")
     if len(settings) != len(parties):
         raise ValueError("need one setting per selected party")
     rest = [k for k in range(scn.parties) if k not in parties]
@@ -333,30 +341,28 @@ def uniform_behavior(scenario: Scenario, exact: bool = True) -> Behavior:
 
 
 def mix(behaviors: Sequence[Behavior], weights: Sequence) -> Behavior:
-    """Convex combination of behaviors on a common scenario."""
+    """Convex combination of behaviors on a common scenario.
+
+    The weights must pass :func:`is_distribution`.  When every weight with
+    a nonzero value and every behavior it weights is exact, the entries are
+    Fractions; otherwise they are the plain sums 0 + w_1 p_1 + ... .
+    """
     if len(behaviors) != len(weights) or not behaviors:
         raise ValueError("need one weight per behavior")
     scn = behaviors[0].scenario
     if any(b.scenario != scn for b in behaviors):
         raise ValueError("behaviors live on different scenarios")
-    if any(w < 0 for w in weights):
-        raise ValueError("weights must be nonnegative")
-    exact = exact_sum(weights)
-    if exact is None:
-        total = sum(weights)
-    else:
-        num, denom = exact
-        total = 1 if num == denom else Fraction(num, denom)
-    if total != 1:
-        raise ValueError(f"weights sum to {total}, expected 1")
+    if not is_distribution(weights):
+        raise ValueError(f"weights must be nonnegative and sum to 1, got {list(weights)}")
     return _weighted_sum(scn, behaviors, [weights])
 
 
 def mix_columns(behaviors: Sequence[Behavior], column_weights: Sequence[Sequence]) -> Behavior:
     """The behavior whose column x mixes the behaviors' columns x with the
     weights ``column_weights[x]`` (one list per setting tuple, in column
-    order).  The weights are not checked: the observed behavior of an
-    adversary model mixes by posteriors, which its model has checked."""
+    order), with the entry types of :func:`mix`.  The weights are not
+    checked: the observed behavior of an adversary model mixes by
+    posteriors, which its model has checked."""
     if not behaviors or any(len(w) != len(behaviors) for w in column_weights):
         raise ValueError("need one weight per behavior for every column")
     scn = behaviors[0].scenario
@@ -369,68 +375,51 @@ def _weighted_sum(scn: Scenario, behaviors: Sequence[Behavior], block_weights: S
     """sum_j w_j p_j over equal blocks of the flat tables, block i weighted
     by ``block_weights[i]``; zero weights are skipped.
 
-    Each entry has the value and the type of the left-to-right sum
-    0 + w_1 p_1 + ... .  A block is exact when its weights are exact, at
-    least one of them is a Fraction and every summed behavior is exact; its
-    entries are then Fractions, summed as integer numerators over one
-    denominator.  When every block is exact, the result is built from that
-    integer form alone (:meth:`Behavior._from_scaled`).  Otherwise each
-    exact block's Fractions are built once and the other blocks are summed
-    entry by entry.
+    When every nonzero weight is an int or a Fraction and every behavior it
+    weights is exact, the sum is taken in integer numerators over one
+    denominator and the result is built from that integer form alone
+    (:meth:`Behavior._from_scaled`): its entries are Fractions.  Otherwise
+    each entry is the plain left-to-right sum 0 + w_1 p_1 + ... .
     """
     width = scn.size // len(block_weights)
     blocks = [[(w, b) for w, b in zip(weights, behaviors) if w != 0] for weights in block_weights]
-    exact = [
-        any(isinstance(w, Fraction) for w, _ in terms)
-        and all(isinstance(w, (int, Fraction)) and b.scaled is not None for w, b in terms)
-        for terms in blocks
-    ]
-    if all(exact):
-        denom = math.lcm(*(w.denominator * b.scaled[0] for terms in blocks for w, b in terms))
+    terms = [t for block in blocks for t in block]
+    if all(isinstance(w, (int, Fraction)) and b.scaled is not None for w, b in terms):
+        denom = math.lcm(*(w.denominator * b.scaled[0] for w, b in terms))
         nums = []
-        for i, terms in enumerate(blocks):
-            nums += _block_numerators(terms, i * width, (i + 1) * width, denom)
+        for i, block in enumerate(blocks):
+            lo, hi = i * width, (i + 1) * width
+            col = [0] * width
+            for w, b in block:
+                b_denom, b_nums = b.scaled
+                c = w.numerator * (denom // (w.denominator * b_denom))
+                col = [n + c * m for n, m in zip(col, b_nums[lo:hi])]
+            nums += col
         g = math.gcd(denom, *nums)
         return Behavior._from_scaled(scn, denom // g, tuple(n // g for n in nums))
     probs = []
-    for i, (terms, block_exact) in enumerate(zip(blocks, exact)):
-        lo, hi = i * width, (i + 1) * width
-        if block_exact:
-            denom = math.lcm(*(w.denominator * b.scaled[0] for w, b in terms))
-            probs += [Fraction(n, denom) for n in _block_numerators(terms, lo, hi, denom)]
-            continue
+    for i, block in enumerate(blocks):
         col = [0] * width
-        for w, b in terms:
-            exact_w = isinstance(w, (int, Fraction))
-            for j, p in enumerate(b.probs[lo:hi]):
-                # an exact zero term moves neither the value nor the type of
-                # a Fraction entry; any other term is added
-                if exact_w and type(col[j]) is Fraction and isinstance(p, (int, Fraction)) and p == 0:
-                    continue
+        for w, b in block:
+            for j, p in enumerate(b.probs[i * width : (i + 1) * width]):
                 col[j] += w * p
         probs += col
     return Behavior(scn, tuple(probs))
 
 
-def _block_numerators(terms, lo: int, hi: int, denom: int) -> list[int]:
-    """Numerators over ``denom`` of sum_j w_j p_j on entries lo..hi of exact
-    behaviors; ``denom`` is a multiple of every w_j's denominator times D_j."""
-    nums = [0] * (hi - lo)
-    for w, b in terms:
-        b_denom, b_nums = b.scaled
-        c = w.numerator * (denom // (w.denominator * b_denom))
-        nums = [n + c * m for n, m in zip(nums, b_nums[lo:hi])]
-    return nums
+# Tolerance of the float checks: distribution sums and NS row residuals.
+FLOAT_TOL = 1e-9
 
 
-def exact_sum(values) -> tuple[int, int] | None:
-    """sum(values) as (numerator, denominator) over the lcm of the
-    denominators, not reduced; None unless every value is an int or a
-    Fraction."""
-    if not all(isinstance(v, (int, Fraction)) for v in values):
-        return None
-    denom = math.lcm(*(v.denominator for v in values))
-    return sum(v.numerator * (denom // v.denominator) for v in values), denom
+def is_distribution(values) -> bool:
+    """Nonnegative entries summing to 1.  When every entry is an int or a
+    Fraction the sum is exact, taken in integer numerators over the lcm of
+    the denominators; once a float enters, it may miss 1 by FLOAT_TOL."""
+    if all(isinstance(v, (int, Fraction)) for v in values):
+        denom = math.lcm(*(v.denominator for v in values))
+        total = sum(v.numerator * (denom // v.denominator) for v in values)
+        return total == denom and all(v.numerator >= 0 for v in values)
+    return all(v >= 0 for v in values) and abs(sum(values) - 1) <= FLOAT_TOL
 
 
 def product(b1: Behavior, b2: Behavior) -> Behavior:

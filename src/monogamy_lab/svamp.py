@@ -37,10 +37,11 @@ from .bell import evaluate, recursive_bkp
 from .errors import InputFormatError
 from .polylp import ns_row_residual
 from .scenario import (
+    FLOAT_TOL,
     Behavior,
     Scenario,
-    exact_sum,
     format_number,
+    is_distribution,
     marginal,
     mix_columns,
     parse_int,
@@ -77,23 +78,6 @@ class SVSource:
         return ((1 + 2 * self.epsilon) / (1 - 2 * self.epsilon)) ** uses
 
 
-# Tolerance of the float checks: distribution sums and NS row residuals.
-_FLOAT_TOL = 1e-9
-
-
-def _is_distribution(values) -> bool:
-    """Nonnegative entries summing to 1: exactly, or within _FLOAT_TOL once
-    a float enters the sum.  Exact entries are summed as integer numerators
-    over the lcm of their denominators."""
-    exact = exact_sum(values)
-    if exact is not None:
-        return exact[0] == exact[1] and all(p.numerator >= 0 for p in values)
-    if any(p < 0 for p in values):
-        return False
-    total = sum(values)
-    return abs(total - 1) <= _FLOAT_TOL if isinstance(total, float) else total == 1
-
-
 @dataclass
 class AdversaryModel:
     """w-indexed strategies: NS behavior and input distribution per w, plus
@@ -103,21 +87,23 @@ class AdversaryModel:
     per-setting quantity reads: the posterior p(w|x) of every setting (None
     where p(x) = 0), p_min(w) over the functional's settings, and for each
     (w, party, setting) the deviation sum_a |m_a - 1/d| of the strategy's
-    outcome marginal m from uniform.  Exact parts of the model also get
-    integer tables: a posterior summed in integers keeps its terms
-    (T_x, [t_w]) with p(w|x) = t_w / T_x, and when every strategy is exact
-    each deviation is kept as an integer numerator over one denominator
-    d L, L the lcm of the strategies' denominators.  :func:`q_factor` keeps
-    Q(x) per setting on first use, and the observed behavior and its Bell
-    value are built on first use and kept.  The model is fixed after
-    construction: changing behaviors, input_dists or prior afterwards leaves
-    the tables, the integer tables and the kept Q(x) stale.
+    outcome marginal m from uniform.  A value is exact when it is an int or
+    a Fraction, and exact parts of the model also get integer tables: a
+    setting whose factors p(w) and p(x|w) are all exact keeps its terms
+    (T_x, [t_w]) with the Fraction posterior p(w|x) = t_w / T_x, and when
+    every strategy is exact each deviation is kept as an integer numerator
+    over one denominator d L, L the lcm of the strategies' denominators.  A
+    float factor or strategy takes plain float arithmetic instead.
+    :func:`q_factor` keeps Q(x) per setting on first use, and the observed
+    behavior and its Bell value are built on first use and kept.  The model
+    is fixed after construction: changing behaviors, input_dists or prior
+    afterwards leaves the tables, the integer tables and the kept Q(x) stale.
 
     Each strategy must satisfy the no-signalling rows of
-    :func:`polylp.ns_constraints` (exactly, or within 1e-9 for float
-    entries); a signalling strategy is rejected with its largest row
-    residual.  The prior and each input distribution must be distributions
-    (float sums within 1e-9 of 1).
+    :func:`polylp.ns_constraints` (exactly, or within
+    :data:`scenario.FLOAT_TOL` for float entries); a signalling strategy is
+    rejected with its largest row residual.  The prior and each input
+    distribution must pass :func:`scenario.is_distribution`.
     """
 
     scenario: Scenario
@@ -135,16 +121,16 @@ class AdversaryModel:
         n = len(self.behaviors)
         if not (n == len(self.input_dists) == len(self.prior)):
             raise ValueError("need one behavior, input distribution and prior entry per w")
-        if not _is_distribution(self.prior):
+        if not is_distribution(self.prior):
             raise ValueError("prior must be a distribution")
         for b in self.behaviors:
             if b.scenario != self.scenario:
                 raise ValueError("behavior scenario mismatch")
             worst = ns_row_residual(b)
-            if worst > (0 if b.scaled is not None else _FLOAT_TOL):
+            if worst > (0 if b.scaled is not None else FLOAT_TOL):
                 raise ValueError(f"strategy behavior is signalling (NS row residual {worst})")
         for dist in self.input_dists:
-            if not _is_distribution(dist.values()):
+            if not is_distribution(dist.values()):
                 raise ValueError("input distribution must be normalized and nonnegative")
 
         scn = self.scenario
@@ -185,17 +171,14 @@ class AdversaryModel:
         """p(w|x) = p(w) p(x|w) / p(x) for every w, None where p(x) = 0;
         paired with its integer terms (T_x, [t_w]), or None.
 
-        When every factor is exact and one is a Fraction, the terms
+        When every factor is an int or a Fraction, the terms
         t_w = p(w) p(x|w) T are summed as integers over one denominator T,
-        so T_x = sum t_w and each posterior is one Fraction(t_w, T_x) with the
-        value and type of the quotient; otherwise the quotient is taken as
-        written and there are no integer terms.
+        so T_x = sum t_w and each posterior is one Fraction(t_w, T_x);
+        otherwise the quotient is taken in plain arithmetic and there are no
+        integer terms.
         """
         factors = [(pw, dist.get(x, 0)) for pw, dist in zip(self.prior, self.input_dists)]
-        flat = [f for pair in factors for f in pair]
-        if any(isinstance(f, Fraction) for f in flat) and all(
-            isinstance(f, (int, Fraction)) for f in flat
-        ):
+        if all(isinstance(f, (int, Fraction)) for pair in factors for f in pair):
             denom = math.lcm(*(pw.denominator * q.denominator for pw, q in factors))
             terms = [
                 pw.numerator * q.numerator * (denom // (pw.denominator * q.denominator))

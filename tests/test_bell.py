@@ -177,11 +177,15 @@ def test_evaluate_with_unequal_weights_matches_dense():
     f = BellFunctional(scn, tuple(
         ModularTerm(w, t.coeffs, t.shift) for w, t in zip(weights, base.terms)
     ))
+    floats = BellFunctional(scn, tuple(ModularTerm(float(t.weight), t.coeffs, t.shift) for t in f.terms))
     rng = random.Random(43)
     for _ in range(20):
         b = random_behavior(scn, rng)
         value = evaluate(f, b)
         assert type(value) is Fraction and value == evaluate_dense(f, b)
+        # a float weight on an exact behavior: plain arithmetic, a float
+        approx = evaluate(floats, b)
+        assert type(approx) is float and abs(approx - value) < 1e-12
 
 
 def test_evaluate_is_linear_under_mixing():

@@ -87,6 +87,14 @@ def test_agreement_shift_partition(minimizer_222):
     assert total == 1
 
 
+@pytest.mark.parametrize("k", [-1, 2])
+def test_agreement_probability_rejects_parties_outside_the_bell_test(k):
+    # -1 would compare the outsider with itself, 2 is the outsider
+    b = uniform_behavior(Scenario(3, 2, 2))
+    with pytest.raises(ValueError, match="k must index one of the first N parties"):
+        agreement_probability(b, k, 0, 0)
+
+
 def test_perfect_correlation_forces_no_violation():
     # outsider copying a party's outcome caps the Bell value from below
     scn = Scenario(3, 2, 2)

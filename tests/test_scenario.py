@@ -161,6 +161,29 @@ def test_marginal_rejects_empty_subset():
         marginal(uniform_behavior(Scenario(2, 2, 2)), [], [])
 
 
+def test_marginal_rejects_parties_out_of_range():
+    scn = Scenario(3, 2, 2)
+    v = deterministic_vertex(scn, [[0, 0], [0, 0], [0, 1]])
+    assert marginal(v, [2], [1]) == (0, 1)
+    for k in (-1, 3):
+        with pytest.raises(ValueError, match="out of range for N=3"):
+            marginal(v, [k], [1])
+
+
+def test_index_rejects_tuples_of_the_wrong_length():
+    scn = Scenario(2, 2, 2)
+    v = deterministic_vertex(scn, [[0, 1], [0, 1]])
+    assert v[(0, 1), (0, 1)] == 1
+    with pytest.raises(ValueError, match="need 2 settings, got 1"):
+        v[(1,), (0, 0)]
+    with pytest.raises(ValueError, match="need 2 settings, got 3"):
+        scn.index((1, 0, 1), (0, 0))
+    with pytest.raises(ValueError, match="need 2 outcomes, got 1"):
+        scn.index((0, 0), (1,))
+    with pytest.raises(ValueError, match="need 2 outcomes, got 3"):
+        scn.outcome_index((0, 0, 0))
+
+
 def test_vertex_count_and_ns():
     scn = Scenario(2, 2, 2)
     vertices = [deterministic_vertex(scn, a) for a in enumerate_assignments(scn)]
@@ -194,6 +217,18 @@ def test_mix_rejects_bad_weights():
     u = uniform_behavior(scn)
     with pytest.raises(ValueError):
         mix([u, u], [Fraction(1, 2), Fraction(1, 3)])
+
+
+def test_mix_takes_float_weights_within_the_tolerance():
+    scn = Scenario(2, 2, 2)
+    u = uniform_behavior(scn, exact=False)
+    assert sum([0.1] * 10) != 1
+    m = mix([u] * 10, [0.1] * 10)
+    assert all(type(p) is float and abs(p - 0.25) < 1e-12 for p in m.probs)
+    with pytest.raises(ValueError, match="sum to 1"):
+        mix([u] * 9, [0.1] * 9)
+    with pytest.raises(ValueError, match="nonnegative"):
+        mix([u] * 3, [0.6, 0.6, -0.2])
 
 
 @settings(max_examples=25, deadline=None)

@@ -742,7 +742,9 @@ def test_mix_of_int_entries_and_zero_weights(diff_pools):
         ([uniform, ints, vertex], [Fraction(1, 2), 0, Fraction(1, 2)]),
     ]:
         got = mix(behaviors, weights)
-        assert same(got.probs, ref_mix(behaviors, weights).probs)
+        # the loop's values; every input is exact, so every entry is a Fraction
+        assert got.probs == ref_mix(behaviors, weights).probs
+        assert all(type(p) is Fraction for p in got.probs)
         assert_scaled_form(got)
 
 
@@ -780,8 +782,8 @@ def test_float_behaviors_take_the_entrywise_path(diff_pools):
 
 
 def test_int_and_fraction_factors_match_the_fraction_loop(diff_pools):
-    # int 0/1 beside Fractions: a setting with a Fraction factor is summed in
-    # integers, a setting whose factors are all ints takes the quotient path
+    # int 0/1 priors and inputs beside Fractions: every setting of these
+    # models has all-exact factors, so each is summed in integers
     scn = Scenario(2, 3, 2)
     pool = diff_pools[scn]
     uniform_dist = {x: Fraction(1, 9) for x in scn.all_settings()}
@@ -803,6 +805,45 @@ def test_int_and_fraction_factors_match_the_fraction_loop(diff_pools):
         value = evaluate(functional, observed)
         assert same(value, ref_evaluate(functional, observed))
         assert_bounds_match(model, observed, value)
+
+
+def test_all_int_models_are_exact():
+    scn = Scenario(2, 2, 2)
+    rng = random.Random(37)
+    ints = [Behavior(scn, tuple(map(int, random_local_vertex(scn, rng).probs))) for _ in range(2)]
+    uniform_dist = {x: Fraction(1, 4) for x in scn.all_settings()}
+    point = {x: int(x == (0, 0)) for x in scn.all_settings()}
+
+    def as_fractions(model):
+        return AdversaryModel(
+            scn,
+            [Behavior(scn, tuple(map(Fraction, b.probs))) for b in model.behaviors],
+            [{x: Fraction(p) for x, p in dist.items()} for dist in model.input_dists],
+            list(map(Fraction, model.prior)),
+        )
+
+    # every factor an int: the posterior at the one setting of nonzero
+    # probability is the Fraction 1, as in the Fraction model; every other
+    # setting of the functional has p(x) = 0, so Q(x) and the bound raise
+    model = AdversaryModel(scn, [ints[0]], [point], [1])
+    assert same(model.posterior((0, 0)), [Fraction(1)])
+    assert model._terms[(0, 0)] == (1, [1])
+    twin = as_fractions(model)
+    for x in scn.all_settings():
+        assert same(outcome(model.posterior, x), outcome(twin.posterior, x))
+    with pytest.raises(ValueError, match="zero probability"):
+        variational_bound(model, (0, 0), 0, uniform_behavior(scn), Fraction(1, 7))
+    # int prior, int strategies and an int input point beside a Fraction
+    # input: Q, lhs and rhs are Fractions, decided exactly
+    model = AdversaryModel(scn, ints, [uniform_dist, point], [1, 0])
+    twin = as_fractions(model)
+    assert same(observed_behavior(model).probs, observed_behavior(twin).probs)
+    for x in scn.all_settings():
+        for k in range(scn.parties):
+            got, ref = variational_bound(model, x, k), variational_bound(twin, x, k)
+            assert all(same(getattr(got, f.name), getattr(ref, f.name)) for f in dataclasses.fields(ref))
+            assert all(type(v) is Fraction for v in (got.q, got.lhs, got.rhs, got.bell_value))
+            assert got.satisfied is (got.lhs <= got.rhs)
 
 
 def test_integer_form_behaviors_build_probs_on_first_read(diff_pools):
