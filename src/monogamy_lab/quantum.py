@@ -23,29 +23,37 @@ two-qudit pair at the Fourier-basis phase-ladder measurements of Barrett,
 Kent and Pironio, PRL 97, 170409 (2006).  The behavior at those measurements
 attains the value, so it is an upper bound on the quantum minimum; for d = 2
 it equals 2M sin^2(pi/4M).  Everything here is float arithmetic; exactness is
-never claimed.
+never claimed.  numpy loads on first use: each function that needs it imports
+it, so importing this module (and the package) does not.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .bell import recursive_bkp
 from .monogamy import guessing_bound, guessing_bound_prior
 from .scenario import Behavior, Scenario
 
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
-# sigma_u x sigma_v for (u, v) = xx, xz, zx, zz: the entries of a correlation matrix
-_PAULI_PAIRS = np.stack([np.kron(su, sv) for su in (SIGMA_X, SIGMA_Z) for sv in (SIGMA_X, SIGMA_Z)])
+if TYPE_CHECKING:
+    import numpy as np
+
 # states drawn, and their correlation matrices held, at a time in monogamy_montecarlo
 _MC_BLOCK = 1024
+
+
+@functools.cache
+def _paulis() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """sigma_x, sigma_z and sigma_u x sigma_v for (u, v) = xx, xz, zx, zz."""
+    import numpy as np
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+    sz = np.array([[1.0, 0.0], [0.0, -1.0]])
+    return sx, sz, np.stack([np.kron(su, sv) for su in (sx, sz) for sv in (sx, sz)])
 
 
 def _check_alpha(alpha: float) -> None:
@@ -61,6 +69,7 @@ class RealPureState:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np
         self.amplitudes = np.asarray(self.amplitudes, dtype=float)
         if self.amplitudes.shape != (2**self.n_qubits,):
             raise ValueError("amplitude count must be 2^n")
@@ -70,6 +79,7 @@ class RealPureState:
 
 
 def random_real_state(n_qubits: int, rng: np.random.Generator) -> RealPureState:
+    import numpy as np
     v = rng.standard_normal(2**n_qubits)
     return RealPureState(n_qubits, v / np.linalg.norm(v))
 
@@ -82,10 +92,12 @@ class PlaneObservable:
 
     @property
     def matrix(self) -> np.ndarray:
-        return math.sin(self.angle) * SIGMA_X + math.cos(self.angle) * SIGMA_Z
+        sx, sz, _ = _paulis()
+        return math.sin(self.angle) * sx + math.cos(self.angle) * sz
 
     @property
     def direction(self) -> np.ndarray:
+        import numpy as np
         return np.array([math.sin(self.angle), math.cos(self.angle)])
 
 
@@ -97,6 +109,7 @@ class CorrelationMatrix:
 
     @property
     def singular_squares(self) -> tuple[float, float]:
+        import numpy as np
         s = np.linalg.svd(self.matrix, compute_uv=False)
         return float(s[0] ** 2), float(s[1] ** 2)
 
@@ -106,6 +119,7 @@ def _correlation_matrices(
 ) -> np.ndarray:
     """(k, 2, 2) correlation matrices of one qubit pair for the k real
     states in the rows of ``amplitudes``."""
+    import numpy as np
     i, j = pair
     if i == j or not (0 <= i < n_qubits and 0 <= j < n_qubits):
         raise ValueError("need two distinct qubit indices in range")
@@ -113,7 +127,7 @@ def _correlation_matrices(
     psi = amplitudes.reshape((k,) + (2,) * n_qubits)
     psi = np.moveaxis(psi, (i + 1, j + 1), (1, 2)).reshape(k, 4, -1)
     rho = psi @ psi.transpose(0, 2, 1)  # reduced 4x4 density matrices of the pair
-    t = np.trace(rho[:, None] @ _PAULI_PAIRS, axis1=-2, axis2=-1)
+    t = np.trace(rho[:, None] @ _paulis()[2], axis1=-2, axis2=-1)
     return t.reshape(k, 2, 2)
 
 
@@ -161,6 +175,7 @@ def monogamy_slacks(
     pair trade-off (worst over both orderings) and of the agreement form
     (worst over X in {A, B}).
     """
+    import numpy as np
     a2 = np.asarray(alphas, dtype=float) ** 2
     l1, l2 = lam_ab[:, :1], lam_ab[:, 1:]
     t1, t2 = lam_ac[:, :1], lam_ac[:, 1:]
@@ -177,6 +192,7 @@ def monogamy_slacks(
 
 def _random_real_states(k: int, rng: np.random.Generator) -> np.ndarray:
     """(k, 8) unit rows, the states of k calls of random_real_state(3, rng)."""
+    import numpy as np
     v = rng.standard_normal((k, 8))
     # a norm per row: one vectorized norm rounds some amplitudes differently
     states = v / np.array([np.linalg.norm(row) for row in v])[:, None]
@@ -189,6 +205,7 @@ def _random_real_states(k: int, rng: np.random.Generator) -> np.ndarray:
 
 def _worst_slacks(states: np.ndarray, alphas: Sequence[float]) -> np.ndarray:
     """(k, m) worst slack of each of k three-qubit states (rows) at each alpha."""
+    import numpy as np
     t = np.stack([_correlation_matrices(states, 3, pair) for pair in ((0, 1), (0, 2), (1, 2))])
     lam_ab, lam_ac, lam_bc = np.linalg.svd(t, compute_uv=False) ** 2
     return np.minimum(*monogamy_slacks(lam_ab, lam_ac, lam_bc, alphas))
@@ -204,6 +221,7 @@ def monogamy_montecarlo(
     block come from one stacked SVD.  A seed gives the states of n_states
     calls of :func:`random_real_state`.
     """
+    import numpy as np
     if n_states < 1:
         raise ValueError("need at least one state")
     if len(alphas) == 0:
@@ -230,6 +248,7 @@ def monogamy_montecarlo(
 def saturating_family(theta: float) -> RealPureState:
     """(b+ |01> + b- |10>)|0> with b+- = sqrt((1 +- sqrt(2) sin theta)/2),
     theta in [0, pi/4]; traces the boundary of the agreement monogamy."""
+    import numpy as np
     if not 0.0 <= theta <= math.pi / 4 + 1e-12:
         raise ValueError("theta must lie in [0, pi/4]")
     s = math.sqrt(2.0) * math.sin(theta)
@@ -268,6 +287,7 @@ def _term_tables(M: int, d: int):
     """Setting pairs, signs, shifts of the bipartite chained terms, plus the
     gather index J[t, m] mapping the circulant distribution of [A - B] to
     P([Omega] = m) for each term."""
+    import numpy as np
     functional = recursive_bkp(2, M, d)
     xs, ys, signs, shifts = [], [], [], []
     for term in functional.terms:
@@ -287,6 +307,7 @@ def _term_tables(M: int, d: int):
 
 
 def _violation_objective(M: int, d: int):
+    import numpy as np
     xs, ys, _, _, idx = _term_tables(M, d)
     weights = np.arange(1, d)
 
@@ -316,6 +337,7 @@ def chained_quantum_violation(M: int, d: int, seed: int = 0) -> ViolationResult:
     an upper bound on the quantum minimum.  ``seed`` has no effect; the
     result is deterministic.
     """
+    import numpy as np
     if M > 16 or d > 8:
         raise ValueError("desk-scale only: need M <= 16 and d <= 8")
     objective = _violation_objective(M, d)
@@ -332,6 +354,7 @@ def chained_quantum_violation(M: int, d: int, seed: int = 0) -> ViolationResult:
 
 def violation_behavior(result: ViolationResult) -> Behavior:
     """The full quantum behavior at the result's phases (float entries)."""
+    import numpy as np
     M, d = result.settings, result.outcomes
     scn = Scenario(2, M, d)
     theta_a = np.concatenate([np.zeros((M, 1)), result.phases_a], axis=1)
@@ -354,9 +377,13 @@ def violation_behavior(result: ViolationResult) -> Behavior:
 
 
 def key_rate(M: int, d: int, bound: str = "tight", violation: float | None = None) -> float:
-    """Lower bound -log2(tau) on the key rate of the chained protocol on a
-    maximally entangled pair, with tau the guessing-probability cap
-    ('tight': :func:`guessing_bound`, 'prior': :func:`guessing_bound_prior`)."""
+    """-log2(tau) for the chained protocol on a maximally entangled pair,
+    with tau the guessing-probability cap ('tight': :func:`guessing_bound`,
+    'prior': :func:`guessing_bound_prior`).
+
+    This bounds the key rate from below only if Bob has a key setting whose
+    outcome equals Alice's A_0: no two chained settings at the ladder are
+    perfectly correlated."""
     i_q = chained_quantum_violation(M, d).value if violation is None else violation
     if bound == "tight":
         return -math.log2(guessing_bound(i_q, d))

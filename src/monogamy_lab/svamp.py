@@ -26,7 +26,6 @@ from __future__ import annotations
 import csv
 import functools
 import io
-import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -477,6 +476,23 @@ def curve_to_csv(N: int, d: int, epsilon, rows: Sequence[FeasibilityRow]) -> str
 # Monte-Carlo adversary models (exact arithmetic).
 
 
+@functools.cache
+def _sv_grid(epsilon: Fraction, denom: int) -> tuple[int, int, int]:
+    """(B, b, s): bit probability low + span * k / denom is (b + s k) / B."""
+    source = SVSource(epsilon)
+    low, span = source.low, source.high - source.low
+    big = math.lcm(low.denominator, span.denominator * denom)
+    base = low.numerator * (big // low.denominator)
+    return big, base, span.numerator * (big // (span.denominator * denom))
+
+
+@functools.cache
+def _setting_bits(M: int) -> tuple[tuple[int, ...], ...]:
+    """The source_uses(M) bits of each setting 0, ..., M - 1, high bit first."""
+    r = source_uses(M)
+    return tuple(tuple(x >> (r - 1 - i) & 1 for i in range(r)) for x in range(M))
+
+
 def random_sv_input_dist(
     scenario: Scenario, rng: random.Random, epsilon: Fraction, denom: int = 32
 ) -> dict:
@@ -488,25 +504,17 @@ def random_sv_input_dist(
     valid ones.  Within a fixed w the normalization cancels, so the
     likelihood-ratio bound ((1+2e)/(1-2e))^r per party survives rejection.
     """
-    source = SVSource(Fraction(epsilon))
+    big, base, step = _sv_grid(Fraction(epsilon), denom)
     r = source_uses(scenario.settings)
-    # each bit probability low + span * k / denom is b / B over one denominator B
-    low, span = source.low, source.high - source.low
-    big = math.lcm(low.denominator, span.denominator * denom)
-    base = low.numerator * (big // low.denominator)
-    step = span.numerator * (big // (span.denominator * denom))
     party_weights = []  # per party: each valid setting's pattern probability times B^r
     for _ in range(scenario.parties):
         bit_nums = [base + step * rng.randrange(denom + 1) for _ in range(r)]
-        weights = [0] * scenario.settings
-        for bits in itertools.product((0, 1), repeat=r):
-            setting = int("".join(map(str, bits)), 2)
-            if setting >= scenario.settings:
-                continue
+        weights = []
+        for bits in _setting_bits(scenario.settings):
             p = 1
             for b, n in zip(bits, bit_nums):
                 p *= n if b else big - n
-            weights[setting] = p
+            weights.append(p)
         party_weights.append(weights)
     total = math.prod(sum(weights) for weights in party_weights)
     return {

@@ -384,9 +384,9 @@ def test_seed_reproducibility(tmp_path):
     assert f1.read_bytes() == f2.read_bytes()
 
 
-# Runs CLI commands in one fresh interpreter and prints, as JSON, their exit
-# codes and whether scipy was loaded before and after the LP command.
-_SCIPY_GUARD = """
+# Runs CLI commands in one fresh interpreter, in four stages, and prints as
+# JSON each stage's exit codes and whether numpy and scipy were loaded after it.
+_IMPORT_GUARD = """
 import contextlib, io, json, sys
 import monogamy_lab
 from monogamy_lab.cli import main
@@ -395,28 +395,38 @@ def run(*argv):
     with contextlib.redirect_stdout(io.StringIO()):
         return main(list(argv))
 
-codes = [
-    run("bell", "2", "2", "2"),
-    run("validate", sys.argv[1]),
-    run("figures", "2a", "--d", "3", "--points", "5"),
-    run("ra", "2", "2", "0.12", "--lam", "1.23"),
-    run("quantum", "violation", "--M", "2", "--d", "3"),
-    run("quantum", "monogamy-check", "--samples", "50"),
+stages = [
+    [],
+    [
+        ("bell", "2", "2", "2"),
+        ("validate", sys.argv[1]),
+        ("figures", "2a", "--d", "3", "--points", "5"),
+        ("ra", "2", "2", "0.12", "--lam", "1.23"),
+    ],
+    [
+        ("quantum", "violation", "--M", "2", "--d", "3"),
+        ("quantum", "monogamy-check", "--samples", "50"),
+    ],
+    [("tightness", "2", "2", "2")],
 ]
-before = "scipy" in sys.modules
-lp_code = run("tightness", "2", "2", "2")
-print(json.dumps([codes, before, lp_code, "scipy" in sys.modules]))
+print(json.dumps([
+    [[run(*argv) for argv in stage], "numpy" in sys.modules, "scipy" in sys.modules]
+    for stage in stages
+]))
 """
 
 
-def test_only_the_lp_path_loads_scipy(tmp_path):
-    # a fresh process: this one has loaded scipy already
+def test_numpy_and_scipy_load_only_where_they_run(tmp_path):
+    # a fresh process: this one has loaded numpy and scipy already
     path = write_behavior(tmp_path, uniform_behavior(Scenario(2, 2, 2)))
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(monogamy_lab.__file__)))
-    proc = subprocess.run([sys.executable, "-c", _SCIPY_GUARD, path],
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_GUARD, path],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    codes, before, lp_code, after = json.loads(proc.stdout)
-    assert codes == [0] * 6
-    assert not before
-    assert lp_code == 0 and after
+    stages = json.loads(proc.stdout)
+    assert stages == [
+        [[], False, False],  # import monogamy_lab and monogamy_lab.cli
+        [[0] * 4, False, False],  # exact commands
+        [[0] * 2, True, False],  # float quantum numerics
+        [[0], True, True],  # an LP solve
+    ]

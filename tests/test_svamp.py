@@ -64,6 +64,10 @@ def test_sv_source_validation():
     with pytest.raises(ValueError):
         SVSource(Fraction(1, 2))
     assert s.likelihood_ratio_bound(2) == Fraction(9, 4)
+    # random_sv_input_dist caches its grid per epsilon, but a bad epsilon raises on every call
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            random_sv_input_dist(Scenario(2, 2, 2), random.Random(0), Fraction(1, 2))
 
 
 def test_source_uses():
