@@ -104,7 +104,7 @@ class BellFunctional:
     terms: tuple[ModularTerm, ...]
     classical_bound: Fraction | None = None
     ns_minimum: Fraction | None = None
-    _dense: tuple | None = field(default=None, repr=False, compare=False)
+    _dense: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def dense(self) -> tuple:
         """Coefficient vector c with I(p) = sum_i c_i p_i.

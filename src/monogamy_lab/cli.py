@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from . import bell, monogamy, quantum, scenario, svamp
-from .errors import InputFormatError, ScenarioTooLargeError, SignallingInputError
+from .errors import InputFormatError, ScenarioTooLargeError
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -233,9 +233,6 @@ def main(argv=None) -> int:
     except (InputFormatError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except SignallingInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VIOLATION
 
 
 if __name__ == "__main__":

@@ -53,10 +53,6 @@ def pair_difference_distribution(
     """Distribution of [a_k - a_l] mod d at the given settings."""
     d = behavior.scenario.outcomes
     dist = marginal(behavior, [k, l], [x_k, x_l])
-    if l < k:  # marginal orders outcomes by ascending party index
-        dist = tuple(
-            dist[b * d + a] for a in range(d) for b in range(d)
-        )
     out = [0] * d
     for (a, b), p in zip(itertools.product(range(d), repeat=2), dist):
         out[(a - b) % d] += p

@@ -22,11 +22,11 @@ and ``LPSolution.engine`` names it:
   positive, or else on the columns it priced at zero; the dual on the
   columns HiGHS priced at zero plus the point's support, or else on the
   support alone;
-* ``simplex``: a dense two-phase primal simplex on Fractions with Bland's
-  rule, which cannot cycle.  It decides every infeasible or unbounded HiGHS
-  status, and every optimum whose float image hides the exact one: costs
-  or right-hand sides that differ by less than HiGHS's tolerances.  For
-  example, ``tightness 2 2 2 --grid
+* ``simplex``: a two-phase primal simplex on Fractions that pivots on the
+  sparse rows, with Bland's rule, which cannot cycle.  It decides every
+  infeasible or unbounded HiGHS status, and every optimum whose float image
+  hides the exact one: costs or right-hand sides that differ by less than
+  HiGHS's tolerances.  For example, ``tightness 2 2 2 --grid
   1/1000000000000000000,1/2,999999999999999999/1000000000000000000`` pins
   the Bell value to targets that HiGHS reads as 0 and 1, and only this
   stage certifies those two rows.  It alone also certifies
@@ -104,10 +104,10 @@ class LPSolution:
     accepts for every status :func:`solve` returns.
 
     * 'optimal': ``point`` satisfies every constraint exactly and achieves
-      ``value``; ``dual`` holds one multiplier per distinct equality row,
-      dual feasible with the same value.
-    * 'infeasible': ``dual`` is a Farkas vector y, with A^T y <= 0 and
-      b.y > 0 on the distinct equality rows.
+      ``value``; ``dual`` holds one multiplier per equality row, dual
+      feasible with the same value.
+    * 'infeasible': ``dual`` is a Farkas vector y, one multiplier per
+      equality row, with A^T y <= 0 and b.y > 0.
     * 'unbounded': ``point`` is feasible and ``ray`` is a direction r >= 0
       with A r = 0 along which the objective improves.
 
@@ -129,9 +129,9 @@ class LPSolution:
 
 
 class _Standard(NamedTuple):
-    """min c.x subject to A x = b, x >= 0, with duplicate rows dropped.  Each
-    row of A is a tuple of (column, value) pairs in column order; sign
-    restores the objective value of a 'max' LP."""
+    """min c.x subject to A x = b, x >= 0, with one row per equality row of
+    the LP.  Each row of A is a tuple of (column, value) pairs in column
+    order; sign restores the objective value of a 'max' LP."""
 
     rows: list
     rhs: list
@@ -144,21 +144,13 @@ class _Standard(NamedTuple):
 
 
 def _standardize(lp: LinearProgram) -> _Standard:
-    """The LP's nonzeros as Fractions in column order, duplicate rows dropped
-    and a 'max' objective negated."""
-    rows: list = []
-    rhs: list = []
-    seen = set()
-    for pairs, b in zip(lp.eq_rows, lp.eq_rhs):
-        # columns are distinct, so sorting the pairs never compares values
-        row = tuple((j, Fraction(v)) for j, v in sorted(pairs) if v)
-        b = Fraction(b)
-        if (row, b) not in seen:
-            seen.add((row, b))
-            rows.append(row)
-            rhs.append(b)
+    """The LP's nonzeros as Fractions in column order, one row per equality
+    row, and a 'max' objective negated."""
+    # columns are distinct, so sorting the pairs never compares values
+    rows = [tuple((j, Fraction(v)) for j, v in sorted(pairs) if v) for pairs in lp.eq_rows]
     sign = 1 if lp.sense == "min" else -1
-    return _Standard(rows, rhs, [sign * Fraction(v) for v in lp.objective], sign)
+    c = [sign * Fraction(v) for v in lp.objective]
+    return _Standard(rows, [Fraction(b) for b in lp.eq_rhs], c, sign)
 
 
 def _dot(c, x) -> Fraction:
@@ -357,64 +349,62 @@ def solve(lp: LinearProgram) -> LPSolution:
     return sol
 
 
-def _ratio_leaving(T, b, basis, col):
-    """The row of the minimum ratio, ties to the lowest basic column; None
-    if no entry of column col is positive."""
-    ratios = [(b[i] / row[col], basis[i], i) for i, row in enumerate(T) if row[col] > 0]
-    return min(ratios)[2] if ratios else None
-
-
 def _pivot(T, b, z, basis, r, c):
     prow = T[r]
     pv = prow[c]
     if pv != 1:
         inv = _ONE / pv
-        prow = [v * inv for v in prow]
-        T[r] = prow
+        prow = T[r] = {j: v * inv for j, v in prow.items()}
         b[r] = b[r] * inv
-    nz = [j for j, v in enumerate(prow) if v]
     br = b[r]
     for i, row in enumerate(T):
-        if i == r:
-            continue
-        f = row[c]
-        if f:
-            for j in nz:
-                row[j] -= f * prow[j]
+        f = row.get(c)
+        if f and i != r:
+            _subtract(row, f, prow)
             if br:
                 b[i] -= f * br
-    f = z[c]
+    f = z.get(c)
     if f:
-        for j in nz:
-            z[j] -= f * prow[j]
+        _subtract(z, f, prow)
     basis[r] = c
 
 
-def _run_simplex(T, b, z, basis, allowed):
-    """Pivot by Bland's rule, which cannot cycle: the first column with a
-    negative reduced cost enters.  Returns (iterations, column), where column
-    is the entering column with no leaving row if the LP is unbounded and
-    None otherwise."""
+def _priced(z: dict, T, basis) -> dict:
+    """Turn the costs z, in place, into reduced costs: every basic column priced to 0."""
+    for row, j in zip(T, basis):
+        f = z.get(j)
+        if f:
+            _subtract(z, f, row)
+    return z
+
+
+def _run_simplex(T, b, z, basis, n):
+    """Pivot by Bland's rule, which cannot cycle: the lowest structural
+    column (below n) with a negative reduced cost enters.  Returns
+    (iterations, column), where column is the entering column with no
+    leaving row if the LP is unbounded and None otherwise."""
     iters = 0
     while True:
-        c = next((j for j in allowed if z[j] < 0), None)
+        c = min((j for j, v in z.items() if j < n and v < 0), default=None)
         if c is None:
             return iters, None
-        r = _ratio_leaving(T, b, basis, c)
-        if r is None:
+        # the row of the minimum ratio leaves, ties to the lowest basic column
+        ratios = [(b[i] / v, basis[i], i) for i, row in enumerate(T) if (v := row.get(c, 0)) > 0]
+        if not ratios:
             return iters, c
-        _pivot(T, b, z, basis, r, c)
+        _pivot(T, b, z, basis, min(ratios)[2], c)
         iters += 1
 
 
 def _simplex(std: _Standard) -> LPSolution:
-    """Dense two-phase simplex on Fractions over the standard form: the last
-    resort of :func:`solve` and its oracle in tests.  Every result carries
-    its certificate: duals for an optimum, a Farkas vector (in ``dual``) for
-    an infeasible LP, a feasible point and a ray for an unbounded one."""
+    """Two-phase simplex on Fractions over the standard form: the last
+    resort of :func:`solve` and its oracle in tests.  The rows of the
+    tableau and the reduced costs z are sparse dicts {column: value}, so a
+    column missing from one reads as 0.  Every result carries its
+    certificate: duals for an optimum, a Farkas vector (in ``dual``) for an
+    infeasible LP, a feasible point and a ray for an unbounded one."""
     m = len(std.rows)
     n = std.n_cols
-    ncols = n + m
 
     # Normalize to b >= 0, then give row i the artificial column n + i.  It
     # starts as row i's identity vector, so its final reduced cost reads off
@@ -424,28 +414,19 @@ def _simplex(std: _Standard) -> LPSolution:
     row_sign = []
     for i, (row, rhs) in enumerate(zip(std.rows, std.rhs)):
         s = -1 if rhs < 0 else 1
-        dense = [_ZERO] * ncols
-        for j, v in row:
-            dense[j] = s * v
-        dense[n + i] = _ONE
-        T.append(dense)
+        T.append({**{j: v if s > 0 else -v for j, v in row}, n + i: _ONE})
         b.append(s * rhs)
         row_sign.append(s)
-    basis = list(range(n, ncols))
-    allowed = list(range(n))
+    basis = list(range(n, n + m))
 
     # Phase I: minimize the sum of the artificials.
-    z = [_ZERO] * ncols
-    for row in T:
-        for j in allowed:
-            if row[j]:
-                z[j] -= row[j]
-    total_iters, _ = _run_simplex(T, b, z, basis, allowed)
+    z = _priced({n + i: _ONE for i in range(m)}, T, basis)
+    total_iters, _ = _run_simplex(T, b, z, basis, n)
     if any(bi for bi, j in zip(b, basis) if j >= n):
         # Artificial n + i has cost 1 and reduced cost 1 - w_i, where w are
         # the phase-I duals of the normalized rows; y = sign * w then has
         # A^T y <= 0 and b.y = the positive sum of the artificials.
-        farkas = [(1 - z[n + i]) * row_sign[i] for i in range(m)]
+        farkas = [(1 - z.get(n + i, _ZERO)) * row_sign[i] for i in range(m)]
         return LPSolution(INFEASIBLE, dual=tuple(farkas), iterations=total_iters, engine="simplex")
     # Drive remaining artificials out of the basis; drop redundant rows
     # (their dual multiplier is then 0, which the identity-column readout
@@ -453,23 +434,17 @@ def _simplex(std: _Standard) -> LPSolution:
     drop = []
     for i in range(m):
         if basis[i] >= n:
-            pivot_col = next((j for j in allowed if T[i][j] != 0), None)
+            pivot_col = min((j for j in T[i] if j < n), default=None)
             if pivot_col is None:
                 drop.append(i)
             else:
-                _pivot(T, b, [_ZERO] * ncols, basis, i, pivot_col)
+                _pivot(T, b, {}, basis, i, pivot_col)
     for i in reversed(drop):
         del T[i], b[i], basis[i]
 
-    # Phase II on the real costs; reduce costs of basic columns to zero.
-    z = list(std.c) + [_ZERO] * m
-    for row, j in zip(T, basis):
-        f = z[j]
-        if f:
-            for k in range(ncols):
-                if row[k]:
-                    z[k] -= f * row[k]
-    iters, unbounded = _run_simplex(T, b, z, basis, allowed)
+    # Phase II on the real costs.
+    z = _priced({j: v for j, v in enumerate(std.c) if v}, T, basis)
+    iters, unbounded = _run_simplex(T, b, z, basis, n)
     total_iters += iters
 
     x = [_ZERO] * n
@@ -482,14 +457,14 @@ def _simplex(std: _Standard) -> LPSolution:
         ray = [_ZERO] * n
         ray[unbounded] = _ONE
         for row, j in zip(T, basis):
-            ray[j] = -row[unbounded]
+            ray[j] = -row.get(unbounded, _ZERO)
         return LPSolution(
             UNBOUNDED, point=tuple(x), ray=tuple(ray), iterations=total_iters, engine="simplex"
         )
     # Duals of the standardized rows: artificial n + i has cost 0 and final
     # reduced cost -y_i (sign-adjusted for rows negated during the b >= 0
     # normalization).
-    y = [-z[n + i] * row_sign[i] for i in range(m)]
+    y = [-z.get(n + i, _ZERO) * row_sign[i] for i in range(m)]
     return LPSolution(
         OPTIMAL, std.sign * _dot(std.c, x), tuple(x), tuple(y), total_iters, "simplex"
     )

@@ -284,9 +284,9 @@ class ViolationResult:
 
 
 def _term_tables(M: int, d: int):
-    """Setting pairs, signs, shifts of the bipartite chained terms, plus the
-    gather index J[t, m] mapping the circulant distribution of [A - B] to
-    P([Omega] = m) for each term."""
+    """Setting pairs of the bipartite chained terms, plus the gather index
+    J[t, m] mapping the circulant distribution of [A - B] to P([Omega] = m)
+    for each term."""
     import numpy as np
     functional = recursive_bkp(2, M, d)
     xs, ys, signs, shifts = [], [], [], []
@@ -303,12 +303,12 @@ def _term_tables(M: int, d: int):
             # [A - B] = sign (m - shift); circulant stores |G(-c)|^2 at c.
             c = (signs[t] * (m - shifts[t])) % d
             idx[t, m - 1] = (-c) % d
-    return np.array(xs), np.array(ys), np.array(signs), np.array(shifts), idx
+    return np.array(xs), np.array(ys), idx
 
 
 def _violation_objective(M: int, d: int):
     import numpy as np
-    xs, ys, _, _, idx = _term_tables(M, d)
+    xs, ys, idx = _term_tables(M, d)
     weights = np.arange(1, d)
 
     def value(params: np.ndarray) -> float:

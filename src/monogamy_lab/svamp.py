@@ -35,10 +35,13 @@ from typing import Sequence
 from .bell import evaluate, recursive_bkp
 from .errors import InputFormatError
 from .polylp import ns_row_residual
+from .sampling import random_ns_mixture, random_weights
 from .scenario import (
     FLOAT_TOL,
     Behavior,
     Scenario,
+    behavior_from_json,
+    behavior_to_json,
     format_number,
     is_distribution,
     marginal,
@@ -532,8 +535,6 @@ def random_adversary_model(
 ) -> AdversaryModel:
     """Strategies are random mixtures over an NS pool; inputs are SV-box
     product distributions; the prior is a random rational distribution."""
-    from .sampling import random_ns_mixture, random_weights
-
     behaviors = [random_ns_mixture(pool, rng) for _ in range(n_strategies)]
     input_dists = [
         random_sv_input_dist(scenario, rng, epsilon) for _ in range(n_strategies)
@@ -543,8 +544,6 @@ def random_adversary_model(
 
 
 def model_to_json(model: AdversaryModel) -> dict:
-    from .scenario import behavior_to_json
-
     return {
         "scenario": {
             "N": model.scenario.parties,
@@ -567,8 +566,6 @@ def model_to_json(model: AdversaryModel) -> dict:
 def model_from_json(obj: dict, exact: bool = True) -> AdversaryModel:
     """Read a :func:`model_to_json` object; malformed input raises
     InputFormatError, an inconsistent model ValueError."""
-    from .scenario import behavior_from_json
-
     try:
         scn = scenario_from_json(obj["scenario"])
         prior = [parse_number(p, exact) for p in obj["prior"]]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -168,6 +169,14 @@ def test_dense_and_terms_agree_on_random_behaviors(N, M, d):
     for _ in range(100):
         b = random_behavior(scn, rng)  # generally signalling; must still agree
         assert evaluate(f, b) == evaluate_dense(f, b)
+
+
+def test_replace_builds_its_own_dense_vector():
+    f = recursive_bkp(2, 2, 2)
+    f.dense()
+    g = dataclasses.replace(f, terms=f.terms[:1])
+    assert g.dense() != f.dense()
+    assert g.dense() == BellFunctional(f.scenario, f.terms[:1]).dense()
 
 
 def test_evaluate_with_unequal_weights_matches_dense():

@@ -192,6 +192,14 @@ def test_unread_flags_are_rejected(tmp_path, capsys, argv):
     assert captured.out == "" and "unrecognized arguments" in captured.err
 
 
+@pytest.mark.parametrize("argv", [["bell", "25", "2", "2"], ["tightness", "12", "2", "2"]])
+def test_scenario_past_the_size_cap_exits_3(monkeypatch, capsys, argv):
+    monkeypatch.delenv("MONOGAMY_LAB_CAP", raising=False)
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "exceeds the size cap 10000000" in captured.err
+
+
 def test_bell_export_and_evaluate(tmp_path, capsys):
     assert main(["bell", "3", "2", "2", "--format", "json"]) == 0
     exported = json.loads(capsys.readouterr().out)

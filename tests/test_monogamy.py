@@ -12,6 +12,7 @@ from monogamy_lab.monogamy import (
     minimize_lhs_over_ns,
     monogamy_lhs_general,
     monogamy_report,
+    pair_difference_distribution,
     report_to_csv,
     scan_to_csv,
     tightness_scan,
@@ -85,6 +86,21 @@ def test_agreement_shift_partition(minimizer_222):
     b = product(minimizer_222, uniform_behavior(Scenario(1, 2, 2)))
     total = sum(agreement_probability(b, 0, 0, 0, m)[0] for m in range(2))
     assert total == 1
+
+
+@pytest.mark.parametrize("k, l", [(0, 1), (1, 0), (0, 2), (2, 1)])
+def test_pair_difference_distribution_counts_a_k_minus_a_l(k, l):
+    scn = Scenario(3, 2, 3)
+    vertex = deterministic_vertex(scn, [(0, 2), (1, 0), (0, 1)])
+    for b in (vertex, random_behavior(scn, random.Random(k + 3 * l))):
+        for x_k in range(2):
+            for x_l in range(2):
+                x = [0] * 3
+                x[k], x[l] = x_k, x_l
+                expected = [0] * 3
+                for a in scn.all_outcomes():
+                    expected[(a[k] - a[l]) % 3] += b.probs[scn.index(x, a)]
+                assert pair_difference_distribution(b, k, x_k, l, x_l) == tuple(expected)
 
 
 @pytest.mark.parametrize("k", [-1, 2])

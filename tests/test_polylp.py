@@ -325,6 +325,21 @@ def test_support_stage_when_floats_hide_the_optimum(lp, value):
     assert verify_certificate(lp, sol)
 
 
+@pytest.mark.parametrize(
+    "lp, value",
+    [
+        (LinearProgram([1, 0], "min", eq_rows=sparse([[1, 1]]), eq_rhs=[10**400]), 0),
+        (LinearProgram([10**400, 1], "min", eq_rows=sparse([[1, 1]]), eq_rhs=[1]), 1),
+    ],
+    ids=["rhs", "cost"],
+)
+def test_coefficient_beyond_float_range_goes_to_simplex(lp, value):
+    # the float image of the LP overflows, so HiGHS never runs
+    sol = solve(lp)
+    assert (sol.status, sol.value, sol.engine) == (OPTIMAL, value, "simplex")
+    assert verify_certificate(lp, sol)
+
+
 # x = 2 and x + s = 1
 INFEASIBLE_LP = LinearProgram([1, 0], "min", eq_rows=sparse([[1, 0], [1, 1]]), eq_rhs=[2, 1])
 # max x subject to x - s = 1
