@@ -174,14 +174,15 @@ def default_grid(d: int) -> list[Fraction]:
     return [top * q for q in (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1))]
 
 
-def _scan_point(scenario: Scenario, k: int, x_k: int, x_last: int, m: int, t: Fraction) -> TightnessRow:
+def _scan_point(
+    scenario: Scenario, i_row: list, k: int, x_k: int, x_last: int, m: int, t: Fraction
+) -> TightnessRow:
     d = scenario.outcomes
     bound = (1 + t) / d
     if t < 0 or t > d - 1:
         # the trade-off only constrains targets up to the classical bound;
         # beyond it the cap (1+t)/d exceeds 1
         return TightnessRow(t, "out-of-range", None, bound, False)
-    i_row = [(j, c) for j, c in enumerate(embedded_bkp(scenario).dense()) if c]
     obj = agreement_vector(scenario, k, x_k, x_last, m)
     sol = optimize_over_ns(scenario, obj, "max", extra_eq=[(i_row, t)])
     if sol.status != "optimal":
@@ -203,7 +204,9 @@ def tightness_scan(
     _check_party(scenario, k)
     if grid is None:
         grid = default_grid(scenario.outcomes)
-    return [_scan_point(scenario, k, x_k, x_last, m, Fraction(t)) for t in grid]
+    # the Bell row pinned to each target, as (column, coefficient) nonzeros
+    i_row = [(j, c) for j, c in enumerate(embedded_bkp(scenario).dense()) if c]
+    return [_scan_point(scenario, i_row, k, x_k, x_last, m, Fraction(t)) for t in grid]
 
 
 def minimize_lhs_over_ns(scenario: Scenario, k: int, x_k: int, x_last: int) -> LPSolution:

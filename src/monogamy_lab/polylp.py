@@ -37,6 +37,12 @@ The certificate, not the pivot arithmetic, is the contract: every result
 leaves :func:`solve` with a certificate that :func:`verify_certificate`
 accepts (see :class:`LPSolution`): duals for an optimum, a Farkas vector for
 an infeasible LP, a feasible point and an improving ray for an unbounded one.
+The check runs in integers.  Each standard-form row holds integer
+coefficients over one positive integer scale, the lcm of the row's
+denominators (1 for all the rows this package builds, except a Bell row
+with fractional weights), and each vector of the certificate is brought
+over one common denominator, so that no ``Fraction`` is built per
+coefficient.
 
 Also provides the sparse rows of the no-signalling polytope: per-column
 normalization plus, for every party, independence of every other party's
@@ -49,6 +55,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -88,7 +95,9 @@ class LinearProgram:
         columns = range(self.n_vars)
         for row in self.eq_rows:
             cols = [j for j, _ in row]
-            if len(set(cols)) != len(cols) or not all(j in columns for j in cols):
+            if len(set(cols)) != len(cols) or not all(
+                isinstance(j, int) and not isinstance(j, bool) and j in columns for j in cols
+            ):
                 raise ValueError("equality row columns must be distinct and in range(n_vars)")
         if len(self.eq_rows) != len(self.eq_rhs):
             raise ValueError("rhs length mismatch")
@@ -130,10 +139,13 @@ class LPSolution:
 
 class _Standard(NamedTuple):
     """min c.x subject to A x = b, x >= 0, with one row per equality row of
-    the LP.  Each row of A is a tuple of (column, value) pairs in column
-    order; sign restores the objective value of a 'max' LP."""
+    the LP.  Row i of A is ``rows[i] / scale[i]``: a tuple of (column,
+    integer) pairs in column order, over the positive integer ``scale[i]``,
+    the least common denominator of the row's coefficients.  b and c hold
+    Fractions; sign restores the objective value of a 'max' LP."""
 
     rows: list
+    scale: list
     rhs: list
     c: list
     sign: int
@@ -143,45 +155,76 @@ class _Standard(NamedTuple):
         return len(self.c)
 
 
-def _standardize(lp: LinearProgram) -> _Standard:
-    """The LP's nonzeros as Fractions in column order, one row per equality
-    row, and a 'max' objective negated."""
+def _integer_row(pairs) -> tuple[tuple, int]:
+    """The nonzeros of one LP row in column order as integer (column,
+    coefficient) pairs, and the scale that divides them."""
     # columns are distinct, so sorting the pairs never compares values
-    rows = [tuple((j, Fraction(v)) for j, v in sorted(pairs) if v) for pairs in lp.eq_rows]
+    row = [(j, v) for j, v in sorted(pairs) if v]
+    if all(type(v) is int for _, v in row):
+        return tuple(row), 1
+    row = [(j, Fraction(v)) for j, v in row]
+    scale = math.lcm(*(v.denominator for _, v in row))
+    return tuple((j, v.numerator * (scale // v.denominator)) for j, v in row), scale
+
+
+def _standardize(lp: LinearProgram) -> _Standard:
+    """The LP's rows as integer nonzeros in column order, each over its own
+    scale, one row per equality row; b and c as Fractions, with a 'max'
+    objective negated."""
+    rows = [_integer_row(pairs) for pairs in lp.eq_rows]
     sign = 1 if lp.sense == "min" else -1
     c = [sign * Fraction(v) for v in lp.objective]
-    return _Standard(rows, [Fraction(b) for b in lp.eq_rhs], c, sign)
+    return _Standard(
+        [r for r, _ in rows], [s for _, s in rows], [Fraction(b) for b in lp.eq_rhs], c, sign
+    )
 
 
-def _dot(c, x) -> Fraction:
-    return sum((v * x[j] for j, v in enumerate(c) if v), _ZERO)
+def _common(v) -> tuple[int, list]:
+    """Exact entries v as (D, [v_j * D]) over the lcm D of their denominators."""
+    d = math.lcm(*(e.denominator for e in v))
+    return d, [e.numerator * (d // e.denominator) for e in v]
+
+
+def _dot(u, v) -> Fraction:
+    """u.v, summed in integers over the product of the two common denominators."""
+    du, nu = _common(u)
+    dv, nv = _common(v)
+    return Fraction(sum(a * b for a, b in zip(nu, nv)), du * dv)
 
 
 def _primal_feasible(std: _Standard, x) -> bool:
-    """x >= 0 and A x = b."""
-    return (
-        x is not None
-        and len(x) == std.n_cols
-        and all(v >= 0 for v in x)
-        and all(sum((v * x[j] for j, v in row), _ZERO) == b for row, b in zip(std.rows, std.rhs))
+    """x >= 0 and A x = b.  With x = n / D, row i holds when
+    ``sum_j a_ij n_j * den(b_i) == num(b_i) * L_i * D``."""
+    if x is None or len(x) != std.n_cols or any(v < 0 for v in x):
+        return False
+    d, n = _common(x)
+    return all(
+        sum(a * n[j] for j, a in row) * b.denominator == b.numerator * scale * d
+        for row, scale, b in zip(std.rows, std.scale, std.rhs)
     )
 
 
 def _dual_feasible(std: _Standard, y) -> bool:
-    """c - A^T y >= 0, one multiplier per row."""
+    """c - A^T y >= 0, one multiplier per row.  With y_i / L_i = w_i / E and
+    c = c' / C, column j holds when ``c'_j * E >= C * sum_i w_i a_ij``."""
     if y is None or len(y) != len(std.rows):
         return False
-    reduced = list(std.c)
-    for yi, row in zip(y, std.rows):
+    # E is a common denominator of the y_i / L_i, not always the least one
+    e = math.lcm(*(yi.denominator * scale for yi, scale in zip(y, std.scale)))
+    acc = [0] * std.n_cols
+    for yi, scale, row in zip(y, std.scale, std.rows):
         if yi:
-            for j, v in row:
-                reduced[j] -= yi * v
-    return all(r >= 0 for r in reduced)
+            w = yi.numerator * (e // (yi.denominator * scale))
+            for j, a in row:
+                acc[j] += w * a
+    d, c = _common(std.c)
+    return all(cj * e >= d * aj for cj, aj in zip(c, acc))
 
 
 def _certified(std: _Standard, sol: LPSolution) -> bool:
     """Whether sol carries a valid certificate of its status for the
-    standard form (see :class:`LPSolution`); the entries must be exact."""
+    standard form (see :class:`LPSolution`); the entries must be exact.  Each
+    test runs in integers over the common denominators of the vectors."""
     if sol.status == OPTIMAL:
         if not (_primal_feasible(std, sol.point) and _dual_feasible(std, sol.dual)):
             return False
@@ -216,11 +259,11 @@ def _highs(std: _Standard):
     from scipy.sparse import csr_matrix
 
     data, row_idx, col_idx = [], [], []
-    for i, row in enumerate(std.rows):
-        for j, v in row:
+    for i, (row, scale) in enumerate(zip(std.rows, std.scale)):
+        for j, a in row:
             row_idx.append(i)
             col_idx.append(j)
-            data.append(float(v))
+            data.append(a / scale)
     a_eq = csr_matrix((data, (row_idx, col_idx)), shape=(len(std.rows), std.n_cols))
     return linprog(
         [float(v) for v in std.c],
@@ -275,9 +318,11 @@ def _solve_exact(equations) -> dict | None:
 
 
 def _support_primal(std: _Standard, support: set) -> list | None:
-    """A x = b solved exactly on the columns in support, the rest 0."""
+    """A x = b solved exactly on the columns in support, the rest 0.  Row i
+    is solved scaled by L_i, which leaves its solutions as they are."""
     sol = _solve_exact(
-        ({j: v for j, v in row if j in support}, b) for row, b in zip(std.rows, std.rhs)
+        ({j: Fraction(a) for j, a in row if j in support}, b * scale)
+        for row, scale, b in zip(std.rows, std.scale, std.rhs)
     )
     if sol is None:
         return None
@@ -291,10 +336,10 @@ def _support_dual(std: _Standard, tight: set) -> list | None:
     """Row duals with zero reduced cost on every column in tight, solved
     exactly; the rows left free get 0."""
     columns = {j: {} for j in tight}
-    for i, row in enumerate(std.rows):
-        for j, v in row:
+    for i, (row, scale) in enumerate(zip(std.rows, std.scale)):
+        for j, a in row:
             if j in columns:
-                columns[j][i] = v
+                columns[j][i] = Fraction(a, scale)
     sol = _solve_exact((columns[j], std.c[j]) for j in sorted(tight))
     if sol is None:
         return None
@@ -412,9 +457,9 @@ def _simplex(std: _Standard) -> LPSolution:
     T = []
     b = []
     row_sign = []
-    for i, (row, rhs) in enumerate(zip(std.rows, std.rhs)):
+    for i, (row, scale, rhs) in enumerate(zip(std.rows, std.scale, std.rhs)):
         s = -1 if rhs < 0 else 1
-        T.append({**{j: v if s > 0 else -v for j, v in row}, n + i: _ONE})
+        T.append({**{j: Fraction(s * a, scale) for j, a in row}, n + i: _ONE})
         b.append(s * rhs)
         row_sign.append(s)
     basis = list(range(n, n + m))

@@ -276,6 +276,17 @@ def test_tightness_scan_is_exact(d):
         assert row.tight
 
 
+def test_tightness_scan_builds_the_bell_row_once(monkeypatch):
+    from monogamy_lab import bell
+
+    calls = []
+    dense = bell.BellFunctional.dense
+    monkeypatch.setattr(bell.BellFunctional, "dense", lambda f: calls.append(f) or dense(f))
+    rows = tightness_scan(Scenario(3, 2, 2), 0, 0, 0)
+    assert len(rows) == 5 and all(r.tight for r in rows)
+    assert len(calls) == 1
+
+
 def test_tightness_scan_flags_out_of_range_targets():
     scn = Scenario(3, 2, 2)
     rows = tightness_scan(scn, 0, 0, 0, grid=[Fraction(3, 2), Fraction(-1, 2)])

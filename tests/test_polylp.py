@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from monogamy_lab.polylp import (
     LinearProgram,
     OPTIMAL,
     UNBOUNDED,
+    _certified,
     _simplex,
     _standardize,
     ns_constraints,
@@ -85,17 +87,24 @@ def test_ns_rows_match_dense_rows(dims):
 
 
 @pytest.mark.parametrize(
-    "row", [[(2, 1)], [(-1, 1)], [(0, 1), (1, 2), (0, 3)]], ids=["past-end", "negative", "repeated"]
+    "row",
+    [[(2, 1)], [(-1, 1)], [(0, 1), (1, 2), (0, 3)], [(1.0, 1)], [(True, 1)]],
+    ids=["past-end", "negative", "repeated", "float", "bool"],
 )
 def test_rows_need_distinct_columns_in_range(row):
-    with pytest.raises(ValueError):
+    # 1.0 and True both pass `in range(2)`; neither names a column
+    with pytest.raises(ValueError, match="distinct and in range"):
         LinearProgram([1, 1], "min", eq_rows=[row], eq_rhs=[1])
 
 
 def test_standard_rows_are_sorted_nonzeros():
-    row = [(2, 1), (0, 0), (1, Fraction(1, 2))]
-    lp = LinearProgram([1, 1, 1], "min", eq_rows=[row], eq_rhs=[1])
-    assert _standardize(lp).rows == [((1, Fraction(1, 2)), (2, Fraction(1)))]
+    rows = [[(2, 1), (0, 0), (1, Fraction(1, 2))], [(1, 3), (0, -2)]]
+    lp = LinearProgram([1, 1, 1], "min", eq_rows=rows, eq_rhs=[1, 0])
+    std = _standardize(lp)
+    # row 0 reads ((1, 1), (2, 2)) / 2; the all-int row keeps scale 1
+    assert std.rows == [((1, 1), (2, 2)), ((0, -2), (1, 3))]
+    assert std.scale == [2, 1]
+    assert all(type(a) is int for row in std.rows for _, a in row)
 
 
 def _satisfies(rows, rhs, probs):
@@ -297,6 +306,22 @@ def test_support_stage_recovers_large_denominators(lp):
 
 
 @pytest.mark.parametrize(
+    "lp",
+    [
+        # x0 / 2 = 1/1000003: the row has scale 2 and x0 = 2/1000003
+        LinearProgram([1], "min", [[(0, Fraction(1, 2))]], [Fraction(1, 1000003)]),
+        # the dual multiplier of x0 / 2 = 1 is 2/1000003
+        LinearProgram([Fraction(1, 1000003)], "min", [[(0, Fraction(1, 2))]], [1]),
+    ],
+    ids=["primal", "dual"],
+)
+def test_support_stage_solves_scaled_rows(lp):
+    sol = solve(lp)
+    assert (sol.engine, sol.value) == ("support", Fraction(2, 1000003))
+    assert verify_certificate(lp, sol)
+
+
+@pytest.mark.parametrize(
     "lp, value",
     [
         # x_1 + s = 1e-20 is zero to HiGHS, so the point's positive support
@@ -393,3 +418,159 @@ def test_unbounded_certificate_needs_feasible_point_and_improving_ray():
     assert not verify_certificate(bounded, sol)
     sol.point = (Fraction(0), Fraction(0))
     assert not verify_certificate(UNBOUNDED_LP, sol)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the certificate check in Fraction arithmetic, one product per
+# nonzero.  The integer check of polylp must accept exactly what it accepts.
+
+
+def ref_standardize(lp):
+    """The standard form with Fraction rows: (rows, rhs, c, sign)."""
+    rows = [tuple((j, Fraction(v)) for j, v in sorted(pairs) if v) for pairs in lp.eq_rows]
+    sign = 1 if lp.sense == "min" else -1
+    return rows, [Fraction(b) for b in lp.eq_rhs], [sign * Fraction(v) for v in lp.objective], sign
+
+
+def ref_dot(c, x):
+    return sum((v * x[j] for j, v in enumerate(c) if v), Fraction(0))
+
+
+def ref_primal_feasible(rows, rhs, x, n):
+    return (
+        x is not None
+        and len(x) == n
+        and all(v >= 0 for v in x)
+        and all(sum((v * x[j] for j, v in row), Fraction(0)) == b for row, b in zip(rows, rhs))
+    )
+
+
+def ref_dual_feasible(rows, c, y):
+    if y is None or len(y) != len(rows):
+        return False
+    reduced = list(c)
+    for yi, row in zip(y, rows):
+        if yi:
+            for j, v in row:
+                reduced[j] -= yi * v
+    return all(r >= 0 for r in reduced)
+
+
+def ref_certified(lp, sol):
+    rows, rhs, c, sign = ref_standardize(lp)
+    n = len(c)
+    if sol.status == OPTIMAL:
+        if not (ref_primal_feasible(rows, rhs, sol.point, n) and ref_dual_feasible(rows, c, sol.dual)):
+            return False
+        value = ref_dot(c, sol.point)
+        return sign * value == sol.value and ref_dot(rhs, sol.dual) == value
+    if sol.status == INFEASIBLE:
+        return ref_dual_feasible(rows, [Fraction(0)] * n, sol.dual) and ref_dot(rhs, sol.dual) > 0
+    if sol.status == UNBOUNDED:
+        return (
+            ref_primal_feasible(rows, rhs, sol.point, n)
+            and ref_primal_feasible(rows, [Fraction(0)] * len(rows), sol.ray, n)
+            and ref_dot(c, sol.ray) < 0
+        )
+    return False
+
+
+def changed_certificates(sol):
+    """sol, then every copy of it with one entry of its value, point, dual
+    or ray moved by +-10^-7 or with its sign flipped."""
+    yield sol
+    tiny = Fraction(1, 10**7)
+    changes = (lambda v: v + tiny, lambda v: v - tiny, lambda v: -v)
+    if sol.value is not None:
+        for change in changes:
+            yield replace(sol, value=change(sol.value))
+    for name in ("point", "dual", "ray"):
+        vec = getattr(sol, name)
+        for i in range(len(vec or ())):
+            for change in changes:
+                moved = list(vec)
+                moved[i] = change(moved[i])
+                yield replace(sol, **{name: tuple(moved)})
+
+
+def assert_check_matches_reference(lp):
+    """The integer check accepts exactly the certificates the Fraction
+    check accepts, among the solver's own and its one-entry changes."""
+    sol = solve(lp)
+    assert ref_certified(lp, sol)
+    std = _standardize(lp)
+    for cand in changed_certificates(sol):
+        verdict = ref_certified(lp, cand)
+        assert _certified(std, cand) == verdict, cand
+        assert verify_certificate(lp, cand) == verdict, cand
+    return sol.status
+
+
+# coefficients: ints beside Fractions of unequal denominators, zeros kept
+MIXED = st.one_of(
+    st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=7)
+)
+
+
+@st.composite
+def mixed_lps(draw):
+    """Random standard forms of up to 5 columns and 3 rows whose rows keep
+    their zero entries and mix int and Fraction coefficients."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(0, 3))
+    rows = [[(j, draw(MIXED)) for j in range(n)] for _ in range(m)]
+    return LinearProgram(
+        [draw(MIXED) for _ in range(n)],
+        draw(st.sampled_from(["min", "max"])),
+        rows,
+        [draw(MIXED) for _ in range(m)],
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_lps())
+def test_integer_check_matches_fraction_reference(lp):
+    assert_check_matches_reference(lp)
+
+
+@pytest.mark.parametrize(
+    "lp, status",
+    [
+        # a scale-7 row beside a scale-1 row, Fraction right-hand sides
+        (
+            LinearProgram(
+                [Fraction(1, 3), 2, 0],
+                "min",
+                [[(0, Fraction(2, 7)), (1, 1), (2, 0)], [(0, 1), (2, -3)]],
+                [Fraction(5, 3), Fraction(-1, 2)],
+            ),
+            OPTIMAL,
+        ),
+        (INFEASIBLE_LP, INFEASIBLE),
+        (UNBOUNDED_LP, UNBOUNDED),
+        (LinearProgram([Fraction(-1, 2)], "min"), UNBOUNDED),
+    ],
+    ids=["optimal", "infeasible", "unbounded", "no-rows"],
+)
+def test_integer_check_matches_fraction_reference_per_status(lp, status):
+    assert assert_check_matches_reference(lp) == status
+
+
+def test_certificate_given_in_exact_floats_is_accepted():
+    # min x0 + x1 subject to x0 / 2 + x1 = 3/4: a row of scale 2
+    lp = LinearProgram([1, 1], "min", [[(0, Fraction(1, 2)), (1, 1)]], [Fraction(3, 4)])
+    sol = solve(lp)
+    assert (sol.value, sol.point, sol.dual) == (Fraction(3, 4), (0, Fraction(3, 4)), (1,))
+    floats = replace(sol, value=0.75, point=(0.0, 0.75), dual=(1.0,))
+    assert verify_certificate(lp, floats) and ref_certified(lp, floats)
+    for lp, sol in [(INFEASIBLE_LP, solve(INFEASIBLE_LP)), (UNBOUNDED_LP, solve(UNBOUNDED_LP))]:
+        floats = replace(
+            sol,
+            point=sol.point and tuple(map(float, sol.point)),
+            dual=sol.dual and tuple(map(float, sol.dual)),
+            ray=sol.ray and tuple(map(float, sol.ray)),
+        )
+        assert verify_certificate(lp, floats)
+    # 0.1 is not 1/10, so it misses the right-hand side 1/10
+    tenth = LinearProgram([1], "min", [[(0, 1)]], [Fraction(1, 10)])
+    assert not verify_certificate(tenth, replace(solve(tenth), value=0.1, point=(0.1,)))
