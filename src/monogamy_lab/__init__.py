@@ -33,7 +33,9 @@ from .bell import (
 from .polylp import (
     LinearProgram,
     LPSolution,
+    certify,
     ns_constraints,
+    ns_program,
     optimize_over_ns,
     solve,
     verify_certificate,

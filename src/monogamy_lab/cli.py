@@ -71,13 +71,13 @@ def cmd_tightness(args) -> int:
     grid = None
     if args.grid:
         grid = [scenario.parse_number(t, exact=True) for t in args.grid.split(",")]
-    rows = monogamy.tightness_scan(scn, args.k, args.x_k, args.x_last, grid)
+    rows = monogamy.tightness_scan(scn, args.k, args.x_k, args.x_last, grid, args.m)
     if args.format == "json":
         _emit(args, json.dumps(
-            monogamy.scan_to_json(rows, args.k, args.x_k, args.x_last), indent=1
+            monogamy.scan_to_json(rows, args.k, args.x_k, args.x_last, args.m), indent=1
         ) + "\n")
     else:
-        _emit(args, monogamy.scan_to_csv(rows, args.k, args.x_k, args.x_last))
+        _emit(args, monogamy.scan_to_csv(rows, args.k, args.x_k, args.x_last, args.m))
     # every target in [0, d-1] is feasible, so only the targets outside it
     # may lack an optimum; a row without one is never tight
     return EXIT_OK if all(r.tight for r in rows if r.status != "out-of-range") else EXIT_VIOLATION
@@ -191,6 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=0)
     p.add_argument("--x-k", dest="x_k", type=int, default=0)
     p.add_argument("--x-last", dest="x_last", type=int, default=0)
+    p.add_argument("--m", type=int, default=0, help="outcome shift, in range(d)")
     p.add_argument("--grid", default=None, help="comma-separated rational targets")
     p.set_defaults(func=cmd_tightness)
 

@@ -26,7 +26,7 @@ from typing import Sequence
 
 from .errors import SignallingInputError
 from .bell import BellFunctional, ModularTerm, evaluate, recursive_bkp
-from .polylp import LPSolution, optimize_over_ns
+from .polylp import LPSolution, certify, ns_program, optimize_over_ns
 from .scenario import Behavior, Scenario, format_number, is_nonsignalling, marginal
 
 
@@ -146,8 +146,11 @@ def monogamy_functional(scenario: Scenario, k: int, x_k: int, x_last: int) -> Be
 
 def agreement_vector(scenario: Scenario, k: int, x_k: int, x_last: int, m: int = 0) -> list:
     """Dense coefficients of p(A^k_{x_k} = [A^last_{x_last} + m]),
-    outsider pairing fixed, remaining settings at 0."""
+    outsider pairing fixed, remaining settings at 0; the shift m is one of
+    range(d)."""
     scn = scenario
+    if m not in range(scn.outcomes):
+        raise ValueError(f"shift {m} out of range for d={scn.outcomes}")
     last = scn.parties - 1
     x = [0] * scn.parties
     x[k] = x_k
@@ -162,32 +165,20 @@ def agreement_vector(scenario: Scenario, k: int, x_k: int, x_last: int, m: int =
 
 @dataclass
 class TightnessRow:
+    """One target of a scan; ``solution`` is the certified LP outcome of
+    the row's own LP, None for a target out of range."""
+
     target: Fraction
     status: str
     lp_max: Fraction | None
     bound: Fraction
     tight: bool
+    solution: LPSolution | None = None
 
 
 def default_grid(d: int) -> list[Fraction]:
     top = Fraction(d - 1)
     return [top * q for q in (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1))]
-
-
-def _scan_point(
-    scenario: Scenario, i_row: list, k: int, x_k: int, x_last: int, m: int, t: Fraction
-) -> TightnessRow:
-    d = scenario.outcomes
-    bound = (1 + t) / d
-    if t < 0 or t > d - 1:
-        # the trade-off only constrains targets up to the classical bound;
-        # beyond it the cap (1+t)/d exceeds 1
-        return TightnessRow(t, "out-of-range", None, bound, False)
-    obj = agreement_vector(scenario, k, x_k, x_last, m)
-    sol = optimize_over_ns(scenario, obj, "max", extra_eq=[(i_row, t)])
-    if sol.status != "optimal":
-        return TightnessRow(t, sol.status, None, bound, False)
-    return TightnessRow(t, sol.status, sol.value, bound, sol.value == bound)
 
 
 def tightness_scan(
@@ -200,13 +191,71 @@ def tightness_scan(
 ) -> list[TightnessRow]:
     """Maximize the agreement probability over NS behaviors with the Bell
     value pinned to each grid target; tight means the LP max equals
-    (1 + t)/d exactly."""
+    (1 + t)/d exactly.
+
+    A grid with a target strictly inside (0, d - 1) has the LP solved at
+    both ends, t = 0 and t = d - 1.  At such a target t, the mix (1 - t/(d-1)) x_0 + t/(d-1) x_{d-1} of the
+    two end optima is feasible, and it is optimal wherever the LP value is
+    linear in t, which the bound's tightness asserts.  The duals of the
+    targets solved so far are offered in turn with that point to
+    :func:`certify` on the row's own LP; the first pair that passes gives
+    the row.  A target that no pair certifies is solved, and its dual joins
+    the pool: a dual of a target inside a linear stretch of the value
+    proves every other target on it.  Every row is certified exactly on its
+    own LP, so the tightness only decides how many LPs are skipped."""
     _check_party(scenario, k)
-    if grid is None:
-        grid = default_grid(scenario.outcomes)
+    d = scenario.outcomes
+    obj = agreement_vector(scenario, k, x_k, x_last, m)
+    targets = [Fraction(t) for t in (default_grid(d) if grid is None else grid)]
+    top = Fraction(d - 1)
     # the Bell row pinned to each target, as (column, coefficient) nonzeros
     i_row = [(j, c) for j, c in enumerate(embedded_bkp(scenario).dense()) if c]
-    return [_scan_point(scenario, i_row, k, x_k, x_last, m, Fraction(t)) for t in grid]
+    solved: dict = {}
+    duals: list = []
+
+    def solve_at(t: Fraction) -> LPSolution:
+        if t not in solved:
+            sol = solved[t] = optimize_over_ns(scenario, obj, "max", extra_eq=[(i_row, t)])
+            if sol.status == "optimal":
+                duals.append(sol.dual)
+        return solved[t]
+
+    ends = None
+    if any(0 < t < top for t in targets):
+        ends = solve_at(Fraction(0)), solve_at(top)
+        if any(end.status != "optimal" for end in ends):
+            ends = None
+
+    def certified_mix(t: Fraction) -> LPSolution | None:
+        s = t / top
+        point = [a if a == b else (1 - s) * a + s * b for a, b in zip(ends[0].point, ends[1].point)]
+        lp = ns_program(scenario, obj, "max", extra_eq=[(i_row, t)])
+        while duals:
+            sol = certify(lp, point, duals[0])
+            if sol is not None:
+                return sol
+            # b.y is affine in t and meets the optimum at y's own target, so
+            # where the optimum is linear a dual that misses once misses at
+            # every other target
+            duals.pop(0)
+        return None
+
+    rows = []
+    for t in targets:
+        bound = (1 + t) / d
+        if t < 0 or t > top:
+            # the trade-off only constrains targets up to the classical bound;
+            # beyond it the cap (1+t)/d exceeds 1
+            rows.append(TightnessRow(t, "out-of-range", None, bound, False))
+            continue
+        sol = None
+        if ends is not None and t not in solved:
+            sol = certified_mix(t)
+        if sol is None:
+            sol = solve_at(t)
+        value = sol.value if sol.status == "optimal" else None
+        rows.append(TightnessRow(t, sol.status, value, bound, value == bound, sol))
+    return rows
 
 
 def minimize_lhs_over_ns(scenario: Scenario, k: int, x_k: int, x_last: int) -> LPSolution:

@@ -26,12 +26,19 @@ and ``LPSolution.engine`` names it:
   sparse rows, with Bland's rule, which cannot cycle.  It decides every
   infeasible or unbounded HiGHS status, and every optimum whose float image
   hides the exact one: costs or right-hand sides that differ by less than
-  HiGHS's tolerances.  For example, ``tightness 2 2 2 --grid
-  1/1000000000000000000,1/2,999999999999999999/1000000000000000000`` pins
-  the Bell value to targets that HiGHS reads as 0 and 1, and only this
-  stage certifies those two rows.  It alone also certifies
-  ``min 0 x0 + 10^-18 x1`` subject to ``x0 + x1 = 2``, where HiGHS returns
-  the wrong vertex of what is a tie in floats.
+  HiGHS's tolerances.  For example, maximizing the agreement probability
+  ``monogamy.agreement_vector(Scenario(3, 2, 2), 0, 0, 0)`` over the NS
+  polytope with the Bell row pinned to ``Fraction(1, 10**18)`` by
+  :func:`optimize_over_ns`'s ``extra_eq`` gives a target that HiGHS reads
+  as 0, and only this stage certifies the optimum 1/2 + 10^-18/2.  It
+  alone also certifies ``min 0 x0 + 10^-18 x1`` subject to
+  ``x0 + x1 = 2``, where HiGHS returns the wrong vertex of what is a tie
+  in floats.
+
+:func:`certify` runs the same exact check on a candidate point and duals
+that come from elsewhere, and an optimum it accepts has engine
+``candidate``.  ``monogamy.tightness_scan`` certifies its rows this way from
+the optima at the ends of its range.
 
 The certificate, not the pivot arithmetic, is the contract: every result
 leaves :func:`solve` with a certificate that :func:`verify_certificate`
@@ -120,8 +127,9 @@ class LPSolution:
     * 'unbounded': ``point`` is feasible and ``ray`` is a direction r >= 0
       with A r = 0 along which the objective improves.
 
-    ``engine`` names the stage that produced it ('highs', 'support' or
-    'simplex', see the module docstring)."""
+    ``engine`` names the stage of :func:`solve` that produced it ('highs',
+    'support' or 'simplex'), or is 'candidate' for an optimum that
+    :func:`certify` accepted (see the module docstring)."""
 
     status: str
     value: Fraction | None = None
@@ -173,10 +181,9 @@ def _standardize(lp: LinearProgram) -> _Standard:
     objective negated."""
     rows = [_integer_row(pairs) for pairs in lp.eq_rows]
     sign = 1 if lp.sense == "min" else -1
-    c = [sign * Fraction(v) for v in lp.objective]
-    return _Standard(
-        [r for r, _ in rows], [s for _, s in rows], [Fraction(b) for b in lp.eq_rhs], c, sign
-    )
+    c = [sign * Fraction(v) if v else _ZERO for v in lp.objective]
+    rhs = [Fraction(b) if b else _ZERO for b in lp.eq_rhs]
+    return _Standard([r for r, _ in rows], [s for _, s in rows], rhs, c, sign)
 
 
 def _common(v) -> tuple[int, list]:
@@ -515,6 +522,19 @@ def _simplex(std: _Standard) -> LPSolution:
     )
 
 
+def _exact(v) -> list:
+    return [e if type(e) is Fraction else Fraction(e) for e in v]
+
+
+def certify(lp: LinearProgram, point, dual) -> LPSolution | None:
+    """The optimum that a candidate point and row duals prove for lp, with
+    engine ``candidate``, or None unless they pass the exact check that
+    :func:`solve` runs on its own answers.  Entries are read exactly, as
+    :func:`verify_certificate` reads them; a candidate may come from any
+    source, such as an optimum of the same LP with another right-hand side."""
+    return _optimal(_standardize(lp), _exact(point), _exact(dual), "candidate", 0)
+
+
 def verify_certificate(lp: LinearProgram, sol: LPSolution) -> bool:
     """Check sol's certificate exactly, without trusting the solver (see
     :class:`LPSolution`): for an optimum, feasibility, the value, dual
@@ -524,7 +544,7 @@ def verify_certificate(lp: LinearProgram, sol: LPSolution) -> bool:
     """
 
     def exact(v):
-        return None if v is None else [Fraction(e) for e in v]
+        return None if v is None else _exact(v)
 
     return _certified(
         _standardize(lp),
@@ -599,6 +619,22 @@ def ns_row_residual(behavior: Behavior):
     return Fraction(worst, denom)
 
 
+def ns_program(
+    scenario: Scenario,
+    objective: Sequence,
+    sense: str = "min",
+    extra_eq: Sequence[tuple] = (),
+) -> LinearProgram:
+    """The LP of a linear functional of the behavior over the NS polytope:
+    the rows of :func:`ns_constraints`, then the extra (row, rhs) equality
+    constraints, whose rows are sparse (column, coefficient) pairs."""
+    rows, rhs = ns_constraints(scenario)
+    for row, b in extra_eq:
+        rows.append(row)
+        rhs.append(b)
+    return LinearProgram(list(objective), sense, rows, rhs)
+
+
 def optimize_over_ns(
     scenario: Scenario,
     objective: Sequence,
@@ -606,11 +642,7 @@ def optimize_over_ns(
     extra_eq: Sequence[tuple] = (),
 ) -> LPSolution:
     """Optimize a linear functional of the behavior over the NS polytope,
-    optionally intersected with extra (row, rhs) equality constraints whose
-    rows are sparse (column, coefficient) pairs."""
-    rows, rhs = ns_constraints(scenario)
-    for row, b in extra_eq:
-        rows.append(row)
-        rhs.append(b)
-    return solve(LinearProgram(list(objective), sense, rows, rhs))
+    optionally intersected with extra equality constraints: :func:`solve`
+    on :func:`ns_program`."""
+    return solve(ns_program(scenario, objective, sense, extra_eq))
 

@@ -242,9 +242,9 @@ def recorded_engines(monkeypatch):
     return engines
 
 
-def test_tightness_near_ties_reach_the_simplex_stage(capsys, monkeypatch):
-    # HiGHS reads t = 1e-18 as 0 and 1 - 1e-18 as 1, so only the exact
-    # simplex certifies the rows at both ends
+def test_tightness_near_ties_are_certified_from_the_end_solves(capsys, monkeypatch):
+    # HiGHS reads t = 1e-18 as 0 and 1 - 1e-18 as 1; no row is solved at
+    # its own target: the LPs at t = 0 and t = 1 certify all three
     engines = recorded_engines(monkeypatch)
     grid = "1/1000000000000000000,1/2,999999999999999999/1000000000000000000"
     assert main(["tightness", "2", "2", "2", "--grid", grid]) == 0
@@ -256,7 +256,35 @@ def test_tightness_near_ties_reach_the_simplex_stage(capsys, monkeypatch):
         "0,0,0,0,999999999999999999/1000000000000000000,"
         "1999999999999999999/2000000000000000000,1999999999999999999/2000000000000000000,0\r\n"
     )
-    assert engines == ["simplex", "highs", "simplex"]
+    assert engines == ["highs", "highs"]
+
+
+TIGHTNESS_222 = (
+    "k,x_k,x_last,m,t,lhs,bound,slack\r\n"
+    "0,0,0,0,0,1/2,1/2,0\r\n"
+    "0,0,0,0,1/4,5/8,5/8,0\r\n"
+    "0,0,0,0,1/2,3/4,3/4,0\r\n"
+    "0,0,0,0,3/4,7/8,7/8,0\r\n"
+    "0,0,0,0,1,1,1,0\r\n"
+)
+
+
+def test_tightness_default_shift_output(capsys):
+    assert main(["tightness", "2", "2", "2"]) == 0
+    assert capsys.readouterr().out == TIGHTNESS_222
+    assert main(["tightness", "2", "2", "2", "--m", "0"]) == 0
+    assert capsys.readouterr().out == TIGHTNESS_222
+
+
+def test_tightness_scans_the_given_shift(capsys):
+    assert main(["tightness", "2", "2", "2", "--m", "1", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert len(rows) == 5
+    assert all(r["m"] == 1 and r["tight"] and r["lp_max"] == r["bound"] for r in rows)
+    assert main(["tightness", "2", "2", "3", "--m", "2", "--grid", "0,1,2"]) == 0
+    lines = capsys.readouterr().out.splitlines()[1:]
+    assert [line.split(",")[3] for line in lines] == ["2"] * 3
+    assert all(line.endswith(",0") for line in lines)
 
 
 @pytest.mark.parametrize(
@@ -363,6 +391,8 @@ def test_quantum_monogamy_check_stdout_is_stable(capsys):
     ["tightness", "2", "2", "2", "--grid", "1/0"],
     ["tightness", "2", "2", "2", "--grid", "1e100000000"],
     ["tightness", "2", "1", "2"],
+    ["tightness", "2", "2", "2", "--m", "2"],
+    ["tightness", "2", "2", "2", "--m", "-1"],
     ["bell", "2", "1", "2"],
     ["figures", "2b", "--max-m", "1"],
     ["figures", "2b", "--max-m", "-3"],

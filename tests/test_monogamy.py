@@ -1,12 +1,16 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from monogamy_lab.bell import evaluate
+from monogamy_lab import monogamy
 from monogamy_lab.errors import SignallingInputError
 from monogamy_lab.monogamy import (
     agreement_probability,
+    agreement_vector,
+    embedded_bkp,
     guessing_bound,
     guessing_bound_prior,
     minimize_lhs_over_ns,
@@ -21,8 +25,11 @@ from monogamy_lab.polylp import (
     LinearProgram,
     _simplex,
     _standardize,
+    certify,
     ns_constraints,
+    ns_program,
     optimize_over_ns,
+    verify_certificate,
 )
 from monogamy_lab.sampling import (
     ns_pool,
@@ -291,6 +298,98 @@ def test_tightness_scan_flags_out_of_range_targets():
     scn = Scenario(3, 2, 2)
     rows = tightness_scan(scn, 0, 0, 0, grid=[Fraction(3, 2), Fraction(-1, 2)])
     assert all(r.status == "out-of-range" and not r.tight for r in rows)
+
+
+def bell_row(scn):
+    return [(j, c) for j, c in enumerate(embedded_bkp(scn).dense()) if c]
+
+
+def row_fields(rows):
+    return [(r.target, r.status, r.lp_max, r.bound, r.tight) for r in rows]
+
+
+def counted_solves(monkeypatch):
+    """The targets of every pinned LP that tightness_scan solves from now on."""
+    targets = []
+    solve = monogamy.optimize_over_ns
+
+    def counting(scn, obj, sense, extra_eq):
+        targets.append(extra_eq[0][1])
+        return solve(scn, obj, sense, extra_eq)
+
+    monkeypatch.setattr(monogamy, "optimize_over_ns", counting)
+    return targets
+
+
+def all_pairings(scn):
+    return itertools.product(
+        range(scn.parties - 1), range(scn.settings), range(scn.settings), range(scn.outcomes)
+    )
+
+
+@pytest.mark.parametrize(
+    "dims, pairings",
+    [((3, 2, 2), None), ((3, 2, 3), None), ((4, 2, 2), [(2, 1, 0, 1)])],
+    ids=["322-all", "323-all", "422-one"],
+)
+def test_tightness_scan_matches_per_target_lps(monkeypatch, dims, pairings):
+    scn = Scenario(*dims)
+    row = bell_row(scn)
+    top = scn.outcomes - 1
+    solved = counted_solves(monkeypatch)
+    for k, x_k, x_last, m in pairings or all_pairings(scn):
+        solved.clear()
+        rows = tightness_scan(scn, k, x_k, x_last, m=m)
+        # the two ends, and at most one target inside, where every optimal
+        # dual has the value's slope and so certifies every other target
+        assert solved[:2] == [0, top] and len(solved) <= 3
+        obj = agreement_vector(scn, k, x_k, x_last, m)
+        direct = []
+        for r in rows:
+            sol = optimize_over_ns(scn, obj, "max", extra_eq=[(row, r.target)])
+            direct.append((r.target, sol.status, sol.value, r.bound, sol.value == r.bound))
+            assert verify_certificate(ns_program(scn, obj, "max", [(row, r.target)]), r.solution)
+        assert row_fields(rows) == direct
+        assert all(r.tight for r in rows)
+
+
+def test_tightness_scan_solves_each_row_when_no_candidate_passes(monkeypatch):
+    scn = Scenario(3, 2, 3)
+    grid = [Fraction(0), Fraction(1, 3), Fraction(1), Fraction(7, 4), Fraction(2), Fraction(3)]
+    expected = tightness_scan(scn, 0, 1, 0, grid, m=2)
+    monkeypatch.setattr(monogamy, "certify", lambda lp, point, dual: None)
+    solved = counted_solves(monkeypatch)
+    rows = tightness_scan(scn, 0, 1, 0, grid, m=2)
+    assert row_fields(rows) == row_fields(expected)
+    assert solved == [0, 2, Fraction(1, 3), 1, Fraction(7, 4)]
+    assert all(r.solution.engine != "candidate" for r in rows[:-1])
+    assert rows[-1].status == "out-of-range" and rows[-1].solution is None
+
+
+def test_tightness_scan_rejects_a_moved_bell_multiplier():
+    scn = Scenario(3, 2, 2)
+    obj = agreement_vector(scn, 0, 0, 0)
+    row = bell_row(scn)
+    ends = [optimize_over_ns(scn, obj, "max", extra_eq=[(row, Fraction(t))]) for t in (0, 1)]
+    pool = optimize_over_ns(scn, obj, "max", extra_eq=[(row, Fraction(1, 4))]).dual
+    t = Fraction(1, 2)
+    point = [(1 - t) * a + t * b for a, b in zip(ends[0].point, ends[1].point)]
+    lp = ns_program(scn, obj, "max", [(row, t)])
+    assert certify(lp, point, pool).value == Fraction(3, 4)
+    # the Bell row is the last row; at t != 0 its multiplier enters b.y
+    for step in (Fraction(1, 1000), Fraction(-1, 1000)):
+        moved = list(pool)
+        moved[-1] += step
+        assert certify(lp, point, moved) is None
+
+
+@pytest.mark.parametrize("m", [-1, 2, 5])
+def test_shift_outside_the_outcomes_is_rejected(m):
+    scn = Scenario(3, 2, 2)
+    with pytest.raises(ValueError, match=f"shift {m} out of range for d=2"):
+        agreement_vector(scn, 0, 0, 0, m)
+    with pytest.raises(ValueError, match=f"shift {m} out of range for d=2"):
+        tightness_scan(scn, 0, 0, 0, m=m)
 
 
 def test_four_party_lhs_minimum():

@@ -14,7 +14,9 @@ from monogamy_lab.polylp import (
     _certified,
     _simplex,
     _standardize,
+    certify,
     ns_constraints,
+    ns_program,
     optimize_over_ns,
     solve,
     verify_certificate,
@@ -165,6 +167,37 @@ def test_agreement_max_under_zero_violation():
     i_vec = list(embedded_bkp(scn).dense())
     sol = optimize_over_ns(scn, obj, "max", extra_eq=[(sparse([i_vec])[0], Fraction(0))])
     assert sol.status == OPTIMAL and sol.value == Fraction(1, 2)
+
+
+def test_pinned_near_tie_reaches_the_simplex_stage():
+    # HiGHS reads the Bell target 10^-18 as 0, so only the exact simplex
+    # certifies the optimum of the pinned agreement maximum
+    from monogamy_lab.monogamy import agreement_vector, embedded_bkp
+
+    scn = Scenario(3, 2, 2)
+    bell_row = sparse([list(embedded_bkp(scn).dense())])[0]
+    t = Fraction(1, 10**18)
+    sol = optimize_over_ns(scn, agreement_vector(scn, 0, 0, 0), "max", extra_eq=[(bell_row, t)])
+    assert sol.status == OPTIMAL and sol.engine == "simplex"
+    assert sol.value == Fraction(1, 2) + t / 2
+
+
+def test_certify_checks_a_candidate_like_solve():
+    scn = Scenario(2, 2, 3)
+    lp = ns_program(scn, chained_bkp(2, 3).dense(), "min")
+    sol = optimize_over_ns(scn, chained_bkp(2, 3).dense(), "min")
+    checked = certify(lp, sol.point, sol.dual)
+    assert checked.engine == "candidate" and verify_certificate(lp, checked)
+    assert (checked.status, checked.value, checked.point, checked.dual) == (
+        sol.status, sol.value, sol.point, sol.dual
+    )
+    # a point off the optimum, a dual off the optimal face and vectors of the
+    # wrong length are all refused
+    uniform = uniform_behavior(scn).probs
+    assert certify(lp, uniform, sol.dual) is None
+    assert certify(lp, sol.point, [1] * len(sol.dual)) is None
+    assert certify(lp, sol.point[:-1], sol.dual) is None
+    assert certify(lp, sol.point, sol.dual[:-1]) is None
 
 
 def test_ns_min_below_local_min():
