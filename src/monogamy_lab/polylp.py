@@ -7,7 +7,11 @@ Every LP has the form of the no-signalling polytope itself::
 with equality rows only and every variable nonnegative.  Each row of A is
 a sequence of (column, coefficient) pairs; only the objective is dense.
 :func:`solve` returns certified results.  It solves the LP in floats with
-scipy's HiGHS, turns the float answer into rationals and accepts an optimum
+HiGHS, through the pybind bindings that scipy ships
+(``scipy.optimize._highspy._core``).  ``linprog`` wraps the same bindings,
+but its input checks and sparse-matrix conversions cost more than HiGHS's
+own solve on these LPs, and it rejects an LP with no variables.  The float
+answer is turned into rationals, and an optimum is accepted
 only after an exact check of primal feasibility, dual feasibility
 (``c - A^T y >= 0``, with the sign of c flipped for 'max') and strong
 duality, the approach of QSopt_ex (Applegate, Cook, Dash and Espinoza,
@@ -47,8 +51,9 @@ an infeasible LP, a feasible point and an improving ray for an unbounded one.
 The check runs in integers.  Each standard-form row holds integer
 coefficients over one positive integer scale, the lcm of the row's
 denominators (1 for all the rows this package builds, except a Bell row
-with fractional weights), and each vector of the certificate is brought
-over one common denominator, so that no ``Fraction`` is built per
+with fractional weights).  The objective is held the same way, as integers
+over the lcm of its denominators.  Each vector of the certificate is
+brought over one common denominator, so that no ``Fraction`` is built per
 coefficient.
 
 Also provides the sparse rows of the no-signalling polytope: per-column
@@ -149,18 +154,21 @@ class _Standard(NamedTuple):
     """min c.x subject to A x = b, x >= 0, with one row per equality row of
     the LP.  Row i of A is ``rows[i] / scale[i]``: a tuple of (column,
     integer) pairs in column order, over the positive integer ``scale[i]``,
-    the least common denominator of the row's coefficients.  b and c hold
-    Fractions; sign restores the objective value of a 'max' LP."""
+    the least common denominator of the row's coefficients.  c is
+    ``cost / cost_scale`` in the same way: one integer per column over the
+    least common denominator of the objective.  b holds Fractions; sign
+    restores the objective value of a 'max' LP."""
 
     rows: list
     scale: list
     rhs: list
-    c: list
+    cost: list
+    cost_scale: int
     sign: int
 
     @property
     def n_cols(self) -> int:
-        return len(self.c)
+        return len(self.cost)
 
 
 def _integer_row(pairs) -> tuple[tuple, int]:
@@ -177,13 +185,14 @@ def _integer_row(pairs) -> tuple[tuple, int]:
 
 def _standardize(lp: LinearProgram) -> _Standard:
     """The LP's rows as integer nonzeros in column order, each over its own
-    scale, one row per equality row; b and c as Fractions, with a 'max'
-    objective negated."""
+    scale, one row per equality row; c as integers over one scale, with a
+    'max' objective negated; b as Fractions."""
     rows = [_integer_row(pairs) for pairs in lp.eq_rows]
     sign = 1 if lp.sense == "min" else -1
-    c = [sign * Fraction(v) if v else _ZERO for v in lp.objective]
+    c = [sign * (v if type(v) is int else Fraction(v)) for v in lp.objective]
+    cost_scale, cost = _common(c)
     rhs = [Fraction(b) if b else _ZERO for b in lp.eq_rhs]
-    return _Standard([r for r, _ in rows], [s for _, s in rows], rhs, c, sign)
+    return _Standard([r for r, _ in rows], [s for _, s in rows], rhs, cost, cost_scale, sign)
 
 
 def _common(v) -> tuple[int, list]:
@@ -197,6 +206,12 @@ def _dot(u, v) -> Fraction:
     du, nu = _common(u)
     dv, nv = _common(v)
     return Fraction(sum(a * b for a, b in zip(nu, nv)), du * dv)
+
+
+def _objective(std: _Standard, x) -> Fraction:
+    """c.x, summed in integers over the cost scale times x's common denominator."""
+    d, n = _common(x)
+    return Fraction(sum(a * b for a, b in zip(std.cost, n)), std.cost_scale * d)
 
 
 def _primal_feasible(std: _Standard, x) -> bool:
@@ -213,7 +228,8 @@ def _primal_feasible(std: _Standard, x) -> bool:
 
 def _dual_feasible(std: _Standard, y) -> bool:
     """c - A^T y >= 0, one multiplier per row.  With y_i / L_i = w_i / E and
-    c = c' / C, column j holds when ``c'_j * E >= C * sum_i w_i a_ij``."""
+    c = c' / C (the cost and its scale), column j holds when
+    ``c'_j * E >= C * sum_i w_i a_ij``."""
     if y is None or len(y) != len(std.rows):
         return False
     # E is a common denominator of the y_i / L_i, not always the least one
@@ -224,8 +240,17 @@ def _dual_feasible(std: _Standard, y) -> bool:
             w = yi.numerator * (e // (yi.denominator * scale))
             for j, a in row:
                 acc[j] += w * a
-    d, c = _common(std.c)
-    return all(cj * e >= d * aj for cj, aj in zip(c, acc))
+    return all(cj * e >= std.cost_scale * aj for cj, aj in zip(std.cost, acc))
+
+
+def _optimum(std: _Standard, x, y) -> Fraction | None:
+    """c.x if point x and row duals y prove it the optimum of the standard
+    form (primal and dual feasibility and strong duality, b.y = c.x), else
+    None; the entries must be exact."""
+    if not (_primal_feasible(std, x) and _dual_feasible(std, y)):
+        return None
+    value = _objective(std, x)
+    return value if _dot(std.rhs, y) == value else None
 
 
 def _certified(std: _Standard, sol: LPSolution) -> bool:
@@ -233,21 +258,18 @@ def _certified(std: _Standard, sol: LPSolution) -> bool:
     standard form (see :class:`LPSolution`); the entries must be exact.  Each
     test runs in integers over the common denominators of the vectors."""
     if sol.status == OPTIMAL:
-        if not (_primal_feasible(std, sol.point) and _dual_feasible(std, sol.dual)):
-            return False
-        # strong duality: b.y equals the objective at the point
-        value = _dot(std.c, sol.point)
-        return std.sign * value == sol.value and _dot(std.rhs, sol.dual) == value
+        value = _optimum(std, sol.point, sol.dual)
+        return value is not None and std.sign * value == sol.value
     if sol.status == INFEASIBLE:
         # Farkas: c = 0 turns the dual check into A^T y <= 0
-        no_cost = std._replace(c=[_ZERO] * std.n_cols)
+        no_cost = std._replace(cost=[0] * std.n_cols)
         return _dual_feasible(no_cost, sol.dual) and _dot(std.rhs, sol.dual) > 0
     if sol.status == UNBOUNDED:
         homogeneous = std._replace(rhs=[_ZERO] * len(std.rows))
         return (
             _primal_feasible(std, sol.point)
             and _primal_feasible(homogeneous, sol.ray)
-            and _dot(std.c, sol.ray) < 0
+            and _objective(std, sol.ray) < 0
         )
     return False
 
@@ -255,30 +277,74 @@ def _certified(std: _Standard, sol: LPSolution) -> bool:
 def _optimal(std: _Standard, x, y, engine: str, iterations: int) -> LPSolution | None:
     """The optimal LPSolution for standard-form point x and row duals y, or
     None unless they pass the exact check."""
-    sol = LPSolution(OPTIMAL, std.sign * _dot(std.c, x), tuple(x), tuple(y), iterations, engine)
-    return sol if _certified(std, sol) else None
+    value = _optimum(std, x, y)
+    if value is None:
+        return None
+    return LPSolution(OPTIMAL, std.sign * value, tuple(x), tuple(y), iterations, engine)
+
+
+# The options scipy's linprog(method="highs") sets; HiGHS's defaults hold
+# for every other one.
+_HIGHS_OPTIONS = (
+    ("presolve", "on"),
+    ("simplex_strategy", 1),  # dual simplex
+    ("output_flag", False),
+    ("log_to_console", False),
+)
 
 
 def _highs(std: _Standard):
-    """scipy's HiGHS on the standard form, built from the nonzeros.  scipy is
-    imported here, so that only an LP solve loads it."""
-    from scipy.optimize import linprog
-    from scipy.sparse import csr_matrix
+    """HiGHS on the float image of the standard form: (point, row duals,
+    lower-bound duals, iterations) if HiGHS finds an optimum, else None.
 
-    data, row_idx, col_idx = [], [], []
-    for i, (row, scale) in enumerate(zip(std.rows, std.scale)):
+    The LP goes straight to scipy's pybind bindings of HiGHS
+    (``scipy.optimize._highspy._core``, the module ``linprog`` itself
+    calls), as a row-wise matrix built from the integer rows, so no sparse
+    matrix is built and converted.  A column's lower-bound dual is its
+    HiGHS column dual where HiGHS holds it at its bound, else 0, as in
+    ``linprog``'s ``lower.marginals``.  scipy is imported here, so that only
+    an LP solve loads it.  A coefficient beyond float range raises
+    ``OverflowError``."""
+    from scipy.optimize._highspy import _core as h
+
+    n = std.n_cols
+    start, index, value = [0], [], []
+    for row, scale in zip(std.rows, std.scale):
         for j, a in row:
-            row_idx.append(i)
-            col_idx.append(j)
-            data.append(a / scale)
-    a_eq = csr_matrix((data, (row_idx, col_idx)), shape=(len(std.rows), std.n_cols))
-    return linprog(
-        [float(v) for v in std.c],
-        A_eq=a_eq,
-        b_eq=[float(v) for v in std.rhs],
-        bounds=(0, None),
-        method="highs",
-    )
+            index.append(j)
+            value.append(a / scale)
+        start.append(len(index))
+    rhs = [float(b) for b in std.rhs]
+    lp = h.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = n
+    lp.num_row_ = lp.a_matrix_.num_row_ = len(std.rows)
+    lp.col_cost_ = [c / std.cost_scale for c in std.cost]
+    lp.col_lower_ = [0.0] * n
+    lp.col_upper_ = [h.kHighsInf] * n
+    lp.row_lower_ = lp.row_upper_ = rhs
+    lp.a_matrix_.format_ = h.MatrixFormat.kRowwise
+    lp.a_matrix_.start_ = start
+    lp.a_matrix_.index_ = index
+    lp.a_matrix_.value_ = value
+
+    highs = h._Highs()
+    for option, setting in _HIGHS_OPTIONS:
+        highs.setOptionValue(option, setting)
+    if (
+        highs.passModel(lp) == h.HighsStatus.kError
+        or highs.run() == h.HighsStatus.kError
+        or highs.getModelStatus() != h.HighsModelStatus.kOptimal
+    ):
+        return None
+    solution = highs.getSolution()
+    info = highs.getInfo()
+    at_lower = h.HighsBasisStatus.kLower
+    lower = [
+        d if s == at_lower else 0.0
+        for d, s in zip(solution.col_dual, highs.getBasis().col_status)
+    ]
+    iterations = info.simplex_iteration_count or info.ipm_iteration_count
+    return solution.col_value, solution.row_dual, lower, iterations
 
 
 def _rational(v: float) -> Fraction:
@@ -347,21 +413,21 @@ def _support_dual(std: _Standard, tight: set) -> list | None:
         for j, a in row:
             if j in columns:
                 columns[j][i] = Fraction(a, scale)
-    sol = _solve_exact((columns[j], std.c[j]) for j in sorted(tight))
+    sol = _solve_exact((columns[j], Fraction(std.cost[j], std.cost_scale)) for j in sorted(tight))
     if sol is None:
         return None
     return [sol.get(i, _ZERO) for i in range(len(std.rows))]
 
 
-def _certify_highs(std: _Standard, res) -> LPSolution | None:
-    """The certified optimum from an optimal HiGHS result, or None."""
-    x_float = res.x.tolist()
+def _certify_highs(std: _Standard, x_float, y_float, lower, iterations) -> LPSolution | None:
+    """The certified optimum from HiGHS's optimal point, row duals and
+    lower-bound duals (see :func:`_highs`), or None."""
     x = [_rational(v) for v in x_float]
-    y = [_rational(v) for v in res.eqlin.marginals.tolist()]
-    sol = _optimal(std, x, y, "highs", int(res.nit))
+    y = [_rational(v) for v in y_float]
+    sol = _optimal(std, x, y, "highs", iterations)
     if sol is not None:
         return sol
-    tight = {j for j, v in enumerate(res.lower.marginals.tolist()) if abs(v) <= _ZERO_TOL}
+    tight = {j for j, v in enumerate(lower) if abs(v) <= _ZERO_TOL}
     if not _primal_feasible(std, x):
         x = _support_primal(std, {j for j, v in enumerate(x_float) if v > _ZERO_TOL})
         if x is None or any(v < 0 for v in x):
@@ -370,7 +436,7 @@ def _certify_highs(std: _Standard, res) -> LPSolution | None:
             x = _support_primal(std, tight)
             if x is None:
                 return None
-    if not (_dual_feasible(std, y) and _dot(std.rhs, y) == _dot(std.c, x)):
+    if not (_dual_feasible(std, y) and _dot(std.rhs, y) == _objective(std, x)):
         # Complementary slackness: zero reduced cost wherever x is positive.
         positive = {j for j, v in enumerate(x) if v}
         y = _support_dual(std, tight | positive)
@@ -380,7 +446,7 @@ def _certify_highs(std: _Standard, res) -> LPSolution | None:
             y = _support_dual(std, positive)
             if y is None:
                 return None
-    return _optimal(std, x, y, "support", int(res.nit))
+    return _optimal(std, x, y, "support", iterations)
 
 
 def solve(lp: LinearProgram) -> LPSolution:
@@ -388,11 +454,11 @@ def solve(lp: LinearProgram) -> LPSolution:
     optimum, or a proof of infeasibility or unboundedness."""
     std = _standardize(lp)
     try:
-        res = _highs(std)
+        found = _highs(std)
     except OverflowError:  # a coefficient beyond float range
-        res = None
-    if res is not None and res.status == 0:
-        sol = _certify_highs(std, res)
+        found = None
+    if found is not None:
+        sol = _certify_highs(std, *found)
         if sol is not None:
             return sol
     sol = _simplex(std)
@@ -495,7 +561,7 @@ def _simplex(std: _Standard) -> LPSolution:
         del T[i], b[i], basis[i]
 
     # Phase II on the real costs.
-    z = _priced({j: v for j, v in enumerate(std.c) if v}, T, basis)
+    z = _priced({j: Fraction(v, std.cost_scale) for j, v in enumerate(std.cost) if v}, T, basis)
     iters, unbounded = _run_simplex(T, b, z, basis, n)
     total_iters += iters
 
@@ -518,7 +584,7 @@ def _simplex(std: _Standard) -> LPSolution:
     # normalization).
     y = [-z.get(n + i, _ZERO) * row_sign[i] for i in range(m)]
     return LPSolution(
-        OPTIMAL, std.sign * _dot(std.c, x), tuple(x), tuple(y), total_iters, "simplex"
+        OPTIMAL, std.sign * _objective(std, x), tuple(x), tuple(y), total_iters, "simplex"
     )
 
 

@@ -12,6 +12,7 @@ from monogamy_lab.polylp import (
     OPTIMAL,
     UNBOUNDED,
     _certified,
+    _highs,
     _simplex,
     _standardize,
     certify,
@@ -107,6 +108,14 @@ def test_standard_rows_are_sorted_nonzeros():
     assert std.rows == [((1, 1), (2, 2)), ((0, -2), (1, 3))]
     assert std.scale == [2, 1]
     assert all(type(a) is int for row in std.rows for _, a in row)
+
+
+def test_standard_cost_is_integers_over_one_scale():
+    # max c.x is min -c.x: c = (1/3, 0, -1/2, 2) becomes (-2, 0, 3, -12) / 6
+    lp = LinearProgram([Fraction(1, 3), 0, Fraction(-1, 2), 2], "max")
+    std = _standardize(lp)
+    assert (std.cost, std.cost_scale, std.sign) == ([-2, 0, 3, -12], 6, -1)
+    assert all(type(c) is int for c in std.cost)
 
 
 def _satisfies(rows, rhs, probs):
@@ -582,8 +591,11 @@ def test_integer_check_matches_fraction_reference(lp):
         (INFEASIBLE_LP, INFEASIBLE),
         (UNBOUNDED_LP, UNBOUNDED),
         (LinearProgram([Fraction(-1, 2)], "min"), UNBOUNDED),
+        (LinearProgram([], "min"), OPTIMAL),
+        # the empty row reads 0 = 1
+        (LinearProgram([], "min", [()], [1]), INFEASIBLE),
     ],
-    ids=["optimal", "infeasible", "unbounded", "no-rows"],
+    ids=["optimal", "infeasible", "unbounded", "no-rows", "no-columns", "empty-row"],
 )
 def test_integer_check_matches_fraction_reference_per_status(lp, status):
     assert assert_check_matches_reference(lp) == status
@@ -607,3 +619,82 @@ def test_certificate_given_in_exact_floats_is_accepted():
     # 0.1 is not 1/10, so it misses the right-hand side 1/10
     tenth = LinearProgram([1], "min", [[(0, 1)]], [Fraction(1, 10)])
     assert not verify_certificate(tenth, replace(solve(tenth), value=0.1, point=(0.1,)))
+
+
+# ---------------------------------------------------------------------------
+# Reference: scipy's linprog(method="highs") on the same float image of the
+# standard form.  polylp._highs calls the HiGHS bindings that linprog wraps,
+# and must get the same answers from them, bit for bit.
+
+
+def linprog_highs(std):
+    """linprog's optimum in the shape of polylp._highs: (point, row duals,
+    lower-bound duals, iterations), or None unless linprog reports one."""
+    from scipy.optimize import linprog
+    from scipy.sparse import csr_matrix
+
+    data, row_idx, col_idx = [], [], []
+    for i, (row, scale) in enumerate(zip(std.rows, std.scale)):
+        for j, a in row:
+            row_idx.append(i)
+            col_idx.append(j)
+            data.append(float(Fraction(a, scale)))
+    res = linprog(
+        [float(Fraction(c, std.cost_scale)) for c in std.cost],
+        A_eq=csr_matrix((data, (row_idx, col_idx)), shape=(len(std.rows), std.n_cols)),
+        b_eq=[float(b) for b in std.rhs],
+        bounds=(0, None),
+        method="highs",
+    )
+    if res.status != 0:
+        return None
+    return res.x.tolist(), res.eqlin.marginals.tolist(), res.lower.marginals.tolist(), res.nit
+
+
+def highs_bits(found):
+    """An answer of polylp._highs with every float as its exact hex string."""
+    if found is None:
+        return None
+    x, y, lower, iterations = found
+    return [v.hex() for v in x], [v.hex() for v in y], [v.hex() for v in lower], iterations
+
+
+def assert_highs_matches_linprog(lp):
+    std = _standardize(lp)
+    found = highs_bits(_highs(std))
+    assert found == highs_bits(linprog_highs(std))
+    return found
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(small_lps(), near_tie_lps(), mixed_lps()))
+def test_highs_matches_linprog(lp):
+    assert_highs_matches_linprog(lp)
+
+
+def pinned_agreement_lp(t):
+    """The (3,2,2) tightness LP: the agreement maximum with the Bell row
+    pinned to t."""
+    from monogamy_lab.monogamy import agreement_vector, embedded_bkp
+
+    scn = Scenario(3, 2, 2)
+    bell_row = sparse([list(embedded_bkp(scn).dense())])[0]
+    return ns_program(scn, agreement_vector(scn, 0, 0, 0), "max", extra_eq=[(bell_row, t)])
+
+
+@pytest.mark.parametrize(
+    "lp, optimum",
+    [
+        *(
+            (ns_program(Scenario(N, M, d), recursive_bkp(N, M, d).dense(), "min"), True)
+            for N, M, d in [(2, 2, 2), (2, 3, 2), (2, 2, 3), (3, 2, 2)]
+        ),
+        (pinned_agreement_lp(Fraction(1, 2)), True),
+        (pinned_agreement_lp(Fraction(1, 10**18)), True),
+        # 10^25 is past HiGHS's infinite bound 10^20: the model fails to load
+        (LinearProgram([1, 0], "min", sparse([[1, 1]]), [10**25]), False),
+    ],
+    ids=["ns-222", "ns-232", "ns-223", "ns-322", "pinned-half", "pinned-near-tie", "rhs-1e25"],
+)
+def test_highs_matches_linprog_on_package_lps(lp, optimum):
+    assert (assert_highs_matches_linprog(lp) is not None) == optimum
