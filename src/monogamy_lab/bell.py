@@ -23,8 +23,6 @@ coefficient tensor over (x, a) is derived on demand.
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -33,8 +31,8 @@ from typing import Sequence
 
 from .errors import InputFormatError
 from .scenario import (
-    FLOAT_TOL, Behavior, Scenario, enumerate_assignments, format_number, marginal, parse_int,
-    parse_number, read_json, scaled_marginal, scenario_from_json,
+    FLOAT_TOL, Behavior, Scenario, csv_text, enumerate_assignments, format_number, marginal,
+    parse_int, parse_number, read_json, scaled_marginal, scenario_from_json, scenario_to_json,
 )
 
 
@@ -242,9 +240,8 @@ def classical_minimum(functional: BellFunctional):
 
 
 def functional_to_json(functional: BellFunctional) -> dict:
-    scn = functional.scenario
     return {
-        "scenario": {"N": scn.parties, "M": scn.settings, "d": scn.outcomes},
+        "scenario": scenario_to_json(functional.scenario),
         "terms": [
             {
                 "weight": format_number(t.weight),
@@ -301,14 +298,11 @@ def dense_csv(functional: BellFunctional) -> str:
     """Dense coefficients as CSV rows (settings..., outcomes..., coefficient)."""
     scn = functional.scenario
     dense = functional.dense()
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(
-        [f"x{k}" for k in range(scn.parties)]
-        + [f"a{k}" for k in range(scn.parties)]
-        + ["coefficient"]
+    return csv_text(
+        [f"x{k}" for k in range(scn.parties)] + [f"a{k}" for k in range(scn.parties)] + ["coefficient"],
+        (
+            list(x) + list(a) + [format_number(dense[scn.index(x, a)])]
+            for x in scn.all_settings()
+            for a in scn.all_outcomes()
+        ),
     )
-    for x in scn.all_settings():
-        for a in scn.all_outcomes():
-            writer.writerow(list(x) + list(a) + [format_number(dense[scn.index(x, a)])])
-    return buf.getvalue()

@@ -11,10 +11,8 @@ Exit codes: 0 success, 1 verification failure (some inequality violated),
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
-from fractions import Fraction
 
 from . import bell, monogamy, quantum, scenario, svamp
 from .errors import InputFormatError, ScenarioTooLargeError
@@ -44,7 +42,7 @@ def cmd_validate(args) -> int:
         "nonsignalling": ns_ok,
         "worst_ns_deviation": scenario.format_number(worst),
     }
-    _emit(args, json.dumps(report, indent=1) + "\n")
+    _emit(args, scenario.json_text(report))
     return EXIT_OK if not problems else EXIT_VIOLATION
 
 
@@ -58,9 +56,9 @@ def cmd_bell(args) -> int:
             "classical_bound": scenario.format_number(functional.classical_bound),
             "ns_minimum": scenario.format_number(functional.ns_minimum),
         }
-        _emit(args, json.dumps(report, indent=1) + "\n")
+        _emit(args, scenario.json_text(report))
     elif args.format == "json":
-        _emit(args, json.dumps(bell.functional_to_json(functional), indent=1) + "\n")
+        _emit(args, scenario.json_text(bell.functional_to_json(functional)))
     else:
         _emit(args, bell.dense_csv(functional))
     return EXIT_OK
@@ -73,9 +71,8 @@ def cmd_tightness(args) -> int:
         grid = [scenario.parse_number(t, exact=True) for t in args.grid.split(",")]
     rows = monogamy.tightness_scan(scn, args.k, args.x_k, args.x_last, grid, args.m)
     if args.format == "json":
-        _emit(args, json.dumps(
-            monogamy.scan_to_json(rows, args.k, args.x_k, args.x_last, args.m), indent=1
-        ) + "\n")
+        report = monogamy.scan_to_json(rows, args.k, args.x_k, args.x_last, args.m)
+        _emit(args, scenario.json_text(report))
     else:
         _emit(args, monogamy.scan_to_csv(rows, args.k, args.x_k, args.x_last, args.m))
     # every target in [0, d-1] is feasible, so only the targets outside it
@@ -97,9 +94,7 @@ def cmd_figures(args) -> int:
 
 
 def cmd_ra(args) -> int:
-    eps = scenario.parse_number(args.epsilon, exact=True)
-    if not 0 <= eps < Fraction(1, 2):
-        raise InputFormatError("epsilon must lie in [0, 1/2)")
+    eps = svamp.SVSource(scenario.parse_number(args.epsilon, exact=True)).epsilon
     eps_n = svamp.critical_epsilon(args.N)
     eps_common = svamp.critical_epsilon_common(args.N)
     verdict = (
@@ -133,7 +128,7 @@ def cmd_ra(args) -> int:
 def cmd_quantum(args) -> int:
     if args.subtask == "monogamy-check":
         summary = quantum.monogamy_montecarlo(args.samples, [1.0, 1.5, 2.0, 3.0], seed=args.seed)
-        _emit(args, json.dumps(summary, indent=1) + "\n")
+        _emit(args, scenario.json_text(summary))
         return EXIT_OK if summary["violations"] == 0 else EXIT_VIOLATION
     if args.subtask == "violation":
         res = quantum.chained_quantum_violation(args.M, args.d)
@@ -144,7 +139,7 @@ def cmd_quantum(args) -> int:
             "phases_a": [list(map(float, row)) for row in res.phases_a],
             "phases_b": [list(map(float, row)) for row in res.phases_b],
         }
-        _emit(args, json.dumps(report, indent=1) + "\n")
+        _emit(args, scenario.json_text(report))
         return EXIT_OK
     # argparse's choices leave "family-sweep"
     _emit(args, quantum.family_sweep_csv(args.alpha, args.points))

@@ -17,8 +17,6 @@ eavesdropper at (1 + I)/d.
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,7 +25,7 @@ from typing import Sequence
 from .errors import SignallingInputError
 from .bell import BellFunctional, ModularTerm, evaluate, recursive_bkp
 from .polylp import LPSolution, certify, ns_program, optimize_over_ns
-from .scenario import Behavior, Scenario, format_number, is_nonsignalling, marginal
+from .scenario import Behavior, Scenario, csv_text, format_number, is_nonsignalling, marginal
 
 
 def _require_ns(behavior: Behavior, tol) -> None:
@@ -313,16 +311,16 @@ def monogamy_report(behavior: Behavior, tol=0) -> list[MonogamyRecord]:
     return records
 
 
+# the columns of a monogamy report and of a tightness scan
+_CSV_HEADER = ["k", "x_k", "x_last", "m", "t", "lhs", "bound", "slack"]
+
+
 def report_to_csv(records: Sequence[MonogamyRecord]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["k", "x_k", "x_last", "m", "t", "lhs", "bound", "slack"])
-    for r in records:
-        writer.writerow(
-            [r.k, r.x_k, r.x_last, r.m, "",
-             format_number(r.lhs), format_number(r.bound), format_number(r.slack)]
-        )
-    return buf.getvalue()
+    return csv_text(_CSV_HEADER, (
+        [r.k, r.x_k, r.x_last, r.m, "",
+         format_number(r.lhs), format_number(r.bound), format_number(r.slack)]
+        for r in records
+    ))
 
 
 def scan_to_json(rows: Sequence[TightnessRow], k: int, x_k: int, x_last: int, m: int = 0) -> list[dict]:
@@ -343,16 +341,11 @@ def scan_to_json(rows: Sequence[TightnessRow], k: int, x_k: int, x_last: int, m:
 
 
 def scan_to_csv(rows: Sequence[TightnessRow], k: int, x_k: int, x_last: int, m: int = 0) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["k", "x_k", "x_last", "m", "t", "lhs", "bound", "slack"])
-    for r in rows:
-        lhs = r.lp_max if r.lp_max is not None else ""
-        slack = r.lp_max - r.bound if r.lp_max is not None else ""
-        writer.writerow(
-            [k, x_k, x_last, m, format_number(r.target),
-             format_number(lhs) if lhs != "" else "",
-             format_number(r.bound),
-             format_number(slack) if slack != "" else r.status]
-        )
-    return buf.getvalue()
+    """A row without an optimum has an empty lhs and its status as slack."""
+    return csv_text(_CSV_HEADER, (
+        [k, x_k, x_last, m, format_number(r.target), "", format_number(r.bound), r.status]
+        if r.lp_max is None
+        else [k, x_k, x_last, m, format_number(r.target), format_number(r.lp_max),
+              format_number(r.bound), format_number(r.lp_max - r.bound)]
+        for r in rows
+    ))

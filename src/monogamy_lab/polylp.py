@@ -72,7 +72,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .scenario import Behavior, Scenario
+from .scenario import Behavior, Scenario, worst_of
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -674,12 +674,12 @@ def ns_row_residual(behavior: Behavior):
     nonsignalling (``scenario.is_nonsignalling`` checks every subset and
     stays the reference).  Exact entries are evaluated in integers over
     their common denominator (:attr:`Behavior.scaled`) and give an exact
-    Fraction; float entries give a float.
+    Fraction; float entries give a float, NaN when a row meets a NaN entry.
     """
     rows = _ns_row_nonzeros(behavior.scenario)
     if behavior.scaled is None:
         probs = behavior.probs
-        return max((abs(sum(c * probs[i] for i, c in row)) for row in rows), default=0.0)
+        return worst_of((abs(sum(c * probs[i] for i, c in row)) for row in rows), 0.0)
     denom, ints = behavior.scaled
     worst = max((abs(sum(c * ints[i] for i, c in row)) for row in rows), default=0)
     return Fraction(worst, denom)

@@ -20,25 +20,26 @@ The second family is saturated (for i = 1) by the states
 
 Chained-functional violations are evaluated on a maximally entangled
 two-qudit pair at the Fourier-basis phase-ladder measurements of Barrett,
-Kent and Pironio, PRL 97, 170409 (2006).  The behavior at those measurements
-attains the value, so it is an upper bound on the quantum minimum; for d = 2
-it equals 2M sin^2(pi/4M).  Everything here is float arithmetic; exactness is
-never claimed.  numpy loads on first use: each function that needs it imports
-it, so importing this module (and the package) does not.
+Kent and Pironio, PRL 97, 170409 (2006).  One kernel gives the distribution
+P([B_y - A_x] = c) of every setting pair (x, y) from one inverse FFT; the
+chained value gathers its terms from it, and the full behavior at the
+ladder is read off it.  That behavior attains the value, so the value is an
+upper bound on the quantum minimum; for d = 2 it equals 2M sin^2(pi/4M).
+Everything here is float arithmetic; exactness is never claimed.  numpy
+loads on first use: each function that needs it imports it, so importing
+this module (and the package) does not.
 """
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .bell import recursive_bkp
 from .monogamy import guessing_bound, guessing_bound_prior
-from .scenario import Behavior, Scenario
+from .scenario import Behavior, Scenario, csv_text
 
 if TYPE_CHECKING:
     import numpy as np
@@ -79,9 +80,7 @@ class RealPureState:
 
 
 def random_real_state(n_qubits: int, rng: np.random.Generator) -> RealPureState:
-    import numpy as np
-    v = rng.standard_normal(2**n_qubits)
-    return RealPureState(n_qubits, v / np.linalg.norm(v))
+    return RealPureState(n_qubits, _random_real_states(1, rng, n_qubits)[0])
 
 
 @dataclass(frozen=True)
@@ -190,10 +189,11 @@ def monogamy_slacks(
     return slack_pair, slack_agree
 
 
-def _random_real_states(k: int, rng: np.random.Generator) -> np.ndarray:
-    """(k, 8) unit rows, the states of k calls of random_real_state(3, rng)."""
+def _random_real_states(k: int, rng: np.random.Generator, n_qubits: int = 3) -> np.ndarray:
+    """(k, 2^n) unit rows: k standard normal draws, each normalized.  The
+    same rng gives the same states drawn in one block or one at a time."""
     import numpy as np
-    v = rng.standard_normal((k, 8))
+    v = rng.standard_normal((k, 2**n_qubits))
     # a norm per row: one vectorized norm rounds some amplitudes differently
     states = v / np.array([np.linalg.norm(row) for row in v])[:, None]
     norms = np.sum(states**2, axis=1)
@@ -300,28 +300,24 @@ def _term_tables(M: int, d: int):
     for t in range(len(xs)):
         for m in range(1, d):
             # P([Omega]=m) with Omega = sign (A - B) + shift:
-            # [A - B] = sign (m - shift); circulant stores |G(-c)|^2 at c.
+            # [A - B] = sign (m - shift), so [B - A] = -sign (m - shift).
             c = (signs[t] * (m - shifts[t])) % d
             idx[t, m - 1] = (-c) % d
     return np.array(xs), np.array(ys), idx
 
 
-def _violation_objective(M: int, d: int):
+def _difference_distributions(phases_a: np.ndarray, phases_b: np.ndarray) -> np.ndarray:
+    """P([B_y - A_x] = c) at [x, y, c] for the phases th^A_x(q), th^B_y(q),
+    q = 1..d-1, in row x of ``phases_a`` and row y of ``phases_b`` (th(0) = 0).
+
+    The d outcome pairs with [b - a] = c each have p(a,b|x,y) = |G(c)|^2/d^3
+    with G(c) = sum_q w^{qc} e^{-i(th^A_x(q)+th^B_y(q))}, so together they
+    have |G(c)/d|^2: one inverse FFT per setting pair."""
     import numpy as np
-    xs, ys, idx = _term_tables(M, d)
-    weights = np.arange(1, d)
-
-    def value(params: np.ndarray) -> float:
-        phases = params.reshape(2 * M, d - 1)
-        theta_a = np.concatenate([np.zeros((M, 1)), phases[:M]], axis=1)
-        theta_b = np.concatenate([np.zeros((M, 1)), phases[M:]], axis=1)
-        v = np.exp(-1j * (theta_a[xs] + theta_b[ys]))  # (n_terms, d)
-        g = np.fft.ifft(v, axis=1)
-        circ = np.abs(g) ** 2  # P([A-B] = -c) at column c; rows sum to 1
-        gathered = np.take_along_axis(circ, idx, axis=1)
-        return float(np.sum(gathered * weights))
-
-    return value
+    theta_a = np.concatenate([np.zeros((len(phases_a), 1)), phases_a], axis=1)
+    theta_b = np.concatenate([np.zeros((len(phases_b), 1)), phases_b], axis=1)
+    v = np.exp(-1j * (theta_a[:, None] + theta_b[None]))  # (M, M, d)
+    return np.abs(np.fft.ifft(v, axis=-1)) ** 2
 
 
 def chained_quantum_violation(M: int, d: int, seed: int = 0) -> ViolationResult:
@@ -340,36 +336,27 @@ def chained_quantum_violation(M: int, d: int, seed: int = 0) -> ViolationResult:
     import numpy as np
     if M > 16 or d > 8:
         raise ValueError("desk-scale only: need M <= 16 and d <= 8")
-    objective = _violation_objective(M, d)
-    # The objective depends on th^A_x + th^B_y, so Alice descends while Bob
+    # The value depends on th^A_x + th^B_y, so Alice descends while Bob
     # ascends.
     q = np.arange(1, d)
     phases_a = np.stack([2 * math.pi * q * (-x / M) / d for x in range(M)])
     phases_b = np.stack([2 * math.pi * q * ((y + 0.5) / M) / d for y in range(M)])
-    value = objective(np.concatenate([phases_a, phases_b]).ravel())
+    xs, ys, idx = _term_tables(M, d)
+    terms = _difference_distributions(phases_a, phases_b)[xs, ys]
+    value = float(np.sum(np.take_along_axis(terms, idx, axis=1) * np.arange(1, d)))
     return ViolationResult(
         settings=M, outcomes=d, value=value, phases_a=phases_a, phases_b=phases_b
     )
 
 
 def violation_behavior(result: ViolationResult) -> Behavior:
-    """The full quantum behavior at the result's phases (float entries)."""
+    """The full quantum behavior at the result's phases (float entries):
+    p(a,b|x,y) = P([B_y - A_x] = [b - a]) / d."""
     import numpy as np
     M, d = result.settings, result.outcomes
-    scn = Scenario(2, M, d)
-    theta_a = np.concatenate([np.zeros((M, 1)), result.phases_a], axis=1)
-    theta_b = np.concatenate([np.zeros((M, 1)), result.phases_b], axis=1)
-    omega = np.exp(2j * math.pi * np.outer(np.arange(d), np.arange(d)) / d)
-    probs = []
-    for x in range(M):
-        for y in range(M):
-            v = np.exp(-1j * (theta_a[x] + theta_b[y]))
-            col = np.empty((d, d))
-            for a in range(d):
-                for b in range(d):
-                    col[a, b] = abs(np.sum(omega[:, (b - a) % d] * v)) ** 2 / d**3
-            probs.extend(col.ravel())
-    return Behavior(scn, tuple(float(p) for p in probs))
+    diff = (np.arange(d)[None, :] - np.arange(d)[:, None]) % d  # [b - a] at [a, b]
+    probs = _difference_distributions(result.phases_a, result.phases_b)[:, :, diff] / d
+    return Behavior(Scenario(2, M, d), tuple(probs.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -436,32 +423,26 @@ def guessing_curve_csv(d: int, n_points: int = 101) -> str:
     """Violation grid with both N = 2 guessing caps (columns I, bound_tight, bound_prior)."""
     _check_outcomes(d)
     _check_points(n_points)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["I", "bound_tight", "bound_prior"])
-    for i in range(n_points):
-        v = (d - 1) * i / (n_points - 1)
-        writer.writerow(
-            [repr(v), repr(float(guessing_bound(v, d))), repr(float(guessing_bound_prior(v, 2, 2, d)))]
-        )
-    return buf.getvalue()
+    grid = ((d - 1) * i / (n_points - 1) for i in range(n_points))
+    return csv_text(["I", "bound_tight", "bound_prior"], (
+        [repr(v), repr(float(guessing_bound(v, d))), repr(float(guessing_bound_prior(v, 2, 2, d)))]
+        for v in grid
+    ))
 
 
 def family_sweep_csv(alpha: float, n_points: int) -> str:
     """Boundary sweep of :func:`saturating_family` over theta in [0, pi/4]
     (columns theta, bell_max, outsider_corr, boundary_residual)."""
     _check_points(n_points)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["theta", "bell_max", "outsider_corr", "boundary_residual"])
+    rows = []
     for i in range(n_points):
         theta = (math.pi / 4) * i / (n_points - 1)
         state = saturating_family(theta)
         bell_max = alpha_chsh_max(correlation_matrix(state, (0, 1)), alpha)
         corr = math.sqrt(correlation_matrix(state, (0, 2)).singular_squares[0])
         residual = bell_max**2 + 4 * corr**2 - 4 * (1 + alpha**2)
-        writer.writerow([repr(theta), repr(bell_max), repr(corr), repr(residual)])
-    return buf.getvalue()
+        rows.append([repr(theta), repr(bell_max), repr(corr), repr(residual)])
+    return csv_text(["theta", "bell_max", "outsider_corr", "boundary_residual"], rows)
 
 
 def key_rate_table_csv(
@@ -479,12 +460,10 @@ def key_rate_table_csv(
     for r in targets:
         if not math.isfinite(r):
             raise ValueError(f"rate target must be finite, got {r}")
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["d", "rate_target", "min_m_tight", "min_m_prior"])
+    rows = []
     for d in ds:
         for r in targets:
             mt = min_settings(d, r, "tight", max_m, violation)
             mp = min_settings(d, r, "prior", max_m, violation)
-            writer.writerow([d, repr(float(r)), mt if mt else "", mp if mp else ""])
-    return buf.getvalue()
+            rows.append([d, repr(float(r)), mt if mt else "", mp if mp else ""])
+    return csv_text(["d", "rate_target", "min_m_tight", "min_m_prior"], rows)

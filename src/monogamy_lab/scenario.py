@@ -14,7 +14,9 @@ quantum numerics and scans.  All operations here are backend-agnostic.
 
 from __future__ import annotations
 
+import csv
 import functools
+import io
 import itertools
 import json
 import math
@@ -200,15 +202,31 @@ def validate(behavior: Behavior, tol=0) -> list[str]:
     _check_tol(tol)
     scn = behavior.scenario
     report = []
+    # each test is written to fail for a NaN, which compares False both ways
     for i, p in enumerate(behavior.probs):
-        if p < -tol:
+        if not p >= -tol:
             x_idx, a_idx = divmod(i, scn.column_size)
-            report.append(f"negative entry {p} at column {x_idx}, outcome {a_idx}")
+            kind = "negative" if p < 0 else "undefined"
+            report.append(f"{kind} entry {p} at column {x_idx}, outcome {a_idx}")
     for x in scn.all_settings():
         total = sum(behavior.column(x))
-        if abs(total - 1) > tol:
+        if not abs(total - 1) <= tol:
             report.append(f"column {x} sums to {total}, expected 1")
     return report
+
+
+def worst_of(values, worst=0):
+    """max(worst, *values), or a NaN when ``worst`` or a value is one:
+    max() can pass over a NaN, which compares False both ways, and a
+    deviation check must not."""
+    if worst != worst:
+        return worst
+    for v in values:
+        if not v <= worst:
+            if v != v:
+                return v
+            worst = v
+    return worst
 
 
 def _check_tol(tol) -> None:
@@ -293,7 +311,9 @@ def is_nonsignalling(behavior: Behavior, tol=0) -> tuple[bool, object]:
 
     For every proper nonempty subset S of parties, the marginal on S must
     not depend on the settings chosen outside S.  The tolerance must be
-    finite and nonnegative.
+    finite and nonnegative.  A NaN or infinite entry makes the worst
+    violation NaN or infinite, which fails, whenever its column is compared
+    (every column is once N >= 2 and M >= 2).
     """
     _check_tol(tol)
     scn = behavior.scenario
@@ -308,9 +328,7 @@ def is_nonsignalling(behavior: Behavior, tol=0) -> tuple[bool, object]:
                     if ref is None:
                         ref = m
                     else:
-                        diff = max(abs(u - v) for u, v in zip(ref, m))
-                        if diff > worst:
-                            worst = diff
+                        worst = worst_of((abs(u - v) for u, v in zip(ref, m)), worst)
     return worst <= tol, worst
 
 
@@ -460,7 +478,8 @@ def restrict(behavior: Behavior, parties: Sequence[int]) -> Behavior:
 
 
 # ---------------------------------------------------------------------------
-# Serialization.  Values are decimal strings; exact mode also accepts "p/q".
+# Serialization: the JSON schema, and the CSV and JSON text of every dataset
+# and report.  Values are decimal strings; exact mode also accepts "p/q".
 # JSON number literals are read as the Decimal of their source text, so exact
 # mode reads 0.1 as 1/10 and float mode reads the float json itself would.
 
@@ -499,6 +518,10 @@ def parse_int(value) -> int:
     return int(value)
 
 
+def scenario_to_json(scn: Scenario) -> dict:
+    return {"N": scn.parties, "M": scn.settings, "d": scn.outcomes}
+
+
 def scenario_from_json(obj) -> Scenario:
     """The Scenario of a ``{"N": ..., "M": ..., "d": ...}`` object."""
     try:
@@ -524,9 +547,8 @@ def format_number(value) -> str:
 
 
 def behavior_to_json(behavior: Behavior) -> dict:
-    scn = behavior.scenario
     return {
-        "scenario": {"N": scn.parties, "M": scn.settings, "d": scn.outcomes},
+        "scenario": scenario_to_json(behavior.scenario),
         "encoding": "x-outer-a-inner",
         "values": [format_number(p) for p in behavior.probs],
     }
@@ -552,5 +574,19 @@ def load_behavior(path: str, exact: bool = True) -> Behavior:
 
 def save_behavior(behavior: Behavior, path: str) -> None:
     with open(path, "w") as fh:
-        json.dump(behavior_to_json(behavior), fh, indent=1)
-        fh.write("\n")
+        fh.write(json_text(behavior_to_json(behavior)))
+
+
+def json_text(obj) -> str:
+    """A JSON report as the CLI writes it: indent 1, one closing newline."""
+    return json.dumps(obj, indent=1) + "\n"
+
+
+def csv_text(header: Sequence, rows) -> str:
+    """A CSV dataset: the header, then one line per row, each line ending
+    in \\r\\n (the csv module's default dialect)."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()

@@ -23,9 +23,7 @@ doubling the tolerable bias for N = 2 (to 1/6).
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import math
 import random
 from dataclasses import dataclass, field
@@ -42,6 +40,7 @@ from .scenario import (
     Scenario,
     behavior_from_json,
     behavior_to_json,
+    csv_text,
     format_number,
     is_distribution,
     marginal,
@@ -50,6 +49,7 @@ from .scenario import (
     parse_number,
     scaled_marginal,
     scenario_from_json,
+    scenario_to_json,
 )
 
 
@@ -129,7 +129,8 @@ class AdversaryModel:
             if b.scenario != self.scenario:
                 raise ValueError("behavior scenario mismatch")
             worst = ns_row_residual(b)
-            if worst > (0 if b.scaled is not None else FLOAT_TOL):
+            # written to fail for a NaN residual too
+            if not worst <= (0 if b.scaled is not None else FLOAT_TOL):
                 raise ValueError(f"strategy behavior is signalling (NS row residual {worst})")
         for dist in self.input_dists:
             if not is_distribution(dist.values()):
@@ -433,8 +434,7 @@ def feasibility_curve(
     proxy lam gives I ~ lam/M.  variant picks the per-party exponent N r or
     the common-source exponent 1 + (N-1) r.
     """
-    if not 0 <= epsilon < 0.5:
-        raise ValueError("epsilon must lie in [0, 1/2)")
+    SVSource(epsilon)  # its range check: 0 <= epsilon < 1/2
     if violations is None and lam is None:
         raise ValueError("need measured violations or a lam proxy")
     if d < 2 or any(m < 2 for m in m_values):
@@ -465,14 +465,13 @@ def feasibility_curve(
 
 
 def curve_to_csv(N: int, d: int, epsilon, rows: Sequence[FeasibilityRow]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["N", "d", "epsilon", "M", "r", "exponent", "I_Q", "rhs_bound", "variant"])
-    for r in rows:
-        writer.writerow(
+    return csv_text(
+        ["N", "d", "epsilon", "M", "r", "exponent", "I_Q", "rhs_bound", "variant"],
+        (
             [N, d, repr(float(epsilon)), r.M, r.r, r.exponent, repr(r.violation), repr(r.rhs_bound), r.variant]
-        )
-    return buf.getvalue()
+            for r in rows
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -545,11 +544,7 @@ def random_adversary_model(
 
 def model_to_json(model: AdversaryModel) -> dict:
     return {
-        "scenario": {
-            "N": model.scenario.parties,
-            "M": model.scenario.settings,
-            "d": model.scenario.outcomes,
-        },
+        "scenario": scenario_to_json(model.scenario),
         "prior": [format_number(p) for p in model.prior],
         "strategies": [
             {

@@ -342,6 +342,12 @@ def test_ra_rejects_bad_epsilon(capsys):
     assert main(["ra", "2", "2", "0.7", "--lam", "1.0"]) == 2
 
 
+@pytest.mark.parametrize("epsilon", ["1/2", "0.5", "7/10"])
+def test_ra_epsilon_range_message(capsys, epsilon):
+    assert main(["ra", "2", "2", epsilon]) == 2
+    assert capsys.readouterr() == ("", "error: epsilon must lie in [0, 1/2)\n")
+
+
 def test_quantum_violation_cli(capsys):
     assert main(["quantum", "violation", "--M", "2", "--d", "2"]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -468,3 +474,27 @@ def test_numpy_and_scipy_load_only_where_they_run(tmp_path):
         [[0] * 2, True, False],  # float quantum numerics
         [[0], True, True],  # an LP solve
     ]
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+# Each command's stdout and exit code, byte for byte, as tests/golden/NAME.stdout
+# and NAME.exit: the datasets and reports are a CLI contract, CSV line endings
+# (\r\n) included.
+GOLDEN_COMMANDS = {
+    "tightness-223-grid": ["tightness", "2", "2", "3", "--grid", "0,1,2"],
+    "tightness-222-json": ["tightness", "2", "2", "2", "--format", "json"],
+    "bell-322-json": ["bell", "3", "2", "2", "--format", "json"],
+    "bell-222": ["bell", "2", "2", "2"],
+    "figures-2a": ["figures", "2a", "--d", "3", "--points", "11"],
+    "figures-2b": ["figures", "2b", "--d-list", "3", "--rates", "1,log2(3)", "--max-m", "6"],
+    "ra-lam": ["ra", "2", "2", "0.12", "--lam", "1.23"],
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_COMMANDS)
+def test_stdout_matches_golden(capsysbinary, name):
+    code = main(GOLDEN_COMMANDS[name])
+    with open(os.path.join(GOLDEN, name + ".stdout"), "rb") as fh:
+        assert capsysbinary.readouterr().out == fh.read()
+    with open(os.path.join(GOLDEN, name + ".exit")) as fh:
+        assert code == int(fh.read())

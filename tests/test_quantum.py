@@ -27,7 +27,6 @@ from monogamy_lab.quantum import (
     random_real_state,
     saturating_family,
     violation_behavior,
-    _violation_objective,
 )
 from monogamy_lab.scenario import is_nonsignalling, validate
 from reference import chained_bkp
@@ -303,7 +302,13 @@ def test_chained_violation_matches_search(M, d):
     # oracle for the phase ladder: Nelder-Mead started at the returned
     # phases finds no lower value
     res = chained_quantum_violation(M, d)
-    objective = _violation_objective(M, d)
+    xs, ys, idx = quantum._term_tables(M, d)
+
+    def objective(params):
+        phases_a, phases_b = params.reshape(2, M, d - 1)
+        terms = quantum._difference_distributions(phases_a, phases_b)[xs, ys]
+        return float(np.sum(np.take_along_axis(terms, idx, axis=1) * np.arange(1, d)))
+
     x0 = np.concatenate([res.phases_a, res.phases_b]).ravel()
     searched = minimize(objective, x0, method="Nelder-Mead",
                         options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 400 * x0.size})
@@ -316,6 +321,33 @@ def test_violation_behavior_consistency():
     assert validate(b, 1e-9) == []
     assert is_nonsignalling(b, 1e-9)[0]
     assert abs(evaluate(chained_bkp(2, 2), b) - res.value) < 1e-9
+
+
+def loop_violation_behavior(result):
+    """The per-entry sum p(a,b|x,y) = |sum_q w^{q(b-a)} e^{-i(th^A_x(q)+th^B_y(q))}|^2 / d^3,
+    the reference for the FFT kernel."""
+    M, d = result.settings, result.outcomes
+    theta_a = np.concatenate([np.zeros((M, 1)), result.phases_a], axis=1)
+    theta_b = np.concatenate([np.zeros((M, 1)), result.phases_b], axis=1)
+    omega = np.exp(2j * math.pi * np.outer(np.arange(d), np.arange(d)) / d)
+    probs = []
+    for x in range(M):
+        for y in range(M):
+            v = np.exp(-1j * (theta_a[x] + theta_b[y]))
+            for a in range(d):
+                for b in range(d):
+                    probs.append(abs(np.sum(omega[:, (b - a) % d] * v)) ** 2 / d**3)
+    return probs
+
+
+@pytest.mark.parametrize("M, d", [(2, 2), (3, 3), (8, 4), (16, 5)])
+def test_violation_behavior_matches_loop_formula(M, d):
+    res = chained_quantum_violation(M, d)
+    b = violation_behavior(res)
+    assert all(type(p) is float for p in b.probs)
+    reference = loop_violation_behavior(res)
+    assert len(b.probs) == len(reference) == M * M * d * d
+    assert max(abs(p - q) for p, q in zip(b.probs, reference)) <= 1e-15
 
 
 def test_violation_beats_classical_bound():

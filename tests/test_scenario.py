@@ -74,6 +74,38 @@ def test_validate_flags_bad_normalization():
     assert any("sums to" in line for line in report)
 
 
+def with_entry(behavior, i, value):
+    probs = list(behavior.probs)
+    probs[i] = value
+    return Behavior(behavior.scenario, tuple(probs))
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("i", [0, 5, 15])
+def test_validate_flags_non_finite_entries(i, value):
+    bad = with_entry(uniform_behavior(Scenario(2, 2, 2), exact=False), i, value)
+    x_idx, a_idx = divmod(i, 4)
+    x = divmod(x_idx, 2)
+    column = f"column {x} sums to {sum(bad.column(x))}, expected 1"
+    if value == math.inf:
+        # +inf is no negative entry; its column sum fails
+        assert validate(bad, 1e-9) == [column]
+    else:
+        kind = "negative" if value < 0 else "undefined"
+        assert validate(bad, 1e-9) == [f"{kind} entry {value} at column {x_idx}, outcome {a_idx}", column]
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("i", [0, 5, 15])
+def test_non_finite_entries_are_not_nonsignalling(i, value):
+    bad = with_entry(uniform_behavior(Scenario(2, 2, 2), exact=False), i, value)
+    ok, worst = is_nonsignalling(bad, 1e-9)
+    assert not ok and not math.isfinite(worst)
+
+
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-9])
 def test_tolerance_must_be_finite_and_nonnegative(tol):
     b = uniform_behavior(Scenario(2, 2, 2), exact=False)

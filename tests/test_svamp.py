@@ -15,6 +15,7 @@ from monogamy_lab.sampling import (
     ns_pool, random_behavior, random_local_vertex, random_ns_mixture, random_weights,
 )
 from monogamy_lab.scenario import (
+    FLOAT_TOL,
     Behavior,
     Scenario,
     is_nonsignalling,
@@ -263,6 +264,12 @@ def test_feasibility_curve_between_thresholds():
     assert all(a > b for a, b in zip(common_bounds, common_bounds[1:]))
 
 
+@pytest.mark.parametrize("epsilon", [Fraction(-1, 10), Fraction(1, 2), 0.5, 0.7, math.nan])
+def test_feasibility_curve_takes_the_source_epsilon_range(epsilon):
+    with pytest.raises(ValueError, match=r"^epsilon must lie in \[0, 1/2\)$"):
+        feasibility_curve(2, 2, epsilon, [2, 4], lam=1.0)
+
+
 def test_feasibility_threshold_independent_of_d():
     for n in (2, 3):
         assert critical_epsilon(n) == critical_epsilon(n)  # d never enters
@@ -500,6 +507,19 @@ def test_signalling_strategy_reports_row_residual(pool_222):
     assert ns_row_residual(signalling) == 1
     with pytest.raises(ValueError, match="NS row residual 1"):
         AdversaryModel(scn, [signalling], [uniform_inputs(scn)], [Fraction(1)])
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("i", [0, 5, 15])
+def test_non_finite_strategy_is_rejected(i, value):
+    scn = Scenario(2, 2, 2)
+    probs = [0.25] * scn.size
+    probs[i] = value
+    strategy = Behavior(scn, tuple(probs))
+    assert not ns_row_residual(strategy) <= FLOAT_TOL
+    inputs = {x: 1 / scn.n_columns for x in scn.all_settings()}
+    with pytest.raises(ValueError, match="signalling"):
+        AdversaryModel(scn, [strategy], [inputs], [1.0])
 
 
 @pytest.mark.parametrize("eps, accepted", [(1e-12, True), (1e-6, False)])
