@@ -6,6 +6,10 @@ Every LP has the form of the no-signalling polytope itself::
 
 with equality rows only and every variable nonnegative.  Each row of A is
 a sequence of (column, coefficient) pairs; only the objective is dense.
+The no-signalling rows of a scenario are the same in every LP over it, so
+they are checked and standardized once per scenario: :func:`ns_constraints`
+hands out cached rows in standard form (integer nonzeros in column order,
+checked when they were built), which an LP takes as they are.
 :func:`solve` returns certified results.  It solves the LP in floats with
 HiGHS, through the pybind bindings that scipy ships
 (``scipy.optimize._highspy._core``).  ``linprog`` wraps the same bindings,
@@ -87,6 +91,28 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
+class _Row(tuple):
+    """An LP row in standard form: (column, coefficient) pairs with int
+    columns in strictly increasing order from 0 and nonzero int
+    coefficients.  The constructor checks this once, so that an LP built
+    from the row checks only its last column and standardizes it as it is,
+    with scale 1.  ``bool`` does not count as ``int``."""
+
+    __slots__ = ()
+
+    def __new__(cls, pairs):
+        row = super().__new__(cls, pairs)
+        last = -1
+        for j, a in row:
+            if type(j) is not int or j <= last or type(a) is not int or not a:
+                raise ValueError(
+                    "a standard row needs int columns in increasing order from 0 "
+                    "and nonzero int coefficients"
+                )
+            last = j
+        return row
+
+
 @dataclass
 class LinearProgram:
     """min/max objective . x subject to eq_rows . x = eq_rhs and x >= 0.
@@ -94,7 +120,12 @@ class LinearProgram:
     The objective is dense.  Each equality row is a sequence of (column,
     coefficient) pairs with distinct columns in range(n_vars); a column left
     out has coefficient 0.  Every variable is nonnegative; write a bounded
-    variable or an inequality row with a slack column of its own."""
+    variable or an inequality row with a slack column of its own.
+
+    The rows of :func:`ns_constraints` were checked and standardized once
+    per scenario when they were built; for each of them only the last
+    column is checked against n_vars.  Every other row is checked here in
+    full."""
 
     objective: list
     sense: str = "min"
@@ -106,6 +137,11 @@ class LinearProgram:
             raise ValueError("sense must be 'min' or 'max'")
         columns = range(self.n_vars)
         for row in self.eq_rows:
+            if type(row) is _Row:
+                # in standard form: its columns are distinct and start at 0
+                if row and row[-1][0] >= self.n_vars:
+                    raise ValueError("equality row columns must be distinct and in range(n_vars)")
+                continue
             cols = [j for j, _ in row]
             if len(set(cols)) != len(cols) or not all(
                 isinstance(j, int) and not isinstance(j, bool) and j in columns for j in cols
@@ -174,6 +210,8 @@ class _Standard(NamedTuple):
 def _integer_row(pairs) -> tuple[tuple, int]:
     """The nonzeros of one LP row in column order as integer (column,
     coefficient) pairs, and the scale that divides them."""
+    if type(pairs) is _Row:
+        return pairs, 1
     # columns are distinct, so sorting the pairs never compares values
     row = [(j, v) for j, v in sorted(pairs) if v]
     if all(type(v) is int for _, v in row):
@@ -186,11 +224,15 @@ def _integer_row(pairs) -> tuple[tuple, int]:
 def _standardize(lp: LinearProgram) -> _Standard:
     """The LP's rows as integer nonzeros in column order, each over its own
     scale, one row per equality row; c as integers over one scale, with a
-    'max' objective negated; b as Fractions."""
+    'max' objective negated; b as Fractions.  A row of
+    :func:`ns_constraints` is taken as it is."""
     rows = [_integer_row(pairs) for pairs in lp.eq_rows]
     sign = 1 if lp.sense == "min" else -1
-    c = [sign * (v if type(v) is int else Fraction(v)) for v in lp.objective]
-    cost_scale, cost = _common(c)
+    cost_scale, cost = _common(
+        [v if type(v) is int or type(v) is Fraction else Fraction(v) for v in lp.objective]
+    )
+    if sign < 0:
+        cost = [-v for v in cost]
     rhs = [Fraction(b) if b else _ZERO for b in lp.eq_rhs]
     return _Standard([r for r, _ in rows], [s for _, s in rows], rhs, cost, cost_scale, sign)
 
@@ -217,9 +259,11 @@ def _objective(std: _Standard, x) -> Fraction:
 def _primal_feasible(std: _Standard, x) -> bool:
     """x >= 0 and A x = b.  With x = n / D, row i holds when
     ``sum_j a_ij n_j * den(b_i) == num(b_i) * L_i * D``."""
-    if x is None or len(x) != std.n_cols or any(v < 0 for v in x):
+    if x is None or len(x) != std.n_cols:
         return False
     d, n = _common(x)
+    if any(v < 0 for v in n):
+        return False
     return all(
         sum(a * n[j] for j, a in row) * b.denominator == b.numerator * scale * d
         for row, scale, b in zip(std.rows, std.scale, std.rhs)
@@ -348,7 +392,15 @@ def _highs(std: _Standard):
 
 
 def _rational(v: float) -> Fraction:
-    return Fraction(v).limit_denominator(_DENOMINATOR_CAP) if v else _ZERO
+    """The fraction nearest v with denominator at most _DENOMINATOR_CAP:
+    ``Fraction(v).limit_denominator(_DENOMINATOR_CAP)``, without the search
+    when v's exact denominator is already within the cap."""
+    if not v:
+        return _ZERO
+    n, d = v.as_integer_ratio()
+    if d <= _DENOMINATOR_CAP:
+        return Fraction(n, d)
+    return Fraction(n, d).limit_denominator(_DENOMINATOR_CAP)
 
 
 def _subtract(row: dict, f, other: dict) -> None:
@@ -650,6 +702,16 @@ def _ns_row_nonzeros(scenario: Scenario) -> tuple:
     return tuple(rows)
 
 
+@functools.lru_cache(maxsize=None)
+def _ns_rows(scenario: Scenario) -> tuple[tuple, tuple]:
+    """The rows and right-hand sides of :func:`ns_constraints`, each row a
+    :class:`_Row` in column order, checked once per scenario."""
+    size = scenario.column_size
+    norm = [_Row((base + i, 1) for i in range(size)) for base in range(0, scenario.size, size)]
+    ns = [_Row(sorted(row)) for row in _ns_row_nonzeros(scenario)]
+    return tuple(norm + ns), (1,) * len(norm) + (0,) * len(ns)
+
+
 def ns_constraints(scenario: Scenario) -> tuple[list, list]:
     """Sparse equalities (rows, rhs) cutting out the NS polytope (with x >= 0
     bounds), as fresh lists that a caller may extend.
@@ -658,12 +720,11 @@ def ns_constraints(scenario: Scenario) -> tuple[list, list]:
     no-signalling: for each party k, each setting tuple of the others, each
     outcome tuple of the others and each x_k > 0, the marginal with party k
     summed out equals its value at x_k = 0.  Redundancies are tolerated by
-    the solver.
+    the solver.  Each row lists its nonzeros in column order and is built
+    and checked once per scenario; the lists are fresh, the rows shared.
     """
-    size = scenario.column_size
-    norm = [tuple((base + i, 1) for i in range(size)) for base in range(0, scenario.size, size)]
-    ns = _ns_row_nonzeros(scenario)
-    return norm + list(ns), [1] * len(norm) + [0] * len(ns)
+    rows, rhs = _ns_rows(scenario)
+    return list(rows), list(rhs)
 
 
 def ns_row_residual(behavior: Behavior):

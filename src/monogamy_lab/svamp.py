@@ -50,6 +50,7 @@ from .scenario import (
     scaled_marginal,
     scenario_from_json,
     scenario_to_json,
+    validate,
 )
 
 
@@ -104,8 +105,15 @@ class AdversaryModel:
     Each strategy must satisfy the no-signalling rows of
     :func:`polylp.ns_constraints` (exactly, or within
     :data:`scenario.FLOAT_TOL` for float entries); a signalling strategy is
-    rejected with its largest row residual.  The prior and each input
-    distribution must pass :func:`scenario.is_distribution`.
+    rejected with its largest row residual.  Each strategy must also be a
+    probability table.  An exact one is checked in integers on
+    :attr:`Behavior.scaled`: no negative numerator, and the numerators
+    summing to the denominator times the number of columns (no-signalling
+    gives every column the same total, so each column then sums to 1).  A
+    float one must pass :func:`scenario.validate` within
+    :data:`scenario.FLOAT_TOL`.  A strategy that is not a table is rejected
+    with the first violation :func:`scenario.validate` reports.  The prior
+    and each input distribution must pass :func:`scenario.is_distribution`.
     """
 
     scenario: Scenario
@@ -132,6 +140,16 @@ class AdversaryModel:
             # written to fail for a NaN residual too
             if not worst <= (0 if b.scaled is not None else FLOAT_TOL):
                 raise ValueError(f"strategy behavior is signalling (NS row residual {worst})")
+            if b.scaled is None:
+                report = validate(b, FLOAT_TOL)
+            else:
+                # NS holds exactly, so every column has the same total and
+                # the grand total decides whether each column sums to 1
+                denom, nums = b.scaled
+                table = min(nums) >= 0 and sum(nums) == denom * b.scenario.n_columns
+                report = [] if table else validate(b)
+            if report:
+                raise ValueError(f"strategy behavior is not a probability table ({report[0]})")
         for dist in self.input_dists:
             if not is_distribution(dist.values()):
                 raise ValueError("input distribution must be normalized and nonnegative")

@@ -488,6 +488,8 @@ GOLDEN_COMMANDS = {
     "figures-2a": ["figures", "2a", "--d", "3", "--points", "11"],
     "figures-2b": ["figures", "2b", "--d-list", "3", "--rates", "1,log2(3)", "--max-m", "6"],
     "ra-lam": ["ra", "2", "2", "0.12", "--lam", "1.23"],
+    "tightness-323": ["tightness", "3", "2", "3"],
+    "tightness-332-json": ["tightness", "3", "3", "2", "--format", "json"],
 }
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import math
 from dataclasses import replace
 from fractions import Fraction
 
@@ -11,8 +12,11 @@ from monogamy_lab.polylp import (
     LinearProgram,
     OPTIMAL,
     UNBOUNDED,
+    _DENOMINATOR_CAP,
+    _Row,
     _certified,
     _highs,
+    _rational,
     _simplex,
     _standardize,
     certify,
@@ -698,3 +702,143 @@ def pinned_agreement_lp(t):
 )
 def test_highs_matches_linprog_on_package_lps(lp, optimum):
     assert (assert_highs_matches_linprog(lp) is not None) == optimum
+
+
+# ---------------------------------------------------------------------------
+# Standard-form rows: the rows of ns_constraints are checked and standardized
+# once per scenario; every other row is checked and standardized per LP.
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        [(1, 1), (0, 1)],
+        [(0, 1), (2, 1), (2, -1)],
+        [(-1, 1), (0, 1)],
+        [(0.0, 1)],
+        [(True, 1)],
+        [(0, 1), (1, 0)],
+        [(0, True)],
+        [(0, Fraction(1, 2))],
+        [(0, Fraction(2))],
+    ],
+    ids=[
+        "unsorted", "repeated", "negative-column", "float-column", "bool-column",
+        "zero-coefficient", "bool-coefficient", "fraction-coefficient", "integral-fraction",
+    ],
+)
+def test_standard_row_rejects(pairs):
+    with pytest.raises(ValueError, match="standard row"):
+        _Row(pairs)
+
+
+def test_standard_row_is_a_tuple_of_its_pairs():
+    assert _Row([(0, 1), (3, -2)]) == ((0, 1), (3, -2))
+    assert _Row(()) == ()
+
+
+def test_ns_rows_are_checked_against_the_column_count():
+    rows, rhs = ns_constraints(Scenario(3, 2, 2))
+    assert all(type(row) is _Row for row in rows)
+    LinearProgram([0] * 64, "min", rows, rhs)
+    with pytest.raises(ValueError, match="distinct and in range"):
+        LinearProgram([0] * 63, "min", rows, rhs)
+
+
+def per_nonzero_standardize(lp):
+    """The standard form as it was built before the NS rows were cached:
+    (rows, scale, rhs, cost, cost_scale, sign), every row sorted, stripped
+    of zeros and brought to integers nonzero by nonzero."""
+
+    def integer_row(pairs):
+        row = [(j, v) for j, v in sorted(pairs) if v]
+        if all(type(v) is int for _, v in row):
+            return tuple(row), 1
+        row = [(j, Fraction(v)) for j, v in row]
+        scale = math.lcm(*(v.denominator for _, v in row))
+        return tuple((j, v.numerator * (scale // v.denominator)) for j, v in row), scale
+
+    rows = [integer_row(pairs) for pairs in lp.eq_rows]
+    sign = 1 if lp.sense == "min" else -1
+    c = [sign * (v if type(v) is int else Fraction(v)) for v in lp.objective]
+    cost_scale = math.lcm(*(e.denominator for e in c))
+    cost = [e.numerator * (cost_scale // e.denominator) for e in c]
+    rhs = [Fraction(b) if b else Fraction(0) for b in lp.eq_rhs]
+    return [r for r, _ in rows], [s for _, s in rows], rhs, cost, cost_scale, sign
+
+
+@pytest.mark.parametrize("sense", ["min", "max"])
+@pytest.mark.parametrize(
+    "dims", [(2, 2, 2), (2, 3, 2), (2, 2, 3), (3, 2, 2), (3, 2, 3), (3, 3, 2), (4, 2, 2)]
+)
+def test_ns_program_standardizes_as_per_nonzero(dims, sense):
+    scn = Scenario(*dims)
+    n = scn.size
+    # ints beside Fractions, zeros and negatives in the objective; an
+    # unsorted Fraction-weighted extra row, a plain tuple, with zero entries
+    objective = [(j % 3 - 1) if j % 2 else Fraction(j % 7 - 3, j % 5 + 1) for j in range(n)]
+    extra = tuple((j, Fraction(j % 5 - 2, 3)) for j in reversed(range(0, n, 3)))
+    lp = ns_program(scn, objective, sense, extra_eq=[(extra, Fraction(1, 7))])
+    std = _standardize(lp)
+    got = (std.rows, std.scale, std.rhs, std.cost, std.cost_scale, std.sign)
+    assert got == per_nonzero_standardize(lp)
+    assert std.scale[-1] == 3
+    assert all(type(a) is int for row in std.rows for _, a in row)
+    assert all(type(c) is int for c in std.cost)
+    assert all(type(b) is Fraction for b in std.rhs)
+
+
+def test_a_row_swapped_in_is_checked_in_full():
+    lp = ns_program(Scenario(2, 2, 2), recursive_bkp(2, 2, 2).dense(), "min")
+    sol = solve(lp)
+    first = lp.eq_rows[0]
+    # the same nonzeros as a plain tuple in reverse: the LP is unchanged
+    lp.eq_rows[0] = tuple(reversed(first))
+    assert verify_certificate(lp, sol)
+    # the first normalization row doubled: the optimum no longer fits it
+    lp.eq_rows[0] = tuple((j, 2 * a) for j, a in first)
+    assert not verify_certificate(lp, sol)
+
+
+def test_ns_constraints_lists_are_fresh():
+    scn = Scenario(2, 2, 2)
+    rows, rhs = ns_constraints(scn)
+    expected = (list(rows), list(rhs))
+    rows.append(((0, 1),))
+    rhs.append(5)
+    rows[0] = ((1, 1),)
+    assert ns_constraints(scn) == expected
+
+
+# ---------------------------------------------------------------------------
+# Rounding HiGHS's floats: _rational is Fraction(v).limit_denominator(cap).
+
+
+@pytest.mark.parametrize(
+    "v",
+    [
+        0.0, -0.0, -0.375, -1 / 3, 0.1, math.pi,
+        5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+        1e300, -1.7976931348623157e308, 2.0**60,
+        12345 / 2**19, -777 / 2**19, 12345 / 2**20, -(2.0**-20), 987653 / 2**21, 3 / 2**21,
+    ],
+)
+def test_rational_matches_limit_denominator(v):
+    got = _rational(v)
+    assert type(got) is Fraction
+    assert got == Fraction(v).limit_denominator(_DENOMINATOR_CAP)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.builds(
+            lambda k, e: k / 2**e, st.integers(-(2**40), 2**40), st.sampled_from([19, 20, 21])
+        ),
+    )
+)
+def test_rational_matches_limit_denominator_on_any_float(v):
+    got = _rational(v)
+    assert type(got) is Fraction
+    assert got == Fraction(v).limit_denominator(_DENOMINATOR_CAP)

@@ -18,6 +18,7 @@ from monogamy_lab.scenario import (
     FLOAT_TOL,
     Behavior,
     Scenario,
+    behavior_to_json,
     is_nonsignalling,
     marginal,
     mix,
@@ -520,6 +521,50 @@ def test_non_finite_strategy_is_rejected(i, value):
     inputs = {x: 1 / scn.n_columns for x in scn.all_settings()}
     with pytest.raises(ValueError, match="signalling"):
         AdversaryModel(scn, [strategy], [inputs], [1.0])
+
+
+def negative_ns_behavior(scn, exact=True):
+    """A nonsignalling (2,2,2) table with entries -1/20 where a = b and
+    11/20 where a != b in every column: each column sums to 1, each
+    marginal is uniform, and 8 entries are negative."""
+    low, high = (Fraction(-1, 20), Fraction(11, 20)) if exact else (-0.05, 0.55)
+    probs = [0] * scn.size
+    for x in scn.all_settings():
+        for a in scn.all_outcomes():
+            probs[scn.index(x, a)] = low if a[0] == a[1] else high
+    return Behavior(scn, tuple(probs))
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_strategy_that_is_not_a_table_is_rejected(exact):
+    scn = Scenario(2, 2, 2)
+    strategy = negative_ns_behavior(scn, exact)
+    assert len(validate(strategy, FLOAT_TOL)) == 8
+    assert ns_row_residual(strategy) <= (0 if exact else FLOAT_TOL)
+    inputs = uniform_inputs(scn) if exact else {x: 0.25 for x in scn.all_settings()}
+    with pytest.raises(ValueError, match="not a probability table .negative entry"):
+        AdversaryModel(scn, [strategy], [inputs], [1])
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_model_reader_rejects_a_strategy_that_is_not_a_table(exact):
+    scn = Scenario(2, 2, 2)
+    obj = model_to_json(AdversaryModel(scn, [uniform_behavior(scn)], [uniform_inputs(scn)], [1]))
+    model_from_json(obj, exact)
+    obj["strategies"][0]["behavior"] = behavior_to_json(negative_ns_behavior(scn))
+    with pytest.raises(ValueError, match="not a probability table"):
+        model_from_json(obj, exact)
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_strategy_columns_must_sum_to_one(exact):
+    # the uniform table scaled by 2 is nonnegative and nonsignalling
+    scn = Scenario(2, 2, 2)
+    half = Fraction(1, 2) if exact else 0.5
+    strategy = Behavior(scn, (half,) * scn.size)
+    inputs = uniform_inputs(scn) if exact else {x: 0.25 for x in scn.all_settings()}
+    with pytest.raises(ValueError, match="not a probability table .column"):
+        AdversaryModel(scn, [strategy], [inputs], [1])
 
 
 @pytest.mark.parametrize("eps, accepted", [(1e-12, True), (1e-6, False)])
