@@ -23,6 +23,7 @@ coefficient tensor over (x, a) is derived on demand.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -32,7 +33,7 @@ from typing import Sequence
 from .errors import InputFormatError
 from .scenario import (
     FLOAT_TOL, Behavior, Scenario, csv_text, enumerate_assignments, format_number, marginal,
-    parse_int, parse_number, read_json, scaled_marginal, scenario_from_json, scenario_to_json,
+    parse_int, parse_number, read_json, scenario_from_json, scenario_to_json,
 )
 
 
@@ -164,6 +165,13 @@ def recursive_bkp(N: int, M: int, d: int) -> BellFunctional:
     if M < 2 or d < 2:
         raise ValueError("need M >= 2 and d >= 2")
     scn = Scenario(N, M, d)
+    return BellFunctional(scn, _bkp_terms(scn), Fraction(d - 1), Fraction(0))
+
+
+@functools.lru_cache(maxsize=None)
+def _bkp_terms(scn: Scenario) -> tuple[ModularTerm, ...]:
+    """The terms of :func:`recursive_bkp`, built once per scenario (frozen, so shared)."""
+    N, M = scn.parties, scn.settings
     weight = Fraction(1, M ** (N - 2))
     terms = []
     for alpha in itertools.product(range(M), repeat=N - 1):
@@ -177,17 +185,18 @@ def recursive_bkp(N: int, M: int, d: int) -> BellFunctional:
         k2 += [(k, labels[k], -((-1) ** k)) for k in range(1, N)]
         twisted = (alpha[0] - sum(alpha[1:])) % M == M - 1
         terms.append(_resolved_term(weight, k2, -1 if twisted else 0, scn))
-    return BellFunctional(scn, tuple(terms), Fraction(d - 1), Fraction(0))
+    return tuple(terms)
 
 
 def evaluate(functional: BellFunctional, behavior: Behavior):
     """Value of the functional on a behavior, term by term.
 
     When the behavior is exact and every weight is an int or a Fraction,
-    the marginals are the integer numerators of :attr:`Behavior.scaled`,
-    the weighted means are summed as integers over lcm(weight denominators)
-    x D and the value is one Fraction.  Otherwise the weighted means of the
-    entries are summed in plain arithmetic.
+    each mean is read from the integer numerators of :attr:`Behavior.scaled`
+    through the term's :func:`modular_groups`, the weighted means are summed
+    as integers over lcm(weight denominators) x D and the value is one
+    Fraction.  Otherwise the weighted means of the marginals are summed in
+    plain arithmetic.
     """
     if behavior.scenario != functional.scenario:
         raise ValueError("behavior and functional scenarios differ")
@@ -198,21 +207,42 @@ def evaluate(functional: BellFunctional, behavior: Behavior):
     w_denom = math.lcm(*(w.denominator for w in weights)) if exact else 1
     total = 0
     for term in functional.terms:
+        if exact:
+            get = behavior.scaled[1].__getitem__
+            groups = modular_groups(scn, term.coeffs, term.shift)
+            mean = sum(omega * sum(map(get, idx)) for omega, idx in enumerate(groups))
+            total += term.weight.numerator * (w_denom // term.weight.denominator) * mean
+            continue
         parties = [k for k, _, _ in term.coeffs]
         settings = [xk for _, xk, _ in term.coeffs]
-        dist = (scaled_marginal if exact else marginal)(behavior, parties, settings)
+        dist = marginal(behavior, parties, settings)
         omega = [0] * d
         for a_idx, a in enumerate(itertools.product(range(d), repeat=len(parties))):
             w = term.shift
             for (_, _, sign), ak in zip(term.coeffs, a):
                 w += sign * ak
             omega[w % d] += dist[a_idx]
-        mean = sum(i * p for i, p in enumerate(omega) if p)
-        if exact:
-            total += term.weight.numerator * (w_denom // term.weight.denominator) * mean
-        else:
-            total += term.weight * mean
+        total += term.weight * sum(i * p for i, p in enumerate(omega) if p)
     return Fraction(total, w_denom * behavior.scaled[0]) if exact else total
+
+
+@functools.lru_cache(maxsize=None)
+def modular_groups(scn: Scenario, coeffs: tuple, shift: int = 0) -> tuple[tuple[int, ...], ...]:
+    """For omega = 0..d-1, the flat indices of the column with x_k as in the
+    (k, x_k, c_k) of ``coeffs`` and the other settings at 0 whose outcomes
+    give [shift + sum_k c_k a_k] = omega: a term's mean is sum_omega omega
+    times the sum over group omega, and ((k, s, 1),) groups party k's
+    outcomes at setting s.  Built once per scenario and term."""
+    x = [0] * scn.parties
+    for k, xk, _ in coeffs:
+        if not 0 <= k < scn.parties:
+            raise ValueError(f"term party {k} out of range for N={scn.parties}")
+        x[k] = xk
+    base = scn.column_index(x) * scn.column_size
+    groups = [[] for _ in range(scn.outcomes)]
+    for i, a in enumerate(scn.all_outcomes()):
+        groups[(shift + sum(sign * a[k] for k, _, sign in coeffs)) % scn.outcomes].append(base + i)
+    return tuple(map(tuple, groups))
 
 
 def evaluate_assignment(functional: BellFunctional, table: Sequence[Sequence[int]]):

@@ -736,14 +736,26 @@ def ns_row_residual(behavior: Behavior):
     stays the reference).  Exact entries are evaluated in integers over
     their common denominator (:attr:`Behavior.scaled`) and give an exact
     Fraction; float entries give a float, NaN when a row meets a NaN entry.
+    An exact row is the sum at its +1 columns minus that at its -1 columns.
     """
-    rows = _ns_row_nonzeros(behavior.scenario)
     if behavior.scaled is None:
         probs = behavior.probs
+        rows = _ns_row_nonzeros(behavior.scenario)
         return worst_of((abs(sum(c * probs[i] for i, c in row)) for row in rows), 0.0)
     denom, ints = behavior.scaled
-    worst = max((abs(sum(c * ints[i] for i, c in row)) for row in rows), default=0)
+    get = ints.__getitem__
+    rows = _ns_row_split(behavior.scenario)
+    worst = max((abs(sum(map(get, plus)) - sum(map(get, minus))) for plus, minus in rows), default=0)
     return Fraction(worst, denom)
+
+
+@functools.lru_cache(maxsize=None)
+def _ns_row_split(scenario: Scenario) -> tuple:
+    """Each row of :func:`_ns_row_nonzeros` as (+1 columns, -1 columns)."""
+    return tuple(
+        (tuple(i for i, c in row if c == 1), tuple(i for i, c in row if c == -1))
+        for row in _ns_row_nonzeros(scenario)
+    )
 
 
 def ns_program(

@@ -248,22 +248,7 @@ def marginal(
     ``complement_settings`` supplies them (the convention every module in
     this package shares).
     """
-    return _marginal(behavior.scenario, behavior.probs, parties, settings, complement_settings)
-
-
-def scaled_marginal(
-    behavior: Behavior,
-    parties: Sequence[int],
-    settings: Sequence[int],
-    complement_settings: Sequence[int] | None = None,
-) -> tuple:
-    """:func:`marginal` of an exact behavior as integer numerators over the
-    denominator D of :attr:`Behavior.scaled`."""
-    return _marginal(behavior.scenario, behavior.scaled[1], parties, settings, complement_settings)
-
-
-def _marginal(scn: Scenario, values: Sequence, parties, settings, complement_settings) -> tuple:
-    """The marginal of the flat table ``values`` (entries or numerators)."""
+    scn = behavior.scenario
     parties = list(parties)
     if not parties:
         raise ValueError("party subset must be nonempty")
@@ -285,7 +270,7 @@ def _marginal(scn: Scenario, values: Sequence, parties, settings, complement_set
     for k, xk in zip(rest, complement_settings):
         x[k] = xk
     base = scn.column_index(x) * scn.column_size
-    col = values[base : base + scn.column_size]
+    col = behavior.probs[base : base + scn.column_size]
 
     out = [0] * (scn.outcomes ** len(parties))
     for sub, p in zip(_restriction_indices(scn, tuple(parties)), col):
@@ -394,27 +379,14 @@ def _weighted_sum(scn: Scenario, behaviors: Sequence[Behavior], block_weights: S
     by ``block_weights[i]``; zero weights are skipped.
 
     When every nonzero weight is an int or a Fraction and every behavior it
-    weights is exact, the sum is taken in integer numerators over one
-    denominator and the result is built from that integer form alone
-    (:meth:`Behavior._from_scaled`): its entries are Fractions.  Otherwise
+    weights is exact, the sum is :func:`scaled_sum` over the weights'
+    numerators and denominators: its entries are Fractions.  Otherwise
     each entry is the plain left-to-right sum 0 + w_1 p_1 + ... .
     """
     width = scn.size // len(block_weights)
     blocks = [[(w, b) for w, b in zip(weights, behaviors) if w != 0] for weights in block_weights]
-    terms = [t for block in blocks for t in block]
-    if all(isinstance(w, (int, Fraction)) and b.scaled is not None for w, b in terms):
-        denom = math.lcm(*(w.denominator * b.scaled[0] for w, b in terms))
-        nums = []
-        for i, block in enumerate(blocks):
-            lo, hi = i * width, (i + 1) * width
-            col = [0] * width
-            for w, b in block:
-                b_denom, b_nums = b.scaled
-                c = w.numerator * (denom // (w.denominator * b_denom))
-                col = [n + c * m for n, m in zip(col, b_nums[lo:hi])]
-            nums += col
-        g = math.gcd(denom, *nums)
-        return Behavior._from_scaled(scn, denom // g, tuple(n // g for n in nums))
+    if all(isinstance(w, (int, Fraction)) and b.scaled is not None for block in blocks for w, b in block):
+        return scaled_sum(scn, [[(w.numerator, w.denominator, b) for w, b in block] for block in blocks])
     probs = []
     for i, block in enumerate(blocks):
         col = [0] * width
@@ -423,6 +395,25 @@ def _weighted_sum(scn: Scenario, behaviors: Sequence[Behavior], block_weights: S
                 col[j] += w * p
         probs += col
     return Behavior(scn, tuple(probs))
+
+
+def scaled_sum(scn: Scenario, blocks: Sequence) -> Behavior:
+    """sum_j (n_j / m_j) p_j over equal blocks of the flat tables, block i
+    summing ``blocks[i] = [(n_j, m_j, p_j)]`` (ints, m_j > 0, exact p_j) in
+    integer numerators; the result is built from them alone, in lowest terms."""
+    width = scn.size // len(blocks)
+    denom = math.lcm(*(m * b.scaled[0] for block in blocks for _, m, b in block))
+    nums = []
+    for i, block in enumerate(blocks):
+        lo, hi = i * width, (i + 1) * width
+        col = [0] * width
+        for n, m, b in block:
+            b_denom, b_nums = b.scaled
+            c = n * (denom // (m * b_denom))
+            col = [v + c * u for v, u in zip(col, b_nums[lo:hi])]
+        nums += col
+    g = math.gcd(denom, *nums)
+    return Behavior._from_scaled(scn, denom // g, tuple(v // g for v in nums))
 
 
 # Tolerance of the float checks: distribution sums and NS row residuals.

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .bell import evaluate, recursive_bkp
+from .bell import evaluate, modular_groups, recursive_bkp
 from .errors import InputFormatError
 from .polylp import ns_row_residual
 from .sampling import random_ns_mixture, random_weights
@@ -47,7 +47,7 @@ from .scenario import (
     mix_columns,
     parse_int,
     parse_number,
-    scaled_marginal,
+    scaled_sum,
     scenario_from_json,
     scenario_to_json,
     validate,
@@ -87,16 +87,16 @@ class AdversaryModel:
     a prior; the scenario is shared.
 
     Construction checks the model, then builds once the tables that every
-    per-setting quantity reads: the posterior p(w|x) of every setting (None
-    where p(x) = 0), p_min(w) over the functional's settings, and for each
-    (w, party, setting) the deviation sum_a |m_a - 1/d| of the strategy's
-    outcome marginal m from uniform.  A value is exact when it is an int or
-    a Fraction, and exact parts of the model also get integer tables: a
-    setting whose factors p(w) and p(x|w) are all exact keeps its terms
-    (T_x, [t_w]) with the Fraction posterior p(w|x) = t_w / T_x, and when
-    every strategy is exact each deviation is kept as an integer numerator
-    over one denominator d L, L the lcm of the strategies' denominators.  A
-    float factor or strategy takes plain float arithmetic instead.
+    per-setting quantity reads.  A value is exact when it is an int or a
+    Fraction.  A setting with p(x) > 0 whose factors p(w) and p(x|w) are all
+    exact keeps its Bayes terms (T_x, [t_w]): integers, p(w|x) = t_w / T_x.
+    When every setting has terms, p_min(w) over the functional's settings
+    is kept as the integer pair (t_w(s*), T_{s*}), else as a posterior.
+    For each (w, party, setting) the deviation sum_a |m_a - 1/d| of the
+    strategy's outcome marginal m from uniform is kept, and when every
+    strategy is exact as an integer numerator over one denominator d L, L the
+    lcm of the strategies' denominators.  The posteriors p(w|x) are built on
+    first use: by :meth:`posterior`, or for a setting without terms.
     :func:`q_factor` keeps Q(x) per setting on first use, and the observed
     behavior and its Bell value are built on first use and kept.  The model
     is fixed after construction: changing behaviors, input_dists or prior
@@ -120,9 +120,9 @@ class AdversaryModel:
     behaviors: list[Behavior]
     input_dists: list[dict]  # per w: {setting tuple: probability}
     prior: list
-    _posteriors: dict = field(init=False, repr=False, compare=False)
     _terms: dict = field(init=False, repr=False, compare=False)
     _p_min: list | None = field(init=False, repr=False, compare=False)
+    _all_terms: bool = field(init=False, repr=False, compare=False)
     _dev_sums: list = field(init=False, repr=False, compare=False)
     _dev_ints: tuple | None = field(init=False, repr=False, compare=False)
     _q: dict = field(init=False, repr=False, compare=False)
@@ -155,13 +155,15 @@ class AdversaryModel:
                 raise ValueError("input distribution must be normalized and nonnegative")
 
         scn = self.scenario
-        self._posteriors, self._terms = {}, {}
-        for x in scn.all_settings():
-            self._posteriors[x], self._terms[x] = self._bayes(x)
+        self._terms = {x: self._bayes(x) for x in scn.all_settings()}
+        self._all_terms = None not in self._terms.values()
         # None when a setting of the functional has p(x) = 0, or when one
         # party has no functional; q_factor then raises
         self._p_min = None
-        if scn.parties > 1:
+        if scn.parties > 1 and self._all_terms:
+            bell_terms = [self._terms[s] for s in _bell_settings(scn)]
+            self._p_min = [min([(t[w], T) for T, t in bell_terms], key=_by_value) for w in range(n)]
+        elif scn.parties > 1:
             posts = [self._posteriors[s] for s in _bell_settings(scn)]
             if None not in posts:
                 self._p_min = [min(p[w] for p in posts) for w in range(n)]
@@ -188,29 +190,35 @@ class AdversaryModel:
             for table, b in zip(self._dev_sums, self.behaviors)
         ]
 
-    def _bayes(self, x: tuple) -> tuple[list | None, tuple | None]:
-        """p(w|x) = p(w) p(x|w) / p(x) for every w, None where p(x) = 0;
-        paired with its integer terms (T_x, [t_w]), or None.
-
-        When every factor is an int or a Fraction, the terms
-        t_w = p(w) p(x|w) T are summed as integers over one denominator T,
-        so T_x = sum t_w and each posterior is one Fraction(t_w, T_x);
-        otherwise the quotient is taken in plain arithmetic and there are no
-        integer terms.
-        """
+    def _bayes(self, x: tuple) -> tuple | None:
+        """The integer terms (T_x, [t_w]) of p(w|x) = p(w) p(x|w) / p(x):
+        t_w = p(w) p(x|w) T summed as integers over one denominator T, so
+        that T_x = sum t_w and p(w|x) = t_w / T_x.  None when a factor is a
+        float or when p(x) = 0."""
         factors = [(pw, dist.get(x, 0)) for pw, dist in zip(self.prior, self.input_dists)]
-        if all(isinstance(f, (int, Fraction)) for pair in factors for f in pair):
-            denom = math.lcm(*(pw.denominator * q.denominator for pw, q in factors))
-            terms = [
-                pw.numerator * q.numerator * (denom // (pw.denominator * q.denominator))
-                for pw, q in factors
-            ]
-            total = sum(terms)
-            if total == 0:
-                return None, None
-            return [Fraction(t, total) for t in terms], (total, terms)
-        px = self.input_probability(x)
-        return (None if px == 0 else [pw * q / px for pw, q in factors]), None
+        if not all(isinstance(f, (int, Fraction)) for pair in factors for f in pair):
+            return None
+        denom = math.lcm(*(pw.denominator * q.denominator for pw, q in factors))
+        terms = [
+            pw.numerator * q.numerator * (denom // (pw.denominator * q.denominator))
+            for pw, q in factors
+        ]
+        total = sum(terms)
+        return (total, terms) if total else None
+
+    @functools.cached_property
+    def _posteriors(self) -> dict:
+        """p(w|x) for every setting, None where p(x) = 0: Fraction(t_w, T_x)
+        from the terms, else the quotient in plain arithmetic."""
+        posts = {}
+        for x, terms in self._terms.items():
+            if terms is None:
+                px = self.input_probability(x)
+                factors = zip(self.prior, self.input_dists)
+                posts[x] = None if px == 0 else [pw * dist.get(x, 0) / px for pw, dist in factors]
+            else:
+                posts[x] = [Fraction(tw, terms[0]) for tw in terms[1]]
+        return posts
 
     @property
     def n_strategies(self) -> int:
@@ -243,10 +251,14 @@ class AdversaryModel:
         return evaluate(bell_functional_for(self.scenario), self.observed)
 
 
+# sort key of a (numerator, positive denominator) pair: cross-multiplied ints
+_by_value = functools.cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])
+
+
 def _deviation_sums(b: Behavior) -> list[list]:
     """Per (party, setting) the deviation sum_a |m_a - 1/d| of the outcome
     marginal m; for an exact behavior its numerator sum_a |d n_a - D| over
-    d D, from the integer marginal n of :attr:`Behavior.scaled`."""
+    d D, n read from :attr:`Behavior.scaled` by :func:`bell.modular_groups`."""
     scn = b.scenario
     d = scn.outcomes
     if b.scaled is None:
@@ -255,9 +267,13 @@ def _deviation_sums(b: Behavior) -> list[list]:
             [sum(abs(m - uniform) for m in marginal(b, [k], [s])) for s in range(scn.settings)]
             for k in range(scn.parties)
         ]
-    denom = b.scaled[0]
+    denom, nums = b.scaled
+    get = nums.__getitem__
     return [
-        [sum(abs(d * n - denom) for n in scaled_marginal(b, [k], [s])) for s in range(scn.settings)]
+        [
+            sum(abs(d * sum(map(get, idx)) - denom) for idx in modular_groups(scn, ((k, s, 1),)))
+            for s in range(scn.settings)
+        ]
         for k in range(scn.parties)
     ]
 
@@ -282,9 +298,13 @@ def observed_behavior(model: AdversaryModel) -> Behavior:
 
     Every setting occurring in the functional must have p(x) > 0; other
     settings with p(x) = 0 fall back to the prior (they never affect the
-    Bell value).
+    Bell value).  An exact model whose settings all have Bayes terms mixes
+    by them in integers (:func:`scenario.scaled_sum`): the same Behavior.
     """
     scn = model.scenario
+    if model._dev_ints is not None and model._all_terms:
+        columns = [model._terms[x] for x in scn.all_settings()]
+        return scaled_sum(scn, [[(tw, T, b) for tw, b in zip(t, model.behaviors) if tw] for T, t in columns])
     for x in _bell_settings(scn):
         if model._posteriors[x] is None:
             raise ValueError(f"setting {x} appears in the functional but has p(x)=0")
@@ -295,16 +315,29 @@ def observed_behavior(model: AdversaryModel) -> Behavior:
 def q_factor(model: AdversaryModel, x: tuple):
     """Q(x) = max_w p(w|x)/p_min(w), p_min over the functional's settings.
 
-    Returns None when some p_min(w) = 0 (unbounded).  Worked out once per
-    setting and kept in the model.
+    Returns None when the ratio is unbounded: some w has p_min(w) = 0 and
+    p(w|x) > 0 (a w with p_min(w) = 0 and p(w|x) = 0 is skipped).  Worked
+    out once per setting and kept in the model.
     """
     x = tuple(x)
-    post_x = model._posterior(x)
+    terms = model._terms.get(x)
+    if terms is None:
+        model._posterior(x)  # raises when p(x) = 0
     if model._p_min is None:
         zero = next(s for s in _bell_settings(model.scenario) if model._posteriors[s] is None)
         raise ValueError(f"setting {zero} has zero probability")
     if x not in model._q:
-        q = _max_ratio(post_x, model._p_min)
+        if model._all_terms:
+            # the largest (t_w / T_x) / (m_w / M_w) = t_w M_w / (T_x m_w), found in integers
+            total, t = terms
+            ratios = [(tw * big, low) for tw, (low, big) in zip(t, model._p_min)]
+            if any(low == 0 < num for num, low in ratios):
+                q = None
+            else:
+                num, den = max((r for r in ratios if r[1]), key=_by_value)
+                q = Fraction(num, total * den)
+        else:
+            q = _max_ratio(model._posterior(x), model._p_min)
         d = model.scenario.outcomes
         # kept with ((d-1)^2+1)/d * Q(x), the factor of variational_bound's rhs
         model._q[x] = q, (None if q is None else Fraction((d - 1) ** 2 + 1, d) * q)
@@ -366,8 +399,7 @@ def variational_bound(
     if bell_value is None:
         bell_value = evaluate(bell_functional_for(scn), observed)
     # sum_{a,w} |p_w m_a - p_w/d| = sum_w p_w sum_a |m_a - 1/d|, as p_w >= 0
-    post = model._posterior(x)
-    terms = model._terms[x]
+    terms = model._terms.get(x)
     if terms is not None and model._dev_ints is not None:
         # p_w = t_w / T_x and each deviation is an integer over d L: one Fraction
         total, t = terms
@@ -376,7 +408,7 @@ def variational_bound(
         lhs = Fraction(num, total * dev_denom)
     else:
         lhs = 0
-        for pw, dev in zip(post, model._deviations):
+        for pw, dev in zip(model._posterior(x), model._deviations):
             lhs += pw * dev[party][x[party]]
     q = q_factor(model, x)
     if q is None:

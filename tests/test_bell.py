@@ -24,6 +24,7 @@ from monogamy_lab.scenario import (
     Behavior,
     Scenario,
     deterministic_vertex,
+    enumerate_assignments,
     mix,
     uniform_behavior,
 )
@@ -177,6 +178,15 @@ def test_replace_builds_its_own_dense_vector():
     g = dataclasses.replace(f, terms=f.terms[:1])
     assert g.dense() != f.dense()
     assert g.dense() == BellFunctional(f.scenario, f.terms[:1]).dense()
+
+
+def test_chained_functional_is_a_fresh_object_per_call():
+    f = recursive_bkp(3, 2, 2)
+    f.classical_bound, f.terms = None, f.terms[:1]
+    g = recursive_bkp(3, 2, 2)
+    assert g is not f and g.classical_bound == 1 and len(g.terms) == 8
+    assert g.dense() != f.dense()
+    assert all(evaluate_assignment(g, a.table) >= 1 for a in enumerate_assignments(g.scenario))
 
 
 def test_evaluate_with_unequal_weights_matches_dense():

@@ -3,14 +3,18 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from monogamy_lab.bell import evaluate, recursive_bkp
+import monogamy_lab
+from monogamy_lab.bell import ModularTerm, evaluate, recursive_bkp
 from monogamy_lab.errors import InputFormatError
-from monogamy_lab.polylp import ns_row_residual
+from monogamy_lab.polylp import _ns_row_nonzeros, ns_row_residual
 from monogamy_lab.sampling import (
     ns_pool, random_behavior, random_local_vertex, random_ns_mixture, random_weights,
 )
@@ -497,6 +501,25 @@ def test_ns_row_residual_agrees_with_all_subsets_check(diff_pools):
         assert ns_row_residual(draws[-1]) > 0
 
 
+def ref_sparse_row_residual(b):
+    """max |sum_i c_i p_i| over the (column, coefficient) NS rows, in Fractions."""
+    return max(abs(sum(c * b.probs[i] for i, c in row)) for row in _ns_row_nonzeros(b.scenario))
+
+
+@pytest.mark.parametrize("dims", [(2, 3, 3), (3, 3, 2), (3, 2, 3)])
+def test_split_row_residual_matches_sparse_rows(dims):
+    scn = Scenario(*dims)
+    rng = random.Random(f"split-rows/{dims}")
+    ns_point = mix([random_local_vertex(scn, rng) for _ in range(3)], random_weights(3, rng))
+    draws = [random_behavior(scn, rng, denom=7) for _ in range(4)]  # signalling
+    draws += [ns_point, mix([ns_point, draws[0]], [Fraction(999, 1000), Fraction(1, 1000)])]
+    for b in draws:
+        residual = ns_row_residual(b)
+        assert same(residual, ref_sparse_row_residual(b))
+        assert (residual == 0) == is_nonsignalling(b, 0)[0]
+    assert ns_row_residual(ns_point) == 0 and ns_row_residual(draws[-1]) > 0
+
+
 def test_signalling_strategy_reports_row_residual(pool_222):
     scn = Scenario(2, 2, 2)
     probs = [Fraction(0)] * scn.size
@@ -795,6 +818,70 @@ def test_integer_kernels_match_fraction_loops(diff_pools):
         assert_bounds_match(model, observed, value)
         # a float Bell value makes a float rhs
         assert_bounds_match(model, observed, float(value))
+
+
+def test_evaluate_plans_follow_a_replaced_functional(diff_pools):
+    rng = random.Random(38)
+    for scn in DIFF_SCENARIOS:
+        f = bell_functional_for(scn)
+        behaviors = [random_behavior(scn, rng) for _ in range(3)] + diff_pools[scn][:2]
+        for b in behaviors:
+            assert same(evaluate(f, b), ref_evaluate(f, b))
+        # other weights and shifts, and the parties of each term in reverse order
+        terms = tuple(
+            ModularTerm(Fraction(rng.randrange(1, 9), 7), tuple(reversed(t.coeffs)), (t.shift + 1) % scn.outcomes)
+            for t in f.terms[1:]
+        )
+        g = dataclasses.replace(f, terms=terms)
+        for b in behaviors:
+            assert same(evaluate(g, b), ref_evaluate(g, b))
+            assert same(evaluate(f, b), ref_evaluate(f, b))
+
+
+def test_posteriors_are_built_on_demand(diff_pools):
+    rng = random.Random(39)
+    for scn in DIFF_SCENARIOS:
+        model = random_adversary_model(scn, rng, diff_pools[scn], n_strategies=3)
+        observed = observed_behavior(model)
+        value = evaluate(bell_functional_for(scn), observed)
+        for x in scn.all_settings():
+            for k in range(scn.parties):
+                variational_bound(model, x, k, observed, value)
+        # the exact path reads the integer Bayes terms only
+        assert "_posteriors" not in model.__dict__
+        for x in scn.all_settings():
+            got = model.posterior(x)
+            assert same(got, ref_posterior(model, x))
+            got[0] += 1  # a fresh list: the model keeps its own
+            assert same(model.posterior(x), ref_posterior(model, x))
+    # (0, 1) is outside the (2,3,2) functional; one float factor there leaves
+    # that setting without terms and the model on its posteriors
+    scn = Scenario(2, 3, 2)
+    model = random_adversary_model(scn, rng, diff_pools[scn], n_strategies=3)
+    dists = [dict(dist) for dist in model.input_dists]
+    dists[1][(0, 1)] = float(dists[1][(0, 1)])
+    model = AdversaryModel(scn, model.behaviors, dists, model.prior)
+    assert model._terms[(0, 1)] is None
+    assert all(model._terms[x] is not None for x in scn.all_settings() if x != (0, 1))
+    observed = observed_behavior(model)
+    assert same(observed.probs, ref_observed_behavior(model).probs)
+    for x in scn.all_settings():
+        assert same(model.posterior(x), ref_posterior(model, x))
+    assert_bounds_match(model, observed, evaluate(bell_functional_for(scn), observed))
+
+
+def test_index_plans_are_built_on_first_use():
+    # a fresh process: this one has built them already
+    code = (
+        "import monogamy_lab.cli\n"
+        "from monogamy_lab import bell, polylp, svamp\n"
+        "plans = (bell.modular_groups, bell._bkp_terms, polylp._ns_row_split)\n"
+        "print([plan.cache_info().currsize for plan in plans])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(monogamy_lab.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, 0, 0]
 
 
 def test_mix_of_int_entries_and_zero_weights(diff_pools):
