@@ -25,23 +25,26 @@ and ``LPSolution.engine`` names it:
 
 * ``highs``: HiGHS's primal point and row duals, rounded to the nearest
   fractions with denominators up to ``_DENOMINATOR_CAP``;
-* ``support``: whichever of the two failed is re-solved exactly by Gaussian
-  elimination on Fractions.  The primal is solved on the columns HiGHS made
-  positive, or else on the columns it priced at zero; the dual on the
-  columns HiGHS priced at zero plus the point's support, or else on the
-  support alone;
+* ``basis``: the exact solution of HiGHS's final basis, by Gauss-Jordan
+  elimination on Fractions: ``B x_B = b_R`` on the basic columns and the
+  rows R whose logical is nonbasic, every nonbasic column 0, and, unless
+  the rounded duals certify that point, ``B_R^T y_R = c_B``, every other
+  multiplier 0.  The check still reads every row.  For example, maximizing
+  the agreement probability ``monogamy.agreement_vector(Scenario(3, 2, 2),
+  0, 0, 0)`` over the NS polytope with the Bell row pinned to
+  ``Fraction(1, 10**18)`` by :func:`optimize_over_ns`'s ``extra_eq`` gives
+  a target that HiGHS reads as 0, and this stage certifies the optimum
+  1/2 + 10^-18/2;
 * ``simplex``: a two-phase primal simplex on Fractions that pivots on the
   sparse rows, with Bland's rule, which cannot cycle.  It decides every
   infeasible or unbounded HiGHS status, and every optimum whose float image
-  hides the exact one: costs or right-hand sides that differ by less than
-  HiGHS's tolerances.  For example, maximizing the agreement probability
-  ``monogamy.agreement_vector(Scenario(3, 2, 2), 0, 0, 0)`` over the NS
-  polytope with the Bell row pinned to ``Fraction(1, 10**18)`` by
-  :func:`optimize_over_ns`'s ``extra_eq`` gives a target that HiGHS reads
-  as 0, and only this stage certifies the optimum 1/2 + 10^-18/2.  It
-  alone also certifies ``min 0 x0 + 10^-18 x1`` subject to
-  ``x0 + x1 = 2``, where HiGHS returns the wrong vertex of what is a tie
-  in floats.
+  hides the exact one from HiGHS's basis too: costs or right-hand sides
+  that differ by less than HiGHS's tolerances and change the optimal
+  basis.  For example, the same pinned maximum at ``1 - Fraction(1,
+  10**18)`` has a basis that is exactly primal infeasible, and only this
+  stage certifies the optimum 1 - 10^-18/2.  It alone also certifies
+  ``min 0 x0 + 10^-18 x1`` subject to ``x0 + x1 = 2``, where HiGHS returns
+  the wrong vertex of what is a tie in floats.
 
 :func:`certify` runs the same exact check on a candidate point and duals
 that come from elsewhere, and an optimum it accepts has engine
@@ -81,10 +84,8 @@ from .scenario import Behavior, Scenario, worst_of
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-# Largest denominator tried when rounding HiGHS's floats to fractions, and
-# the float magnitude below which a HiGHS value counts as zero.
+# Largest denominator tried when rounding HiGHS's floats to fractions.
 _DENOMINATOR_CAP = 10**6
-_ZERO_TOL = 1e-9
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -169,7 +170,7 @@ class LPSolution:
       with A r = 0 along which the objective improves.
 
     ``engine`` names the stage of :func:`solve` that produced it ('highs',
-    'support' or 'simplex'), or is 'candidate' for an optimum that
+    'basis' or 'simplex'), or is 'candidate' for an optimum that
     :func:`certify` accepted (see the module docstring)."""
 
     status: str
@@ -339,14 +340,13 @@ _HIGHS_OPTIONS = (
 
 def _highs(std: _Standard):
     """HiGHS on the float image of the standard form: (point, row duals,
-    lower-bound duals, iterations) if HiGHS finds an optimum, else None.
+    basis, iterations) if HiGHS finds an optimum, else None.  The basis is
+    HiGHS's final one, a ``HighsBasis`` (see :func:`_basis_lists`).
 
     The LP goes straight to scipy's pybind bindings of HiGHS
     (``scipy.optimize._highspy._core``, the module ``linprog`` itself
     calls), as a row-wise matrix built from the integer rows, so no sparse
-    matrix is built and converted.  A column's lower-bound dual is its
-    HiGHS column dual where HiGHS holds it at its bound, else 0, as in
-    ``linprog``'s ``lower.marginals``.  scipy is imported here, so that only
+    matrix is built and converted.  scipy is imported here, so that only
     an LP solve loads it.  A coefficient beyond float range raises
     ``OverflowError``."""
     from scipy.optimize._highspy import _core as h
@@ -382,13 +382,21 @@ def _highs(std: _Standard):
         return None
     solution = highs.getSolution()
     info = highs.getInfo()
-    at_lower = h.HighsBasisStatus.kLower
-    lower = [
-        d if s == at_lower else 0.0
-        for d, s in zip(solution.col_dual, highs.getBasis().col_status)
-    ]
     iterations = info.simplex_iteration_count or info.ipm_iteration_count
-    return solution.col_value, solution.row_dual, lower, iterations
+    return solution.col_value, solution.row_dual, highs.getBasis(), iterations
+
+
+def _basis_lists(basis) -> tuple[list, list]:
+    """The basic columns of a HiGHS basis, and the rows whose logical
+    (slack) is nonbasic.  Read only when rounding misses, so that the LPs
+    that rounding certifies do not pay for the status lists."""
+    from scipy.optimize._highspy import _core as h
+
+    basic = h.HighsBasisStatus.kBasic
+    return (
+        [j for j, s in enumerate(basis.col_status) if s == basic],
+        [i for i, s in enumerate(basis.row_status) if s != basic],
+    )
 
 
 def _rational(v: float) -> Fraction:
@@ -413,9 +421,10 @@ def _subtract(row: dict, f, other: dict) -> None:
             row.pop(k, None)
 
 
-def _solve_exact(equations) -> dict | None:
-    """One solution, with every free unknown 0, of the linear system given
-    as (coefficient dict, rhs) pairs; None if it is inconsistent.
+def _solve_exact(equations, n: int) -> list | None:
+    """One solution, with every free unknown 0, of the linear system in the
+    unknowns 0..n-1 given as (coefficient dict, rhs) pairs; None if it is
+    inconsistent.
 
     Gauss-Jordan elimination on Fractions: the pivot rows are kept reduced,
     so each holds its own pivot unknown and no other."""
@@ -439,66 +448,49 @@ def _solve_exact(equations) -> dict | None:
                 _subtract(entry[0], g, row)
                 entry[1] -= g * b
         pivots[q] = [row, b]
-    return {p: pb for p, (_, pb) in pivots.items()}
+    return [pivots[k][1] if k in pivots else _ZERO for k in range(n)]
 
 
-def _support_primal(std: _Standard, support: set) -> list | None:
-    """A x = b solved exactly on the columns in support, the rest 0.  Row i
-    is solved scaled by L_i, which leaves its solutions as they are."""
-    sol = _solve_exact(
-        ({j: Fraction(a) for j, a in row if j in support}, b * scale)
-        for row, scale, b in zip(std.rows, std.scale, std.rhs)
+def _basic_point(std: _Standard, columns: list, rows: list) -> list | None:
+    """``B x_B = b_R`` solved exactly on the basic columns and the rows R
+    whose logical is nonbasic (see :func:`_basis_lists`), every nonbasic
+    column 0; None if inconsistent.  Row i is solved scaled by L_i, which
+    leaves its solutions as they are."""
+    basic = set(columns)
+    equations = (
+        ({j: Fraction(a) for j, a in std.rows[i] if j in basic}, std.rhs[i] * std.scale[i])
+        for i in rows
     )
-    if sol is None:
-        return None
-    x = [_ZERO] * std.n_cols
-    for j, v in sol.items():
-        x[j] = v
-    return x
+    return _solve_exact(equations, std.n_cols)
 
 
-def _support_dual(std: _Standard, tight: set) -> list | None:
-    """Row duals with zero reduced cost on every column in tight, solved
-    exactly; the rows left free get 0."""
-    columns = {j: {} for j in tight}
-    for i, (row, scale) in enumerate(zip(std.rows, std.scale)):
-        for j, a in row:
-            if j in columns:
-                columns[j][i] = Fraction(a, scale)
-    sol = _solve_exact((columns[j], Fraction(std.cost[j], std.cost_scale)) for j in sorted(tight))
-    if sol is None:
-        return None
-    return [sol.get(i, _ZERO) for i in range(len(std.rows))]
+def _basic_duals(std: _Standard, columns: list, rows: list) -> list | None:
+    """``B_R^T y_R = c_B`` solved exactly, every other row's multiplier 0;
+    None if inconsistent."""
+    basic = {j: {} for j in columns}
+    for i in rows:
+        for j, a in std.rows[i]:
+            if j in basic:
+                basic[j][i] = Fraction(a, std.scale[i])
+    costs = ((basic[j], Fraction(std.cost[j], std.cost_scale)) for j in columns)
+    return _solve_exact(costs, len(std.rows))
 
 
-def _certify_highs(std: _Standard, x_float, y_float, lower, iterations) -> LPSolution | None:
-    """The certified optimum from HiGHS's optimal point, row duals and
-    lower-bound duals (see :func:`_highs`), or None."""
+def _certify_highs(std: _Standard, x_float, y_float, basis, iterations) -> LPSolution | None:
+    """The certified optimum from HiGHS's optimal point, row duals and basis
+    (see :func:`_highs`), or None.  The rounded point and duals come first;
+    when they miss, the exact point of the basis, with the rounded duals if
+    they certify it and else with the exact duals of the basis."""
     x = [_rational(v) for v in x_float]
     y = [_rational(v) for v in y_float]
     sol = _optimal(std, x, y, "highs", iterations)
-    if sol is not None:
-        return sol
-    tight = {j for j, v in enumerate(lower) if abs(v) <= _ZERO_TOL}
-    if not _primal_feasible(std, x):
-        x = _support_primal(std, {j for j, v in enumerate(x_float) if v > _ZERO_TOL})
-        if x is None or any(v < 0 for v in x):
-            # the point may need a value that HiGHS read as 0; the columns
-            # it prices at zero hold its whole basis
-            x = _support_primal(std, tight)
-            if x is None:
-                return None
-    if not (_dual_feasible(std, y) and _dot(std.rhs, y) == _objective(std, x)):
-        # Complementary slackness: zero reduced cost wherever x is positive.
-        positive = {j for j, v in enumerate(x) if v}
-        y = _support_dual(std, tight | positive)
-        if y is None:
-            # costs that tie in floats make HiGHS price both columns at zero;
-            # the point's own support decides between them
-            y = _support_dual(std, positive)
-            if y is None:
-                return None
-    return _optimal(std, x, y, "support", iterations)
+    if sol is None:
+        columns, rows = _basis_lists(basis)
+        x = _basic_point(std, columns, rows)
+        sol = _optimal(std, x, y, "basis", iterations) or _optimal(
+            std, x, _basic_duals(std, columns, rows), "basis", iterations
+        )
+    return sol
 
 
 def solve(lp: LinearProgram) -> LPSolution:

@@ -327,20 +327,21 @@ def q_factor(model: AdversaryModel, x: tuple):
         zero = next(s for s in _bell_settings(model.scenario) if model._posteriors[s] is None)
         raise ValueError(f"setting {zero} has zero probability")
     if x not in model._q:
+        # kept with k/d * Q(x), k = (d-1)^2 + 1, the factor of variational_bound's rhs
+        d = model.scenario.outcomes
+        k = (d - 1) ** 2 + 1
         if model._all_terms:
             # the largest (t_w / T_x) / (m_w / M_w) = t_w M_w / (T_x m_w), found in integers
             total, t = terms
             ratios = [(tw * big, low) for tw, (low, big) in zip(t, model._p_min)]
             if any(low == 0 < num for num, low in ratios):
-                q = None
+                model._q[x] = None, None
             else:
                 num, den = max((r for r in ratios if r[1]), key=_by_value)
-                q = Fraction(num, total * den)
+                model._q[x] = Fraction(num, total * den), Fraction(k * num, d * total * den)
         else:
             q = _max_ratio(model._posterior(x), model._p_min)
-        d = model.scenario.outcomes
-        # kept with ((d-1)^2+1)/d * Q(x), the factor of variational_bound's rhs
-        model._q[x] = q, (None if q is None else Fraction((d - 1) ** 2 + 1, d) * q)
+            model._q[x] = q, (None if q is None else Fraction(k, d) * q)
     return model._q[x][0]
 
 

@@ -1,11 +1,13 @@
 import hashlib
 import math
+import random
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from monogamy_lab import sampling
 from monogamy_lab.bell import classical_minimum, evaluate, recursive_bkp
 from monogamy_lab.polylp import (
     INFEASIBLE,
@@ -182,17 +184,34 @@ def test_agreement_max_under_zero_violation():
     assert sol.status == OPTIMAL and sol.value == Fraction(1, 2)
 
 
-def test_pinned_near_tie_reaches_the_simplex_stage():
-    # HiGHS reads the Bell target 10^-18 as 0, so only the exact simplex
-    # certifies the optimum of the pinned agreement maximum
+def pinned_agreement(t):
+    """The arguments of ns_program and optimize_over_ns for the (3,2,2)
+    tightness LP: the agreement maximum with the Bell row pinned to t."""
     from monogamy_lab.monogamy import agreement_vector, embedded_bkp
 
     scn = Scenario(3, 2, 2)
     bell_row = sparse([list(embedded_bkp(scn).dense())])[0]
+    return scn, agreement_vector(scn, 0, 0, 0), "max", [(bell_row, t)]
+
+
+def test_pinned_near_tie_is_certified_on_the_basis():
+    # HiGHS reads the Bell target 10^-18 as 0, so its rounded point misses;
+    # the exact solution of its final basis certifies the optimum
     t = Fraction(1, 10**18)
-    sol = optimize_over_ns(scn, agreement_vector(scn, 0, 0, 0), "max", extra_eq=[(bell_row, t)])
+    sol = optimize_over_ns(*pinned_agreement(t))
+    assert sol.status == OPTIMAL and sol.engine == "basis"
+    assert sol.value == (1 + t) / 2
+    assert verify_certificate(ns_program(*pinned_agreement(t)), sol)
+
+
+def test_pinned_near_tie_reaches_the_simplex_stage():
+    # at 1 - 10^-18 HiGHS's final basis is exactly primal infeasible, so only
+    # the exact simplex certifies the optimum of the pinned agreement maximum
+    t = 1 - Fraction(1, 10**18)
+    sol = optimize_over_ns(*pinned_agreement(t))
     assert sol.status == OPTIMAL and sol.engine == "simplex"
-    assert sol.value == Fraction(1, 2) + t / 2
+    assert sol.value == (1 + t) / 2
+    assert verify_certificate(ns_program(*pinned_agreement(t)), sol)
 
 
 def test_certify_checks_a_candidate_like_solve():
@@ -345,8 +364,9 @@ def test_ns_optimum_is_certified_by_highs():
     ids=["primal", "dual"],
 )
 def test_support_stage_recovers_large_denominators(lp):
+    # rounding misses the denominator; the exact basis solve recovers it
     sol = solve(lp)
-    assert sol.engine == "support"
+    assert sol.engine == "basis"
     assert sol.value == Fraction(1, 1000003)
     assert verify_certificate(lp, sol)
 
@@ -363,23 +383,23 @@ def test_support_stage_recovers_large_denominators(lp):
 )
 def test_support_stage_solves_scaled_rows(lp):
     sol = solve(lp)
-    assert (sol.engine, sol.value) == ("support", Fraction(2, 1000003))
+    assert (sol.engine, sol.value) == ("basis", Fraction(2, 1000003))
     assert verify_certificate(lp, sol)
 
 
 @pytest.mark.parametrize(
     "lp, value",
     [
-        # x_1 + s = 1e-20 is zero to HiGHS, so the point's positive support
-        # misses the optimum; the columns HiGHS prices at zero hold it
+        # x_1 + s = 1e-20 is zero to HiGHS, so its rounded point misses the
+        # optimum; the exact solution of its basis holds it
         (
             LinearProgram([0, -1, 0], "min", eq_rows=sparse([[1, 1, 0], [0, 1, 1]]),
                           eq_rhs=[1, Fraction(1, 10**20)]),
             Fraction(-1, 10**20),
         ),
-        # both costs round to the same float: a zero reduced cost on each
-        # column asks the support dual for y = 1 and y = 1 - 1e-20 at once,
-        # so the duals come from the point's positive support alone
+        # both costs round to the same float, so the rounded dual prices
+        # both columns at zero; the basis holds x_1 alone, whose cost
+        # 1 - 1e-20 is the exact dual
         (
             LinearProgram(
                 [1, 1 - Fraction(1, 10**20)], "min", eq_rows=sparse([[1, 1]]), eq_rhs=[1]
@@ -391,8 +411,67 @@ def test_support_stage_solves_scaled_rows(lp):
 )
 def test_support_stage_when_floats_hide_the_optimum(lp, value):
     sol = solve(lp)
-    assert sol.engine == "support"
+    assert sol.engine == "basis"
     assert sol.value == value
+    assert verify_certificate(lp, sol)
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2), (2, 2, 3)])
+def test_projection_is_certified_on_the_basis(dims, monkeypatch):
+    # the L1 projection LPs of the ra-exact workload: the projected point's
+    # denominators are beyond the rounding cap, and the exact solution of
+    # HiGHS's basis certifies it
+    solved = []
+
+    def recording_solve(lp):
+        sol = solve(lp)
+        solved.append((lp, sol))
+        return sol
+
+    monkeypatch.setattr(sampling, "solve", recording_solve)
+    scn = Scenario(*dims)
+    rng = random.Random(3)
+    for _ in range(3):
+        projected = sampling.project_to_ns(sampling.random_behavior(scn, rng))
+        lp, sol = solved.pop()
+        assert sol.engine == "basis"
+        assert sol.value == _simplex(_standardize(lp)).value
+        assert verify_certificate(lp, sol)
+        assert projected.probs == sol.point[: scn.size]
+
+
+# small_lps with 10^-18 shifts on which HiGHS's final basis is exactly primal
+# infeasible: a row whose logical is basic is violated by the shift.  The
+# optimal basis is one pivot away, which no stage before the simplex takes.
+BASIS_MISSES = [
+    LinearProgram(
+        [Fraction(3, 10**18), 3, 0, Fraction(1, 10**18), Fraction(-3, 10**18)],
+        "min",
+        sparse([[-1, -1, 0, 0, 0], [-1, -1, 1, 0, 0], [1, 0, 0, 1, 0], [0, 1, 0, 0, 1]]),
+        [
+            Fraction(-400000000000000001, 2 * 10**17),
+            Fraction(-499999999999999999, 25 * 10**16),
+            Fraction(2499999999999999999, 10**18),
+            Fraction(1249999999999999999, 5 * 10**17),
+        ],
+    ),
+    LinearProgram(
+        [
+            Fraction(-3, 10**18), Fraction(-4999999999999999991, 3 * 10**18), 0,
+            Fraction(-1, 25 * 10**16), Fraction(1, 2 * 10**17), Fraction(1, 25 * 10**16),
+        ],
+        "max",
+        [[(1, Fraction(-5, 3)), (2, 3), (3, 1)], [(1, 1), (4, 1)], [(2, 1), (5, 1)]],
+        [Fraction(3, 10**18), Fraction(2500000000000000003, 10**18), Fraction(5, 2)],
+    ),
+]
+
+
+@pytest.mark.parametrize("lp", BASIS_MISSES, ids=["min", "max"])
+def test_basis_that_misses_by_the_shift_reaches_the_simplex(lp):
+    sol = solve(lp)
+    assert sol.engine == "simplex"
+    assert sol.value == _simplex(_standardize(lp)).value
     assert verify_certificate(lp, sol)
 
 
@@ -632,8 +711,8 @@ def test_certificate_given_in_exact_floats_is_accepted():
 
 
 def linprog_highs(std):
-    """linprog's optimum in the shape of polylp._highs: (point, row duals,
-    lower-bound duals, iterations), or None unless linprog reports one."""
+    """linprog's optimum as (point, row duals, iterations), or None unless
+    linprog reports one."""
     from scipy.optimize import linprog
     from scipy.sparse import csr_matrix
 
@@ -652,38 +731,31 @@ def linprog_highs(std):
     )
     if res.status != 0:
         return None
-    return res.x.tolist(), res.eqlin.marginals.tolist(), res.lower.marginals.tolist(), res.nit
+    return res.x.tolist(), res.eqlin.marginals.tolist(), res.nit
 
 
 def highs_bits(found):
-    """An answer of polylp._highs with every float as its exact hex string."""
+    """(point, row duals, iterations) with every float as its exact hex string."""
     if found is None:
         return None
-    x, y, lower, iterations = found
-    return [v.hex() for v in x], [v.hex() for v in y], [v.hex() for v in lower], iterations
+    x, y, iterations = found
+    return [v.hex() for v in x], [v.hex() for v in y], iterations
 
 
 def assert_highs_matches_linprog(lp):
+    """polylp._highs's point, row duals and iterations against linprog's;
+    linprog does not report the basis."""
     std = _standardize(lp)
-    found = highs_bits(_highs(std))
-    assert found == highs_bits(linprog_highs(std))
-    return found
+    found = _highs(std)
+    bits = found and highs_bits((found[0], found[1], found[3]))
+    assert bits == highs_bits(linprog_highs(std))
+    return bits
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(small_lps(), near_tie_lps(), mixed_lps()))
 def test_highs_matches_linprog(lp):
     assert_highs_matches_linprog(lp)
-
-
-def pinned_agreement_lp(t):
-    """The (3,2,2) tightness LP: the agreement maximum with the Bell row
-    pinned to t."""
-    from monogamy_lab.monogamy import agreement_vector, embedded_bkp
-
-    scn = Scenario(3, 2, 2)
-    bell_row = sparse([list(embedded_bkp(scn).dense())])[0]
-    return ns_program(scn, agreement_vector(scn, 0, 0, 0), "max", extra_eq=[(bell_row, t)])
 
 
 @pytest.mark.parametrize(
@@ -693,8 +765,8 @@ def pinned_agreement_lp(t):
             (ns_program(Scenario(N, M, d), recursive_bkp(N, M, d).dense(), "min"), True)
             for N, M, d in [(2, 2, 2), (2, 3, 2), (2, 2, 3), (3, 2, 2)]
         ),
-        (pinned_agreement_lp(Fraction(1, 2)), True),
-        (pinned_agreement_lp(Fraction(1, 10**18)), True),
+        (ns_program(*pinned_agreement(Fraction(1, 2))), True),
+        (ns_program(*pinned_agreement(Fraction(1, 10**18))), True),
         # 10^25 is past HiGHS's infinite bound 10^20: the model fails to load
         (LinearProgram([1, 0], "min", sparse([[1, 1]]), [10**25]), False),
     ],
