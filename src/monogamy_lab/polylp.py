@@ -25,16 +25,15 @@ and ``LPSolution.engine`` names it:
 
 * ``highs``: HiGHS's primal point and row duals, rounded to the nearest
   fractions with denominators up to ``_DENOMINATOR_CAP``;
-* ``basis``: the exact solution of HiGHS's final basis, by Gauss-Jordan
-  elimination on Fractions: ``B x_B = b_R`` on the basic columns and the
-  rows R whose logical is nonbasic, every nonbasic column 0, and, unless
-  the rounded duals certify that point, ``B_R^T y_R = c_B``, every other
-  multiplier 0.  The check still reads every row.  For example, maximizing
-  the agreement probability ``monogamy.agreement_vector(Scenario(3, 2, 2),
-  0, 0, 0)`` over the NS polytope with the Bell row pinned to
-  ``Fraction(1, 10**18)`` by :func:`optimize_over_ns`'s ``extra_eq`` gives
-  a target that HiGHS reads as 0, and this stage certifies the optimum
-  1/2 + 10^-18/2;
+* ``basis``: the exact solution of HiGHS's final basis, by Gaussian
+  elimination and back substitution on Fractions: ``B x_B = b_R`` on the
+  basic columns and the rows R whose logical is nonbasic, every nonbasic
+  column 0, and ``B_R^T y_R = c_B``, every other multiplier 0.  The check
+  still reads every row.  For example, maximizing the agreement
+  probability ``monogamy.agreement_vector(Scenario(3, 2, 2), 0, 0, 0)``
+  over the NS polytope with the Bell row pinned to ``Fraction(1, 10**18)``
+  by :func:`optimize_over_ns`'s ``extra_eq`` gives a target that HiGHS
+  reads as 0, and this stage certifies the optimum 1/2 + 10^-18/2;
 * ``simplex``: a two-phase primal simplex on Fractions that pivots on the
   sparse rows, with Bland's rule, which cannot cycle.  It decides every
   infeasible or unbounded HiGHS status, and every optimum whose float image
@@ -426,29 +425,27 @@ def _solve_exact(equations, n: int) -> list | None:
     unknowns 0..n-1 given as (coefficient dict, rhs) pairs; None if it is
     inconsistent.
 
-    Gauss-Jordan elimination on Fractions: the pivot rows are kept reduced,
-    so each holds its own pivot unknown and no other."""
-    pivots: dict = {}  # pivot unknown -> [row dict with coefficient 1, rhs]
+    Gaussian elimination on Fractions, then back substitution: each pivot
+    row holds its own pivot unknown with coefficient 1 and none of the
+    pivots found before it."""
+    pivots: dict = {}  # pivot unknown -> (row dict, rhs), in the order found
     for coeffs, b in equations:
         row = dict(coeffs)
-        for p in [k for k in row if k in pivots]:
-            f = row[p]
-            _subtract(row, f, pivots[p][0])
-            b -= f * pivots[p][1]
+        for p, (prow, pb) in pivots.items():
+            f = row.get(p)
+            if f:
+                _subtract(row, f, prow)
+                b -= f * pb
         if not row:
             if b:
                 return None
             continue
         q, f = next(iter(row.items()))
-        row = {k: v / f for k, v in row.items()}
-        b /= f
-        for entry in pivots.values():
-            g = entry[0].get(q)
-            if g:
-                _subtract(entry[0], g, row)
-                entry[1] -= g * b
-        pivots[q] = [row, b]
-    return [pivots[k][1] if k in pivots else _ZERO for k in range(n)]
+        pivots[q] = ({k: v / f for k, v in row.items()}, b / f)
+    x = [_ZERO] * n
+    for q, (prow, pb) in reversed(pivots.items()):
+        x[q] = pb - sum(v * x[k] for k, v in prow.items() if x[k])
+    return x
 
 
 def _basic_point(std: _Standard, columns: list, rows: list) -> list | None:
@@ -479,17 +476,14 @@ def _basic_duals(std: _Standard, columns: list, rows: list) -> list | None:
 def _certify_highs(std: _Standard, x_float, y_float, basis, iterations) -> LPSolution | None:
     """The certified optimum from HiGHS's optimal point, row duals and basis
     (see :func:`_highs`), or None.  The rounded point and duals come first;
-    when they miss, the exact point of the basis, with the rounded duals if
-    they certify it and else with the exact duals of the basis."""
+    when they miss, the exact point and duals of the basis."""
     x = [_rational(v) for v in x_float]
     y = [_rational(v) for v in y_float]
     sol = _optimal(std, x, y, "highs", iterations)
     if sol is None:
         columns, rows = _basis_lists(basis)
         x = _basic_point(std, columns, rows)
-        sol = _optimal(std, x, y, "basis", iterations) or _optimal(
-            std, x, _basic_duals(std, columns, rows), "basis", iterations
-        )
+        sol = _optimal(std, x, _basic_duals(std, columns, rows), "basis", iterations)
     return sol
 
 

@@ -442,7 +442,9 @@ def test_projection_is_certified_on_the_basis(dims, monkeypatch):
 
 # small_lps with 10^-18 shifts on which HiGHS's final basis is exactly primal
 # infeasible: a row whose logical is basic is violated by the shift.  The
-# optimal basis is one pivot away, which no stage before the simplex takes.
+# optimal basis is one dual simplex pivot away, which the basis stage does
+# not take, so these are a known miss of that stage: the cold simplex
+# certifies them.
 BASIS_MISSES = [
     LinearProgram(
         [Fraction(3, 10**18), 3, 0, Fraction(1, 10**18), Fraction(-3, 10**18)],
@@ -468,11 +470,18 @@ BASIS_MISSES = [
 
 
 @pytest.mark.parametrize("lp", BASIS_MISSES, ids=["min", "max"])
-def test_basis_that_misses_by_the_shift_reaches_the_simplex(lp):
+def test_basis_that_misses_by_the_shift_is_solved_exactly(lp):
     sol = solve(lp)
-    assert sol.engine == "simplex"
     assert sol.value == _simplex(_standardize(lp)).value
     assert verify_certificate(lp, sol)
+
+
+@pytest.mark.xfail(
+    strict=True, reason="known miss: the optimal basis is a dual simplex pivot from HiGHS's"
+)
+@pytest.mark.parametrize("lp", BASIS_MISSES, ids=["min", "max"])
+def test_basis_that_misses_by_the_shift_is_certified_on_the_basis(lp):
+    assert solve(lp).engine == "basis"
 
 
 @pytest.mark.parametrize(
