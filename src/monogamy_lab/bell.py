@@ -32,8 +32,8 @@ from typing import Sequence
 
 from .errors import InputFormatError
 from .scenario import (
-    FLOAT_TOL, Behavior, Scenario, csv_text, enumerate_assignments, format_number, marginal,
-    parse_int, parse_number, read_json, scenario_from_json, scenario_to_json,
+    FLOAT_TOL, Behavior, Scenario, csv_text, enumerate_assignments, format_number, parse_int,
+    parse_number, read_json, scenario_from_json, scenario_to_json,
 )
 
 
@@ -116,18 +116,11 @@ class BellFunctional:
             scn = self.scenario
             coeff = [Fraction(0)] * scn.size
             for term in self.terms:
-                parties = [k for k, _, _ in term.coeffs]
-                x = [0] * scn.parties
-                for k, xk, _ in term.coeffs:
-                    x[k] = xk
-                col_base = scn.column_index(x) * scn.column_size
-                for a_idx, a in enumerate(scn.all_outcomes()):
-                    omega = term.shift
-                    for k, _, sign in term.coeffs:
-                        omega += sign * a[k]
-                    value = omega % scn.outcomes
-                    if value:
-                        coeff[col_base + a_idx] += term.weight * value
+                groups = modular_groups(scn, term.coeffs, term.shift)
+                for omega, idx in enumerate(groups[1:], 1):
+                    value = term.weight * omega
+                    for i in idx:
+                        coeff[i] += value
             self._dense = tuple(coeff)
         return self._dense
 
@@ -191,48 +184,47 @@ def _bkp_terms(scn: Scenario) -> tuple[ModularTerm, ...]:
 def evaluate(functional: BellFunctional, behavior: Behavior):
     """Value of the functional on a behavior, term by term.
 
-    When the behavior is exact and every weight is an int or a Fraction,
-    each mean is read from the integer numerators of :attr:`Behavior.scaled`
-    through the term's :func:`modular_groups`, the weighted means are summed
-    as integers over lcm(weight denominators) x D and the value is one
-    Fraction.  Otherwise the weighted means of the marginals are summed in
-    plain arithmetic.
+    One loop serves both kinds of input: each mean sums the behavior's
+    values over the term's :func:`modular_groups`.  When the behavior is
+    exact and every weight is an int or a Fraction, the values are the
+    integer numerators of :attr:`Behavior.scaled`, the weighted means are
+    summed as integers over lcm(weight denominators) x D and the value is
+    one Fraction.  Otherwise the values are the entries of ``probs`` and the
+    weighted means are summed in plain arithmetic.
     """
     if behavior.scenario != functional.scenario:
         raise ValueError("behavior and functional scenarios differ")
     scn = functional.scenario
-    d = scn.outcomes
     weights = [term.weight for term in functional.terms]
     exact = behavior.scaled is not None and all(isinstance(w, (int, Fraction)) for w in weights)
+    denom, values = behavior.scaled if exact else (1, behavior.probs)
     w_denom = math.lcm(*(w.denominator for w in weights)) if exact else 1
+    get = values.__getitem__
     total = 0
     for term in functional.terms:
+        groups = modular_groups(scn, term.coeffs, term.shift)
+        mean = sum(omega * sum(map(get, idx)) for omega, idx in enumerate(groups))
         if exact:
-            get = behavior.scaled[1].__getitem__
-            groups = modular_groups(scn, term.coeffs, term.shift)
-            mean = sum(omega * sum(map(get, idx)) for omega, idx in enumerate(groups))
             total += term.weight.numerator * (w_denom // term.weight.denominator) * mean
-            continue
-        parties = [k for k, _, _ in term.coeffs]
-        settings = [xk for _, xk, _ in term.coeffs]
-        dist = marginal(behavior, parties, settings)
-        omega = [0] * d
-        for a_idx, a in enumerate(itertools.product(range(d), repeat=len(parties))):
-            w = term.shift
-            for (_, _, sign), ak in zip(term.coeffs, a):
-                w += sign * ak
-            omega[w % d] += dist[a_idx]
-        total += term.weight * sum(i * p for i, p in enumerate(omega) if p)
-    return Fraction(total, w_denom * behavior.scaled[0]) if exact else total
+        else:
+            total += term.weight * mean
+    return Fraction(total, w_denom * denom) if exact else total
 
 
 @functools.lru_cache(maxsize=None)
 def modular_groups(scn: Scenario, coeffs: tuple, shift: int = 0) -> tuple[tuple[int, ...], ...]:
     """For omega = 0..d-1, the flat indices of the column with x_k as in the
     (k, x_k, c_k) of ``coeffs`` and the other settings at 0 whose outcomes
-    give [shift + sum_k c_k a_k] = omega: a term's mean is sum_omega omega
-    times the sum over group omega, and ((k, s, 1),) groups party k's
-    outcomes at setting s.  Built once per scenario and term."""
+    give [shift + sum_k c_k a_k] = omega, in index order.  Built once per
+    scenario and term.
+
+    The one map from outcomes to modular classes.  A term's mean is
+    sum_omega omega times the sum over group omega (:func:`evaluate`,
+    :meth:`BellFunctional.dense`); ((k, x_k, 1), (l, x_l, -1)) groups
+    [a_k - a_l] (``monogamy.pair_difference_distribution``,
+    ``monogamy.agreement_vector``) and ((k, s, 1),) party k's outcomes at
+    setting s (``svamp._deviation_sums``).  Parties are range-checked, not
+    checked for repeats."""
     x = [0] * scn.parties
     for k, xk, _ in coeffs:
         if not 0 <= k < scn.parties:

@@ -17,15 +17,14 @@ eavesdropper at (1 + I)/d.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import SignallingInputError
-from .bell import BellFunctional, ModularTerm, evaluate, recursive_bkp
+from .bell import BellFunctional, ModularTerm, evaluate, modular_groups, recursive_bkp
 from .polylp import LPSolution, certify, ns_program, optimize_over_ns
-from .scenario import Behavior, Scenario, csv_text, format_number, is_nonsignalling, marginal
+from .scenario import Behavior, Scenario, csv_text, format_number, is_nonsignalling
 
 
 def _require_ns(behavior: Behavior, tol) -> None:
@@ -48,13 +47,13 @@ def _check_party(scenario: Scenario, k: int) -> None:
 def pair_difference_distribution(
     behavior: Behavior, k: int, x_k: int, l: int, x_l: int
 ) -> tuple:
-    """Distribution of [a_k - a_l] mod d at the given settings."""
-    d = behavior.scenario.outcomes
-    dist = marginal(behavior, [k, l], [x_k, x_l])
-    out = [0] * d
-    for (a, b), p in zip(itertools.product(range(d), repeat=2), dist):
-        out[(a - b) % d] += p
-    return tuple(out)
+    """Distribution of [a_k - a_l] mod d at the given settings, the other
+    settings at 0."""
+    if k == l:
+        raise ValueError("party subset has duplicates")
+    get = behavior.probs.__getitem__
+    groups = modular_groups(behavior.scenario, ((k, x_k, 1), (l, x_l, -1)))
+    return tuple(sum(map(get, idx)) for idx in groups)
 
 
 def monogamy_lhs_general(
@@ -133,6 +132,7 @@ def embedded_bkp(scenario: Scenario) -> BellFunctional:
 
 def monogamy_functional(scenario: Scenario, k: int, x_k: int, x_last: int) -> BellFunctional:
     """The full left-hand side as one functional on the (N+1)-party scenario."""
+    _check_party(scenario, k)
     base = embedded_bkp(scenario)
     last = scenario.parties - 1
     cross = (
@@ -147,17 +147,12 @@ def agreement_vector(scenario: Scenario, k: int, x_k: int, x_last: int, m: int =
     outsider pairing fixed, remaining settings at 0; the shift m is one of
     range(d)."""
     scn = scenario
+    _check_party(scn, k)
     if m not in range(scn.outcomes):
         raise ValueError(f"shift {m} out of range for d={scn.outcomes}")
-    last = scn.parties - 1
-    x = [0] * scn.parties
-    x[k] = x_k
-    x[last] = x_last
-    base = scn.column_index(x) * scn.column_size
     vec = [Fraction(0)] * scn.size
-    for a_idx, a in enumerate(scn.all_outcomes()):
-        if a[k] == (a[last] + m) % scn.outcomes:
-            vec[base + a_idx] = Fraction(1)
+    for i in modular_groups(scn, ((k, x_k, 1), (scn.parties - 1, x_last, -1)))[m]:
+        vec[i] = Fraction(1)
     return vec
 
 
@@ -201,7 +196,6 @@ def tightness_scan(
     the pool: a dual of a target inside a linear stretch of the value
     proves every other target on it.  Every row is certified exactly on its
     own LP, so the tightness only decides how many LPs are skipped."""
-    _check_party(scenario, k)
     d = scenario.outcomes
     obj = agreement_vector(scenario, k, x_k, x_last, m)
     targets = [Fraction(t) for t in (default_grid(d) if grid is None else grid)]

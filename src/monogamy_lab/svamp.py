@@ -43,7 +43,6 @@ from .scenario import (
     csv_text,
     format_number,
     is_distribution,
-    marginal,
     mix_columns,
     parse_int,
     parse_number,
@@ -257,21 +256,16 @@ _by_value = functools.cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])
 
 def _deviation_sums(b: Behavior) -> list[list]:
     """Per (party, setting) the deviation sum_a |m_a - 1/d| of the outcome
-    marginal m; for an exact behavior its numerator sum_a |d n_a - D| over
-    d D, n read from :attr:`Behavior.scaled` by :func:`bell.modular_groups`."""
+    marginal m, each m_a a sum over a :func:`bell.modular_groups` group: for
+    an exact behavior its numerator sum_a |d n_a - D| over d D, n read from
+    :attr:`Behavior.scaled`, for a float one the deviation itself."""
     scn = b.scenario
     d = scn.outcomes
-    if b.scaled is None:
-        uniform = Fraction(1, d)
-        return [
-            [sum(abs(m - uniform) for m in marginal(b, [k], [s])) for s in range(scn.settings)]
-            for k in range(scn.parties)
-        ]
-    denom, nums = b.scaled
-    get = nums.__getitem__
+    scale, unit, values = (d, *b.scaled) if b.scaled is not None else (1, Fraction(1, d), b.probs)
+    get = values.__getitem__
     return [
         [
-            sum(abs(d * sum(map(get, idx)) - denom) for idx in modular_groups(scn, ((k, s, 1),)))
+            sum(abs(scale * sum(map(get, idx)) - unit) for idx in modular_groups(scn, ((k, s, 1),)))
             for s in range(scn.settings)
         ]
         for k in range(scn.parties)

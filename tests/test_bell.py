@@ -20,6 +20,7 @@ from monogamy_lab.bell import (
     modular_mean,
     recursive_bkp,
 )
+from monogamy_lab.monogamy import embedded_bkp, monogamy_functional
 from monogamy_lab.scenario import (
     Behavior,
     Scenario,
@@ -162,14 +163,22 @@ def evaluate_dense(functional: BellFunctional, behavior: Behavior):
     return sum(c * p for c, p in zip(functional.dense(), behavior.probs) if c)
 
 
-@pytest.mark.parametrize("N,M,d", [(2, 2, 2), (2, 2, 3), (3, 2, 2)])
+@pytest.mark.parametrize("N,M,d", [(2, 2, 2), (2, 2, 3), (3, 2, 2), (3, 2, 3), (4, 2, 2)])
 def test_dense_and_terms_agree_on_random_behaviors(N, M, d):
     scn = Scenario(N, M, d)
-    f = recursive_bkp(N, M, d)
+    functionals = [recursive_bkp(N, M, d)]
+    if N >= 3:
+        # terms that skip the last party, and cross terms that open with a -1
+        functionals.append(embedded_bkp(scn))
+        functionals += [monogamy_functional(scn, k, k % M, 1) for k in range(N - 1)]
     rng = random.Random(42)
     for _ in range(100):
         b = random_behavior(scn, rng)  # generally signalling; must still agree
-        assert evaluate(f, b) == evaluate_dense(f, b)
+        floats = Behavior(scn, tuple(float(p) for p in b.probs))
+        for f in functionals:
+            assert evaluate(f, b) == evaluate_dense(f, b)
+            value = evaluate(f, floats)
+            assert type(value) is float and abs(value - evaluate_dense(f, floats)) < 1e-12
 
 
 def test_replace_builds_its_own_dense_vector():

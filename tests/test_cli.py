@@ -479,7 +479,9 @@ def test_numpy_and_scipy_load_only_where_they_run(tmp_path):
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 # Each command's stdout and exit code, byte for byte, as tests/golden/NAME.stdout
 # and NAME.exit: the datasets and reports are a CLI contract, CSV line endings
-# (\r\n) included.
+# (\r\n) included.  The float evaluations read two behaviors kept beside them:
+# violation-243.json is violation_behavior(chained_quantum_violation(4, 3)) and
+# random-322.json is random_behavior(Scenario(3, 2, 2), random.Random(0)) in floats.
 GOLDEN_COMMANDS = {
     "tightness-223-grid": ["tightness", "2", "2", "3", "--grid", "0,1,2"],
     "tightness-222-json": ["tightness", "2", "2", "2", "--format", "json"],
@@ -490,6 +492,8 @@ GOLDEN_COMMANDS = {
     "ra-lam": ["ra", "2", "2", "0.12", "--lam", "1.23"],
     "tightness-323": ["tightness", "3", "2", "3"],
     "tightness-332-json": ["tightness", "3", "3", "2", "--format", "json"],
+    "bell-243-float": ["bell", "2", "4", "3", os.path.join(GOLDEN, "violation-243.json"), "--mode", "float"],
+    "bell-322-float": ["bell", "3", "2", "2", os.path.join(GOLDEN, "random-322.json"), "--mode", "float"],
 }
 
 

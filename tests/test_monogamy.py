@@ -14,6 +14,7 @@ from monogamy_lab.monogamy import (
     guessing_bound,
     guessing_bound_prior,
     minimize_lhs_over_ns,
+    monogamy_functional,
     monogamy_lhs_general,
     monogamy_report,
     pair_difference_distribution,
@@ -99,7 +100,9 @@ def test_agreement_shift_partition(minimizer_222):
 def test_pair_difference_distribution_counts_a_k_minus_a_l(k, l):
     scn = Scenario(3, 2, 3)
     vertex = deterministic_vertex(scn, [(0, 2), (1, 0), (0, 1)])
-    for b in (vertex, random_behavior(scn, random.Random(k + 3 * l))):
+    exact = random_behavior(scn, random.Random(k + 3 * l))
+    floats = Behavior(scn, tuple(float(p) for p in exact.probs))
+    for b in (vertex, exact, floats):
         for x_k in range(2):
             for x_l in range(2):
                 x = [0] * 3
@@ -107,15 +110,31 @@ def test_pair_difference_distribution_counts_a_k_minus_a_l(k, l):
                 expected = [0] * 3
                 for a in scn.all_outcomes():
                     expected[(a[k] - a[l]) % 3] += b.probs[scn.index(x, a)]
-                assert pair_difference_distribution(b, k, x_k, l, x_l) == tuple(expected)
+                dist = pair_difference_distribution(b, k, x_k, l, x_l)
+                if b is floats:
+                    assert all(abs(p - q) < 1e-12 for p, q in zip(dist, expected))
+                else:
+                    assert dist == tuple(expected)
+                if l == 2:
+                    # p(A_k = [E + m]) read through the LP objective
+                    for m in range(3):
+                        vec = agreement_vector(scn, k, x_k, x_l, m)
+                        assert abs(sum(c * p for c, p in zip(vec, b.probs)) - expected[m]) < 1e-12
 
 
-@pytest.mark.parametrize("k", [-1, 2])
+@pytest.mark.parametrize("k", [-1, 2, 3])
 def test_agreement_probability_rejects_parties_outside_the_bell_test(k):
-    # -1 would compare the outsider with itself, 2 is the outsider
-    b = uniform_behavior(Scenario(3, 2, 2))
-    with pytest.raises(ValueError, match="k must index one of the first N parties"):
-        agreement_probability(b, k, 0, 0)
+    # -1 would compare the outsider with itself, 2 is the outsider, 3 is no party
+    scn = Scenario(3, 2, 2)
+    b = uniform_behavior(scn)
+    for call in (
+        lambda: agreement_probability(b, k, 0, 0),
+        lambda: agreement_vector(scn, k, 0, 0),
+        lambda: monogamy_functional(scn, k, 0, 0),
+        lambda: minimize_lhs_over_ns(scn, k, 0, 0),
+    ):
+        with pytest.raises(ValueError, match="k must index one of the first N parties"):
+            call()
 
 
 def test_perfect_correlation_forces_no_violation():
