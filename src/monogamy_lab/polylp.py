@@ -25,8 +25,8 @@ and ``LPSolution.engine`` names it:
 
 * ``highs``: HiGHS's primal point and row duals, rounded to the nearest
   fractions with denominators up to ``_DENOMINATOR_CAP``;
-* ``basis``: the exact solution of HiGHS's final basis, by Gaussian
-  elimination and back substitution on Fractions: ``B x_B = b_R`` on the
+* ``basis``: the exact solution of HiGHS's final basis, by fraction-free
+  elimination and back substitution in integers: ``B x_B = b_R`` on the
   basic columns and the rows R whose logical is nonbasic, every nonbasic
   column 0, and ``B_R^T y_R = c_B``, every other multiplier 0.  The check
   still reads every row.  For example, maximizing the agreement
@@ -420,57 +420,72 @@ def _subtract(row: dict, f, other: dict) -> None:
             row.pop(k, None)
 
 
-def _solve_exact(equations, n: int) -> list | None:
-    """One solution, with every free unknown 0, of the linear system in the
-    unknowns 0..n-1 given as (coefficient dict, rhs) pairs; None if it is
-    inconsistent.
-
-    Gaussian elimination on Fractions, then back substitution: each pivot
-    row holds its own pivot unknown with coefficient 1 and none of the
-    pivots found before it."""
+def _solve_exact(equations, n: int) -> tuple[list, int] | None:
+    """One solution (X, D), x = X / D with D > 0, of the linear system in the
+    unknowns 0..n-1 given as (int coefficient dict, int rhs) pairs, every
+    free unknown 0; None if it is inconsistent.  Fraction-free elimination,
+    after Bareiss (Math. Comp. 22 (1968)): a row is scaled by each pivot it
+    meets and the pivot row subtracted, then divided with its rhs by their
+    content gcd; its first remaining unknown is its pivot, so each pivot row
+    holds none of the pivots found before it.  Back substitution runs over D."""
     pivots: dict = {}  # pivot unknown -> (row dict, rhs), in the order found
     for coeffs, b in equations:
         row = dict(coeffs)
         for p, (prow, pb) in pivots.items():
             f = row.get(p)
             if f:
+                g = prow[p]
+                if g != 1:
+                    row = {k: v * g for k, v in row.items()}
                 _subtract(row, f, prow)
-                b -= f * pb
-        if not row:
-            if b:
-                return None
-            continue
-        q, f = next(iter(row.items()))
-        pivots[q] = ({k: v / f for k, v in row.items()}, b / f)
-    x = [_ZERO] * n
+                b = g * b - f * pb
+                h = math.gcd(b, *row.values())
+                if h > 1:
+                    row = {k: v // h for k, v in row.items()}
+                    b //= h
+        if row:
+            pivots[next(iter(row))] = (row, b)
+        elif b:
+            return None
+    x, d = [0] * n, 1
     for q, (prow, pb) in reversed(pivots.items()):
-        x[q] = pb - sum(v * x[k] for k, v in prow.items() if x[k])
-    return x
+        # x_q = s / (g D) = (s / h) / ((g / h) D), with g / h > 0
+        s = pb * d - sum(v * x[k] for k, v in prow.items() if x[k])
+        g = prow[q]
+        h = math.gcd(s, g) if g > 0 else -math.gcd(s, g)
+        if g != h:
+            x = [v * (g // h) for v in x]
+            d *= g // h
+        x[q] = s // h
+    return x, d
 
 
 def _basic_point(std: _Standard, columns: list, rows: list) -> list | None:
     """``B x_B = b_R`` solved exactly on the basic columns and the rows R
     whose logical is nonbasic (see :func:`_basis_lists`), every nonbasic
-    column 0; None if inconsistent.  Row i is solved scaled by L_i, which
-    leaves its solutions as they are."""
+    column 0; None if inconsistent.  It is solved on the integer rows, with
+    right sides b_i L_i over the common denominator E of b_R: x = X / (D E)."""
     basic = set(columns)
+    e, rhs = _common([std.rhs[i] for i in rows])
     equations = (
-        ({j: Fraction(a) for j, a in std.rows[i] if j in basic}, std.rhs[i] * std.scale[i])
-        for i in rows
+        ({j: a for j, a in std.rows[i] if j in basic}, b * std.scale[i]) for i, b in zip(rows, rhs)
     )
-    return _solve_exact(equations, std.n_cols)
+    x = _solve_exact(equations, std.n_cols)
+    return x and [Fraction(v, x[1] * e) if v else _ZERO for v in x[0]]
 
 
 def _basic_duals(std: _Standard, columns: list, rows: list) -> list | None:
     """``B_R^T y_R = c_B`` solved exactly, every other row's multiplier 0;
-    None if inconsistent."""
+    None if inconsistent.  It is solved for z_i = y_i / L_i on the integer
+    rows, with the integer costs as right sides: y_i = L_i Z_i / (D C)."""
     basic = {j: {} for j in columns}
     for i in rows:
         for j, a in std.rows[i]:
             if j in basic:
-                basic[j][i] = Fraction(a, std.scale[i])
-    costs = ((basic[j], Fraction(std.cost[j], std.cost_scale)) for j in columns)
-    return _solve_exact(costs, len(std.rows))
+                basic[j][i] = a
+    z = _solve_exact(((basic[j], std.cost[j]) for j in columns), len(std.rows))
+    d = z and z[1] * std.cost_scale
+    return z and [Fraction(v * s, d) if v else _ZERO for v, s in zip(z[0], std.scale)]
 
 
 def _certify_highs(std: _Standard, x_float, y_float, basis, iterations) -> LPSolution | None:

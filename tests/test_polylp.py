@@ -16,10 +16,14 @@ from monogamy_lab.polylp import (
     UNBOUNDED,
     _DENOMINATOR_CAP,
     _Row,
+    _basic_duals,
+    _basic_point,
+    _basis_lists,
     _certified,
     _highs,
     _rational,
     _simplex,
+    _solve_exact,
     _standardize,
     certify,
     ns_constraints,
@@ -363,7 +367,7 @@ def test_ns_optimum_is_certified_by_highs():
     ],
     ids=["primal", "dual"],
 )
-def test_support_stage_recovers_large_denominators(lp):
+def test_basis_stage_recovers_large_denominators(lp):
     # rounding misses the denominator; the exact basis solve recovers it
     sol = solve(lp)
     assert sol.engine == "basis"
@@ -381,7 +385,7 @@ def test_support_stage_recovers_large_denominators(lp):
     ],
     ids=["primal", "dual"],
 )
-def test_support_stage_solves_scaled_rows(lp):
+def test_basis_stage_solves_scaled_rows(lp):
     sol = solve(lp)
     assert (sol.engine, sol.value) == ("basis", Fraction(2, 1000003))
     assert verify_certificate(lp, sol)
@@ -409,18 +413,163 @@ def test_support_stage_solves_scaled_rows(lp):
     ],
     ids=["tiny-bound", "tied-costs"],
 )
-def test_support_stage_when_floats_hide_the_optimum(lp, value):
+def test_basis_stage_when_floats_hide_the_optimum(lp, value):
     sol = solve(lp)
     assert sol.engine == "basis"
     assert sol.value == value
     assert verify_certificate(lp, sol)
 
 
-@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2), (2, 2, 3)])
+def ref_solve_exact(equations, n):
+    """The Fraction elimination that solved the basis systems before they
+    were solved in integers, kept as the reference: Gaussian elimination,
+    each pivot row divided by its pivot (the first remaining nonzero in row
+    order), then back substitution; every free unknown 0, None if the
+    system is inconsistent."""
+    pivots = {}
+    for coeffs, b in equations:
+        row = dict(coeffs)
+        for p, (prow, pb) in pivots.items():
+            f = row.get(p)
+            if f:
+                for k, v in prow.items():
+                    w = row.get(k, 0) - f * v
+                    if w:
+                        row[k] = w
+                    else:
+                        row.pop(k, None)
+                b -= f * pb
+        if not row:
+            if b:
+                return None
+            continue
+        q, f = next(iter(row.items()))
+        pivots[q] = ({k: v / f for k, v in row.items()}, b / f)
+    x = [Fraction(0)] * n
+    for q, (prow, pb) in reversed(pivots.items()):
+        x[q] = pb - sum(v * x[k] for k, v in prow.items() if x[k])
+    return x
+
+
+def ref_basic_point(std, columns, rows):
+    basic = set(columns)
+    equations = (
+        ({j: Fraction(a) for j, a in std.rows[i] if j in basic}, std.rhs[i] * std.scale[i])
+        for i in rows
+    )
+    return ref_solve_exact(equations, std.n_cols)
+
+
+def ref_basic_duals(std, columns, rows):
+    basic = {j: {} for j in columns}
+    for i in rows:
+        for j, a in std.rows[i]:
+            if j in basic:
+                basic[j][i] = Fraction(a, std.scale[i])
+    costs = ((basic[j], Fraction(std.cost[j], std.cost_scale)) for j in columns)
+    return ref_solve_exact(costs, len(std.rows))
+
+
+def as_fractions(solved):
+    """A solution (X, D) of _solve_exact as Fractions, None as it is."""
+    return solved and [Fraction(v, solved[1]) for v in solved[0]]
+
+
+NONZERO = st.sampled_from([-3, -2, -1, 1, 2, 3])
+HUGE = st.integers(-(2**330), 2**330)
+
+
+@st.composite
+def linear_systems(draw, kind):
+    """(equations, n) in int rows, their nonzeros in a drawn column order,
+    and right sides up to 330 bits.  'nonsingular': A = P L U with unit
+    lower L and nonzero-diagonal upper U, so one solution.  'singular':
+    fewer rows than unknowns, then rows that combine them, with the right
+    sides of a drawn solution, shuffled.  'inconsistent': the same with one
+    combined row's right side moved."""
+    n = draw(st.integers(1, 6))
+    order = draw(st.permutations(range(n)))
+
+    def rows_of(dense):
+        return [{j: row[j] for j in order if row[j]} for row in dense]
+
+    def entry(*choices):
+        return draw(st.sampled_from(choices))
+
+    if kind == "nonsingular":
+        lower = [[1 if i == j else entry(-2, -1, 0, 0, 1, 2) * (j < i) for j in range(n)]
+                 for i in range(n)]
+        upper = [[draw(NONZERO) if i == j else entry(-2, -1, 0, 1, 2) * (j > i) for j in range(n)]
+                 for i in range(n)]
+        dense = [[sum(lower[i][k] * upper[k][j] for k in range(n)) for j in range(n)]
+                 for i in range(n)]
+        dense = draw(st.permutations(dense))
+        return list(zip(rows_of(dense), [draw(HUGE) for _ in range(n)])), n
+    k = draw(st.integers(0, n - 1))
+    base = [[entry(-2, -1, 0, 0, 1, 2) for _ in range(n)] for _ in range(k)]
+    weights = st.lists(st.integers(-2, 2), min_size=k, max_size=k)
+    combined = [
+        [sum(c * row[j] for c, row in zip(cs, base)) for j in range(n)]
+        for cs in draw(st.lists(weights, min_size=1, max_size=3))
+    ]
+    solution = [draw(HUGE) for _ in range(n)]
+    dense = base + combined
+    rhs = [sum(a * x for a, x in zip(row, solution)) for row in dense]
+    if kind == "inconsistent":
+        rhs[k + draw(st.integers(0, len(combined) - 1))] += draw(st.integers(1, 2**330))
+    pairs = draw(st.permutations(list(zip(rows_of(dense), rhs))))
+    return pairs, n
+
+
+@pytest.mark.parametrize("kind", ["nonsingular", "singular", "inconsistent"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_solve_exact_matches_the_fraction_reference(kind, data):
+    equations, n = data.draw(linear_systems(kind))
+    solved = _solve_exact(equations, n)
+    reference = ref_solve_exact(
+        (({j: Fraction(a) for j, a in row.items()}, Fraction(b)) for row, b in equations), n
+    )
+    assert as_fractions(solved) == reference
+    if kind == "inconsistent":
+        assert solved is None
+    else:
+        x, d = solved
+        assert d > 0 and all(sum(a * x[j] for j, a in row.items()) == b * d for row, b in equations)
+
+
+@st.composite
+def basis_systems(draw):
+    """A standard form with fractional row coefficients (scales above 1),
+    right sides over drawn denominators of 300 to 310 bits, a fractional
+    objective, and any set of columns and rows as its basis: square or not,
+    singular or not, consistent or not."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 5))
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    rows = [list(draw(st.dictionaries(st.integers(0, n - 1), coeff)).items()) for _ in range(m)]
+    big = st.builds(Fraction, HUGE, st.integers(2**300, 2**310))
+    rhs = [draw(big) for _ in range(m)]
+    cost = draw(st.lists(st.one_of(coeff, big), min_size=n, max_size=n))
+    std = _standardize(LinearProgram(cost, draw(st.sampled_from(["min", "max"])), rows, rhs))
+    columns = sorted(draw(st.sets(st.integers(0, n - 1))))
+    return std, columns, sorted(draw(st.sets(st.integers(0, m - 1))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(basis_systems())
+def test_basis_solves_match_the_fraction_reference(system):
+    point, duals = _basic_point(*system), _basic_duals(*system)
+    assert point == ref_basic_point(*system) and duals == ref_basic_duals(*system)
+    assert all(type(v) is Fraction for v in (point or []) + (duals or []))
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2), (2, 2, 3), (3, 2, 2), (3, 2, 3)])
 def test_projection_is_certified_on_the_basis(dims, monkeypatch):
     # the L1 projection LPs of the ra-exact workload: the projected point's
     # denominators are beyond the rounding cap, and the exact solution of
-    # HiGHS's basis certifies it
+    # HiGHS's basis certifies it, with the point and duals of the Fraction
+    # reference
     solved = []
 
     def recording_solve(lp):
@@ -435,9 +584,16 @@ def test_projection_is_certified_on_the_basis(dims, monkeypatch):
         projected = sampling.project_to_ns(sampling.random_behavior(scn, rng))
         lp, sol = solved.pop()
         assert sol.engine == "basis"
-        assert sol.value == _simplex(_standardize(lp)).value
+        # the cold simplex takes 30 s or more per LP at (3,2,3); the
+        # certificate alone proves the value optimal there
+        if scn.size <= 64:
+            assert sol.value == _simplex(_standardize(lp)).value
         assert verify_certificate(lp, sol)
         assert projected.probs == sol.point[: scn.size]
+        std = _standardize(lp)
+        columns, rows = _basis_lists(_highs(std)[2])
+        assert list(sol.point) == ref_basic_point(std, columns, rows)
+        assert list(sol.dual) == ref_basic_duals(std, columns, rows)
 
 
 # small_lps with 10^-18 shifts on which HiGHS's final basis is exactly primal
