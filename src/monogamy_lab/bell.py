@@ -25,15 +25,14 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import InputFormatError
 from .scenario import (
-    FLOAT_TOL, Behavior, Scenario, csv_text, enumerate_assignments, format_number, parse_int,
-    parse_number, read_json, scenario_from_json, scenario_to_json,
+    FLOAT_TOL, Behavior, Scenario, csv_text, enumerate_assignments, format_number, integer_form,
+    parse_int, parse_number, read_json, scenario_from_json, scenario_to_json,
 )
 
 
@@ -186,11 +185,12 @@ def evaluate(functional: BellFunctional, behavior: Behavior):
 
     One loop serves both kinds of input: each mean sums the behavior's
     values over the term's :func:`modular_groups`.  When the behavior is
-    exact and every weight is an int or a Fraction, the values are the
-    integer numerators of :attr:`Behavior.scaled`, the weighted means are
-    summed as integers over lcm(weight denominators) x D and the value is
-    one Fraction.  Otherwise the values are the entries of ``probs`` and the
-    weighted means are summed in plain arithmetic.
+    exact and every weight is an int or a Fraction, the values and the
+    weights are the integers of :func:`scenario.integer_form` (for the
+    values, :attr:`Behavior.scaled`) over D and W, the weighted means are
+    summed as integers and the value is one Fraction, the sum over W x D.
+    Otherwise the values are the entries of ``probs``, the weights are the
+    terms' own, and the weighted means are summed in plain arithmetic.
     """
     if behavior.scenario != functional.scenario:
         raise ValueError("behavior and functional scenarios differ")
@@ -198,16 +198,12 @@ def evaluate(functional: BellFunctional, behavior: Behavior):
     weights = [term.weight for term in functional.terms]
     exact = behavior.scaled is not None and all(isinstance(w, (int, Fraction)) for w in weights)
     denom, values = behavior.scaled if exact else (1, behavior.probs)
-    w_denom = math.lcm(*(w.denominator for w in weights)) if exact else 1
+    w_denom, weights = integer_form(weights) if exact else (1, weights)
     get = values.__getitem__
     total = 0
-    for term in functional.terms:
+    for term, weight in zip(functional.terms, weights):
         groups = modular_groups(scn, term.coeffs, term.shift)
-        mean = sum(omega * sum(map(get, idx)) for omega, idx in enumerate(groups))
-        if exact:
-            total += term.weight.numerator * (w_denom // term.weight.denominator) * mean
-        else:
-            total += term.weight * mean
+        total += weight * sum(omega * sum(map(get, idx)) for omega, idx in enumerate(groups))
     return Fraction(total, w_denom * denom) if exact else total
 
 

@@ -81,10 +81,10 @@ def cmd_tightness(args) -> int:
 
 
 def cmd_figures(args) -> int:
-    if args.which in ("guessing", "2a"):
+    if args.which == "2a":
         _emit(args, quantum.guessing_curve_csv(args.d, n_points=args.points))
         return EXIT_OK
-    # argparse's choices leave "keyrate" and "2b"
+    # argparse's choices leave "2b"
     ds = [int(v) for v in args.d_list.split(",")]
     targets = []
     for t in args.rates.split(","):
@@ -191,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_tightness)
 
     p = sub_parser("figures", help="emit guessing-curve / key-rate datasets")
-    p.add_argument("which", choices=["guessing", "keyrate", "2a", "2b"], help="dataset id")
+    p.add_argument("which", choices=["2a", "2b"], help="dataset id")
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--points", type=int, default=101)
     p.add_argument("--d-list", dest="d_list", default="3,4,5")

@@ -60,7 +60,9 @@ denominators (1 for all the rows this package builds, except a Bell row
 with fractional weights).  The objective is held the same way, as integers
 over the lcm of its denominators.  Each vector of the certificate is
 brought over one common denominator, so that no ``Fraction`` is built per
-coefficient.
+coefficient.  Each of these is the :func:`scenario.integer_form` of its
+entries, except in the dual check, where the y_i / L_i share a common
+denominator that is not always the least (see :func:`_dual_feasible`).
 
 Also provides the sparse rows of the no-signalling polytope: per-column
 normalization plus, for every party, independence of every other party's
@@ -78,7 +80,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .scenario import Behavior, Scenario, worst_of
+from .scenario import Behavior, Scenario, integer_form, worst_of
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -207,6 +209,12 @@ class _Standard(NamedTuple):
         return len(self.cost)
 
 
+def _integers(values) -> tuple[int, tuple]:
+    """The :func:`integer_form` of LP coefficients: ints and Fractions as
+    they are, any other entry as ``Fraction(v)``."""
+    return integer_form([v if type(v) is int or type(v) is Fraction else Fraction(v) for v in values])
+
+
 def _integer_row(pairs) -> tuple[tuple, int]:
     """The nonzeros of one LP row in column order as integer (column,
     coefficient) pairs, and the scale that divides them."""
@@ -214,11 +222,8 @@ def _integer_row(pairs) -> tuple[tuple, int]:
         return pairs, 1
     # columns are distinct, so sorting the pairs never compares values
     row = [(j, v) for j, v in sorted(pairs) if v]
-    if all(type(v) is int for _, v in row):
-        return tuple(row), 1
-    row = [(j, Fraction(v)) for j, v in row]
-    scale = math.lcm(*(v.denominator for _, v in row))
-    return tuple((j, v.numerator * (scale // v.denominator)) for j, v in row), scale
+    scale, coeffs = _integers(v for _, v in row)
+    return tuple(zip([j for j, _ in row], coeffs)), scale
 
 
 def _standardize(lp: LinearProgram) -> _Standard:
@@ -228,31 +233,22 @@ def _standardize(lp: LinearProgram) -> _Standard:
     :func:`ns_constraints` is taken as it is."""
     rows = [_integer_row(pairs) for pairs in lp.eq_rows]
     sign = 1 if lp.sense == "min" else -1
-    cost_scale, cost = _common(
-        [v if type(v) is int or type(v) is Fraction else Fraction(v) for v in lp.objective]
-    )
-    if sign < 0:
-        cost = [-v for v in cost]
+    cost_scale, cost = _integers(lp.objective)
+    cost = [-v for v in cost] if sign < 0 else list(cost)
     rhs = [Fraction(b) if b else _ZERO for b in lp.eq_rhs]
     return _Standard([r for r, _ in rows], [s for _, s in rows], rhs, cost, cost_scale, sign)
 
 
-def _common(v) -> tuple[int, list]:
-    """Exact entries v as (D, [v_j * D]) over the lcm D of their denominators."""
-    d = math.lcm(*(e.denominator for e in v))
-    return d, [e.numerator * (d // e.denominator) for e in v]
-
-
 def _dot(u, v) -> Fraction:
     """u.v, summed in integers over the product of the two common denominators."""
-    du, nu = _common(u)
-    dv, nv = _common(v)
+    du, nu = integer_form(u)
+    dv, nv = integer_form(v)
     return Fraction(sum(a * b for a, b in zip(nu, nv)), du * dv)
 
 
 def _objective(std: _Standard, x) -> Fraction:
     """c.x, summed in integers over the cost scale times x's common denominator."""
-    d, n = _common(x)
+    d, n = integer_form(x)
     return Fraction(sum(a * b for a, b in zip(std.cost, n)), std.cost_scale * d)
 
 
@@ -261,7 +257,7 @@ def _primal_feasible(std: _Standard, x) -> bool:
     ``sum_j a_ij n_j * den(b_i) == num(b_i) * L_i * D``."""
     if x is None or len(x) != std.n_cols:
         return False
-    d, n = _common(x)
+    d, n = integer_form(x)
     if any(v < 0 for v in n):
         return False
     return all(
@@ -466,7 +462,7 @@ def _basic_point(std: _Standard, columns: list, rows: list) -> list | None:
     column 0; None if inconsistent.  It is solved on the integer rows, with
     right sides b_i L_i over the common denominator E of b_R: x = X / (D E)."""
     basic = set(columns)
-    e, rhs = _common([std.rhs[i] for i in rows])
+    e, rhs = integer_form([std.rhs[i] for i in rows])
     equations = (
         ({j: a for j, a in std.rows[i] if j in basic}, b * std.scale[i]) for i, b in zip(rows, rhs)
     )

@@ -162,8 +162,7 @@ class Behavior:
         entry is an int or a Fraction.  Built on first use and kept."""
         if not all(isinstance(p, (Fraction, int)) for p in self.probs):
             return None
-        denom = math.lcm(*(p.denominator for p in self.probs))
-        return denom, tuple(p.numerator * (denom // p.denominator) for p in self.probs)
+        return integer_form(self.probs)
 
     def column(self, x: Sequence[int]) -> tuple:
         base = self.scenario.column_index(x) * self.scenario.column_size
@@ -420,14 +419,21 @@ def scaled_sum(scn: Scenario, blocks: Sequence) -> Behavior:
 FLOAT_TOL = 1e-9
 
 
+def integer_form(values) -> tuple[int, tuple[int, ...]]:
+    """Ints and Fractions as integers over one denominator: (D, (n_i)) with
+    v_i = n_i / D and D the least common denominator (1 for no values), the
+    form :attr:`Behavior.scaled` holds."""
+    denom = math.lcm(*(v.denominator for v in values))
+    return denom, tuple(v.numerator * (denom // v.denominator) for v in values)
+
+
 def is_distribution(values) -> bool:
     """Nonnegative entries summing to 1.  When every entry is an int or a
-    Fraction the sum is exact, taken in integer numerators over the lcm of
-    the denominators; once a float enters, it may miss 1 by FLOAT_TOL."""
+    Fraction the sum is exact, taken in the integers of :func:`integer_form`;
+    once a float enters, it may miss 1 by FLOAT_TOL."""
     if all(isinstance(v, (int, Fraction)) for v in values):
-        denom = math.lcm(*(v.denominator for v in values))
-        total = sum(v.numerator * (denom // v.denominator) for v in values)
-        return total == denom and all(v.numerator >= 0 for v in values)
+        denom, nums = integer_form(values)
+        return sum(nums) == denom and min(nums) >= 0
     return all(v >= 0 for v in values) and abs(sum(values) - 1) <= FLOAT_TOL
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 from fractions import Fraction
@@ -316,6 +317,30 @@ def test_figures_keyrate_with_proxy_is_deterministic(tmp_path):
     assert main(args + ["--out", str(f1)]) == 0
     assert main(args + ["--out", str(f2)]) == 0
     assert f1.read_bytes() == f2.read_bytes()
+
+
+@pytest.mark.parametrize("which", ["guessing", "keyrate"])
+def test_figures_has_one_name_per_dataset(capsys, which):
+    with pytest.raises(SystemExit) as exc:
+        main(["figures", which])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "invalid choice" in captured.err
+
+
+def test_results_script_writes_every_dataset(tmp_path, capsysbinary):
+    script = runpy.run_path(os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "results.py"))
+    script["main"].__globals__["OUT"] = tmp_path
+    assert script["main"]() == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "guessing_bounds_d2.csv", "guessing_bounds_d3.csv", "guessing_bounds_d4.csv",
+        "guessing_bounds_d8.csv", "key_rate_table.csv", "qubit_monogamy_mc.json",
+        "ra_feasibility_0.05.csv", "ra_feasibility_0.12.csv", "ra_feasibility_0.2.csv",
+        "saturating_family_sweep.csv",
+    ]
+    capsysbinary.readouterr()
+    assert main(["figures", "2a", "--d", "2"]) == 0
+    assert (tmp_path / "guessing_bounds_d2.csv").read_bytes() == capsysbinary.readouterr().out
 
 
 def test_ra_report(capsys):

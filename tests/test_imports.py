@@ -1,13 +1,16 @@
-"""Every module-level import in the package is used (no linter needed)."""
+"""Every module-level import in the package and the scripts is used (no
+linter needed)."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "monogamy_lab"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "monogamy_lab"
 # __init__.py imports its names to re-export them
-MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+FILES = {p.name: p for p in SRC.glob("*.py") if p.name != "__init__.py"}
+FILES.update({f"scripts/{p.name}": p for p in (ROOT / "scripts").glob("*.py")})
 
 
 def imported_names(tree: ast.Module):
@@ -21,8 +24,8 @@ def imported_names(tree: ast.Module):
                 yield alias.asname or alias.name
 
 
-@pytest.mark.parametrize("module", MODULES)
+@pytest.mark.parametrize("module", sorted(FILES))
 def test_module_uses_every_import(module):
-    tree = ast.parse((SRC / module).read_text(), module)
+    tree = ast.parse(FILES[module].read_text(), module)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert [name for name in imported_names(tree) if name not in used] == []

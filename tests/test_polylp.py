@@ -7,8 +7,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from monogamy_lab import sampling
+from monogamy_lab import polylp, sampling
 from monogamy_lab.bell import classical_minimum, evaluate, recursive_bkp
+from monogamy_lab.monogamy import agreement_vector, embedded_bkp
 from monogamy_lab.polylp import (
     INFEASIBLE,
     LinearProgram,
@@ -126,6 +127,35 @@ def test_standard_cost_is_integers_over_one_scale():
     std = _standardize(lp)
     assert (std.cost, std.cost_scale, std.sign) == ([-2, 0, 3, -12], 6, -1)
     assert all(type(c) is int for c in std.cost)
+
+
+def test_integral_fraction_row_builds_no_fraction(monkeypatch):
+    # the tightness scan's LP at (3,2,3): its Bell row, pinned to a target,
+    # holds integral Fractions, which standardize without a copy
+    scn = Scenario(3, 2, 3)
+    i_row = [(j, c) for j, c in enumerate(embedded_bkp(scn).dense()) if c]
+    assert all(type(c) is Fraction and c.denominator == 1 for _, c in i_row)
+    lp = ns_program(scn, agreement_vector(scn, 0, 0, 0), "max", extra_eq=[(i_row, Fraction(1))])
+    depth, built = [0], []
+    new, integer_row = Fraction.__new__, polylp._integer_row
+
+    def counting_new(cls, *args, **kwargs):
+        if depth[0]:
+            built.append(args)
+        return new(cls, *args, **kwargs)
+
+    def counted_integer_row(pairs):
+        depth[0] += 1
+        try:
+            return integer_row(pairs)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    monkeypatch.setattr(polylp, "_integer_row", counted_integer_row)
+    std = _standardize(lp)
+    assert built == []
+    assert (std.rows[-1], std.scale[-1]) == (tuple((j, c.numerator) for j, c in i_row), 1)
 
 
 def _satisfies(rows, rhs, probs):

@@ -19,6 +19,8 @@ from monogamy_lab.scenario import (
     behavior_to_json,
     deterministic_vertex,
     enumerate_assignments,
+    integer_form,
+    is_distribution,
     is_nonsignalling,
     marginal,
     mix,
@@ -499,3 +501,25 @@ def test_mix_keeps_the_type_of_each_summed_entry(weights):
             expected = [e + w * p for e, p in zip(expected, b.probs)]
     got = mix(behaviors, weights).probs
     assert [(type(p), p) for p in got] == [(type(p), p) for p in expected]
+
+
+_exact_values = st.lists(
+    st.integers(-3, 3) | st.booleans() | st.fractions(-3, 3, max_denominator=12), max_size=6
+)
+# nonnegative entries of at most 1/3 and 1 minus their sum: distributions
+_distributions = st.lists(st.fractions(0, Fraction(1, 3), max_denominator=12), max_size=3).map(
+    lambda v: v + [1 - sum(v)]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_exact_values | _distributions)
+def test_integer_form_is_over_the_least_common_denominator(values):
+    denom, nums = integer_form(values)
+    assert type(denom) is int and denom > 0
+    assert type(nums) is tuple and all(type(n) is int for n in nums)
+    assert [Fraction(n, denom) for n in nums] == values
+    # a smaller common denominator D / k would make k divide every entry
+    assert math.gcd(denom, *nums) == 1
+    reference = all(v >= 0 for v in values) and sum(map(Fraction, values)) == 1
+    assert is_distribution(values) == reference
