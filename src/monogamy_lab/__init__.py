@@ -33,7 +33,6 @@ from .bell import (
 from .polylp import (
     LinearProgram,
     LPSolution,
-    certify,
     ns_constraints,
     ns_program,
     optimize_over_ns,
@@ -46,7 +45,6 @@ from .monogamy import (
     guessing_bound_prior,
     minimize_lhs_over_ns,
     monogamy_lhs_general,
-    monogamy_report,
     tightness_scan,
 )
 from .quantum import (

@@ -10,9 +10,10 @@ any single party's outcomes:
 for every party k, settings x, y and shift m.  Both forms are linked by the
 modular-mean identity <[W]> + <[-W]> = d (1 - P([W]=0)).  The bounds are
 tight: for every target violation t in [0, d-1] the maximal agreement
-probability over the NS polytope equals (1 + t)/d, which the LP scan here
-certifies exactly.  The same trade-off caps the guessing probability of an
-eavesdropper at (1 + I)/d.
+probability over the NS polytope equals (1 + t)/d.  The LP scan here
+certifies it exactly, for the whole interval at once: two end optima and
+one dual prove every target between them.  The same trade-off caps the
+guessing probability of an eavesdropper at (1 + I)/d.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Sequence
 
 from .errors import SignallingInputError
 from .bell import BellFunctional, ModularTerm, evaluate, modular_groups, recursive_bkp
-from .polylp import LPSolution, certify, ns_program, optimize_over_ns
+from .polylp import LPSolution, optimize_over_ns
 from .scenario import Behavior, Scenario, csv_text, format_number, is_nonsignalling
 
 
@@ -158,8 +159,10 @@ def agreement_vector(scenario: Scenario, k: int, x_k: int, x_last: int, m: int =
 
 @dataclass
 class TightnessRow:
-    """One target of a scan; ``solution`` is the certified LP outcome of
-    the row's own LP, None for a target out of range."""
+    """One target of a scan; ``solution`` is the certified optimum of the
+    row's own LP (engine 'interval' for a target inside an interval
+    certificate, see :func:`tightness_scan`), None for a target out of
+    range."""
 
     target: Fraction
     status: str
@@ -186,16 +189,18 @@ def tightness_scan(
     value pinned to each grid target; tight means the LP max equals
     (1 + t)/d exactly.
 
-    A grid with a target strictly inside (0, d - 1) has the LP solved at
-    both ends, t = 0 and t = d - 1.  At such a target t, the mix (1 - t/(d-1)) x_0 + t/(d-1) x_{d-1} of the
-    two end optima is feasible, and it is optimal wherever the LP value is
-    linear in t, which the bound's tightness asserts.  The duals of the
-    targets solved so far are offered in turn with that point to
-    :func:`certify` on the row's own LP; the first pair that passes gives
-    the row.  A target that no pair certifies is solved, and its dual joins
-    the pool: a dual of a target inside a linear stretch of the value
-    proves every other target on it.  Every row is certified exactly on its
-    own LP, so the tightness only decides how many LPs are skipped."""
+    A grid with a target strictly inside (0, d - 1) is proved by one
+    interval certificate: the optima x_0 and x_top of the LPs at t = 0 and
+    t = d - 1, and one dual y.  Only the right side of the pinned Bell row,
+    the LP's last row, depends on t.  So y is dual feasible at every t, and
+    b(t).y = b(t_y).y + (t - t_y) y_pin, with y_pin its Bell multiplier.
+    The mix x(t) = (1 - s) x_0 + s x_top, s = t/(d - 1), is feasible, and
+    its value (1 - s) v_0 + s v_top is affine in t as well.  If y proves
+    both end optima, strong duality therefore holds at every t between
+    them, and the row at t gets that value, the mix and y, with engine
+    'interval'.  The dual of t = 0 is tried first, then that of the
+    midpoint (d - 1)/2, solved once.  If neither proves both ends, or an
+    end is not optimal, every in-range target is solved as its own LP."""
     d = scenario.outcomes
     obj = agreement_vector(scenario, k, x_k, x_last, m)
     targets = [Fraction(t) for t in (default_grid(d) if grid is None else grid)]
@@ -203,34 +208,33 @@ def tightness_scan(
     # the Bell row pinned to each target, as (column, coefficient) nonzeros
     i_row = [(j, c) for j, c in enumerate(embedded_bkp(scenario).dense()) if c]
     solved: dict = {}
-    duals: list = []
 
     def solve_at(t: Fraction) -> LPSolution:
         if t not in solved:
-            sol = solved[t] = optimize_over_ns(scenario, obj, "max", extra_eq=[(i_row, t)])
-            if sol.status == "optimal":
-                duals.append(sol.dual)
+            solved[t] = optimize_over_ns(scenario, obj, "max", extra_eq=[(i_row, t)])
         return solved[t]
 
-    ends = None
+    dual = None
     if any(0 < t < top for t in targets):
         ends = solve_at(Fraction(0)), solve_at(top)
-        if any(end.status != "optimal" for end in ends):
-            ends = None
+        if all(end.status == "optimal" for end in ends):
+            for t_y in (Fraction(0), top / 2):
+                sol = solve_at(t_y)
+                # y proves -b(t).y = v_y - (t - t_y) y_pin at t for this 'max'
+                # LP; the Bell row is the last row of optimize_over_ns's LP
+                if sol.status == "optimal" and all(
+                    sol.value - (t - t_y) * sol.dual[-1] == end.value
+                    for t, end in zip((0, top), ends)
+                ):
+                    dual = sol.dual
+                    break
 
-    def certified_mix(t: Fraction) -> LPSolution | None:
+    def interval_optimum(t: Fraction) -> LPSolution:
         s = t / top
-        point = [a if a == b else (1 - s) * a + s * b for a, b in zip(ends[0].point, ends[1].point)]
-        lp = ns_program(scenario, obj, "max", extra_eq=[(i_row, t)])
-        while duals:
-            sol = certify(lp, point, duals[0])
-            if sol is not None:
-                return sol
-            # b.y is affine in t and meets the optimum at y's own target, so
-            # where the optimum is linear a dual that misses once misses at
-            # every other target
-            duals.pop(0)
-        return None
+        x_0, x_top = ends[0].point, ends[1].point
+        point = tuple(a if a == b else (1 - s) * a + s * b for a, b in zip(x_0, x_top))
+        value = (1 - s) * ends[0].value + s * ends[1].value
+        return LPSolution("optimal", value, point, dual, 0, "interval")
 
     rows = []
     for t in targets:
@@ -240,11 +244,7 @@ def tightness_scan(
             # beyond it the cap (1+t)/d exceeds 1
             rows.append(TightnessRow(t, "out-of-range", None, bound, False))
             continue
-        sol = None
-        if ends is not None and t not in solved:
-            sol = certified_mix(t)
-        if sol is None:
-            sol = solve_at(t)
+        sol = interval_optimum(t) if dual is not None and 0 < t < top else solve_at(t)
         value = sol.value if sol.status == "optimal" else None
         rows.append(TightnessRow(t, sol.status, value, bound, value == bound, sol))
     return rows
@@ -259,62 +259,8 @@ def minimize_lhs_over_ns(scenario: Scenario, k: int, x_k: int, x_last: int) -> L
 # ---------------------------------------------------------------------------
 # Reports.
 
-
-@dataclass
-class MonogamyRecord:
-    k: int
-    x_k: int
-    x_last: int
-    m: int
-    lhs: object
-    bound: object
-    agreement: object
-    satisfied: bool
-
-    @property
-    def slack(self):
-        return self.lhs - self.bound
-
-
-def monogamy_report(behavior: Behavior, tol=0) -> list[MonogamyRecord]:
-    """Check every (k, x_k, x_last, m) combination on one behavior."""
-    scn = behavior.scenario
-    _require_ns(behavior, tol)
-    d = scn.outcomes
-    n = scn.parties - 1
-    value = evaluate(embedded_bkp(scn), behavior)
-    records = []
-    for k in range(n):
-        for x_k in range(scn.settings):
-            for x_last in range(scn.settings):
-                dist = pair_difference_distribution(behavior, k, x_k, n, x_last)
-                for m in range(d):
-                    p = dist[m]
-                    records.append(
-                        MonogamyRecord(
-                            k=k,
-                            x_k=x_k,
-                            x_last=x_last,
-                            m=m,
-                            lhs=value + 1,
-                            bound=d * p,
-                            agreement=p,
-                            satisfied=value + 1 >= d * p,
-                        )
-                    )
-    return records
-
-
-# the columns of a monogamy report and of a tightness scan
+# the columns of a tightness scan
 _CSV_HEADER = ["k", "x_k", "x_last", "m", "t", "lhs", "bound", "slack"]
-
-
-def report_to_csv(records: Sequence[MonogamyRecord]) -> str:
-    return csv_text(_CSV_HEADER, (
-        [r.k, r.x_k, r.x_last, r.m, "",
-         format_number(r.lhs), format_number(r.bound), format_number(r.slack)]
-        for r in records
-    ))
 
 
 def scan_to_json(rows: Sequence[TightnessRow], k: int, x_k: int, x_last: int, m: int = 0) -> list[dict]:

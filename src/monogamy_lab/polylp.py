@@ -45,10 +45,9 @@ and ``LPSolution.engine`` names it:
   ``min 0 x0 + 10^-18 x1`` subject to ``x0 + x1 = 2``, where HiGHS returns
   the wrong vertex of what is a tie in floats.
 
-:func:`certify` runs the same exact check on a candidate point and duals
-that come from elsewhere, and an optimum it accepts has engine
-``candidate``.  ``monogamy.tightness_scan`` certifies its rows this way from
-the optima at the ends of its range.
+``monogamy.tightness_scan`` builds the optima inside its range from the
+optima at its ends and one dual, with engine ``interval``; each of them
+passes the same exact check on its target's own LP.
 
 The certificate, not the pivot arithmetic, is the contract: every result
 leaves :func:`solve` with a certificate that :func:`verify_certificate`
@@ -171,8 +170,9 @@ class LPSolution:
       with A r = 0 along which the objective improves.
 
     ``engine`` names the stage of :func:`solve` that produced it ('highs',
-    'basis' or 'simplex'), or is 'candidate' for an optimum that
-    :func:`certify` accepted (see the module docstring)."""
+    'basis' or 'simplex'), or is 'interval' for an optimum that
+    ``monogamy.tightness_scan`` proved from the optima at the ends of its
+    range (see the module docstring)."""
 
     status: str
     value: Fraction | None = None
@@ -637,19 +637,6 @@ def _simplex(std: _Standard) -> LPSolution:
     )
 
 
-def _exact(v) -> list:
-    return [e if type(e) is Fraction else Fraction(e) for e in v]
-
-
-def certify(lp: LinearProgram, point, dual) -> LPSolution | None:
-    """The optimum that a candidate point and row duals prove for lp, with
-    engine ``candidate``, or None unless they pass the exact check that
-    :func:`solve` runs on its own answers.  Entries are read exactly, as
-    :func:`verify_certificate` reads them; a candidate may come from any
-    source, such as an optimum of the same LP with another right-hand side."""
-    return _optimal(_standardize(lp), _exact(point), _exact(dual), "candidate", 0)
-
-
 def verify_certificate(lp: LinearProgram, sol: LPSolution) -> bool:
     """Check sol's certificate exactly, without trusting the solver (see
     :class:`LPSolution`): for an optimum, feasibility, the value, dual
@@ -659,7 +646,7 @@ def verify_certificate(lp: LinearProgram, sol: LPSolution) -> bool:
     """
 
     def exact(v):
-        return None if v is None else _exact(v)
+        return None if v is None else [e if type(e) is Fraction else Fraction(e) for e in v]
 
     return _certified(
         _standardize(lp),

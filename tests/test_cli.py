@@ -517,6 +517,7 @@ GOLDEN_COMMANDS = {
     "ra-lam": ["ra", "2", "2", "0.12", "--lam", "1.23"],
     "tightness-323": ["tightness", "3", "2", "3"],
     "tightness-332-json": ["tightness", "3", "3", "2", "--format", "json"],
+    "tightness-422": ["tightness", "3", "2", "2"],
     "bell-243-float": ["bell", "2", "4", "3", os.path.join(GOLDEN, "violation-243.json"), "--mode", "float"],
     "bell-322-float": ["bell", "3", "2", "2", os.path.join(GOLDEN, "random-322.json"), "--mode", "float"],
 }

@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from monogamy_lab.bell import evaluate
 from monogamy_lab import monogamy
 from monogamy_lab.errors import SignallingInputError
 from monogamy_lab.monogamy import (
+    _CSV_HEADER,
     agreement_probability,
     agreement_vector,
     embedded_bkp,
@@ -16,17 +18,15 @@ from monogamy_lab.monogamy import (
     minimize_lhs_over_ns,
     monogamy_functional,
     monogamy_lhs_general,
-    monogamy_report,
     pair_difference_distribution,
-    report_to_csv,
     scan_to_csv,
     tightness_scan,
 )
 from monogamy_lab.polylp import (
     LinearProgram,
+    LPSolution,
     _simplex,
     _standardize,
-    certify,
     ns_constraints,
     ns_program,
     optimize_over_ns,
@@ -41,7 +41,9 @@ from monogamy_lab.sampling import (
 from monogamy_lab.scenario import (
     Behavior,
     Scenario,
+    csv_text,
     deterministic_vertex,
+    format_number,
     is_nonsignalling,
     mix,
     product,
@@ -62,6 +64,59 @@ def monogamy_lhs_tripartite(
     if x_party not in (0, 1):
         raise ValueError("x_party must be 0 or 1")
     return monogamy_lhs_general(behavior, x_party, i, j, check=check, tol=tol)
+
+
+@dataclass
+class MonogamyRecord:
+    k: int
+    x_k: int
+    x_last: int
+    m: int
+    lhs: object
+    bound: object
+    agreement: object
+    satisfied: bool
+
+    @property
+    def slack(self):
+        return self.lhs - self.bound
+
+
+def monogamy_report(behavior: Behavior, tol=0) -> list[MonogamyRecord]:
+    """Check every (k, x_k, x_last, m) combination on one behavior."""
+    scn = behavior.scenario
+    monogamy._require_ns(behavior, tol)
+    d = scn.outcomes
+    n = scn.parties - 1
+    value = evaluate(embedded_bkp(scn), behavior)
+    records = []
+    for k in range(n):
+        for x_k in range(scn.settings):
+            for x_last in range(scn.settings):
+                dist = pair_difference_distribution(behavior, k, x_k, n, x_last)
+                for m in range(d):
+                    p = dist[m]
+                    records.append(
+                        MonogamyRecord(
+                            k=k,
+                            x_k=x_k,
+                            x_last=x_last,
+                            m=m,
+                            lhs=value + 1,
+                            bound=d * p,
+                            agreement=p,
+                            satisfied=value + 1 >= d * p,
+                        )
+                    )
+    return records
+
+
+def report_to_csv(records) -> str:
+    return csv_text(_CSV_HEADER, (
+        [r.k, r.x_k, r.x_last, r.m, "",
+         format_number(r.lhs), format_number(r.bound), format_number(r.slack)]
+        for r in records
+    ))
 
 
 @pytest.fixture(scope="module")
@@ -347,21 +402,24 @@ def all_pairings(scn):
 
 
 @pytest.mark.parametrize(
-    "dims, pairings",
-    [((3, 2, 2), None), ((3, 2, 3), None), ((4, 2, 2), [(2, 1, 0, 1)])],
+    "dims, pairings, solves",
+    [
+        ((3, 2, 2), None, [0, 1]),
+        ((3, 2, 3), None, [0, 2]),
+        ((4, 2, 2), [(2, 1, 0, 1)], [0, 1, Fraction(1, 2)]),
+    ],
     ids=["322-all", "323-all", "422-one"],
 )
-def test_tightness_scan_matches_per_target_lps(monkeypatch, dims, pairings):
+def test_tightness_scan_matches_per_target_lps(monkeypatch, dims, pairings, solves):
     scn = Scenario(*dims)
     row = bell_row(scn)
-    top = scn.outcomes - 1
     solved = counted_solves(monkeypatch)
     for k, x_k, x_last, m in pairings or all_pairings(scn):
         solved.clear()
         rows = tightness_scan(scn, k, x_k, x_last, m=m)
-        # the two ends, and at most one target inside, where every optimal
-        # dual has the value's slope and so certifies every other target
-        assert solved[:2] == [0, top] and len(solved) <= 3
+        # the two ends, and at (4,2,2) the midpoint, whose dual proves the
+        # interval where the dual of t = 0 does not
+        assert solved == solves
         obj = agreement_vector(scn, k, x_k, x_last, m)
         direct = []
         for r in rows:
@@ -370,36 +428,73 @@ def test_tightness_scan_matches_per_target_lps(monkeypatch, dims, pairings):
             assert verify_certificate(ns_program(scn, obj, "max", [(row, r.target)]), r.solution)
         assert row_fields(rows) == direct
         assert all(r.tight for r in rows)
+        assert [r.solution.engine == "interval" for r in rows] == [False, True, True, True, False]
 
 
 def test_tightness_scan_solves_each_row_when_no_candidate_passes(monkeypatch):
     scn = Scenario(3, 2, 3)
     grid = [Fraction(0), Fraction(1, 3), Fraction(1), Fraction(7, 4), Fraction(2), Fraction(3)]
     expected = tightness_scan(scn, 0, 1, 0, grid, m=2)
-    monkeypatch.setattr(monogamy, "certify", lambda lp, point, dual: None)
+    assert [r.solution.engine == "interval" for r in expected[:-1]] == [False, True, True, True, False]
+    # every solve's Bell multiplier moved: the duals of t = 0 and of the
+    # midpoint t = 1 now miss the interval check, and each row is solved
     solved = counted_solves(monkeypatch)
+    solve = monogamy.optimize_over_ns
+    own = {}
+
+    def moved(scn, obj, sense, extra_eq):
+        sol = solve(scn, obj, sense, extra_eq)
+        own[extra_eq[0][1]] = sol
+        return replace(sol, dual=sol.dual[:-1] + (sol.dual[-1] + Fraction(1, 1000),))
+
+    monkeypatch.setattr(monogamy, "optimize_over_ns", moved)
     rows = tightness_scan(scn, 0, 1, 0, grid, m=2)
     assert row_fields(rows) == row_fields(expected)
-    assert solved == [0, 2, Fraction(1, 3), 1, Fraction(7, 4)]
-    assert all(r.solution.engine != "candidate" for r in rows[:-1])
+    assert solved == [0, 2, 1, Fraction(1, 3), Fraction(7, 4)]
+    assert all(r.solution.engine != "interval" for r in rows[:-1])
+    assert all(r.solution.point == own[r.target].point for r in rows[:-1])
     assert rows[-1].status == "out-of-range" and rows[-1].solution is None
 
 
-def test_tightness_scan_rejects_a_moved_bell_multiplier():
-    scn = Scenario(3, 2, 2)
-    obj = agreement_vector(scn, 0, 0, 0)
+def interval_holds(scn, obj, row, ends, dual, targets):
+    """Whether the mix of the end optima with dual passes verify_certificate
+    on the pinned LP of every target."""
+    (v_0, x_0), (v_top, x_top) = ends
+    top = scn.outcomes - 1
+    for t in targets:
+        s = t / top
+        point = [(1 - s) * a + s * b for a, b in zip(x_0, x_top)]
+        sol = LPSolution("optimal", (1 - s) * v_0 + s * v_top, point, dual)
+        if not verify_certificate(ns_program(scn, obj, "max", [(row, t)]), sol):
+            return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "dims, pairing", [((3, 2, 2), (0, 0, 0, 0)), ((4, 2, 2), (2, 1, 0, 1))], ids=["322", "422"]
+)
+def test_interval_certificate_rejects_a_moved_dual_or_end_point(dims, pairing):
+    scn = Scenario(*dims)
+    k, x_k, x_last, m = pairing
+    obj = agreement_vector(scn, k, x_k, x_last, m)
     row = bell_row(scn)
-    ends = [optimize_over_ns(scn, obj, "max", extra_eq=[(row, Fraction(t))]) for t in (0, 1)]
-    pool = optimize_over_ns(scn, obj, "max", extra_eq=[(row, Fraction(1, 4))]).dual
-    t = Fraction(1, 2)
-    point = [(1 - t) * a + t * b for a, b in zip(ends[0].point, ends[1].point)]
-    lp = ns_program(scn, obj, "max", [(row, t)])
-    assert certify(lp, point, pool).value == Fraction(3, 4)
-    # the Bell row is the last row; at t != 0 its multiplier enters b.y
+    rows = tightness_scan(scn, k, x_k, x_last, m=m)
+    targets = [r.target for r in rows]
+    ends = [(r.solution.value, r.solution.point) for r in (rows[0], rows[-1])]
+    dual = rows[1].solution.dual
+    assert rows[1].solution.engine == "interval"
+    assert interval_holds(scn, obj, row, ends, dual, targets)
+    # the Bell row is the last row; its multiplier is the slope of b(t).y
     for step in (Fraction(1, 1000), Fraction(-1, 1000)):
-        moved = list(pool)
-        moved[-1] += step
-        assert certify(lp, point, moved) is None
+        moved = dual[:-1] + (dual[-1] + step,)
+        assert not interval_holds(scn, obj, row, ends, moved, targets)
+    # one entry of either end point changed
+    for end in range(2):
+        value, point = ends[end]
+        j = next(j for j, p in enumerate(point) if p)
+        changed = list(ends)
+        changed[end] = (value, point[:j] + (point[j] / 2,) + point[j + 1:])
+        assert not interval_holds(scn, obj, row, changed, dual, targets)
 
 
 @pytest.mark.parametrize("m", [-1, 2, 5])

@@ -13,6 +13,7 @@ from monogamy_lab.monogamy import agreement_vector, embedded_bkp
 from monogamy_lab.polylp import (
     INFEASIBLE,
     LinearProgram,
+    LPSolution,
     OPTIMAL,
     UNBOUNDED,
     _DENOMINATOR_CAP,
@@ -26,7 +27,6 @@ from monogamy_lab.polylp import (
     _simplex,
     _solve_exact,
     _standardize,
-    certify,
     ns_constraints,
     ns_program,
     optimize_over_ns,
@@ -248,22 +248,22 @@ def test_pinned_near_tie_reaches_the_simplex_stage():
     assert verify_certificate(ns_program(*pinned_agreement(t)), sol)
 
 
-def test_certify_checks_a_candidate_like_solve():
+def test_verify_certificate_checks_a_candidate_like_solve():
     scn = Scenario(2, 2, 3)
     lp = ns_program(scn, chained_bkp(2, 3).dense(), "min")
     sol = optimize_over_ns(scn, chained_bkp(2, 3).dense(), "min")
-    checked = certify(lp, sol.point, sol.dual)
-    assert checked.engine == "candidate" and verify_certificate(lp, checked)
-    assert (checked.status, checked.value, checked.point, checked.dual) == (
-        sol.status, sol.value, sol.point, sol.dual
-    )
+
+    def candidate(point, dual):
+        return LPSolution(OPTIMAL, sol.value, point, dual)
+
+    assert verify_certificate(lp, candidate(sol.point, sol.dual))
     # a point off the optimum, a dual off the optimal face and vectors of the
     # wrong length are all refused
     uniform = uniform_behavior(scn).probs
-    assert certify(lp, uniform, sol.dual) is None
-    assert certify(lp, sol.point, [1] * len(sol.dual)) is None
-    assert certify(lp, sol.point[:-1], sol.dual) is None
-    assert certify(lp, sol.point, sol.dual[:-1]) is None
+    assert not verify_certificate(lp, candidate(uniform, sol.dual))
+    assert not verify_certificate(lp, candidate(sol.point, [1] * len(sol.dual)))
+    assert not verify_certificate(lp, candidate(sol.point[:-1], sol.dual))
+    assert not verify_certificate(lp, candidate(sol.point, sol.dual[:-1]))
 
 
 def test_ns_min_below_local_min():
