@@ -226,7 +226,7 @@ def main(argv=None) -> int:
     except ScenarioTooLargeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (InputFormatError, FileNotFoundError, ValueError) as exc:
+    except (InputFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

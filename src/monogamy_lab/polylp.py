@@ -641,17 +641,19 @@ def verify_certificate(lp: LinearProgram, sol: LPSolution) -> bool:
     """Check sol's certificate exactly, without trusting the solver (see
     :class:`LPSolution`): for an optimum, feasibility, the value, dual
     feasibility and strong duality; for 'infeasible', the Farkas vector; for
-    'unbounded', the feasible point and the improving ray.  A missing vector
-    fails.  This is the check :func:`solve` runs before it returns.
+    'unbounded', the feasible point and the improving ray.  A missing vector,
+    or one with a NaN or infinite entry, fails.  This is the check
+    :func:`solve` runs before it returns.
     """
 
     def exact(v):
         return None if v is None else [e if type(e) is Fraction else Fraction(e) for e in v]
 
-    return _certified(
-        _standardize(lp),
-        replace(sol, point=exact(sol.point), dual=exact(sol.dual), ray=exact(sol.ray)),
-    )
+    try:
+        sol = replace(sol, point=exact(sol.point), dual=exact(sol.dual), ray=exact(sol.ray))
+    except (ValueError, OverflowError):  # NaN and infinity have no exact value
+        return False
+    return _certified(_standardize(lp), sol)
 
 
 # ---------------------------------------------------------------------------

@@ -79,10 +79,6 @@ class RealPureState:
             raise ValueError(f"state norm^2 = {norm}, not normalized")
 
 
-def random_real_state(n_qubits: int, rng: np.random.Generator) -> RealPureState:
-    return RealPureState(n_qubits, _random_real_states(1, rng, n_qubits)[0])
-
-
 @dataclass(frozen=True)
 class PlaneObservable:
     """Dichotomic observable sin(t) sigma_x + cos(t) sigma_z."""
@@ -218,8 +214,8 @@ def monogamy_montecarlo(
 
     States are drawn and checked in blocks: each state's three correlation
     matrices are built once for every alpha, and the singular values of a
-    block come from one stacked SVD.  A seed gives the states of n_states
-    calls of :func:`random_real_state`.
+    block come from one stacked SVD.  A seed gives the same states whatever
+    the block size.
     """
     import numpy as np
     if n_states < 1:

@@ -25,10 +25,6 @@ def random_assignment(scenario: Scenario, rng: random.Random):
     )
 
 
-def random_local_vertex(scenario: Scenario, rng: random.Random) -> Behavior:
-    return deterministic_vertex(scenario, random_assignment(scenario, rng))
-
-
 def random_behavior(scenario: Scenario, rng: random.Random, denom: int = 60) -> Behavior:
     """Random valid behavior with rational entries; generally signalling."""
     probs = []

@@ -337,9 +337,8 @@ def enumerate_assignments(scenario: Scenario) -> Iterator[DeterministicAssignmen
         yield DeterministicAssignment(table)
 
 
-def uniform_behavior(scenario: Scenario, exact: bool = True) -> Behavior:
-    p = Fraction(1, scenario.column_size) if exact else 1.0 / scenario.column_size
-    return Behavior(scenario, (p,) * scenario.size)
+def uniform_behavior(scenario: Scenario) -> Behavior:
+    return Behavior(scenario, (Fraction(1, scenario.column_size),) * scenario.size)
 
 
 def mix(behaviors: Sequence[Behavior], weights: Sequence) -> Behavior:
@@ -435,29 +434,6 @@ def is_distribution(values) -> bool:
         denom, nums = integer_form(values)
         return sum(nums) == denom and min(nums) >= 0
     return all(v >= 0 for v in values) and abs(sum(values) - 1) <= FLOAT_TOL
-
-
-def product(b1: Behavior, b2: Behavior) -> Behavior:
-    """Independent join of two behaviors sharing M and d.
-
-    p((a1, a2) | (x1, x2)) = p1(a1|x1) * p2(a2|x2), with the first factor's
-    parties preceding the second's.
-    """
-    s1, s2 = b1.scenario, b2.scenario
-    if s1.settings != s2.settings or s1.outcomes != s2.outcomes:
-        raise ValueError("factors must share settings and outcomes counts")
-    scn = Scenario(s1.parties + s2.parties, s1.settings, s1.outcomes)
-    probs = [0] * scn.size
-    for x1 in s1.all_settings():
-        for x2 in s2.all_settings():
-            x = x1 + x2
-            for a1 in s1.all_outcomes():
-                p1 = b1.probs[s1.index(x1, a1)]
-                if p1 == 0:
-                    continue
-                for a2 in s2.all_outcomes():
-                    probs[scn.index(x, a1 + a2)] = p1 * b2.probs[s2.index(x2, a2)]
-    return Behavior(scn, tuple(probs))
 
 
 def restrict(behavior: Behavior, parties: Sequence[int]) -> Behavior:
@@ -567,11 +543,6 @@ def behavior_from_json(obj: dict, exact: bool = True) -> Behavior:
 
 def load_behavior(path: str, exact: bool = True) -> Behavior:
     return behavior_from_json(read_json(path), exact)
-
-
-def save_behavior(behavior: Behavior, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(json_text(behavior_to_json(behavior)))
 
 
 def json_text(obj) -> str:

@@ -31,24 +31,16 @@ from fractions import Fraction
 from typing import Sequence
 
 from .bell import evaluate, modular_groups, recursive_bkp
-from .errors import InputFormatError
 from .polylp import ns_row_residual
 from .sampling import random_ns_mixture, random_weights
 from .scenario import (
     FLOAT_TOL,
     Behavior,
     Scenario,
-    behavior_from_json,
-    behavior_to_json,
     csv_text,
-    format_number,
     is_distribution,
     mix_columns,
-    parse_int,
-    parse_number,
     scaled_sum,
-    scenario_from_json,
-    scenario_to_json,
     validate,
 )
 
@@ -70,9 +62,6 @@ class SVSource:
     @property
     def high(self) -> Fraction:
         return Fraction(1, 2) + self.epsilon
-
-    def contains(self, bit_prob) -> bool:
-        return self.low <= bit_prob <= self.high
 
     def likelihood_ratio_bound(self, uses: int):
         """((1+2eps)/(1-2eps))^uses, the worst-case probability ratio of
@@ -279,11 +268,6 @@ def bell_functional_for(scenario: Scenario):
 @functools.lru_cache(maxsize=None)
 def _bell_settings(scenario: Scenario) -> tuple:
     return tuple(bell_functional_for(scenario).settings_in_terms())
-
-
-def bell_settings(scenario: Scenario) -> list[tuple]:
-    """Setting tuples that occur in the chained functional."""
-    return list(_bell_settings(scenario))
 
 
 def observed_behavior(model: AdversaryModel) -> Behavior:
@@ -585,43 +569,3 @@ def random_adversary_model(
     ]
     prior = random_weights(n_strategies, rng)
     return AdversaryModel(scenario, behaviors, input_dists, prior)
-
-
-def model_to_json(model: AdversaryModel) -> dict:
-    return {
-        "scenario": scenario_to_json(model.scenario),
-        "prior": [format_number(p) for p in model.prior],
-        "strategies": [
-            {
-                "behavior": behavior_to_json(b),
-                "inputs": {
-                    ",".join(map(str, x)): format_number(p) for x, p in dist.items()
-                },
-            }
-            for b, dist in zip(model.behaviors, model.input_dists)
-        ],
-    }
-
-
-def model_from_json(obj: dict, exact: bool = True) -> AdversaryModel:
-    """Read a :func:`model_to_json` object; malformed input raises
-    InputFormatError, an inconsistent model ValueError."""
-    try:
-        scn = scenario_from_json(obj["scenario"])
-        prior = [parse_number(p, exact) for p in obj["prior"]]
-        behaviors = []
-        input_dists = []
-        for strat in obj["strategies"]:
-            behaviors.append(behavior_from_json(strat["behavior"], exact))
-            dist = {}
-            for key, p in strat["inputs"].items():
-                x = tuple(parse_int(v) for v in key.split(","))
-                if len(x) != scn.parties or not all(0 <= v < scn.settings for v in x):
-                    raise InputFormatError(
-                        f"input {key!r} is not a setting tuple of N={scn.parties}, M={scn.settings}"
-                    )
-                dist[x] = parse_number(p, exact)
-            input_dists.append(dist)
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise InputFormatError(f"bad adversary model object: {exc}") from exc
-    return AdversaryModel(scn, behaviors, input_dists, prior)

@@ -1,9 +1,24 @@
 """Reference constructions that only the tests use."""
 
+import random
 from fractions import Fraction
 
 from monogamy_lab.bell import BellFunctional, _resolved_term
-from monogamy_lab.scenario import Scenario
+from monogamy_lab.errors import InputFormatError
+from monogamy_lab.sampling import random_assignment
+from monogamy_lab.scenario import (
+    Behavior,
+    Scenario,
+    behavior_from_json,
+    behavior_to_json,
+    deterministic_vertex,
+    format_number,
+    parse_int,
+    parse_number,
+    scenario_from_json,
+    scenario_to_json,
+)
+from monogamy_lab.svamp import AdversaryModel
 
 
 def chained_bkp(M: int, d: int) -> BellFunctional:
@@ -18,3 +33,70 @@ def chained_bkp(M: int, d: int) -> BellFunctional:
         terms.append(_resolved_term(1, [(0, x, 1), (1, x, -1)], 0, scn))
         terms.append(_resolved_term(1, [(1, x, 1), (0, x + 1, -1)], 0, scn))
     return BellFunctional(scn, tuple(terms), Fraction(d - 1), Fraction(0))
+
+
+def product(b1: Behavior, b2: Behavior) -> Behavior:
+    """Independent join of two behaviors sharing M and d.
+
+    p((a1, a2) | (x1, x2)) = p1(a1|x1) * p2(a2|x2), with the first factor's
+    parties preceding the second's.
+    """
+    s1, s2 = b1.scenario, b2.scenario
+    if s1.settings != s2.settings or s1.outcomes != s2.outcomes:
+        raise ValueError("factors must share settings and outcomes counts")
+    scn = Scenario(s1.parties + s2.parties, s1.settings, s1.outcomes)
+    probs = [0] * scn.size
+    for x1 in s1.all_settings():
+        for x2 in s2.all_settings():
+            x = x1 + x2
+            for a1 in s1.all_outcomes():
+                p1 = b1.probs[s1.index(x1, a1)]
+                if p1 == 0:
+                    continue
+                for a2 in s2.all_outcomes():
+                    probs[scn.index(x, a1 + a2)] = p1 * b2.probs[s2.index(x2, a2)]
+    return Behavior(scn, tuple(probs))
+
+
+def random_local_vertex(scenario: Scenario, rng: random.Random) -> Behavior:
+    return deterministic_vertex(scenario, random_assignment(scenario, rng))
+
+
+def model_to_json(model: AdversaryModel) -> dict:
+    return {
+        "scenario": scenario_to_json(model.scenario),
+        "prior": [format_number(p) for p in model.prior],
+        "strategies": [
+            {
+                "behavior": behavior_to_json(b),
+                "inputs": {
+                    ",".join(map(str, x)): format_number(p) for x, p in dist.items()
+                },
+            }
+            for b, dist in zip(model.behaviors, model.input_dists)
+        ],
+    }
+
+
+def model_from_json(obj: dict, exact: bool = True) -> AdversaryModel:
+    """Read a :func:`model_to_json` object; malformed input raises
+    InputFormatError, an inconsistent model ValueError."""
+    try:
+        scn = scenario_from_json(obj["scenario"])
+        prior = [parse_number(p, exact) for p in obj["prior"]]
+        behaviors = []
+        input_dists = []
+        for strat in obj["strategies"]:
+            behaviors.append(behavior_from_json(strat["behavior"], exact))
+            dist = {}
+            for key, p in strat["inputs"].items():
+                x = tuple(parse_int(v) for v in key.split(","))
+                if len(x) != scn.parties or not all(0 <= v < scn.settings for v in x):
+                    raise InputFormatError(
+                        f"input {key!r} is not a setting tuple of N={scn.parties}, M={scn.settings}"
+                    )
+                dist[x] = parse_number(p, exact)
+            input_dists.append(dist)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise InputFormatError(f"bad adversary model object: {exc}") from exc
+    return AdversaryModel(scn, behaviors, input_dists, prior)

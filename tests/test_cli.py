@@ -15,14 +15,15 @@ from monogamy_lab.polylp import LPSolution
 from monogamy_lab.scenario import (
     Behavior,
     Scenario,
-    save_behavior,
+    behavior_to_json,
+    json_text,
     uniform_behavior,
 )
 
 
 def write_behavior(tmp_path, behavior, name="behavior.json"):
     path = tmp_path / name
-    save_behavior(behavior, str(path))
+    path.write_text(json_text(behavior_to_json(behavior)))
     return str(path)
 
 
@@ -168,6 +169,18 @@ def test_validate_rejects_malformed_behavior(tmp_path, capsys, obj):
     assert main(["validate", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "error" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["validate", "{dir}"], ["bell", "2", "2", "2", "{dir}"], ["tightness", "2", "2", "2", "--out", "{dir}"]],
+    ids=["validate", "bell", "tightness-out"],
+)
+def test_a_path_that_cannot_be_opened_is_an_input_error(tmp_path, capsys, argv):
+    # a directory is no file: exit 1 is kept for a violated inequality
+    assert main([a.format(dir=tmp_path) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
 
 
 @pytest.mark.parametrize(

@@ -46,11 +46,10 @@ from monogamy_lab.scenario import (
     format_number,
     is_nonsignalling,
     mix,
-    product,
     uniform_behavior,
     validate,
 )
-from reference import chained_bkp
+from reference import chained_bkp, product
 
 
 def monogamy_lhs_tripartite(

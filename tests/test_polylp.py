@@ -308,6 +308,20 @@ def test_certificate_requires_duals():
     assert not verify_certificate(lp, sol)
 
 
+def test_certificate_rejects_non_finite_entries():
+    # NaN and infinity have no exact value: the check refuses them, as it
+    # refuses a vector of the wrong length, instead of raising
+    lp = LinearProgram([1, 2], "min", eq_rows=sparse([[1, 1]]), eq_rhs=[1])
+    sol = solve(lp)
+    for point in [(math.nan, 1.0), (math.inf, 0.0)]:
+        assert not verify_certificate(lp, replace(sol, point=point))
+    assert not verify_certificate(lp, replace(sol, dual=(math.nan,)))
+    unbounded = LinearProgram([-1], "min")
+    sol = solve(unbounded)
+    assert sol.status == UNBOUNDED and verify_certificate(unbounded, sol)
+    assert not verify_certificate(unbounded, replace(sol, ray=(math.inf,)))
+
+
 def with_slacks(objective, sense, eq_rows, eq_rhs, ub_rows, ub_rhs, upper):
     """The LP with rows ub_rows . x <= ub_rhs and bounds x_j <= upper[j]
     (None = no bound) written as equalities, one slack column per row."""

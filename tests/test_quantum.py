@@ -24,12 +24,15 @@ from monogamy_lab.quantum import (
     monogamy_slacks,
     monogamy_montecarlo,
     quantum_guessing_bound,
-    random_real_state,
     saturating_family,
     violation_behavior,
 )
 from monogamy_lab.scenario import is_nonsignalling, validate
 from reference import chained_bkp
+
+
+def random_real_state(n_qubits: int, rng: np.random.Generator) -> RealPureState:
+    return RealPureState(n_qubits, quantum._random_real_states(1, rng, n_qubits)[0])
 
 
 class QubitMonogamyReport(NamedTuple):

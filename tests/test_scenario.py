@@ -24,13 +24,12 @@ from monogamy_lab.scenario import (
     is_nonsignalling,
     marginal,
     mix,
-    product,
     restrict,
     uniform_behavior,
     validate,
 )
-from monogamy_lab.sampling import random_behavior, random_local_vertex
-from monogamy_lab.svamp import model_from_json
+from monogamy_lab.sampling import random_behavior
+from reference import model_from_json, product, random_local_vertex
 
 
 def test_scenario_validation():
@@ -82,13 +81,17 @@ def with_entry(behavior, i, value):
     return Behavior(behavior.scenario, tuple(probs))
 
 
+def float_uniform(scn):
+    return Behavior(scn, (1.0 / scn.column_size,) * scn.size)
+
+
 NON_FINITE = [math.nan, math.inf, -math.inf]
 
 
 @pytest.mark.parametrize("value", NON_FINITE)
 @pytest.mark.parametrize("i", [0, 5, 15])
 def test_validate_flags_non_finite_entries(i, value):
-    bad = with_entry(uniform_behavior(Scenario(2, 2, 2), exact=False), i, value)
+    bad = with_entry(float_uniform(Scenario(2, 2, 2)), i, value)
     x_idx, a_idx = divmod(i, 4)
     x = divmod(x_idx, 2)
     column = f"column {x} sums to {sum(bad.column(x))}, expected 1"
@@ -103,14 +106,14 @@ def test_validate_flags_non_finite_entries(i, value):
 @pytest.mark.parametrize("value", NON_FINITE)
 @pytest.mark.parametrize("i", [0, 5, 15])
 def test_non_finite_entries_are_not_nonsignalling(i, value):
-    bad = with_entry(uniform_behavior(Scenario(2, 2, 2), exact=False), i, value)
+    bad = with_entry(float_uniform(Scenario(2, 2, 2)), i, value)
     ok, worst = is_nonsignalling(bad, 1e-9)
     assert not ok and not math.isfinite(worst)
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-9])
 def test_tolerance_must_be_finite_and_nonnegative(tol):
-    b = uniform_behavior(Scenario(2, 2, 2), exact=False)
+    b = float_uniform(Scenario(2, 2, 2))
     for check in (validate, is_nonsignalling):
         with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
             check(b, tol)
@@ -255,7 +258,7 @@ def test_mix_rejects_bad_weights():
 
 def test_mix_takes_float_weights_within_the_tolerance():
     scn = Scenario(2, 2, 2)
-    u = uniform_behavior(scn, exact=False)
+    u = float_uniform(scn)
     assert sum([0.1] * 10) != 1
     m = mix([u] * 10, [0.1] * 10)
     assert all(type(p) is float and abs(p - 0.25) < 1e-12 for p in m.probs)
