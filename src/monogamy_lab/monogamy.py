@@ -45,6 +45,12 @@ def _check_party(scenario: Scenario, k: int) -> None:
         raise ValueError("k must index one of the first N parties")
 
 
+def _check_shift(scenario: Scenario, m: int) -> None:
+    """The outcome shift m must be one of range(d)."""
+    if m not in range(scenario.outcomes):
+        raise ValueError(f"shift {m} out of range for d={scenario.outcomes}")
+
+
 def pair_difference_distribution(
     behavior: Behavior, k: int, x_k: int, l: int, x_l: int
 ) -> tuple:
@@ -84,14 +90,16 @@ def agreement_probability(
     check: bool = True,
     tol=0,
 ) -> tuple:
-    """p(A^k_{x_k} = [A^{last}_{x_last} + m]) and whether I + 1 >= d p holds."""
+    """p(A^k_{x_k} = [A^{last}_{x_last} + m]) and whether I + 1 >= d p
+    holds; the shift m is one of range(d)."""
     scn = behavior.scenario
     d = scn.outcomes
     _check_party(scn, k)
+    _check_shift(scn, m)
     if check:
         _require_ns(behavior, tol)
     dist = pair_difference_distribution(behavior, k, x_k, scn.parties - 1, x_last)
-    p = dist[m % d]
+    p = dist[m]
     value = evaluate(embedded_bkp(scn), behavior)
     return p, value + 1 >= d * p
 
@@ -149,8 +157,7 @@ def agreement_vector(scenario: Scenario, k: int, x_k: int, x_last: int, m: int =
     range(d)."""
     scn = scenario
     _check_party(scn, k)
-    if m not in range(scn.outcomes):
-        raise ValueError(f"shift {m} out of range for d={scn.outcomes}")
+    _check_shift(scn, m)
     vec = [Fraction(0)] * scn.size
     for i in modular_groups(scn, ((k, x_k, 1), (scn.parties - 1, x_last, -1)))[m]:
         vec[i] = Fraction(1)

@@ -79,7 +79,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .scenario import Behavior, Scenario, integer_form, worst_of
+from .scenario import Behavior, Scenario, integer_form
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -719,15 +719,14 @@ def ns_row_residual(behavior: Behavior):
     Each row sums out one party, and these rows imply the conditions for
     every party subset, so the residual is 0 exactly when the behavior is
     nonsignalling (``scenario.is_nonsignalling`` checks every subset and
-    stays the reference).  Exact entries are evaluated in integers over
-    their common denominator (:attr:`Behavior.scaled`) and give an exact
-    Fraction; float entries give a float, NaN when a row meets a NaN entry.
-    An exact row is the sum at its +1 columns minus that at its -1 columns.
+    stays the reference).  The behavior must be exact: its entries are
+    evaluated in integers over their common denominator
+    (:attr:`Behavior.scaled`), each row as the sum at its +1 columns minus
+    that at its -1 columns, and the residual is an exact Fraction.  A float
+    entry raises ValueError.
     """
     if behavior.scaled is None:
-        probs = behavior.probs
-        rows = _ns_row_nonzeros(behavior.scenario)
-        return worst_of((abs(sum(c * probs[i] for i, c in row)) for row in rows), 0.0)
+        raise ValueError("ns_row_residual needs an exact behavior (int or Fraction entries)")
     denom, ints = behavior.scaled
     get = ints.__getitem__
     rows = _ns_row_split(behavior.scenario)

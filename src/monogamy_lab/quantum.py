@@ -247,7 +247,8 @@ def saturating_family(theta: float) -> RealPureState:
     import numpy as np
     if not 0.0 <= theta <= math.pi / 4 + 1e-12:
         raise ValueError("theta must lie in [0, pi/4]")
-    s = math.sqrt(2.0) * math.sin(theta)
+    # clamped to 1: just above pi/4, in range, sqrt(2) sin(theta) exceeds 1
+    s = min(1.0, math.sqrt(2.0) * math.sin(theta))
     bp = math.sqrt((1.0 + s) / 2.0)
     bm = math.sqrt((1.0 - s) / 2.0)
     amps = np.zeros(8)

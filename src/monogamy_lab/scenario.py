@@ -118,11 +118,12 @@ class Behavior:
 
     A behavior is exact when every entry is an int or a Fraction; it then
     also has an integer form, :attr:`scaled`.  A mixture of exact behaviors
-    with int or Fraction weights (:func:`mix`, :func:`mix_columns`) is built
+    with int or Fraction weights (:func:`mix`, :func:`scaled_sum`) is built
     in that form only: it holds ``scaled`` and builds ``probs``, one Fraction
     per entry, on first read.  Such a behavior has the entries, equality,
     hash and repr of ``Behavior(scenario, probs)``, and the same length check.
-    A float entry or weight makes a mixture of plain float sums.
+    Entries may also be floats, as the CLI's float mode reads them; a float
+    entry or weight makes a :func:`mix` of plain float sums.
     """
 
     scenario: Scenario
@@ -160,7 +161,7 @@ class Behavior:
         """The entries as integers over one denominator: (D, (n_i)) with
         p_i = n_i / D and D the least common denominator; None unless every
         entry is an int or a Fraction.  Built on first use and kept."""
-        if not all(isinstance(p, (Fraction, int)) for p in self.probs):
+        if not is_exact(self.probs):
             return None
         return integer_form(self.probs)
 
@@ -344,9 +345,11 @@ def uniform_behavior(scenario: Scenario) -> Behavior:
 def mix(behaviors: Sequence[Behavior], weights: Sequence) -> Behavior:
     """Convex combination of behaviors on a common scenario.
 
-    The weights must pass :func:`is_distribution`.  When every weight with
-    a nonzero value and every behavior it weights is exact, the entries are
-    Fractions; otherwise they are the plain sums 0 + w_1 p_1 + ... .
+    The weights must pass :func:`is_distribution`; zero weights are skipped.
+    When every nonzero weight and every behavior it weights is exact, the
+    sum is :func:`scaled_sum` over the weights' numerators and denominators:
+    its entries are Fractions.  Otherwise each entry is the plain
+    left-to-right sum 0 + w_1 p_1 + ... .
     """
     if len(behaviors) != len(weights) or not behaviors:
         raise ValueError("need one weight per behavior")
@@ -355,43 +358,13 @@ def mix(behaviors: Sequence[Behavior], weights: Sequence) -> Behavior:
         raise ValueError("behaviors live on different scenarios")
     if not is_distribution(weights):
         raise ValueError(f"weights must be nonnegative and sum to 1, got {list(weights)}")
-    return _weighted_sum(scn, behaviors, [weights])
-
-
-def mix_columns(behaviors: Sequence[Behavior], column_weights: Sequence[Sequence]) -> Behavior:
-    """The behavior whose column x mixes the behaviors' columns x with the
-    weights ``column_weights[x]`` (one list per setting tuple, in column
-    order), with the entry types of :func:`mix`.  The weights are not
-    checked: the observed behavior of an adversary model mixes by
-    posteriors, which its model has checked."""
-    if not behaviors or any(len(w) != len(behaviors) for w in column_weights):
-        raise ValueError("need one weight per behavior for every column")
-    scn = behaviors[0].scenario
-    if len(column_weights) != scn.n_columns:
-        raise ValueError(f"need {scn.n_columns} weight lists, got {len(column_weights)}")
-    return _weighted_sum(scn, behaviors, column_weights)
-
-
-def _weighted_sum(scn: Scenario, behaviors: Sequence[Behavior], block_weights: Sequence) -> Behavior:
-    """sum_j w_j p_j over equal blocks of the flat tables, block i weighted
-    by ``block_weights[i]``; zero weights are skipped.
-
-    When every nonzero weight is an int or a Fraction and every behavior it
-    weights is exact, the sum is :func:`scaled_sum` over the weights'
-    numerators and denominators: its entries are Fractions.  Otherwise
-    each entry is the plain left-to-right sum 0 + w_1 p_1 + ... .
-    """
-    width = scn.size // len(block_weights)
-    blocks = [[(w, b) for w, b in zip(weights, behaviors) if w != 0] for weights in block_weights]
-    if all(isinstance(w, (int, Fraction)) and b.scaled is not None for block in blocks for w, b in block):
-        return scaled_sum(scn, [[(w.numerator, w.denominator, b) for w, b in block] for block in blocks])
-    probs = []
-    for i, block in enumerate(blocks):
-        col = [0] * width
-        for w, b in block:
-            for j, p in enumerate(b.probs[i * width : (i + 1) * width]):
-                col[j] += w * p
-        probs += col
+    terms = [(w, b) for w, b in zip(weights, behaviors) if w != 0]
+    if all(isinstance(w, (int, Fraction)) and b.scaled is not None for w, b in terms):
+        return scaled_sum(scn, [[(w.numerator, w.denominator, b) for w, b in terms]])
+    probs = [0] * scn.size
+    for w, b in terms:
+        for i, p in enumerate(b.probs):
+            probs[i] += w * p
     return Behavior(scn, tuple(probs))
 
 
@@ -414,7 +387,7 @@ def scaled_sum(scn: Scenario, blocks: Sequence) -> Behavior:
     return Behavior._from_scaled(scn, denom // g, tuple(v // g for v in nums))
 
 
-# Tolerance of the float checks: distribution sums and NS row residuals.
+# Tolerance of the float checks of distribution sums.
 FLOAT_TOL = 1e-9
 
 
@@ -426,11 +399,16 @@ def integer_form(values) -> tuple[int, tuple[int, ...]]:
     return denom, tuple(v.numerator * (denom // v.denominator) for v in values)
 
 
+def is_exact(values) -> bool:
+    """Whether every value is an int or a Fraction."""
+    return all(isinstance(v, (int, Fraction)) for v in values)
+
+
 def is_distribution(values) -> bool:
     """Nonnegative entries summing to 1.  When every entry is an int or a
     Fraction the sum is exact, taken in the integers of :func:`integer_form`;
     once a float enters, it may miss 1 by FLOAT_TOL."""
-    if all(isinstance(v, (int, Fraction)) for v in values):
+    if is_exact(values):
         denom, nums = integer_form(values)
         return sum(nums) == denom and min(nums) >= 0
     return all(v >= 0 for v in values) and abs(sum(values) - 1) <= FLOAT_TOL

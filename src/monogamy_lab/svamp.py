@@ -33,16 +33,7 @@ from typing import Sequence
 from .bell import evaluate, modular_groups, recursive_bkp
 from .polylp import ns_row_residual
 from .sampling import random_ns_mixture, random_weights
-from .scenario import (
-    FLOAT_TOL,
-    Behavior,
-    Scenario,
-    csv_text,
-    is_distribution,
-    mix_columns,
-    scaled_sum,
-    validate,
-)
+from .scenario import Behavior, Scenario, csv_text, is_distribution, is_exact, scaled_sum, validate
 
 
 @dataclass(frozen=True)
@@ -74,34 +65,33 @@ class AdversaryModel:
     """w-indexed strategies: NS behavior and input distribution per w, plus
     a prior; the scenario is shared.
 
-    Construction checks the model, then builds once the tables that every
-    per-setting quantity reads.  A value is exact when it is an int or a
-    Fraction.  A setting with p(x) > 0 whose factors p(w) and p(x|w) are all
-    exact keeps its Bayes terms (T_x, [t_w]): integers, p(w|x) = t_w / T_x.
-    When every setting has terms, p_min(w) over the functional's settings
-    is kept as the integer pair (t_w(s*), T_{s*}), else as a posterior.
-    For each (w, party, setting) the deviation sum_a |m_a - 1/d| of the
-    strategy's outcome marginal m from uniform is kept, and when every
-    strategy is exact as an integer numerator over one denominator d L, L the
-    lcm of the strategies' denominators.  The posteriors p(w|x) are built on
-    first use: by :meth:`posterior`, or for a setting without terms.
-    :func:`q_factor` keeps Q(x) per setting on first use, and the observed
-    behavior and its Bell value are built on first use and kept.  The model
-    is fixed after construction: changing behaviors, input_dists or prior
-    afterwards leaves the tables, the integer tables and the kept Q(x) stale.
+    Every model is exact: each prior entry, input-distribution value and
+    strategy entry must be an int or a Fraction, and a float (NaN and
+    infinity included) is rejected.  Construction checks the model, then
+    builds once the tables that every per-setting quantity reads.  Each
+    setting keeps its Bayes terms (T_x, [t_w]): integers, T_x = 0 when
+    p(x) = 0, else p(w|x) = t_w / T_x.  p_min(w) over the functional's
+    settings is kept as the integer pair (t_w(s*), T_{s*}), or None when
+    a setting of the functional has p(x) = 0.  For each (w, party, setting)
+    the deviation sum_a |m_a - 1/d| of the strategy's outcome marginal m
+    from uniform is kept as an integer numerator over one denominator d L,
+    L the lcm of the strategies' denominators.  :func:`q_factor` keeps Q(x)
+    per setting on first use, and the observed behavior and its Bell value
+    are built on first use and kept.  The model is fixed after
+    construction: changing behaviors, input_dists or prior afterwards
+    leaves the tables and the kept Q(x) stale.
 
     Each strategy must satisfy the no-signalling rows of
-    :func:`polylp.ns_constraints` (exactly, or within
-    :data:`scenario.FLOAT_TOL` for float entries); a signalling strategy is
-    rejected with its largest row residual.  Each strategy must also be a
-    probability table.  An exact one is checked in integers on
-    :attr:`Behavior.scaled`: no negative numerator, and the numerators
-    summing to the denominator times the number of columns (no-signalling
-    gives every column the same total, so each column then sums to 1).  A
-    float one must pass :func:`scenario.validate` within
-    :data:`scenario.FLOAT_TOL`.  A strategy that is not a table is rejected
-    with the first violation :func:`scenario.validate` reports.  The prior
-    and each input distribution must pass :func:`scenario.is_distribution`.
+    :func:`polylp.ns_constraints` exactly; a signalling strategy is rejected
+    with its largest row residual.  Each strategy must also be a
+    probability table, checked in integers on :attr:`Behavior.scaled`: no
+    negative numerator, and the numerators summing to the denominator times
+    the number of columns (no-signalling gives every column the same total,
+    so each column then sums to 1).  A strategy that is not a table is
+    rejected with the first violation :func:`scenario.validate` reports.
+    The prior and each input distribution must pass
+    :func:`scenario.is_distribution`, and each input distribution may name
+    only setting tuples of the scenario.
     """
 
     scenario: Scenario
@@ -110,103 +100,78 @@ class AdversaryModel:
     prior: list
     _terms: dict = field(init=False, repr=False, compare=False)
     _p_min: list | None = field(init=False, repr=False, compare=False)
-    _all_terms: bool = field(init=False, repr=False, compare=False)
-    _dev_sums: list = field(init=False, repr=False, compare=False)
-    _dev_ints: tuple | None = field(init=False, repr=False, compare=False)
+    _dev_ints: tuple = field(init=False, repr=False, compare=False)
     _q: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.behaviors)
         if not (n == len(self.input_dists) == len(self.prior)):
             raise ValueError("need one behavior, input distribution and prior entry per w")
+        if not is_exact(self.prior):
+            raise ValueError("prior entries must be ints or Fractions")
         if not is_distribution(self.prior):
             raise ValueError("prior must be a distribution")
         for b in self.behaviors:
             if b.scenario != self.scenario:
                 raise ValueError("behavior scenario mismatch")
-            worst = ns_row_residual(b)
-            # written to fail for a NaN residual too
-            if not worst <= (0 if b.scaled is not None else FLOAT_TOL):
-                raise ValueError(f"strategy behavior is signalling (NS row residual {worst})")
             if b.scaled is None:
-                report = validate(b, FLOAT_TOL)
-            else:
-                # NS holds exactly, so every column has the same total and
-                # the grand total decides whether each column sums to 1
-                denom, nums = b.scaled
-                table = min(nums) >= 0 and sum(nums) == denom * b.scenario.n_columns
-                report = [] if table else validate(b)
-            if report:
-                raise ValueError(f"strategy behavior is not a probability table ({report[0]})")
+                raise ValueError("strategy behavior entries must be ints or Fractions")
+            worst = ns_row_residual(b)
+            if worst:
+                raise ValueError(f"strategy behavior is signalling (NS row residual {worst})")
+            # NS holds exactly, so every column has the same total and
+            # the grand total decides whether each column sums to 1
+            denom, nums = b.scaled
+            if min(nums) < 0 or sum(nums) != denom * b.scenario.n_columns:
+                raise ValueError(f"strategy behavior is not a probability table ({validate(b)[0]})")
+        scn = self.scenario
+        settings = set(scn.all_settings())
         for dist in self.input_dists:
+            if not is_exact(dist.values()):
+                raise ValueError("input distribution values must be ints or Fractions")
             if not is_distribution(dist.values()):
                 raise ValueError("input distribution must be normalized and nonnegative")
+            outside = [x for x in dist if x not in settings]
+            if outside:
+                raise ValueError(f"input distribution names {outside[0]}, a setting outside the scenario")
 
-        scn = self.scenario
         self._terms = {x: self._bayes(x) for x in scn.all_settings()}
-        self._all_terms = None not in self._terms.values()
         # None when a setting of the functional has p(x) = 0, or when one
         # party has no functional; q_factor then raises
         self._p_min = None
-        if scn.parties > 1 and self._all_terms:
+        if scn.parties > 1:
             bell_terms = [self._terms[s] for s in _bell_settings(scn)]
-            self._p_min = [min([(t[w], T) for T, t in bell_terms], key=_by_value) for w in range(n)]
-        elif scn.parties > 1:
-            posts = [self._posteriors[s] for s in _bell_settings(scn)]
-            if None not in posts:
-                self._p_min = [min(p[w] for p in posts) for w in range(n)]
+            if all(T for T, _ in bell_terms):
+                self._p_min = [min([(t[w], T) for T, t in bell_terms], key=_by_value) for w in range(n)]
         self._q = {}
 
-        self._dev_sums = [_deviation_sums(b) for b in self.behaviors]
-        # (d L, [w][k][s] numerators over d L) when every strategy is exact
-        self._dev_ints = None
-        if all(b.scaled is not None for b in self.behaviors):
-            denoms = [b.scaled[0] for b in self.behaviors]
-            lcm = math.lcm(*denoms)
-            self._dev_ints = scn.outcomes * lcm, [
-                [[v * (lcm // denom) for v in row] for row in table]
-                for table, denom in zip(self._dev_sums, denoms)
-            ]
-
-    @functools.cached_property
-    def _deviations(self) -> list:
-        """Deviation of strategy w's party-k outcome marginal at setting s,
-        [w][k][s]: a Fraction for an exact strategy, a float otherwise."""
-        d = self.scenario.outcomes
-        return [
-            table if b.scaled is None else [[Fraction(v, d * b.scaled[0]) for v in row] for row in table]
-            for table, b in zip(self._dev_sums, self.behaviors)
+        # (d L, [w][k][s] deviation numerators over d L)
+        lcm = math.lcm(*(b.scaled[0] for b in self.behaviors))
+        self._dev_ints = scn.outcomes * lcm, [
+            [[v * (lcm // b.scaled[0]) for v in row] for row in _deviation_sums(b)] for b in self.behaviors
         ]
 
-    def _bayes(self, x: tuple) -> tuple | None:
+    def _bayes(self, x: tuple) -> tuple:
         """The integer terms (T_x, [t_w]) of p(w|x) = p(w) p(x|w) / p(x):
         t_w = p(w) p(x|w) T summed as integers over one denominator T, so
-        that T_x = sum t_w and p(w|x) = t_w / T_x.  None when a factor is a
-        float or when p(x) = 0."""
+        that T_x = sum t_w (0 when p(x) = 0) and p(w|x) = t_w / T_x."""
         factors = [(pw, dist.get(x, 0)) for pw, dist in zip(self.prior, self.input_dists)]
-        if not all(isinstance(f, (int, Fraction)) for pair in factors for f in pair):
-            return None
         denom = math.lcm(*(pw.denominator * q.denominator for pw, q in factors))
         terms = [
             pw.numerator * q.numerator * (denom // (pw.denominator * q.denominator))
             for pw, q in factors
         ]
-        total = sum(terms)
-        return (total, terms) if total else None
+        return sum(terms), terms
 
-    @functools.cached_property
-    def _posteriors(self) -> dict:
-        """p(w|x) for every setting, None where p(x) = 0: Fraction(t_w, T_x)
-        from the terms, else the quotient in plain arithmetic."""
-        posts = {}
-        for x, terms in self._terms.items():
-            if terms is None:
-                px = self.input_probability(x)
-                factors = zip(self.prior, self.input_dists)
-                posts[x] = None if px == 0 else [pw * dist.get(x, 0) / px for pw, dist in factors]
-            else:
-                posts[x] = [Fraction(tw, terms[0]) for tw in terms[1]]
-        return posts
+    def _live_terms(self, x: tuple) -> tuple:
+        """The Bayes terms of setting x; raises when x is not a setting
+        tuple of the scenario or when p(x) = 0."""
+        terms = self._terms.get(x)
+        if terms is None:
+            raise ValueError(f"setting {x} is outside the scenario")
+        if not terms[0]:
+            raise ValueError(f"setting {x} has zero probability")
+        return terms
 
     @property
     def n_strategies(self) -> int:
@@ -218,15 +183,10 @@ class AdversaryModel:
             pw * dist.get(x, 0) for pw, dist in zip(self.prior, self.input_dists)
         )
 
-    def _posterior(self, x: tuple) -> list:
-        post = self._posteriors.get(x)
-        if post is None:
-            raise ValueError(f"setting {x} has zero probability")
-        return post
-
     def posterior(self, x: tuple) -> list:
-        """p(w|x) by Bayes; requires p(x) > 0."""
-        return list(self._posterior(tuple(x)))
+        """p(w|x) by Bayes, as Fractions; requires p(x) > 0."""
+        total, t = self._live_terms(tuple(x))
+        return [Fraction(tw, total) for tw in t]
 
     @functools.cached_property
     def observed(self) -> Behavior:
@@ -243,18 +203,18 @@ class AdversaryModel:
 _by_value = functools.cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])
 
 
-def _deviation_sums(b: Behavior) -> list[list]:
+def _deviation_sums(b: Behavior) -> list[list[int]]:
     """Per (party, setting) the deviation sum_a |m_a - 1/d| of the outcome
-    marginal m, each m_a a sum over a :func:`bell.modular_groups` group: for
-    an exact behavior its numerator sum_a |d n_a - D| over d D, n read from
-    :attr:`Behavior.scaled`, for a float one the deviation itself."""
+    marginal m of an exact behavior, each m_a a sum over a
+    :func:`bell.modular_groups` group, as its numerator sum_a |d n_a - D|
+    over d D, n read from :attr:`Behavior.scaled`."""
     scn = b.scenario
     d = scn.outcomes
-    scale, unit, values = (d, *b.scaled) if b.scaled is not None else (1, Fraction(1, d), b.probs)
-    get = values.__getitem__
+    denom, nums = b.scaled
+    get = nums.__getitem__
     return [
         [
-            sum(abs(scale * sum(map(get, idx)) - unit) for idx in modular_groups(scn, ((k, s, 1),)))
+            sum(abs(d * sum(map(get, idx)) - denom) for idx in modular_groups(scn, ((k, s, 1),)))
             for s in range(scn.settings)
         ]
         for k in range(scn.parties)
@@ -275,51 +235,47 @@ def observed_behavior(model: AdversaryModel) -> Behavior:
     strategy is nonsignalling, because the posterior depends on x.
 
     Every setting occurring in the functional must have p(x) > 0; other
-    settings with p(x) = 0 fall back to the prior (they never affect the
-    Bell value).  An exact model whose settings all have Bayes terms mixes
-    by them in integers (:func:`scenario.scaled_sum`): the same Behavior.
+    settings with p(x) = 0 take the prior's weights (they never affect the
+    Bell value).  The columns are mixed by the Bayes terms in integers
+    (:func:`scenario.scaled_sum`).
     """
     scn = model.scenario
-    if model._dev_ints is not None and model._all_terms:
-        columns = [model._terms[x] for x in scn.all_settings()]
-        return scaled_sum(scn, [[(tw, T, b) for tw, b in zip(t, model.behaviors) if tw] for T, t in columns])
-    for x in _bell_settings(scn):
-        if model._posteriors[x] is None:
+    blocks = []
+    for x in scn.all_settings():
+        total, t = model._terms[x]
+        if total:
+            blocks.append([(tw, total, b) for tw, b in zip(t, model.behaviors) if tw])
+        elif x in _bell_settings(scn):
             raise ValueError(f"setting {x} appears in the functional but has p(x)=0")
-    posts = [model._posteriors[x] for x in scn.all_settings()]
-    return mix_columns(model.behaviors, [model.prior if p is None else p for p in posts])
+        else:
+            blocks.append([(p.numerator, p.denominator, b) for p, b in zip(model.prior, model.behaviors) if p])
+    return scaled_sum(scn, blocks)
 
 
 def q_factor(model: AdversaryModel, x: tuple):
-    """Q(x) = max_w p(w|x)/p_min(w), p_min over the functional's settings.
+    """Q(x) = max_w p(w|x)/p_min(w), p_min over the functional's settings,
+    a Fraction.
 
     Returns None when the ratio is unbounded: some w has p_min(w) = 0 and
     p(w|x) > 0 (a w with p_min(w) = 0 and p(w|x) = 0 is skipped).  Worked
     out once per setting and kept in the model.
     """
     x = tuple(x)
-    terms = model._terms.get(x)
-    if terms is None:
-        model._posterior(x)  # raises when p(x) = 0
+    total, t = model._live_terms(x)
     if model._p_min is None:
-        zero = next(s for s in _bell_settings(model.scenario) if model._posteriors[s] is None)
+        zero = next(s for s in _bell_settings(model.scenario) if not model._terms[s][0])
         raise ValueError(f"setting {zero} has zero probability")
     if x not in model._q:
         # kept with k/d * Q(x), k = (d-1)^2 + 1, the factor of variational_bound's rhs
         d = model.scenario.outcomes
         k = (d - 1) ** 2 + 1
-        if model._all_terms:
-            # the largest (t_w / T_x) / (m_w / M_w) = t_w M_w / (T_x m_w), found in integers
-            total, t = terms
-            ratios = [(tw * big, low) for tw, (low, big) in zip(t, model._p_min)]
-            if any(low == 0 < num for num, low in ratios):
-                model._q[x] = None, None
-            else:
-                num, den = max((r for r in ratios if r[1]), key=_by_value)
-                model._q[x] = Fraction(num, total * den), Fraction(k * num, d * total * den)
+        # the largest (t_w / T_x) / (m_w / M_w) = t_w M_w / (T_x m_w), found in integers
+        ratios = [(tw * big, low) for tw, (low, big) in zip(t, model._p_min)]
+        if any(low == 0 < num for num, low in ratios):
+            model._q[x] = None, None
         else:
-            q = _max_ratio(model._posterior(x), model._p_min)
-            model._q[x] = q, (None if q is None else Fraction(k, d) * q)
+            num, den = max((r for r in ratios if r[1]), key=_by_value)
+            model._q[x] = Fraction(num, total * den), Fraction(k * num, d * total * den)
     return model._q[x][0]
 
 
@@ -377,26 +333,19 @@ def variational_bound(
             bell_value = model.bell_value
     if bell_value is None:
         bell_value = evaluate(bell_functional_for(scn), observed)
-    # sum_{a,w} |p_w m_a - p_w/d| = sum_w p_w sum_a |m_a - 1/d|, as p_w >= 0
-    terms = model._terms.get(x)
-    if terms is not None and model._dev_ints is not None:
-        # p_w = t_w / T_x and each deviation is an integer over d L: one Fraction
-        total, t = terms
-        dev_denom, dev_nums = model._dev_ints
-        num = sum(tw * dev[party][x[party]] for tw, dev in zip(t, dev_nums))
-        lhs = Fraction(num, total * dev_denom)
-    else:
-        lhs = 0
-        for pw, dev in zip(model._posterior(x), model._deviations):
-            lhs += pw * dev[party][x[party]]
+    # sum_{a,w} |p_w m_a - p_w/d| = sum_w p_w sum_a |m_a - 1/d|, as p_w >= 0;
+    # p_w = t_w / T_x and each deviation is an integer over d L: one Fraction
+    total, t = model._live_terms(x)
+    dev_denom, dev_nums = model._dev_ints
+    lhs = Fraction(sum(tw * dev[party][x[party]] for tw, dev in zip(t, dev_nums)), total * dev_denom)
     q = q_factor(model, x)
     if q is None:
         rhs = None
         satisfied = True  # unbounded factor: the bound is vacuous
     else:
+        # a float Bell value makes a float rhs, compared with a 1e-12 slack
         rhs = model._q[x][1] * bell_value
-        exact = isinstance(lhs, (int, Fraction)) and isinstance(rhs, (int, Fraction))
-        satisfied = lhs <= rhs if exact else lhs <= rhs + 1e-12
+        satisfied = lhs <= rhs if isinstance(rhs, Fraction) else lhs <= rhs + 1e-12
     return VariationalCheck(
         x=x,
         party=party,

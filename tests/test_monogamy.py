@@ -501,6 +501,9 @@ def test_shift_outside_the_outcomes_is_rejected(m):
     scn = Scenario(3, 2, 2)
     with pytest.raises(ValueError, match=f"shift {m} out of range for d=2"):
         agreement_vector(scn, 0, 0, 0, m)
+    # agreement_probability read dist[m % d], a value for every m
+    with pytest.raises(ValueError, match=f"shift {m} out of range for d=2"):
+        agreement_probability(uniform_behavior(scn), 0, 0, 0, m)
     with pytest.raises(ValueError, match=f"shift {m} out of range for d=2"):
         tightness_scan(scn, 0, 0, 0, m=m)
 

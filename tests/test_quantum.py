@@ -280,8 +280,20 @@ def test_saturating_family_endpoints():
     assert abs(s0.amplitudes[0b100] - 1 / math.sqrt(2)) < 1e-12
     s1 = saturating_family(math.pi / 4)
     assert abs(s1.amplitudes[0b010] - 1.0) < 1e-12
+    # the range check admits theta up to pi/4 + 1e-12, so that is evaluated too
+    s2 = saturating_family(math.pi / 4 + 1e-12)
+    assert s2.amplitudes[0b010] == 1.0 and s2.amplitudes[0b100] == 0.0
     with pytest.raises(ValueError):
         saturating_family(1.0)
+
+
+def test_family_sweep_runs_at_every_point_count():
+    # for 26 point counts in 2..399 the last angle (pi/4) (n-1)/(n-1) is one
+    # ulp above pi/4, where sqrt(2) sin(theta) exceeded 1 before the clamp
+    for n in range(2, 401):
+        rows = family_sweep_csv(1.0, n).strip().splitlines()
+        assert len(rows) == n + 1
+        assert abs(float(rows[-1].split(",")[-1])) < 1e-9
 
 
 def test_quantum_guessing_bound_endpoints():

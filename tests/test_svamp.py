@@ -316,16 +316,16 @@ def test_model_reader_rejects_malformed(pool_222, change):
 
 
 def test_float_prior_sum_uses_tolerance(pool_222):
+    # models are exact: a float prior is rejected, also one that sums to 1
+    # within FLOAT_TOL
     obj = model_to_json(random_adversary_model(Scenario(2, 2, 2), random.Random(4), pool_222, n_strategies=3))
-    for prior in (["0.7", "0.2", "0.1"], ["0.1", "0.2", "0.7"]):
+    for prior in (["0.7", "0.2", "0.1"], ["0.1", "0.2", "0.7"], ["0.6", "0.2", "0.1"]):
         obj["prior"] = prior
-        assert model_from_json(obj, exact=False).prior == [float(p) for p in prior]
-    obj["prior"] = ["0.6", "0.2", "0.1"]
-    with pytest.raises(ValueError):
-        model_from_json(obj, exact=False)
-    # exact models stay exact: a prior off by 10^-12 is rejected
+        with pytest.raises(ValueError, match="prior entries must be ints or Fractions"):
+            model_from_json(obj, exact=False)
+    # a prior off by 10^-12 is rejected
     obj["prior"] = ["7/10", "2/10", "100000000001/1000000000000"]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="prior must be a distribution"):
         model_from_json(obj, exact=True)
 
 
@@ -532,13 +532,13 @@ def test_signalling_strategy_reports_row_residual(pool_222):
 @pytest.mark.parametrize("i", [0, 5, 15])
 def test_non_finite_strategy_is_rejected(i, value):
     scn = Scenario(2, 2, 2)
-    probs = [0.25] * scn.size
+    probs = [Fraction(1, 4)] * scn.size
     probs[i] = value
     strategy = Behavior(scn, tuple(probs))
-    assert not ns_row_residual(strategy) <= FLOAT_TOL
-    inputs = {x: 1 / scn.n_columns for x in scn.all_settings()}
-    with pytest.raises(ValueError, match="signalling"):
-        AdversaryModel(scn, [strategy], [inputs], [1.0])
+    with pytest.raises(ValueError, match="needs an exact behavior"):
+        ns_row_residual(strategy)
+    with pytest.raises(ValueError, match="strategy behavior entries must be ints or Fractions"):
+        AdversaryModel(scn, [strategy], [uniform_inputs(scn)], [1])
 
 
 def negative_ns_behavior(scn, exact=True):
@@ -555,22 +555,30 @@ def negative_ns_behavior(scn, exact=True):
 
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
 def test_strategy_that_is_not_a_table_is_rejected(exact):
+    # the float table is rejected as a float, before its entries are read
     scn = Scenario(2, 2, 2)
     strategy = negative_ns_behavior(scn, exact)
     assert len(validate(strategy, FLOAT_TOL)) == 8
-    assert ns_row_residual(strategy) <= (0 if exact else FLOAT_TOL)
-    inputs = uniform_inputs(scn) if exact else {x: 0.25 for x in scn.all_settings()}
-    with pytest.raises(ValueError, match="not a probability table .negative entry"):
-        AdversaryModel(scn, [strategy], [inputs], [1])
+    if exact:
+        assert ns_row_residual(strategy) == 0
+    match = "not a probability table .negative entry" if exact else "entries must be ints or Fractions"
+    with pytest.raises(ValueError, match=match):
+        AdversaryModel(scn, [strategy], [uniform_inputs(scn)], [1])
 
 
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
 def test_model_reader_rejects_a_strategy_that_is_not_a_table(exact):
+    # the reader's float mode makes a float model, rejected whatever its strategies
     scn = Scenario(2, 2, 2)
     obj = model_to_json(AdversaryModel(scn, [uniform_behavior(scn)], [uniform_inputs(scn)], [1]))
-    model_from_json(obj, exact)
+    if exact:
+        model_from_json(obj, exact)
+    else:
+        with pytest.raises(ValueError, match="prior entries must be ints or Fractions"):
+            model_from_json(obj, exact)
     obj["strategies"][0]["behavior"] = behavior_to_json(negative_ns_behavior(scn))
-    with pytest.raises(ValueError, match="not a probability table"):
+    match = "not a probability table" if exact else "prior entries must be ints or Fractions"
+    with pytest.raises(ValueError, match=match):
         model_from_json(obj, exact)
 
 
@@ -580,25 +588,50 @@ def test_strategy_columns_must_sum_to_one(exact):
     scn = Scenario(2, 2, 2)
     half = Fraction(1, 2) if exact else 0.5
     strategy = Behavior(scn, (half,) * scn.size)
-    inputs = uniform_inputs(scn) if exact else {x: 0.25 for x in scn.all_settings()}
-    with pytest.raises(ValueError, match="not a probability table .column"):
-        AdversaryModel(scn, [strategy], [inputs], [1])
+    match = "not a probability table .column" if exact else "entries must be ints or Fractions"
+    with pytest.raises(ValueError, match=match):
+        AdversaryModel(scn, [strategy], [uniform_inputs(scn)], [1])
 
 
-@pytest.mark.parametrize("eps, accepted", [(1e-12, True), (1e-6, False)])
-def test_float_strategy_row_tolerance(pool_222, eps, accepted):
+@pytest.mark.parametrize("part", ["prior", "inputs", "strategy"])
+@pytest.mark.parametrize("value", [0.25, math.nan, math.inf])
+def test_adversary_model_rejects_float_inputs(part, value):
+    # one float entry, even one of an exact value, makes the model inexact
     scn = Scenario(2, 2, 2)
-    probs = [float(p) for p in pool_222[0].probs]  # uniform
-    # move eps between two outcomes of one column: normalized, but signalling
-    probs[0] += eps
-    probs[1] -= eps
-    strategy = Behavior(scn, tuple(probs))
-    inputs = {x: 1 / scn.n_columns for x in scn.all_settings()}
-    if accepted:
-        AdversaryModel(scn, [strategy], [inputs], [1.0])
+    prior = [Fraction(1, 4), Fraction(3, 4)]
+    inputs = [uniform_inputs(scn), uniform_inputs(scn)]
+    strategies = [uniform_behavior(scn)] * 2
+    AdversaryModel(scn, strategies, inputs, prior)
+    if part == "prior":
+        prior[0] = value
+    elif part == "inputs":
+        inputs[1] = {**inputs[1], (1, 0): value}
     else:
-        with pytest.raises(ValueError, match="signalling"):
-            AdversaryModel(scn, [strategy], [inputs], [1.0])
+        strategies[1] = Behavior(scn, (value,) + strategies[1].probs[1:])
+    with pytest.raises(ValueError, match="must be ints or Fractions"):
+        AdversaryModel(scn, strategies, inputs, prior)
+
+
+@pytest.mark.parametrize("x", [(0, 5), (0, 0, 0), (2, 0), (0,)], ids=["0-5", "0-0-0", "2-0", "0"])
+def test_a_setting_outside_the_scenario_is_named_so(pool_222, x):
+    scn = Scenario(2, 2, 2)
+    model = AdversaryModel(scn, [pool_222[0]], [uniform_inputs(scn)], [1])
+    for call in (
+        lambda: model.posterior(x),
+        lambda: q_factor(model, x),
+        lambda: variational_bound(model, x, 0, observed=pool_222[0], bell_value=Fraction(0)),
+    ):
+        with pytest.raises(ValueError, match=r"is outside the scenario$"):
+            call()
+
+
+def test_an_input_distribution_outside_the_scenario_is_rejected(pool_222):
+    scn = Scenario(2, 2, 2)
+    half = Fraction(1, 2)
+    AdversaryModel(scn, [pool_222[0]], [{(0, 0): half, (0, 1): half}], [1])
+    for dist in ({(0, 0): half, (0, 7): half}, {(0, 0): half, (0, 0, 1): half}, {(0, 0): 1, (1, 2): 0}):
+        with pytest.raises(ValueError, match="a setting outside the scenario"):
+            AdversaryModel(scn, [pool_222[0]], [dist], [1])
 
 
 def test_variational_bound_defaults_match_explicit(diff_pools, monkeypatch):
@@ -664,7 +697,7 @@ def ref_variational_bound(model, x, party, observed, bell_value):
     d = model.scenario.outcomes
     x = tuple(x)
     lhs = 0
-    for pw, dev in zip(model._posterior(x), model._deviations):
+    for pw, dev in zip(model.posterior(x), ref_deviations(model)):
         lhs += pw * dev[party][x[party]]
     q = ref_q_factor(model, x)
     if q is None:
@@ -795,8 +828,9 @@ def test_integer_kernels_match_fraction_loops(diff_pools):
                 dist[zero] += dist[empty]
                 dist[empty] = Fraction(0)
             model = AdversaryModel(scn, model.behaviors, dists, model.prior)
-        assert same(model._deviations, ref_deviations(model))
-        assert model._dev_ints is not None  # the integer path
+        dev_denom, dev_nums = model._dev_ints
+        deviations = [[[Fraction(v, dev_denom) for v in row] for row in table] for table in dev_nums]
+        assert same(deviations, ref_deviations(model))
         for strategy in model.behaviors:
             assert_scaled_form(strategy)
         observed = outcome(observed_behavior, model)
@@ -834,35 +868,23 @@ def test_evaluate_plans_follow_a_replaced_functional(diff_pools):
 
 
 def test_posteriors_are_built_on_demand(diff_pools):
+    # each call builds p(w|x) from the integer Bayes terms, as a fresh list
     rng = random.Random(39)
     for scn in DIFF_SCENARIOS:
         model = random_adversary_model(scn, rng, diff_pools[scn], n_strategies=3)
-        observed = observed_behavior(model)
-        value = evaluate(bell_functional_for(scn), observed)
-        for x in scn.all_settings():
-            for k in range(scn.parties):
-                variational_bound(model, x, k, observed, value)
-        # the exact path reads the integer Bayes terms only
-        assert "_posteriors" not in model.__dict__
         for x in scn.all_settings():
             got = model.posterior(x)
             assert same(got, ref_posterior(model, x))
             got[0] += 1  # a fresh list: the model keeps its own
             assert same(model.posterior(x), ref_posterior(model, x))
-    # (0, 1) is outside the (2,3,2) functional; one float factor there leaves
-    # that setting without terms and the model on its posteriors
+    # (0, 1) is outside the (2,3,2) functional; one float factor there is
+    # rejected, so no setting is left without integer terms
     scn = Scenario(2, 3, 2)
     model = random_adversary_model(scn, rng, diff_pools[scn], n_strategies=3)
     dists = [dict(dist) for dist in model.input_dists]
     dists[1][(0, 1)] = float(dists[1][(0, 1)])
-    model = AdversaryModel(scn, model.behaviors, dists, model.prior)
-    assert model._terms[(0, 1)] is None
-    assert all(model._terms[x] is not None for x in scn.all_settings() if x != (0, 1))
-    observed = observed_behavior(model)
-    assert same(observed.probs, ref_observed_behavior(model).probs)
-    for x in scn.all_settings():
-        assert same(model.posterior(x), ref_posterior(model, x))
-    assert_bounds_match(model, observed, evaluate(bell_functional_for(scn), observed))
+    with pytest.raises(ValueError, match="input distribution values must be ints or Fractions"):
+        AdversaryModel(scn, model.behaviors, dists, model.prior)
 
 
 def test_index_plans_are_built_on_first_use():
@@ -912,24 +934,11 @@ def test_float_behaviors_take_the_entrywise_path(diff_pools):
         mixed = [model.behaviors[0], floats[1], model.behaviors[2]]
         weights = [Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)]
         assert same(mix(mixed, weights).probs, ref_mix(mixed, weights).probs)
-        float_model = AdversaryModel(
-            scn,
-            floats,
-            [{x: float(p) for x, p in dist.items()} for dist in model.input_dists],
-            [float(p) for p in model.prior],
-        )
-        assert same(float_model._deviations, ref_deviations(float_model))
-        assert float_model._dev_ints is None
-        observed = observed_behavior(float_model)
-        assert same(observed.probs, ref_observed_behavior(float_model).probs)
-        functional = bell_functional_for(scn)
-        value = evaluate(functional, observed)
-        assert same(value, ref_evaluate(functional, observed))
-        assert_bounds_match(float_model, observed, value)
-        # exact strategies under a float prior: float posteriors, Fraction deviations
-        mixed = AdversaryModel(scn, model.behaviors, model.input_dists, [float(p) for p in model.prior])
-        assert all(terms is None for terms in mixed._terms.values())
-        assert_bounds_match(mixed, observed_behavior(mixed), value)
+        # an adversary model takes no float: not the strategies, nor the prior
+        with pytest.raises(ValueError, match="strategy behavior entries must be ints or Fractions"):
+            AdversaryModel(scn, floats, model.input_dists, model.prior)
+        with pytest.raises(ValueError, match="prior entries must be ints or Fractions"):
+            AdversaryModel(scn, model.behaviors, model.input_dists, [float(p) for p in model.prior])
 
 
 def test_int_and_fraction_factors_match_the_fraction_loop(diff_pools):
@@ -946,11 +955,11 @@ def test_int_and_fraction_factors_match_the_fraction_loop(diff_pools):
         AdversaryModel(scn, [int_vertex, pool[2]], [point, uniform_dist], [Fraction(1, 3), Fraction(2, 3)]),
         AdversaryModel(scn, [pool[2]], [outside], [1]),
     ]
-    assert models[2]._terms[(0, 1)] is None and models[2]._posteriors[(0, 1)] is None
-    assert all(models[2]._terms[x] is not None for x in scn.all_settings() if x != (0, 1))
+    # p(x) = 0 at (0, 1) only: T_x = 0, and the prior fills its observed column
+    assert models[2]._terms[(0, 1)][0] == 0
+    assert all(models[2]._terms[x][0] for x in scn.all_settings() if x != (0, 1))
     functional = bell_functional_for(scn)
     for model in models:
-        assert model._dev_ints is not None
         observed = observed_behavior(model)
         assert same(observed.probs, ref_observed_behavior(model).probs)
         value = evaluate(functional, observed)
