@@ -248,8 +248,8 @@ def evaluate_assignment(functional: BellFunctional, table: Sequence[Sequence[int
 def classical_minimum(functional: BellFunctional):
     """Exact minimum over all local deterministic strategies."""
     return min(
-        evaluate_assignment(functional, a.table)
-        for a in enumerate_assignments(functional.scenario)
+        evaluate_assignment(functional, table)
+        for table in enumerate_assignments(functional.scenario)
     )
 
 

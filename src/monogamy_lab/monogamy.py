@@ -28,8 +28,8 @@ from .polylp import LPSolution, optimize_over_ns
 from .scenario import Behavior, Scenario, csv_text, format_number, is_nonsignalling
 
 
-def _require_ns(behavior: Behavior, tol) -> None:
-    ok, worst = is_nonsignalling(behavior, tol)
+def _require_ns(behavior: Behavior) -> None:
+    ok, worst = is_nonsignalling(behavior)
     if not ok:
         raise SignallingInputError(
             f"monogamy relations assume a nonsignalling behavior "
@@ -63,32 +63,19 @@ def pair_difference_distribution(
     return tuple(sum(map(get, idx)) for idx in groups)
 
 
-def monogamy_lhs_general(
-    behavior: Behavior,
-    k: int,
-    x_k: int,
-    x_last: int,
-    check: bool = True,
-    tol=0,
-):
+def monogamy_lhs_general(behavior: Behavior, k: int, x_k: int, x_last: int, check: bool = True):
     """I^{N,M,d} on the first N parties plus both cross means with the last
     party (the terms of :func:`monogamy_functional`); at least d-1 for every
     nonsignalling behavior."""
     scn = behavior.scenario
     _check_party(scn, k)
     if check:
-        _require_ns(behavior, tol)
+        _require_ns(behavior)
     return evaluate(monogamy_functional(scn, k, x_k, x_last), behavior)
 
 
 def agreement_probability(
-    behavior: Behavior,
-    k: int,
-    x_k: int,
-    x_last: int,
-    m: int = 0,
-    check: bool = True,
-    tol=0,
+    behavior: Behavior, k: int, x_k: int, x_last: int, m: int = 0, check: bool = True
 ) -> tuple:
     """p(A^k_{x_k} = [A^{last}_{x_last} + m]) and whether I + 1 >= d p
     holds; the shift m is one of range(d)."""
@@ -97,7 +84,7 @@ def agreement_probability(
     _check_party(scn, k)
     _check_shift(scn, m)
     if check:
-        _require_ns(behavior, tol)
+        _require_ns(behavior)
     dist = pair_difference_distribution(behavior, k, x_k, scn.parties - 1, x_last)
     p = dist[m]
     value = evaluate(embedded_bkp(scn), behavior)

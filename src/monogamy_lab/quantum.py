@@ -17,6 +17,9 @@ monogamy inequalities checked here:
 
 The second family is saturated (for i = 1) by the states
 (b+ |01> + b- |10>)|0> with b+- = sqrt((1 +- sqrt(2) sin t)/2).
+Plain values stand for the objects: a state is its array of 2^n real
+amplitudes, a pair's correlation matrix T its 2x2 array, and the observable
+sin(v) sigma_x + cos(v) sigma_z its angle v.
 
 Chained-functional violations are evaluated on a maximally entangled
 two-qudit pair at the Fourier-basis phase-ladder measurements of Barrett,
@@ -49,12 +52,12 @@ _MC_BLOCK = 1024
 
 
 @functools.cache
-def _paulis() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """sigma_x, sigma_z and sigma_u x sigma_v for (u, v) = xx, xz, zx, zz."""
+def _paulis() -> np.ndarray:
+    """sigma_u x sigma_v for (u, v) = xx, xz, zx, zz."""
     import numpy as np
     sx = np.array([[0.0, 1.0], [1.0, 0.0]])
     sz = np.array([[1.0, 0.0], [0.0, -1.0]])
-    return sx, sz, np.stack([np.kron(su, sv) for su in (sx, sz) for sv in (sx, sz)])
+    return np.stack([np.kron(su, sv) for su in (sx, sz) for sv in (sx, sz)])
 
 
 def _check_alpha(alpha: float) -> None:
@@ -62,51 +65,14 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must be a finite number >= 1, got {alpha}")
 
 
-@dataclass
-class RealPureState:
-    """Real amplitudes over n qubits, unit norm within 1e-12."""
-
-    n_qubits: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        import numpy as np
-        self.amplitudes = np.asarray(self.amplitudes, dtype=float)
-        if self.amplitudes.shape != (2**self.n_qubits,):
-            raise ValueError("amplitude count must be 2^n")
-        norm = float(np.sum(self.amplitudes**2))
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError(f"state norm^2 = {norm}, not normalized")
-
-
-@dataclass(frozen=True)
-class PlaneObservable:
-    """Dichotomic observable sin(t) sigma_x + cos(t) sigma_z."""
-
-    angle: float
-
-    @property
-    def matrix(self) -> np.ndarray:
-        sx, sz, _ = _paulis()
-        return math.sin(self.angle) * sx + math.cos(self.angle) * sz
-
-    @property
-    def direction(self) -> np.ndarray:
-        import numpy as np
-        return np.array([math.sin(self.angle), math.cos(self.angle)])
-
-
-@dataclass
-class CorrelationMatrix:
-    """2x2 matrix of <sigma_u x sigma_v> over u, v in (x, z) for a qubit pair."""
-
-    matrix: np.ndarray
-
-    @property
-    def singular_squares(self) -> tuple[float, float]:
-        import numpy as np
-        s = np.linalg.svd(self.matrix, compute_uv=False)
-        return float(s[0] ** 2), float(s[1] ** 2)
+def _check_normalized(states: np.ndarray) -> None:
+    """Every row of ``states`` must have norm^2 1 within 1e-12; a NaN or an
+    infinite amplitude fails."""
+    import numpy as np
+    norms = np.sum(states**2, axis=1)
+    worst = norms[np.argmax(np.abs(norms - 1.0))]
+    if not abs(worst - 1.0) <= 1e-12:
+        raise ValueError(f"state norm^2 = {worst}, not normalized")
 
 
 def _correlation_matrices(
@@ -122,40 +88,41 @@ def _correlation_matrices(
     psi = amplitudes.reshape((k,) + (2,) * n_qubits)
     psi = np.moveaxis(psi, (i + 1, j + 1), (1, 2)).reshape(k, 4, -1)
     rho = psi @ psi.transpose(0, 2, 1)  # reduced 4x4 density matrices of the pair
-    t = np.trace(rho[:, None] @ _paulis()[2], axis1=-2, axis2=-1)
+    t = np.trace(rho[:, None] @ _paulis(), axis1=-2, axis2=-1)
     return t.reshape(k, 2, 2)
 
 
-def correlation_matrix(state: RealPureState, pair: tuple[int, int]) -> CorrelationMatrix:
-    return CorrelationMatrix(_correlation_matrices(state.amplitudes[None], state.n_qubits, pair)[0])
-
-
-def pair_expectation(t: CorrelationMatrix, a: PlaneObservable, b: PlaneObservable) -> float:
-    """<A x B> = a . T b for plane observables."""
-    return float(a.direction @ t.matrix @ b.direction)
+def correlation_matrix(amplitudes: np.ndarray, pair: tuple[int, int]) -> np.ndarray:
+    """2x2 matrix of <sigma_u x sigma_v> over u, v in (x, z) for one qubit
+    pair of the real pure state with these 2^n amplitudes."""
+    import numpy as np
+    states = np.asarray(amplitudes, dtype=float)[None]
+    n_qubits = states.size.bit_length() - 1
+    if states.shape != (1, 2**n_qubits):
+        raise ValueError("amplitude count must be 2^n")
+    _check_normalized(states)
+    return _correlation_matrices(states, n_qubits, pair)[0]
 
 
 def alpha_chsh_value(
-    t: CorrelationMatrix,
-    a_angles: tuple[float, float],
-    b_angles: tuple[float, float],
-    alpha: float,
+    t: np.ndarray, a_angles: tuple[float, float], b_angles: tuple[float, float], alpha: float
 ) -> float:
-    """alpha (<A1B1> + <A1B2>) + <A2B1> - <A2B2> at explicit angles."""
+    """alpha (<A1B1> + <A1B2>) + <A2B1> - <A2B2> at explicit angles.  The
+    observable at angle v is sin(v) sigma_x + cos(v) sigma_z, and
+    <A x B> = a . T b for the directions a, b = (sin v, cos v) of the two."""
+    import numpy as np
     _check_alpha(alpha)
-    a1, a2 = (PlaneObservable(v) for v in a_angles)
-    b1, b2 = (PlaneObservable(v) for v in b_angles)
-    return (
-        alpha * (pair_expectation(t, a1, b1) + pair_expectation(t, a1, b2))
-        + pair_expectation(t, a2, b1)
-        - pair_expectation(t, a2, b2)
-    )
+    a, b = ([[math.sin(v), math.cos(v)] for v in angles] for angles in (a_angles, b_angles))
+    e = np.array(a) @ t @ np.array(b).T  # e[i, j] = <A_{i+1} B_{j+1}>
+    return float(alpha * (e[0, 0] + e[0, 1]) + e[1, 0] - e[1, 1])
 
 
-def alpha_chsh_max(t: CorrelationMatrix, alpha: float) -> float:
-    """Maximum of the alpha-CHSH form over plane observables: 2 sqrt(a^2 l1 + l2)."""
+def alpha_chsh_max(t: np.ndarray, alpha: float) -> float:
+    """Maximum of the alpha-CHSH form over plane observables: 2 sqrt(a^2 l1 + l2),
+    with l1 >= l2 the squared singular values of the correlation matrix t."""
+    import numpy as np
     _check_alpha(alpha)
-    l1, l2 = t.singular_squares
+    l1, l2 = np.linalg.svd(t, compute_uv=False) ** 2
     return 2.0 * math.sqrt(alpha**2 * l1 + l2)
 
 
@@ -192,10 +159,7 @@ def _random_real_states(k: int, rng: np.random.Generator, n_qubits: int = 3) -> 
     v = rng.standard_normal((k, 2**n_qubits))
     # a norm per row: one vectorized norm rounds some amplitudes differently
     states = v / np.array([np.linalg.norm(row) for row in v])[:, None]
-    norms = np.sum(states**2, axis=1)
-    worst = norms[np.argmax(np.abs(norms - 1.0))]
-    if abs(worst - 1.0) > 1e-12:
-        raise ValueError(f"state norm^2 = {worst}, not normalized")
+    _check_normalized(states)
     return states
 
 
@@ -241,8 +205,8 @@ def monogamy_montecarlo(
     }
 
 
-def saturating_family(theta: float) -> RealPureState:
-    """(b+ |01> + b- |10>)|0> with b+- = sqrt((1 +- sqrt(2) sin theta)/2),
+def saturating_family(theta: float) -> np.ndarray:
+    """Amplitudes of (b+ |01> + b- |10>)|0> with b+- = sqrt((1 +- sqrt(2) sin theta)/2),
     theta in [0, pi/4]; traces the boundary of the agreement monogamy."""
     import numpy as np
     if not 0.0 <= theta <= math.pi / 4 + 1e-12:
@@ -254,7 +218,7 @@ def saturating_family(theta: float) -> RealPureState:
     amps = np.zeros(8)
     amps[0b010] = bp
     amps[0b100] = bm
-    return RealPureState(3, amps)
+    return amps
 
 
 def quantum_guessing_bound(violation: float, alpha: float) -> float:
@@ -430,13 +394,14 @@ def guessing_curve_csv(d: int, n_points: int = 101) -> str:
 def family_sweep_csv(alpha: float, n_points: int) -> str:
     """Boundary sweep of :func:`saturating_family` over theta in [0, pi/4]
     (columns theta, bell_max, outsider_corr, boundary_residual)."""
+    import numpy as np
     _check_points(n_points)
     rows = []
     for i in range(n_points):
         theta = (math.pi / 4) * i / (n_points - 1)
         state = saturating_family(theta)
         bell_max = alpha_chsh_max(correlation_matrix(state, (0, 1)), alpha)
-        corr = math.sqrt(correlation_matrix(state, (0, 2)).singular_squares[0])
+        corr = math.sqrt(np.linalg.svd(correlation_matrix(state, (0, 2)), compute_uv=False)[0] ** 2)
         residual = bell_max**2 + 4 * corr**2 - 4 * (1 + alpha**2)
         rows.append([repr(theta), repr(bell_max), repr(corr), repr(residual)])
     return csv_text(["theta", "bell_max", "outsider_corr", "boundary_residual"], rows)

@@ -175,23 +175,6 @@ def _check_length(scenario: Scenario, n: int) -> None:
         raise ValueError(f"expected {scenario.size} entries, got {n}")
 
 
-@dataclass(frozen=True)
-class DeterministicAssignment:
-    """Outcome table of a local deterministic strategy: table[party][setting]."""
-
-    table: tuple[tuple[int, ...], ...]
-
-    def validate(self, scenario: Scenario) -> None:
-        if len(self.table) != scenario.parties:
-            raise ValueError("assignment must cover every party")
-        for row in self.table:
-            if len(row) != scenario.settings:
-                raise ValueError("assignment must cover every setting")
-            for o in row:
-                if not 0 <= o < scenario.outcomes:
-                    raise ValueError(f"assigned outcome {o} out of range")
-
-
 def validate(behavior: Behavior, tol=0) -> list[str]:
     """Report violated behavior constraints (empty list means valid).
 
@@ -317,25 +300,28 @@ def is_nonsignalling(behavior: Behavior, tol=0) -> tuple[bool, object]:
     return worst <= tol, worst
 
 
-def deterministic_vertex(
-    scenario: Scenario, assignment: DeterministicAssignment | Sequence[Sequence[int]]
-) -> Behavior:
-    """Local deterministic behavior: each party's outcome is a function of its setting."""
-    if not isinstance(assignment, DeterministicAssignment):
-        assignment = DeterministicAssignment(tuple(tuple(row) for row in assignment))
-    assignment.validate(scenario)
+def deterministic_vertex(scenario: Scenario, table: Sequence[Sequence[int]]) -> Behavior:
+    """Local deterministic behavior of the outcome table table[party][setting]:
+    each party's outcome is a function of its setting."""
+    if len(table) != scenario.parties:
+        raise ValueError("assignment must cover every party")
+    for row in table:
+        if len(row) != scenario.settings:
+            raise ValueError("assignment must cover every setting")
+        for o in row:
+            if not 0 <= o < scenario.outcomes:
+                raise ValueError(f"assigned outcome {o} out of range")
     probs = [Fraction(0)] * scenario.size
     for x in scenario.all_settings():
-        a = tuple(assignment.table[k][xk] for k, xk in enumerate(x))
+        a = tuple(table[k][xk] for k, xk in enumerate(x))
         probs[scenario.index(x, a)] = Fraction(1)
     return Behavior(scenario, tuple(probs))
 
 
-def enumerate_assignments(scenario: Scenario) -> Iterator[DeterministicAssignment]:
-    """All d^(N*M) local deterministic strategies."""
+def enumerate_assignments(scenario: Scenario) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """All d^(N*M) local deterministic strategies, as outcome tables."""
     rows = itertools.product(range(scenario.outcomes), repeat=scenario.settings)
-    for table in itertools.product(rows, repeat=scenario.parties):
-        yield DeterministicAssignment(table)
+    return itertools.product(rows, repeat=scenario.parties)
 
 
 def uniform_behavior(scenario: Scenario) -> Behavior:

@@ -173,10 +173,6 @@ class AdversaryModel:
             raise ValueError(f"setting {x} has zero probability")
         return terms
 
-    @property
-    def n_strategies(self) -> int:
-        return len(self.behaviors)
-
     def input_probability(self, x: tuple) -> object:
         """p(x) = sum_w p(w) p(x|w)."""
         return sum(
@@ -297,6 +293,8 @@ def q_factor_tilde(model: AdversaryModel, x: tuple):
     """Variant with input likelihoods: max_w p(x|w)/min_x' p(x'|w)."""
     settings = _bell_settings(model.scenario)
     x = tuple(x)
+    if x not in model._terms:
+        raise ValueError(f"setting {x} is outside the scenario")
     return _max_ratio(
         [dist.get(x, 0) for dist in model.input_dists],
         [min(dist.get(s, 0) for s in settings) for dist in model.input_dists],

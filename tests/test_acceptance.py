@@ -153,7 +153,7 @@ def test_criterion_7_qubit_monogamy():
         state = saturating_family(theta)
         t_ab = correlation_matrix(state, (0, 1))
         t_ac = correlation_matrix(state, (0, 2))
-        lhs = alpha_chsh_max(t_ab, 1.0) ** 2 + 4 * t_ac.singular_squares[0]
+        lhs = alpha_chsh_max(t_ab, 1.0) ** 2 + 4 * np.linalg.svd(t_ac, compute_uv=False)[0] ** 2
         worst_res = max(worst_res, abs(lhs - 8.0))
     family_ok = worst_res <= 1e-9
     report(7, mc_ok and family_ok,

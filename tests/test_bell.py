@@ -195,7 +195,7 @@ def test_chained_functional_is_a_fresh_object_per_call():
     g = recursive_bkp(3, 2, 2)
     assert g is not f and g.classical_bound == 1 and len(g.terms) == 8
     assert g.dense() != f.dense()
-    assert all(evaluate_assignment(g, a.table) >= 1 for a in enumerate_assignments(g.scenario))
+    assert all(evaluate_assignment(g, table) >= 1 for table in enumerate_assignments(g.scenario))
 
 
 def test_evaluate_with_unequal_weights_matches_dense():

@@ -53,7 +53,7 @@ from reference import chained_bkp, product
 
 
 def monogamy_lhs_tripartite(
-    behavior: Behavior, x_party: int, i: int, j: int, check: bool = True, tol=0
+    behavior: Behavior, x_party: int, i: int, j: int, check: bool = True
 ):
     """Three-party special case of :func:`monogamy_lhs_general`; x_party in
     {0, 1} picks which of the two Bell-test parties is compared with the
@@ -62,7 +62,7 @@ def monogamy_lhs_tripartite(
         raise ValueError("tripartite form needs exactly 3 parties")
     if x_party not in (0, 1):
         raise ValueError("x_party must be 0 or 1")
-    return monogamy_lhs_general(behavior, x_party, i, j, check=check, tol=tol)
+    return monogamy_lhs_general(behavior, x_party, i, j, check=check)
 
 
 @dataclass
@@ -81,10 +81,10 @@ class MonogamyRecord:
         return self.lhs - self.bound
 
 
-def monogamy_report(behavior: Behavior, tol=0) -> list[MonogamyRecord]:
+def monogamy_report(behavior: Behavior) -> list[MonogamyRecord]:
     """Check every (k, x_k, x_last, m) combination on one behavior."""
     scn = behavior.scenario
-    monogamy._require_ns(behavior, tol)
+    monogamy._require_ns(behavior)
     d = scn.outcomes
     n = scn.parties - 1
     value = evaluate(embedded_bkp(scn), behavior)

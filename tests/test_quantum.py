@@ -9,9 +9,6 @@ from scipy.optimize import minimize
 from monogamy_lab.bell import evaluate
 from monogamy_lab import quantum
 from monogamy_lab.quantum import (
-    CorrelationMatrix,
-    PlaneObservable,
-    RealPureState,
     alpha_chsh_max,
     alpha_chsh_value,
     chained_quantum_violation,
@@ -31,8 +28,13 @@ from monogamy_lab.scenario import is_nonsignalling, validate
 from reference import chained_bkp
 
 
-def random_real_state(n_qubits: int, rng: np.random.Generator) -> RealPureState:
-    return RealPureState(n_qubits, quantum._random_real_states(1, rng, n_qubits)[0])
+def random_real_state(n_qubits: int, rng: np.random.Generator) -> np.ndarray:
+    return quantum._random_real_states(1, rng, n_qubits)[0]
+
+
+def singular_squares(t: np.ndarray) -> np.ndarray:
+    """l1 >= l2, the squared singular values of a correlation matrix."""
+    return np.linalg.svd(t, compute_uv=False) ** 2
 
 
 class QubitMonogamyReport(NamedTuple):
@@ -44,7 +46,7 @@ class QubitMonogamyReport(NamedTuple):
         return min(self.slack_pair_tradeoff, self.slack_agreement)
 
 
-def check_qubit_monogamy(state: RealPureState, alpha: float) -> QubitMonogamyReport:
+def check_qubit_monogamy(state: np.ndarray, alpha: float) -> QubitMonogamyReport:
     """Worst-case slacks of both monogamy inequalities for one state, the
     per-state reference of the batched Monte-Carlo.
 
@@ -54,10 +56,10 @@ def check_qubit_monogamy(state: RealPureState, alpha: float) -> QubitMonogamyRep
     nonnegative slack certifies the inequality for every measurement choice.
     """
     quantum._check_alpha(alpha)
-    if state.n_qubits != 3:
+    if len(state) != 8:
         raise ValueError("need a three-qubit state")
     slack_pair, slack_agree = monogamy_slacks(
-        *(np.array([correlation_matrix(state, pair).singular_squares])
+        *(singular_squares(correlation_matrix(state, pair))[None]
           for pair in ((0, 1), (0, 2), (1, 2))),
         [alpha],
     )
@@ -65,7 +67,7 @@ def check_qubit_monogamy(state: RealPureState, alpha: float) -> QubitMonogamyRep
 
 
 def alpha_chsh_max_search(
-    t: CorrelationMatrix, alpha: float, n_starts: int = 32, seed: int = 0
+    t: np.ndarray, alpha: float, n_starts: int = 32, seed: int = 0
 ) -> float:
     """Direct numerical maximization over the four angles (oracle for
     :func:`alpha_chsh_max`)."""
@@ -84,28 +86,31 @@ def alpha_chsh_max_search(
 
 
 def test_state_normalization_enforced():
-    with pytest.raises(ValueError):
-        RealPureState(1, np.array([1.0, 1.0]))
+    nan, inf = math.nan, math.inf
+    # abs(nan - 1) > 1e-12 is False, so the check must not be written that way
+    for amps in ([1.0, 1.0, 0.0, 0.0], [nan, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, nan], [inf, 0.0, 0.0, 0.0],
+                 [-inf, inf, 0.0, 0.0]):
+        with pytest.raises(ValueError, match="not normalized"):
+            correlation_matrix(np.array(amps), (0, 1))
 
 
-def test_plane_observable_involution():
-    for angle in (0.0, 0.3, math.pi / 2, 2.0):
-        m = PlaneObservable(angle).matrix
-        assert abs(np.trace(m)) < 1e-12
-        assert np.allclose(m @ m, np.eye(2), atol=1e-12)
+@pytest.mark.parametrize("n_amplitudes", [0, 3, 6])
+def test_amplitude_count_must_be_a_power_of_two(n_amplitudes):
+    with pytest.raises(ValueError, match="2\\^n"):
+        correlation_matrix(np.ones(n_amplitudes) / math.sqrt(max(n_amplitudes, 1)), (0, 1))
 
 
 def test_correlation_matrix_product_state():
-    s = RealPureState(2, np.array([1.0, 0.0, 0.0, 0.0]))  # |00>
+    s = np.array([1.0, 0.0, 0.0, 0.0])  # |00>
     t = correlation_matrix(s, (0, 1))
-    assert np.allclose(t.matrix, [[0, 0], [0, 1]], atol=1e-12)
-    assert t.singular_squares == (1.0, 0.0)
+    assert np.allclose(t, [[0, 0], [0, 1]], atol=1e-12)
+    assert singular_squares(t).tolist() == [1.0, 0.0]
 
 
 def test_correlation_matrix_singlet():
-    s = RealPureState(2, np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2))
+    s = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2)
     t = correlation_matrix(s, (0, 1))
-    l1, l2 = t.singular_squares
+    l1, l2 = singular_squares(t)
     assert abs(l1 - 1) < 1e-12 and abs(l2 - 1) < 1e-12
 
 
@@ -115,26 +120,24 @@ def test_correlation_matrix_uncorrelated_pair():
     amps = np.zeros(8)
     amps[0b001] = 1 / math.sqrt(2)
     amps[0b010] = -1 / math.sqrt(2)
-    s = RealPureState(3, amps)
-    assert np.allclose(correlation_matrix(s, (0, 1)).matrix, 0.0, atol=1e-12)
+    assert np.allclose(correlation_matrix(amps, (0, 1)), 0.0, atol=1e-12)
 
 
 def test_chsh_value_at_optimal_angles():
-    phi = RealPureState(2, np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2))
+    phi = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2)
     t = correlation_matrix(phi, (0, 1))
     v = alpha_chsh_value(t, (0.0, math.pi / 2), (math.pi / 4, -math.pi / 4), 1.0)
     assert abs(v - 2 * math.sqrt(2)) < 1e-9
 
 
 def test_chsh_classical_value_on_product_state():
-    s = RealPureState(2, np.array([1.0, 0.0, 0.0, 0.0]))
-    t = correlation_matrix(s, (0, 1))
+    t = correlation_matrix(np.array([1.0, 0.0, 0.0, 0.0]), (0, 1))
     for alpha in (1.0, 2.0):
         assert alpha_chsh_max(t, alpha) <= 2 * alpha + 1e-12
 
 
 def test_alpha_rejected_below_one():
-    t = CorrelationMatrix(np.eye(2))
+    t = np.eye(2)
     with pytest.raises(ValueError):
         alpha_chsh_max(t, 0.5)
     with pytest.raises(ValueError):
@@ -142,8 +145,8 @@ def test_alpha_rejected_below_one():
 
 
 def test_alpha_chsh_max_formula_cases():
-    assert abs(alpha_chsh_max(CorrelationMatrix(np.eye(2)), 1.0) - 2 * math.sqrt(2)) < 1e-12
-    t = CorrelationMatrix(np.array([[0.0, 0.0], [0.0, 1.0]]))
+    assert abs(alpha_chsh_max(np.eye(2), 1.0) - 2 * math.sqrt(2)) < 1e-12
+    t = np.array([[0.0, 0.0], [0.0, 1.0]])
     for alpha in (1.0, 1.5, 3.0):
         assert abs(alpha_chsh_max(t, alpha) - 2 * alpha) < 1e-12
 
@@ -199,7 +202,7 @@ def test_monogamy_montecarlo_block_boundaries(monkeypatch, n_states, sizes):
     assert [len(b) for b in blocks] == sizes
     rng = np.random.default_rng(5)
     for amps in np.concatenate(blocks):
-        assert np.array_equal(amps, random_real_state(3, rng).amplitudes)
+        assert np.array_equal(amps, random_real_state(3, rng))
 
 
 def test_batched_slacks_match_per_state_check():
@@ -210,7 +213,7 @@ def test_batched_slacks_match_per_state_check():
     assert slacks.shape == (300, 4)
     for row, amps in zip(slacks, states):
         state = random_real_state(3, rng)
-        assert np.array_equal(amps, state.amplitudes)
+        assert np.array_equal(amps, state)
         for s, a in zip(row, alphas):
             assert abs(s - check_qubit_monogamy(state, a).worst_slack) <= 1e-12
 
@@ -223,7 +226,7 @@ def test_monogamy_montecarlo_rejects_empty_runs(n_states):
 
 @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf, 0.5])
 def test_alpha_must_be_finite_and_at_least_one(alpha):
-    t = CorrelationMatrix(np.eye(2))
+    t = np.eye(2)
     state = saturating_family(0.0)
     for call in (
         lambda: alpha_chsh_value(t, (0, 0), (0, 0), alpha),
@@ -250,7 +253,7 @@ def test_product_state_saturates_monogamy():
     amps = np.zeros(8)
     amps[0] = 1.0
     for alpha in (1.0, 1.5, 2.0):
-        rep = check_qubit_monogamy(RealPureState(3, amps), alpha)
+        rep = check_qubit_monogamy(amps, alpha)
         assert abs(rep.slack_pair_tradeoff) < 1e-12
         assert abs(rep.slack_agreement) < 1e-12
 
@@ -258,7 +261,7 @@ def test_product_state_saturates_monogamy():
 def test_w_state_has_strict_slack():
     amps = np.zeros(8)
     amps[0b001] = amps[0b010] = amps[0b100] = 1 / math.sqrt(3)
-    rep = check_qubit_monogamy(RealPureState(3, amps), 1.0)
+    rep = check_qubit_monogamy(amps, 1.0)
     assert rep.worst_slack > 0.1
 
 
@@ -266,23 +269,23 @@ def test_saturating_family_normalized_and_boundary():
     for i in range(50):
         theta = (math.pi / 4) * i / 49
         state = saturating_family(theta)
-        assert abs(np.sum(state.amplitudes**2) - 1) < 1e-12
+        assert abs(np.sum(state**2) - 1) < 1e-12
         t_ab = correlation_matrix(state, (0, 1))
         t_ac = correlation_matrix(state, (0, 2))
         for alpha in (1.0, 2.0):
-            lhs = alpha_chsh_max(t_ab, alpha) ** 2 + 4 * t_ac.singular_squares[0]
+            lhs = alpha_chsh_max(t_ab, alpha) ** 2 + 4 * singular_squares(t_ac)[0]
             assert abs(lhs - 4 * (1 + alpha**2)) < 1e-9
 
 
 def test_saturating_family_endpoints():
     s0 = saturating_family(0.0)
-    assert abs(s0.amplitudes[0b010] - 1 / math.sqrt(2)) < 1e-12
-    assert abs(s0.amplitudes[0b100] - 1 / math.sqrt(2)) < 1e-12
+    assert abs(s0[0b010] - 1 / math.sqrt(2)) < 1e-12
+    assert abs(s0[0b100] - 1 / math.sqrt(2)) < 1e-12
     s1 = saturating_family(math.pi / 4)
-    assert abs(s1.amplitudes[0b010] - 1.0) < 1e-12
+    assert abs(s1[0b010] - 1.0) < 1e-12
     # the range check admits theta up to pi/4 + 1e-12, so that is evaluated too
     s2 = saturating_family(math.pi / 4 + 1e-12)
-    assert s2.amplitudes[0b010] == 1.0 and s2.amplitudes[0b100] == 0.0
+    assert s2[0b010] == 1.0 and s2[0b100] == 0.0
     with pytest.raises(ValueError):
         saturating_family(1.0)
 

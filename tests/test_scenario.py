@@ -221,6 +221,19 @@ def test_index_rejects_tuples_of_the_wrong_length():
         scn.outcome_index((0, 0, 0))
 
 
+@pytest.mark.parametrize("table, message", [
+    ([(0, 1)], "every party"),
+    ([(0, 1), (0, 1), (0, 1)], "every party"),
+    ([(0, 1), (0,)], "every setting"),
+    ([(0, 1), (0, 1, 1)], "every setting"),
+    ([(0, 2), (0, 1)], "assigned outcome 2 out of range"),
+    ([(0, 1), (-1, 1)], "assigned outcome -1 out of range"),
+])
+def test_vertex_table_must_fit_the_scenario(table, message):
+    with pytest.raises(ValueError, match=message):
+        deterministic_vertex(Scenario(2, 2, 2), table)
+
+
 def test_vertex_count_and_ns():
     scn = Scenario(2, 2, 2)
     vertices = [deterministic_vertex(scn, a) for a in enumerate_assignments(scn)]
@@ -470,7 +483,7 @@ def test_model_reader_loads_or_rejects(obj, exact):
         m = model_from_json(obj, exact)
     except _READER_ERRORS:
         return
-    assert len(m.prior) == m.n_strategies
+    assert len(m.prior) == len(m.behaviors)
     assert all(m.scenario.column_index(x) >= 0 for dist in m.input_dists for x in dist)
 
 

@@ -370,7 +370,7 @@ def ref_q_factor(model, x):
     post_x = ref_posterior(model, tuple(x))
     posts = [ref_posterior(model, s) for s in settings]
     best = None
-    for w in range(model.n_strategies):
+    for w in range(len(model.behaviors)):
         p_min = min(p[w] for p in posts)
         if p_min == 0:
             if post_x[w] > 0:
@@ -437,7 +437,7 @@ def test_model_tables_match_per_call_reference(diff_pools):
             # (2,2,2): strategy 0 never picks the functional's setting (1, 0),
             # so p_min(0) = 0 (and p(x) = 0 with one strategy); (2,3,2): no
             # strategy picks (0, 1), a setting outside the functional
-            empty, emptied = ((1, 0), 1) if i % 8 == 0 else ((0, 1), model.n_strategies)
+            empty, emptied = ((1, 0), 1) if i % 8 == 0 else ((0, 1), len(model.behaviors))
             dists = [dict(dist) for dist in model.input_dists]
             for dist in dists[:emptied]:
                 dist[(0, 0)] += dist[empty]
@@ -619,6 +619,7 @@ def test_a_setting_outside_the_scenario_is_named_so(pool_222, x):
     for call in (
         lambda: model.posterior(x),
         lambda: q_factor(model, x),
+        lambda: q_factor_tilde(model, x),
         lambda: variational_bound(model, x, 0, observed=pool_222[0], bell_value=Fraction(0)),
     ):
         with pytest.raises(ValueError, match=r"is outside the scenario$"):
