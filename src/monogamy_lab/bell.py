@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -102,26 +102,24 @@ class BellFunctional:
     terms: tuple[ModularTerm, ...]
     classical_bound: Fraction | None = None
     ns_minimum: Fraction | None = None
-    _dense: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def dense(self) -> tuple:
-        """Coefficient vector c with I(p) = sum_i c_i p_i.
+        """Coefficient vector c with I(p) = sum_i c_i p_i, computed on each
+        call.
 
         Terms touching only a party subset are charged to the columns whose
         remaining settings are 0, matching the marginal convention, so the
         dense and term-wise evaluations agree on every behavior.
         """
-        if self._dense is None:
-            scn = self.scenario
-            coeff = [Fraction(0)] * scn.size
-            for term in self.terms:
-                groups = modular_groups(scn, term.coeffs, term.shift)
-                for omega, idx in enumerate(groups[1:], 1):
-                    value = term.weight * omega
-                    for i in idx:
-                        coeff[i] += value
-            self._dense = tuple(coeff)
-        return self._dense
+        scn = self.scenario
+        coeff = [Fraction(0)] * scn.size
+        for term in self.terms:
+            groups = modular_groups(scn, term.coeffs, term.shift)
+            for omega, idx in enumerate(groups[1:], 1):
+                value = term.weight * omega
+                for i in idx:
+                    coeff[i] += value
+        return tuple(coeff)
 
     def settings_in_terms(self) -> list[tuple[int, ...]]:
         """Distinct full setting tuples the terms touch (complement at 0)."""

@@ -94,7 +94,7 @@ def cmd_figures(args) -> int:
 
 
 def cmd_ra(args) -> int:
-    eps = svamp.SVSource(scenario.parse_number(args.epsilon, exact=True)).epsilon
+    eps = svamp.check_epsilon(scenario.parse_number(args.epsilon, exact=True))
     eps_n = svamp.critical_epsilon(args.N)
     eps_common = svamp.critical_epsilon_common(args.N)
     verdict = (
@@ -111,12 +111,7 @@ def cmd_ra(args) -> int:
     lam = args.lam
     if lam is None:
         violations = {m: quantum.chained_quantum_violation(m, args.d).value for m in m_values}
-    rows = svamp.feasibility_curve(
-        args.N, args.d, eps, m_values, violations=violations, lam=lam, variant="per-party"
-    )
-    rows += svamp.feasibility_curve(
-        args.N, args.d, eps, m_values, violations=violations, lam=lam, variant="common-source"
-    )
+    rows = svamp.feasibility_curve(args.N, args.d, eps, m_values, violations=violations, lam=lam)
     header = (
         f"epsilon={float(eps)!r} critical_per_party={float(eps_n)!r} "
         f"critical_common={float(eps_common)!r} verdict={verdict}\n"

@@ -100,16 +100,15 @@ def guessing_bound(violation, d: int):
     return min(Fraction(1 + violation, d), Fraction(1))
 
 
-def guessing_bound_prior(violation, N: int, M: int, d: int):
+def guessing_bound_prior(violation, N: int, d: int):
     """Earlier guessing-probability cap (1 + d^N (N-1) I / 4)/d, clamped.
 
-    M is part of the scenario signature but does not enter the formula.
     Nontrivial only while I < 4(d-1)/(d^N (N-1)).
     """
     if violation < 0:
         raise ValueError("violation must be nonnegative")
-    if N < 2 or M < 1:
-        raise ValueError("need N >= 2 and M >= 1")
+    if N < 2:
+        raise ValueError("need N >= 2")
     if isinstance(violation, float):
         return min((1 + d**N * (N - 1) * violation / 4) / d, 1.0)
     return min((1 + Fraction(d**N * (N - 1), 4) * violation) / d, Fraction(1))

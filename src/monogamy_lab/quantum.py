@@ -336,7 +336,7 @@ def key_rate(M: int, d: int, bound: str = "tight", violation: float | None = Non
     if bound == "tight":
         return -math.log2(guessing_bound(i_q, d))
     if bound == "prior":
-        return -math.log2(guessing_bound_prior(i_q, 2, M, d))
+        return -math.log2(guessing_bound_prior(i_q, 2, d))
     raise ValueError("bound must be 'tight' or 'prior'")
 
 
@@ -386,7 +386,7 @@ def guessing_curve_csv(d: int, n_points: int = 101) -> str:
     _check_points(n_points)
     grid = ((d - 1) * i / (n_points - 1) for i in range(n_points))
     return csv_text(["I", "bound_tight", "bound_prior"], (
-        [repr(v), repr(float(guessing_bound(v, d))), repr(float(guessing_bound_prior(v, 2, 2, d)))]
+        [repr(v), repr(float(guessing_bound(v, d))), repr(float(guessing_bound_prior(v, 2, d)))]
         for v in grid
     ))
 

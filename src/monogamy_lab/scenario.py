@@ -9,7 +9,8 @@ use the same convention.
 
 Probabilities are either exact rationals (``fractions.Fraction``) or floats.
 Exact mode is required wherever a test certifies an equality; floats are for
-quantum numerics and scans.  All operations here are backend-agnostic.
+quantum numerics and scans.  Mixtures and :func:`is_distribution` are exact
+only.
 """
 
 from __future__ import annotations
@@ -122,8 +123,8 @@ class Behavior:
     in that form only: it holds ``scaled`` and builds ``probs``, one Fraction
     per entry, on first read.  Such a behavior has the entries, equality,
     hash and repr of ``Behavior(scenario, probs)``, and the same length check.
-    Entries may also be floats, as the CLI's float mode reads them; a float
-    entry or weight makes a :func:`mix` of plain float sums.
+    Entries may also be floats, as the CLI's float mode reads them; such a
+    behavior has no integer form, and :func:`mix` refuses it.
     """
 
     scenario: Scenario
@@ -329,29 +330,24 @@ def uniform_behavior(scenario: Scenario) -> Behavior:
 
 
 def mix(behaviors: Sequence[Behavior], weights: Sequence) -> Behavior:
-    """Convex combination of behaviors on a common scenario.
+    """Convex combination of exact behaviors on a common scenario.
 
-    The weights must pass :func:`is_distribution`; zero weights are skipped.
-    When every nonzero weight and every behavior it weights is exact, the
-    sum is :func:`scaled_sum` over the weights' numerators and denominators:
-    its entries are Fractions.  Otherwise each entry is the plain
-    left-to-right sum 0 + w_1 p_1 + ... .
+    Every weight and every behavior entry must be an int or a Fraction, a
+    zero weight's behavior included; a float raises ValueError.  The weights
+    must pass :func:`is_distribution`; zero weights are skipped.  The sum is
+    :func:`scaled_sum` over the weights' numerators and denominators: its
+    entries are Fractions.
     """
     if len(behaviors) != len(weights) or not behaviors:
         raise ValueError("need one weight per behavior")
     scn = behaviors[0].scenario
     if any(b.scenario != scn for b in behaviors):
         raise ValueError("behaviors live on different scenarios")
+    if not is_exact(weights) or any(b.scaled is None for b in behaviors):
+        raise ValueError("weights and behavior entries must be ints or Fractions")
     if not is_distribution(weights):
         raise ValueError(f"weights must be nonnegative and sum to 1, got {list(weights)}")
-    terms = [(w, b) for w, b in zip(weights, behaviors) if w != 0]
-    if all(isinstance(w, (int, Fraction)) and b.scaled is not None for w, b in terms):
-        return scaled_sum(scn, [[(w.numerator, w.denominator, b) for w, b in terms]])
-    probs = [0] * scn.size
-    for w, b in terms:
-        for i, p in enumerate(b.probs):
-            probs[i] += w * p
-    return Behavior(scn, tuple(probs))
+    return scaled_sum(scn, [[(w.numerator, w.denominator, b) for w, b in zip(weights, behaviors) if w]])
 
 
 def scaled_sum(scn: Scenario, blocks: Sequence) -> Behavior:
@@ -373,7 +369,7 @@ def scaled_sum(scn: Scenario, blocks: Sequence) -> Behavior:
     return Behavior._from_scaled(scn, denom // g, tuple(v // g for v in nums))
 
 
-# Tolerance of the float checks of distribution sums.
+# Tolerance of the float check of a distribution's sum in bell.modular_mean.
 FLOAT_TOL = 1e-9
 
 
@@ -391,13 +387,13 @@ def is_exact(values) -> bool:
 
 
 def is_distribution(values) -> bool:
-    """Nonnegative entries summing to 1.  When every entry is an int or a
-    Fraction the sum is exact, taken in the integers of :func:`integer_form`;
-    once a float enters, it may miss 1 by FLOAT_TOL."""
-    if is_exact(values):
-        denom, nums = integer_form(values)
-        return sum(nums) == denom and min(nums) >= 0
-    return all(v >= 0 for v in values) and abs(sum(values) - 1) <= FLOAT_TOL
+    """Exact nonnegative entries summing to 1, the sum taken in the integers
+    of :func:`integer_form`; False when any entry is not an int or a
+    Fraction."""
+    if not is_exact(values):
+        return False
+    denom, nums = integer_form(values)
+    return sum(nums) == denom and min(nums) >= 0
 
 
 def restrict(behavior: Behavior, parties: Sequence[int]) -> Behavior:

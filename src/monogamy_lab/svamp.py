@@ -30,34 +30,25 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .bell import evaluate, modular_groups, recursive_bkp
+from .bell import modular_groups, recursive_bkp
 from .polylp import ns_row_residual
 from .sampling import random_ns_mixture, random_weights
 from .scenario import Behavior, Scenario, csv_text, is_distribution, is_exact, scaled_sum, validate
 
 
-@dataclass(frozen=True)
-class SVSource:
-    """epsilon-source: bits each within eps of unbiased given all causes."""
+def check_epsilon(epsilon):
+    """The bias of an epsilon-source, which must lie in [0, 1/2); returned
+    as given."""
+    if not 0 <= epsilon < Fraction(1, 2):
+        raise ValueError("epsilon must lie in [0, 1/2)")
+    return epsilon
 
-    epsilon: Fraction
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.epsilon < Fraction(1, 2):
-            raise ValueError("epsilon must lie in [0, 1/2)")
-
-    @property
-    def low(self) -> Fraction:
-        return Fraction(1, 2) - self.epsilon
-
-    @property
-    def high(self) -> Fraction:
-        return Fraction(1, 2) + self.epsilon
-
-    def likelihood_ratio_bound(self, uses: int):
-        """((1+2eps)/(1-2eps))^uses, the worst-case probability ratio of
-        any two length-`uses` outputs."""
-        return ((1 + 2 * self.epsilon) / (1 - 2 * self.epsilon)) ** uses
+def likelihood_ratio_bound(epsilon, uses: int):
+    """((1+2eps)/(1-2eps))^uses, the worst-case probability ratio of any two
+    length-`uses` outputs of an epsilon-source."""
+    check_epsilon(epsilon)
+    return ((1 + 2 * epsilon) / (1 - 2 * epsilon)) ** uses
 
 
 @dataclass
@@ -76,10 +67,9 @@ class AdversaryModel:
     the deviation sum_a |m_a - 1/d| of the strategy's outcome marginal m
     from uniform is kept as an integer numerator over one denominator d L,
     L the lcm of the strategies' denominators.  :func:`q_factor` keeps Q(x)
-    per setting on first use, and the observed behavior and its Bell value
-    are built on first use and kept.  The model is fixed after
-    construction: changing behaviors, input_dists or prior afterwards
-    leaves the tables and the kept Q(x) stale.
+    per setting on first use.  The model is fixed after construction:
+    changing behaviors, input_dists or prior afterwards leaves the tables
+    and the kept Q(x) stale.
 
     Each strategy must satisfy the no-signalling rows of
     :func:`polylp.ns_constraints` exactly; a signalling strategy is rejected
@@ -184,16 +174,6 @@ class AdversaryModel:
         total, t = self._live_terms(tuple(x))
         return [Fraction(tw, total) for tw in t]
 
-    @functools.cached_property
-    def observed(self) -> Behavior:
-        """:func:`observed_behavior` of the model, built on first use."""
-        return observed_behavior(self)
-
-    @functools.cached_property
-    def bell_value(self):
-        """The functional's value on :attr:`observed`, computed on first use."""
-        return evaluate(bell_functional_for(self.scenario), self.observed)
-
 
 # sort key of a (numerator, positive denominator) pair: cross-multiplied ints
 _by_value = functools.cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])
@@ -275,30 +255,26 @@ def q_factor(model: AdversaryModel, x: tuple):
     return model._q[x][0]
 
 
-def _max_ratio(values: list, mins: list):
-    """max_w values[w]/mins[w] over mins[w] != 0; None when some mins[w] = 0
-    has values[w] > 0 (the ratio is unbounded)."""
-    best = None
-    for v, low in zip(values, mins):
-        if low == 0:
-            if v > 0:
-                return None
-            continue
-        ratio = v / low
-        best = ratio if best is None or ratio > best else best
-    return best
-
-
 def q_factor_tilde(model: AdversaryModel, x: tuple):
-    """Variant with input likelihoods: max_w p(x|w)/min_x' p(x'|w)."""
+    """Variant with input likelihoods: max_w p(x|w)/min_x' p(x'|w), min over
+    the functional's settings.
+
+    Returns None when the ratio is unbounded: some w has min_x' p(x'|w) = 0
+    and p(x|w) > 0 (a w with both zero is skipped).
+    """
     settings = _bell_settings(model.scenario)
     x = tuple(x)
     if x not in model._terms:
         raise ValueError(f"setting {x} is outside the scenario")
-    return _max_ratio(
-        [dist.get(x, 0) for dist in model.input_dists],
-        [min(dist.get(s, 0) for s in settings) for dist in model.input_dists],
-    )
+    best = None
+    for dist in model.input_dists:
+        p, low = dist.get(x, 0), min(dist.get(s, 0) for s in settings)
+        if low == 0:
+            if p > 0:
+                return None
+        elif best is None or p / low > best:
+            best = p / low
+    return best
 
 
 @dataclass
@@ -307,30 +283,23 @@ class VariationalCheck:
     party: int
     lhs: object            # sum_{a_k,w} |p(a_k,w|x) - p(w|x)/d|
     rhs: object             # ((d-1)^2+1)/d * Q(x) * I(observed)
-    distance: object        # the same lhs with the 1/2 normalization
     q: object
     bell_value: object
     satisfied: bool
 
 
 def variational_bound(
-    model: AdversaryModel,
-    x: tuple,
-    party: int,
-    observed: Behavior | None = None,
-    bell_value=None,
+    model: AdversaryModel, x: tuple, party: int, *, observed: Behavior, bell_value
 ) -> VariationalCheck:
-    """Check the outcome-vs-W variational bound for one setting and party."""
+    """Check the outcome-vs-W variational bound for one setting and party.
+
+    observed is the model's :func:`observed_behavior` and bell_value the
+    functional's value on it, which alone enters the rhs; lhs <= rhs is
+    decided exactly, without slack."""
     scn = model.scenario
     x = tuple(x)
     if not 0 <= party < scn.parties:
         raise ValueError("party out of range")
-    if observed is None:
-        observed = model.observed
-        if bell_value is None:
-            bell_value = model.bell_value
-    if bell_value is None:
-        bell_value = evaluate(bell_functional_for(scn), observed)
     # sum_{a,w} |p_w m_a - p_w/d| = sum_w p_w sum_a |m_a - 1/d|, as p_w >= 0;
     # p_w = t_w / T_x and each deviation is an integer over d L: one Fraction
     total, t = model._live_terms(x)
@@ -341,19 +310,9 @@ def variational_bound(
         rhs = None
         satisfied = True  # unbounded factor: the bound is vacuous
     else:
-        # a float Bell value makes a float rhs, compared with a 1e-12 slack
         rhs = model._q[x][1] * bell_value
-        satisfied = lhs <= rhs if isinstance(rhs, Fraction) else lhs <= rhs + 1e-12
-    return VariationalCheck(
-        x=x,
-        party=party,
-        lhs=lhs,
-        rhs=rhs,
-        distance=lhs / 2,
-        q=q,
-        bell_value=bell_value,
-        satisfied=satisfied,
-    )
+        satisfied = lhs <= rhs
+    return VariationalCheck(x, party, lhs, rhs, q, bell_value, satisfied)
 
 
 # ---------------------------------------------------------------------------
@@ -400,43 +359,41 @@ def feasibility_curve(
     m_values: Sequence[int],
     violations: dict | None = None,
     lam: float | None = None,
-    variant: str = "per-party",
 ) -> list[FeasibilityRow]:
     """Upper bounds ((d-1)^2+1)/d * ratio^exponent * I_Q(M, d) over a
     settings range; the sequence tends to zero iff the bias is below the
     matching threshold.
 
     violations maps M to a quantum value of the functional; alternatively a
-    proxy lam gives I ~ lam/M.  variant picks the per-party exponent N r or
-    the common-source exponent 1 + (N-1) r.
+    proxy lam gives I ~ lam/M.  The rows of the per-party exponent N r come
+    first, then those of the common-source exponent 1 + (N-1) r.
     """
-    SVSource(epsilon)  # its range check: 0 <= epsilon < 1/2
+    check_epsilon(epsilon)
     if violations is None and lam is None:
         raise ValueError("need measured violations or a lam proxy")
     if d < 2 or any(m < 2 for m in m_values):
         raise ValueError("need M >= 2 and d >= 2")
     if lam is not None and not (math.isfinite(lam) and lam >= 0):
         raise ValueError(f"lam must be finite and nonnegative, got {lam}")
-    if variant not in ("per-party", "common-source"):
-        raise ValueError("variant must be 'per-party' or 'common-source'")
     ratio = (1 + 2 * float(epsilon)) / (1 - 2 * float(epsilon))
     rows = []
-    for m in m_values:
-        r = source_uses(m)
-        exponent = N * r if variant == "per-party" else 1 + (N - 1) * r
-        i_q = violations[m] if violations is not None else lam / m
-        factor = ratio**exponent
-        rows.append(
-            FeasibilityRow(
-                M=m,
-                r=r,
-                exponent=exponent,
-                bias_factor=factor,
-                violation=float(i_q),
-                rhs_bound=((d - 1) ** 2 + 1) / d * factor * float(i_q),
-                variant=variant,
+    for variant in ("per-party", "common-source"):
+        for m in m_values:
+            r = source_uses(m)
+            exponent = N * r if variant == "per-party" else 1 + (N - 1) * r
+            i_q = violations[m] if violations is not None else abs(lam) / m  # -0.0 passes the check
+            factor = ratio**exponent
+            rows.append(
+                FeasibilityRow(
+                    M=m,
+                    r=r,
+                    exponent=exponent,
+                    bias_factor=factor,
+                    violation=float(i_q),
+                    rhs_bound=((d - 1) ** 2 + 1) / d * factor * float(i_q),
+                    variant=variant,
+                )
             )
-        )
     return rows
 
 
@@ -457,8 +414,8 @@ def curve_to_csv(N: int, d: int, epsilon, rows: Sequence[FeasibilityRow]) -> str
 @functools.cache
 def _sv_grid(epsilon: Fraction, denom: int) -> tuple[int, int, int]:
     """(B, b, s): bit probability low + span * k / denom is (b + s k) / B."""
-    source = SVSource(epsilon)
-    low, span = source.low, source.high - source.low
+    check_epsilon(epsilon)
+    low, span = Fraction(1, 2) - epsilon, 2 * epsilon
     big = math.lcm(low.denominator, span.denominator * denom)
     base = low.numerator * (big // low.denominator)
     return big, base, span.numerator * (big // (span.denominator * denom))

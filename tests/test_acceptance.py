@@ -110,19 +110,19 @@ def test_criterion_5_guessing_curves():
     ok = True
     for d in (2, 3, 4, 5, 6):
         crossing = Fraction(4 * (d - 1), d * d)
-        ok = ok and guessing_bound_prior(crossing, 2, 2, d) == 1
-        ok = ok and guessing_bound_prior(crossing * Fraction(999, 1000), 2, 2, d) < 1
+        ok = ok and guessing_bound_prior(crossing, 2, d) == 1
+        ok = ok and guessing_bound_prior(crossing * Fraction(999, 1000), 2, d) < 1
     for d in (2, 3, 4):
         for n in (2, 3):
             for i in range(33):
                 v = Fraction(i, 32) * (d - 1)
                 tight = guessing_bound(v, d)
-                prior = guessing_bound_prior(v, n, 2, d)
+                prior = guessing_bound_prior(v, n, d)
                 ok = ok and tight <= prior
                 if v > 0 and d**n * (n - 1) > 4 and prior < 1:
                     ok = ok and tight < prior
     # the d = 2, N = 2 bounds coincide identically (d^N (N-1) = 4)
-    ok = ok and guessing_bound(Fraction(1, 7), 2) == guessing_bound_prior(Fraction(1, 7), 2, 2, 2)
+    ok = ok and guessing_bound(Fraction(1, 7), 2) == guessing_bound_prior(Fraction(1, 7), 2, 2)
     report(5, ok, "prior bound crosses 1 at 4(d-1)/d^2 and dominates the tight bound pointwise")
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from monogamy_lab.bell import (
     functional_from_json,
     load_functional,
     functional_to_json,
+    modular_groups,
     modular_mean,
     recursive_bkp,
 )
@@ -263,3 +265,18 @@ def test_dense_csv_shape():
     lines = dense_csv(f).strip().splitlines()
     assert lines[0] == "x0,x1,a0,a1,coefficient"
     assert len(lines) == 1 + 16
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ModularTerm(Fraction(1), ()), "term needs at least one observable"),
+        (lambda: ModularTerm(Fraction(1), ((0, 0, 2),)), "signs must be +-1"),
+        (lambda: recursive_bkp(1, 2, 2), "need N >= 2"),
+        (lambda: modular_groups(Scenario(2, 2, 2), ((2, 0, 1),)), "term party 2 out of range for N=2"),
+    ],
+    ids=["no-observable", "sign", "one-party", "term-party"],
+)
+def test_functional_input_checks(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import monogamy_lab
-from monogamy_lab import monogamy, polylp
+from monogamy_lab import monogamy, polylp, quantum
 from monogamy_lab.cli import main
 from monogamy_lab.polylp import LPSolution
 from monogamy_lab.scenario import (
@@ -380,10 +380,19 @@ def test_ra_rejects_bad_epsilon(capsys):
     assert main(["ra", "2", "2", "0.7", "--lam", "1.0"]) == 2
 
 
-@pytest.mark.parametrize("epsilon", ["1/2", "0.5", "7/10"])
-def test_ra_epsilon_range_message(capsys, epsilon):
+@pytest.mark.parametrize("epsilon", ["1/2", "0.5", "7/10", "-0.1"])
+def test_ra_epsilon_range_message(capsys, monkeypatch, epsilon):
+    # the range check comes before any violation is computed
+    monkeypatch.setattr(quantum, "chained_quantum_violation", lambda *args: pytest.fail("violation computed"))
     assert main(["ra", "2", "2", epsilon]) == 2
     assert capsys.readouterr() == ("", "error: epsilon must lie in [0, 1/2)\n")
+
+
+def test_ra_negative_zero_lam_is_zero(capsys):
+    assert main(["ra", "2", "2", "0.12", "--lam=-0"]) == 0
+    out = capsys.readouterr().out
+    assert main(["ra", "2", "2", "0.12", "--lam", "0"]) == 0
+    assert out == capsys.readouterr().out and "-0.0" not in out
 
 
 def test_quantum_violation_cli(capsys):
@@ -531,6 +540,8 @@ GOLDEN_COMMANDS = {
     "figures-2a": ["figures", "2a", "--d", "3", "--points", "11"],
     "figures-2b": ["figures", "2b", "--d-list", "3", "--rates", "1,log2(3)", "--max-m", "6"],
     "ra-lam": ["ra", "2", "2", "0.12", "--lam", "1.23"],
+    # computed violations, and an M that is not a power of two
+    "ra-computed": ["ra", "3", "2", "0.05", "--m-list", "2,3,8"],
     # 14 points end one ulp above pi/4
     "quantum-family-sweep": ["quantum", "family-sweep", "--alpha", "1.5", "--points", "14"],
     "tightness-323": ["tightness", "3", "2", "3"],

@@ -46,7 +46,7 @@ KEEP = {
     "svamp.q_factor_tilde": "the paper's Q~ factor, with input likelihoods",
     "svamp.AdversaryModel.input_probability": "p(x), the input distribution the adversary's mixture shows",
     "svamp.AdversaryModel.posterior": "p(w|x) as Fractions, the Bayes terms that q_factor reads in integers",
-    "svamp.SVSource.likelihood_ratio_bound": "the source's worst-case likelihood ratio, a bound on Q",
+    "svamp.likelihood_ratio_bound": "the source's worst-case likelihood ratio, a bound on Q",
 }
 CALLER_FILES = [*SRC.glob("*.py"), *(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -320,13 +321,13 @@ def test_guessing_bound_values():
 
 
 def test_guessing_bound_prior_values():
-    assert guessing_bound_prior(Fraction(0), 2, 2, 2) == Fraction(1, 2)
-    assert guessing_bound_prior(Fraction(1, 2), 2, 2, 2) == Fraction(3, 4)
+    assert guessing_bound_prior(Fraction(0), 2, 2) == Fraction(1, 2)
+    assert guessing_bound_prior(Fraction(1, 2), 2, 2) == Fraction(3, 4)
     # crossing at 4 (d-1)/d^2 for N = 2
     for d in (2, 3, 4, 5, 6):
         crossing = Fraction(4 * (d - 1), d * d)
-        assert guessing_bound_prior(crossing, 2, 2, d) == 1
-        assert guessing_bound_prior(crossing * Fraction(99, 100), 2, 2, d) < 1
+        assert guessing_bound_prior(crossing, 2, d) == 1
+        assert guessing_bound_prior(crossing * Fraction(99, 100), 2, d) < 1
 
 
 def test_tight_bound_dominates_prior():
@@ -337,12 +338,12 @@ def test_tight_bound_dominates_prior():
             for t in grid:
                 i_val = t * (d - 1)
                 tight = guessing_bound(i_val, d)
-                prior = guessing_bound_prior(i_val, n, 2, d)
+                prior = guessing_bound_prior(i_val, n, d)
                 assert tight <= prior
                 if i_val > 0 and d**n * (n - 1) > 4 and prior < 1:
                     assert tight < prior
     # the d = 2, N = 2 curves coincide identically
-    assert guessing_bound(Fraction(1, 3), 2) == guessing_bound_prior(Fraction(1, 3), 2, 2, 2)
+    assert guessing_bound(Fraction(1, 3), 2) == guessing_bound_prior(Fraction(1, 3), 2, 2)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -525,3 +526,21 @@ def test_report_and_csv(minimizer_222):
     rows = tightness_scan(Scenario(3, 2, 2), 0, 0, 0, grid=[Fraction(0)])
     text = scan_to_csv(rows, 0, 0, 0)
     assert "1/2" in text
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: monogamy_functional(Scenario(2, 2, 2), 0, 0, 0), "need at least 3 parties (N >= 2 plus the outsider)"),
+        (
+            lambda: pair_difference_distribution(uniform_behavior(Scenario(3, 2, 2)), 1, 0, 1, 1),
+            "party subset has duplicates",
+        ),
+        (lambda: guessing_bound_prior(Fraction(-1, 10), 2, 2), "violation must be nonnegative"),
+        (lambda: guessing_bound_prior(Fraction(1, 10), 1, 2), "need N >= 2"),
+    ],
+    ids=["two-parties", "same-party", "negative-violation", "one-party"],
+)
+def test_monogamy_input_checks(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

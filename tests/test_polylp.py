@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -1123,3 +1124,16 @@ def test_rational_matches_limit_denominator_on_any_float(v):
     got = _rational(v)
     assert type(got) is Fraction
     assert got == Fraction(v).limit_denominator(_DENOMINATOR_CAP)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: LinearProgram([0, 1], "best"), "sense must be 'min' or 'max'"),
+        (lambda: LinearProgram([0, 1], "min", [[(0, 1), (1, 1)]], []), "rhs length mismatch"),
+    ],
+    ids=["sense", "rhs-length"],
+)
+def test_program_input_checks(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from typing import NamedTuple
 
 import numpy as np
@@ -442,3 +443,18 @@ def test_key_rate_table_csv_with_proxy():
     lines = text.strip().splitlines()
     assert lines[0] == "d,rate_target,min_m_tight,min_m_prior"
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: correlation_matrix(np.array([1.0, 0, 0, 0]), (0, 0)), "need two distinct qubit indices in range"),
+        (lambda: correlation_matrix(np.array([1.0, 0, 0, 0]), (0, 2)), "need two distinct qubit indices in range"),
+        (lambda: monogamy_montecarlo(10, [], seed=0), "need at least one alpha"),
+        (lambda: key_rate(2, 2, "loose", violation=0.5), "bound must be 'tight' or 'prior'"),
+    ],
+    ids=["same-qubit", "qubit-out-of-range", "no-alpha", "bound"],
+)
+def test_quantum_input_checks(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import random
+import re
 from decimal import Decimal
 from fractions import Fraction
 from unittest import mock
@@ -270,15 +271,25 @@ def test_mix_rejects_bad_weights():
 
 
 def test_mix_takes_float_weights_within_the_tolerance():
+    # mix is exact only: a float weight or a float behavior is refused, also
+    # one whose weights sum to 1 within FLOAT_TOL
     scn = Scenario(2, 2, 2)
-    u = float_uniform(scn)
+    u, exact = float_uniform(scn), uniform_behavior(scn)
     assert sum([0.1] * 10) != 1
-    m = mix([u] * 10, [0.1] * 10)
-    assert all(type(p) is float and abs(p - 0.25) < 1e-12 for p in m.probs)
+    for behaviors, weights in (
+        ([u] * 10, [0.1] * 10),
+        ([exact] * 10, [0.1] * 10),
+        ([exact, exact], [0.5, Fraction(1, 2)]),
+        ([u, exact], [Fraction(1, 2), Fraction(1, 2)]),
+        ([exact, u], [1, 0]),
+    ):
+        with pytest.raises(ValueError, match="^weights and behavior entries must be ints or Fractions$"):
+            mix(behaviors, weights)
+    assert not is_distribution([0.1] * 10) and not is_distribution([1.0])
     with pytest.raises(ValueError, match="sum to 1"):
-        mix([u] * 9, [0.1] * 9)
+        mix([exact] * 9, [Fraction(1, 10)] * 9)
     with pytest.raises(ValueError, match="nonnegative"):
-        mix([u] * 3, [0.6, 0.6, -0.2])
+        mix([exact] * 3, [Fraction(3, 5), Fraction(3, 5), Fraction(-1, 5)])
 
 
 @settings(max_examples=25, deadline=None)
@@ -505,12 +516,17 @@ def test_scenario_sizes_must_be_integers(field, bad):
 )
 def test_mix_keeps_the_type_of_each_summed_entry(weights):
     # skipping zero terms must not change a value or a type: format_number
-    # prints int and float 0 as "0.0" but Fraction 0 as "0"
+    # prints int and float 0 as "0.0" but Fraction 0 as "0"; a float weight
+    # is refused
     scn = Scenario(2, 2, 2)
     v1 = deterministic_vertex(scn, [(0, 1), (1, 0)])
     v2 = deterministic_vertex(scn, [(1, 1), (0, 0)])
     ints = Behavior(scn, tuple(int(p) for p in v1.probs))
     behaviors = [v1, ints, v2]
+    if any(type(w) is float for w in weights):
+        with pytest.raises(ValueError, match="^weights and behavior entries must be ints or Fractions$"):
+            mix(behaviors, weights)
+        return
     expected = [0] * scn.size
     for b, w in zip(behaviors, weights):
         if w != 0:
@@ -539,3 +555,33 @@ def test_integer_form_is_over_the_least_common_denominator(values):
     assert math.gcd(denom, *nums) == 1
     reference = all(v >= 0 for v in values) and sum(map(Fraction, values)) == 1
     assert is_distribution(values) == reference
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Scenario(2, 2, 2).column_index((0,)), "need 2 settings, got 1"),
+        (lambda: Scenario(2, 2, 2).column_index((0, 2)), "setting 2 out of range for M=2"),
+        (lambda: Scenario(2, 2, 2).outcome_index((0, 0, 0)), "need 2 outcomes, got 3"),
+        (lambda: Scenario(2, 2, 2).outcome_index((-1, 0)), "outcome -1 out of range for d=2"),
+        (lambda: marginal(uniform_behavior(Scenario(2, 2, 2)), [1, 1], [0, 0]), "party subset has duplicates"),
+        (lambda: marginal(uniform_behavior(Scenario(2, 2, 2)), [0], [0, 1]), "need one setting per selected party"),
+        (
+            lambda: marginal(uniform_behavior(Scenario(3, 2, 2)), [0], [0], [0]),
+            "need one complement setting per remaining party",
+        ),
+        (lambda: mix([uniform_behavior(Scenario(2, 2, 2))], [Fraction(1, 2)] * 2), "need one weight per behavior"),
+        (lambda: mix([], []), "need one weight per behavior"),
+        (
+            lambda: mix([uniform_behavior(Scenario(2, 2, 2)), uniform_behavior(Scenario(2, 2, 3))], [1, 0]),
+            "behaviors live on different scenarios",
+        ),
+    ],
+    ids=[
+        "settings-length", "setting-range", "outcomes-length", "outcome-range", "marginal-duplicates",
+        "marginal-settings", "marginal-complement", "mix-length", "mix-empty", "mix-scenarios",
+    ],
+)
+def test_scenario_input_checks(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

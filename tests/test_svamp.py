@@ -5,6 +5,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -31,13 +32,14 @@ from monogamy_lab.scenario import (
 )
 from monogamy_lab.svamp import (
     AdversaryModel,
-    SVSource,
     VariationalCheck,
+    _sv_grid,
     bell_functional_for,
     critical_epsilon,
     critical_epsilon_common,
     curve_to_csv,
     feasibility_curve,
+    likelihood_ratio_bound,
     observed_behavior,
     q_factor,
     q_factor_tilde,
@@ -60,14 +62,16 @@ def uniform_inputs(scn):
 
 
 def test_sv_source_validation():
-    s = SVSource(Fraction(1, 10))
-    assert s.low == Fraction(2, 5) and s.high == Fraction(3, 5)
-    with pytest.raises(ValueError):
-        SVSource(Fraction(1, 2))
-    assert s.likelihood_ratio_bound(2) == Fraction(9, 4)
+    # an epsilon-source is its bias: the grid's ends are 1/2 -+ eps
+    big, base, step = _sv_grid(Fraction(1, 10), 1)
+    assert Fraction(base, big) == Fraction(2, 5) and Fraction(base + step, big) == Fraction(3, 5)
+    assert likelihood_ratio_bound(Fraction(1, 10), 2) == Fraction(9, 4)
+    for epsilon in (Fraction(1, 2), Fraction(-1, 10)):
+        with pytest.raises(ValueError, match=r"^epsilon must lie in \[0, 1/2\)$"):
+            likelihood_ratio_bound(epsilon, 2)
     # random_sv_input_dist caches its grid per epsilon, but a bad epsilon raises on every call
     for _ in range(2):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^epsilon must lie in \[0, 1/2\)$"):
             random_sv_input_dist(Scenario(2, 2, 2), random.Random(0), Fraction(1, 2))
 
 
@@ -185,12 +189,19 @@ def test_q_tilde_sv_bound(pool_222):
     rng = random.Random(9)
     pool = ns_pool(scn, rng, n_vertices=8, n_lp=1)
     eps = Fraction(1, 10)
-    bound = SVSource(eps).likelihood_ratio_bound(2 * source_uses(3))
+    bound = likelihood_ratio_bound(eps, 2 * source_uses(3))
     for _ in range(10):
         model = random_adversary_model(scn, rng, pool, n_strategies=3, epsilon=eps)
         for x in ref_bell_settings(scn):
             q = q_factor_tilde(model, x)
             assert q is not None and q <= bound
+
+
+def model_bound(model, x, k):
+    """variational_bound at the model's observed behavior and its Bell value."""
+    observed = observed_behavior(model)
+    value = evaluate(bell_functional_for(model.scenario), observed)
+    return variational_bound(model, x, k, observed=observed, bell_value=value)
 
 
 def test_variational_max_violation_strategy():
@@ -200,7 +211,7 @@ def test_variational_max_violation_strategy():
 
     mini = optimize_over_ns(scn, chained_bkp(2, 2).dense(), "min").behavior(scn)
     model = AdversaryModel(scn, [mini], [uniform_inputs(scn)], [Fraction(1)])
-    chk = variational_bound(model, (0, 0), 0)
+    chk = model_bound(model, (0, 0), 0)
     assert chk.lhs == 0 and chk.rhs == 0 and chk.satisfied
 
 
@@ -211,11 +222,10 @@ def test_variational_deterministic_strategy():
 
     v = deterministic_vertex(scn, [(0, 0), (0, 0)])
     model = AdversaryModel(scn, [v], [uniform_inputs(scn)], [Fraction(1)])
-    chk = variational_bound(model, (0, 0), 0)
+    chk = model_bound(model, (0, 0), 0)
     assert chk.lhs == 1
     assert chk.rhs >= 1
     assert chk.satisfied
-    assert chk.distance == Fraction(1, 2)
 
 
 def test_variational_bound_montecarlo(pool_222):
@@ -246,18 +256,22 @@ def test_critical_epsilons():
 
 
 def test_feasibility_curve_below_threshold_decreases():
-    rows = feasibility_curve(
-        2, 2, Fraction(1, 20), [2, 4, 8, 16], lam=1.2, variant="per-party"
-    )
-    bounds = [r.rhs_bound for r in rows]
-    assert all(a > b for a, b in zip(bounds, bounds[1:]))
+    rows = feasibility_curve(2, 2, Fraction(1, 20), [2, 4, 8, 16], lam=1.2)
+    for variant in ("per-party", "common-source"):
+        bounds = [r.rhs_bound for r in rows if r.variant == variant]
+        assert len(bounds) == 4 and all(a > b for a, b in zip(bounds, bounds[1:]))
 
 
 def test_feasibility_curve_between_thresholds():
     # eps above the per-party threshold but below the common-source one
     eps = Fraction(12, 100)
-    per = feasibility_curve(2, 2, eps, [2, 4, 8, 16, 32], lam=1.2, variant="per-party")
-    common = feasibility_curve(2, 2, eps, [2, 4, 8, 16, 32], lam=1.2, variant="common-source")
+    rows = feasibility_curve(2, 2, eps, [2, 4, 8, 16, 32], lam=1.2)
+    # the per-party rows first, then the common-source rows
+    assert [r.variant for r in rows] == ["per-party"] * 5 + ["common-source"] * 5
+    per, common = rows[:5], rows[5:]
+    # both variants come from one call; no parameter picks one
+    with pytest.raises(TypeError, match="variant"):
+        feasibility_curve(2, 2, eps, [2, 4], lam=1.2, variant="per-party")
     per_bounds = [r.rhs_bound for r in per]
     common_bounds = [r.rhs_bound for r in common]
     assert per_bounds[-1] > per_bounds[1]  # diverges at doubling steps
@@ -283,7 +297,7 @@ def test_curve_csv_format():
     text = curve_to_csv(2, 2, Fraction(1, 20), rows)
     lines = text.strip().splitlines()
     assert lines[0] == "N,d,epsilon,M,r,exponent,I_Q,rhs_bound,variant"
-    assert len(lines) == 3
+    assert len(lines) == 5
 
 
 def test_model_json_roundtrip(pool_222):
@@ -397,7 +411,7 @@ def ref_per_call_variational_bound(model, x, party, observed, bell_value):
     else:
         rhs = Fraction((d - 1) ** 2 + 1, d) * q * bell_value
         satisfied = lhs <= rhs
-    return VariationalCheck(x, party, lhs, rhs, lhs / 2, q, bell_value, satisfied)
+    return VariationalCheck(x, party, lhs, rhs, q, bell_value, satisfied)
 
 
 def same(a, b):
@@ -407,10 +421,10 @@ def same(a, b):
     return type(a) is type(b) and a == b
 
 
-def outcome(fn, *args):
+def outcome(fn, *args, **kwargs):
     """fn's result, or the ValueError it raised, as a comparable value."""
     try:
-        return fn(*args)
+        return fn(*args, **kwargs)
     except ValueError:
         return ValueError
 
@@ -454,7 +468,7 @@ def test_model_tables_match_per_call_reference(diff_pools):
             assert same(outcome(model.posterior, x), outcome(ref_posterior, model, x))
             assert same(outcome(q_factor, model, x), outcome(ref_q_factor, model, x))
             for k in range(scn.parties):
-                got = outcome(variational_bound, model, x, k, observed, value)
+                got = outcome(variational_bound, model, x, k, observed=observed, bell_value=value)
                 ref = outcome(ref_per_call_variational_bound, model, x, k, observed, value)
                 if ref is ValueError:
                     assert got is ValueError
@@ -636,32 +650,30 @@ def test_an_input_distribution_outside_the_scenario_is_rejected(pool_222):
 
 
 def test_variational_bound_defaults_match_explicit(diff_pools, monkeypatch):
+    # no defaults: observed and bell_value are required keywords, and the
+    # model keeps neither, so variational_bound builds no observed behavior
     from monogamy_lab import svamp
 
     calls = []
     monkeypatch.setattr(svamp, "observed_behavior", lambda m: calls.append(m) or observed_behavior(m))
     rng = random.Random(33)
-    for i, scn in enumerate(DIFF_SCENARIOS * 2):
-        model = random_adversary_model(
-            scn, rng, diff_pools[scn],
-            n_strategies=rng.randrange(1, 5),
-            epsilon=Fraction(rng.randrange(0, 13), 100),
-        )
+    for scn in DIFF_SCENARIOS:
+        model = random_adversary_model(scn, rng, diff_pools[scn], n_strategies=rng.randrange(1, 5))
         observed = observed_behavior(model)
         value = evaluate(bell_functional_for(scn), observed)
-        for x in scn.all_settings():
-            for k in range(scn.parties):
-                explicit = variational_bound(model, x, k, observed, value)
-                defaulted = variational_bound(model, x, k)
-                assert defaulted == explicit
-                assert all(
-                    same(getattr(defaulted, f.name), getattr(explicit, f.name))
-                    for f in dataclasses.fields(explicit)
-                )
-                # an explicit observed behavior without its value is evaluated, not cached
-                assert variational_bound(model, x, k, observed) == explicit
-        # the defaults are built once per model
-        assert len(calls) == i + 1
+        x = (0,) * scn.parties
+        explicit = variational_bound(model, x, 0, observed=observed, bell_value=value)
+        assert same(explicit.bell_value, value)
+        for call in (
+            lambda: variational_bound(model, x, 0),
+            lambda: variational_bound(model, x, 0, observed=observed),
+            lambda: variational_bound(model, x, 0, bell_value=value),
+            lambda: variational_bound(model, x, 0, observed, value),
+        ):
+            with pytest.raises(TypeError):
+                call()
+        assert not hasattr(model, "observed") and not hasattr(model, "bell_value")
+    assert calls == []
 
 
 # Reference: the Fraction loops that the integer kernels replace, kept
@@ -706,20 +718,19 @@ def ref_variational_bound(model, x, party, observed, bell_value):
         satisfied = True
     else:
         rhs = Fraction((d - 1) ** 2 + 1, d) * q * bell_value
-        exact = isinstance(lhs, (int, Fraction)) and isinstance(rhs, (int, Fraction))
-        satisfied = lhs <= rhs if exact else lhs <= rhs + 1e-12
-    return VariationalCheck(x, party, lhs, rhs, lhs / 2, q, bell_value, satisfied)
+        satisfied = lhs <= rhs
+    return VariationalCheck(x, party, lhs, rhs, q, bell_value, satisfied)
 
 
 def ref_random_sv_input_dist(scenario, rng, epsilon, denom=32):
-    source = SVSource(Fraction(epsilon))
+    low, high = Fraction(1, 2) - Fraction(epsilon), Fraction(1, 2) + Fraction(epsilon)
     r = source_uses(scenario.settings)
     party_dists = []
     for _ in range(scenario.parties):
         bit_probs = []
         for _ in range(r):
-            span = source.high - source.low
-            p = source.low + span * Fraction(rng.randrange(denom + 1), denom)
+            span = high - low
+            p = low + span * Fraction(rng.randrange(denom + 1), denom)
             bit_probs.append(p)
         raw = []
         for bits in itertools.product((0, 1), repeat=r):
@@ -776,7 +787,7 @@ def assert_bounds_match(model, observed, value):
     scn = model.scenario
     for x in scn.all_settings():
         for k in range(scn.parties):
-            got = outcome(variational_bound, model, x, k, observed, value)
+            got = outcome(variational_bound, model, x, k, observed=observed, bell_value=value)
             ref = outcome(ref_variational_bound, model, x, k, observed, value)
             if ref is ValueError:
                 assert got is ValueError
@@ -923,6 +934,8 @@ def test_mix_of_int_entries_and_zero_weights(diff_pools):
 
 
 def test_float_behaviors_take_the_entrywise_path(diff_pools):
+    # mix is exact only: a float behavior or weight is refused, as an
+    # adversary model refuses float strategies and priors
     rng = random.Random(35)
     for i in range(12):
         scn = DIFF_SCENARIOS[i % 4]
@@ -930,12 +943,18 @@ def test_float_behaviors_take_the_entrywise_path(diff_pools):
         floats = [Behavior(scn, tuple(float(p) for p in b.probs)) for b in model.behaviors]
         assert all(b.scaled is None for b in floats)
         assert Behavior(scn, (Fraction(1, 2),) + floats[0].probs[1:]).scaled is None
-        for weights in ([0.25, 0.5, 0.25], [Fraction(1, 4), 0.5, Fraction(1, 4)], [0.0, 1, 0]):
-            assert same(mix(floats, weights).probs, ref_mix(floats, weights).probs)
         mixed = [model.behaviors[0], floats[1], model.behaviors[2]]
-        weights = [Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)]
-        assert same(mix(mixed, weights).probs, ref_mix(mixed, weights).probs)
-        # an adversary model takes no float: not the strategies, nor the prior
+        exact_weights = [Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)]
+        for behaviors, weights in (
+            (floats, [0.25, 0.5, 0.25]),
+            (floats, exact_weights),
+            (mixed, exact_weights),
+            (mixed, [Fraction(1, 2), 0, Fraction(1, 2)]),  # a zero weight's float behavior too
+            (model.behaviors, [Fraction(1, 4), 0.5, Fraction(1, 4)]),
+            (model.behaviors, [0.0, 1, 0]),
+        ):
+            with pytest.raises(ValueError, match="^weights and behavior entries must be ints or Fractions$"):
+                mix(behaviors, weights)
         with pytest.raises(ValueError, match="strategy behavior entries must be ints or Fractions"):
             AdversaryModel(scn, floats, model.input_dists, model.prior)
         with pytest.raises(ValueError, match="prior entries must be ints or Fractions"):
@@ -993,7 +1012,7 @@ def test_all_int_models_are_exact():
     for x in scn.all_settings():
         assert same(outcome(model.posterior, x), outcome(twin.posterior, x))
     with pytest.raises(ValueError, match="zero probability"):
-        variational_bound(model, (0, 0), 0, uniform_behavior(scn), Fraction(1, 7))
+        variational_bound(model, (0, 0), 0, observed=uniform_behavior(scn), bell_value=Fraction(1, 7))
     # int prior, int strategies and an int input point beside a Fraction
     # input: Q, lhs and rhs are Fractions, decided exactly
     model = AdversaryModel(scn, ints, [uniform_dist, point], [1, 0])
@@ -1001,7 +1020,7 @@ def test_all_int_models_are_exact():
     assert same(observed_behavior(model).probs, observed_behavior(twin).probs)
     for x in scn.all_settings():
         for k in range(scn.parties):
-            got, ref = variational_bound(model, x, k), variational_bound(twin, x, k)
+            got, ref = model_bound(model, x, k), model_bound(twin, x, k)
             assert all(same(getattr(got, f.name), getattr(ref, f.name)) for f in dataclasses.fields(ref))
             assert all(type(v) is Fraction for v in (got.q, got.lhs, got.rhs, got.bell_value))
             assert got.satisfied is (got.lhs <= got.rhs)
@@ -1016,7 +1035,7 @@ def test_integer_form_behaviors_build_probs_on_first_read(diff_pools):
         value = evaluate(bell_functional_for(scn), observed)
         for x in scn.all_settings():
             for k in range(scn.parties):
-                variational_bound(model, x, k, observed, value)
+                variational_bound(model, x, k, observed=observed, bell_value=value)
         lazy = model.behaviors + [observed]
         # the model path reads only the integer form
         assert all("probs" not in b.__dict__ for b in lazy)
@@ -1049,6 +1068,16 @@ GOLDEN_MODEL_DIGESTS = {
 }
 
 
+def pinned_repr(checks):
+    """repr(checks) as it read when the digests were taken: the check then
+    also had the field distance = lhs / 2, after rhs."""
+    return "[" + ", ".join(
+        f"VariationalCheck(x={c.x!r}, party={c.party!r}, lhs={c.lhs!r}, rhs={c.rhs!r}, "
+        f"distance={c.lhs / 2!r}, q={c.q!r}, bell_value={c.bell_value!r}, satisfied={c.satisfied!r})"
+        for c in checks
+    ) + "]"
+
+
 @pytest.mark.parametrize("dims", sorted(GOLDEN_MODEL_DIGESTS))
 def test_random_adversary_model_draws_are_pinned(dims):
     scn = Scenario(*dims)
@@ -1056,6 +1085,54 @@ def test_random_adversary_model_draws_are_pinned(dims):
     # local vertices only, so that no LP choice enters the pin
     pool = [uniform_behavior(scn)] + [random_local_vertex(scn, rng) for _ in range(8)]
     model = random_adversary_model(scn, rng, pool)
-    checks = [variational_bound(model, x, k) for x in scn.all_settings() for k in range(scn.parties)]
-    text = json.dumps(model_to_json(model), sort_keys=True) + repr(checks) + repr(rng.random())
+    observed = observed_behavior(model)
+    value = evaluate(bell_functional_for(scn), observed)
+    checks = [
+        variational_bound(model, x, k, observed=observed, bell_value=value)
+        for x in scn.all_settings()
+        for k in range(scn.parties)
+    ]
+    text = json.dumps(model_to_json(model), sort_keys=True) + pinned_repr(checks) + repr(rng.random())
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_MODEL_DIGESTS[dims]
+
+
+def test_q_factor_tilde_is_none_when_the_ratio_is_unbounded(pool_222):
+    # strategy 0 never picks the functional's settings (1, 0) and (1, 1), so
+    # min_x' p(x'|0) = 0: unbounded where p(x|0) > 0, skipped where it is 0
+    scn = Scenario(2, 2, 2)
+    half = Fraction(1, 2)
+    biased = {(0, 0): half, (0, 1): half, (1, 0): 0, (1, 1): 0}
+    model = AdversaryModel(scn, [pool_222[0]] * 2, [biased, uniform_inputs(scn)], [half, half])
+    assert q_factor_tilde(model, (0, 0)) is None and q_factor_tilde(model, (0, 1)) is None
+    assert q_factor_tilde(model, (1, 0)) == 1 and q_factor_tilde(model, (1, 1)) == 1
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: AdversaryModel(
+                Scenario(2, 2, 2), [uniform_behavior(Scenario(2, 2, 3))], [uniform_inputs(Scenario(2, 2, 2))], [1]
+            ),
+            "behavior scenario mismatch",
+        ),
+        (
+            lambda: variational_bound(
+                AdversaryModel(
+                    Scenario(2, 2, 2), [uniform_behavior(Scenario(2, 2, 2))], [uniform_inputs(Scenario(2, 2, 2))], [1]
+                ),
+                (0, 0),
+                2,
+                observed=uniform_behavior(Scenario(2, 2, 2)),
+                bell_value=Fraction(1),
+            ),
+            "party out of range",
+        ),
+        (lambda: critical_epsilon_common(1), "need N >= 2"),
+        (lambda: feasibility_curve(2, 2, Fraction(1, 20), [2, 4]), "need measured violations or a lam proxy"),
+    ],
+    ids=["model-scenario", "party", "common-one-party", "no-violations"],
+)
+def test_amplification_input_checks(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
