@@ -97,21 +97,21 @@ def cmd_ra(args) -> int:
     eps = svamp.check_epsilon(scenario.parse_number(args.epsilon, exact=True))
     eps_n = svamp.critical_epsilon(args.N)
     eps_common = svamp.critical_epsilon_common(args.N)
-    verdict = (
-        "below both thresholds"
-        if eps < min(eps_n, float(eps_common))
-        else (
-            "above both thresholds"
-            if float(eps) >= float(eps_common) and float(eps) >= float(eps_n)
-            else "between thresholds (common-source variant still works)"
-        )
+    verdict = (  # exact comparisons; eps_n < eps_common for every N >= 2
+        "below both thresholds" if eps < eps_n
+        else "above both thresholds" if eps >= eps_common
+        else "between thresholds (common-source variant still works)"
     )
     m_values = [int(v) for v in args.m_list.split(",")]
-    violations = None
+    svamp.check_curve_sizes(args.d, m_values)
     lam = args.lam
     if lam is None:
         violations = {m: quantum.chained_quantum_violation(m, args.d).value for m in m_values}
-    rows = svamp.feasibility_curve(args.N, args.d, eps, m_values, violations=violations, lam=lam)
+    elif not (math.isfinite(lam) and lam >= 0):
+        raise ValueError(f"lam must be finite and nonnegative, got {lam}")
+    else:
+        violations = {m: abs(lam) / m for m in m_values}  # -0.0 passes the check
+    rows = svamp.feasibility_curve(args.N, args.d, eps, violations)
     header = (
         f"epsilon={float(eps)!r} critical_per_party={float(eps_n)!r} "
         f"critical_common={float(eps_common)!r} verdict={verdict}\n"

@@ -6,10 +6,11 @@ Every LP has the form of the no-signalling polytope itself::
 
 with equality rows only and every variable nonnegative.  Each row of A is
 a sequence of (column, coefficient) pairs; only the objective is dense.
-The no-signalling rows of a scenario are the same in every LP over it, so
-they are checked and standardized once per scenario: :func:`ns_constraints`
-hands out cached rows in standard form (integer nonzeros in column order,
-checked when they were built), which an LP takes as they are.
+The no-signalling rows of a scenario (:func:`scenario.ns_row_entries`)
+are the same in every LP over it, so they are checked and standardized once
+per scenario: :func:`ns_constraints` hands out cached rows in standard form
+(integer nonzeros in column order, checked when they were built), which an
+LP takes as they are.
 :func:`solve` returns certified results.  It solves the LP in floats with
 HiGHS, through the pybind bindings that scipy ships
 (``scipy.optimize._highspy._core``).  ``linprog`` wraps the same bindings,
@@ -62,24 +63,17 @@ brought over one common denominator, so that no ``Fraction`` is built per
 coefficient.  Each of these is the :func:`scenario.integer_form` of its
 entries, except in the dual check, where the y_i / L_i share a common
 denominator that is not always the least (see :func:`_dual_feasible`).
-
-Also provides the sparse rows of the no-signalling polytope: per-column
-normalization plus, for every party, independence of every other party's
-marginal from that party's setting choice (pairwise against setting 0),
-which together with nonnegativity carve out exactly the valid nonsignalling
-behaviors.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .scenario import Behavior, Scenario, integer_form
+from .scenario import Behavior, Scenario, integer_form, ns_row_entries
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -661,40 +655,12 @@ def verify_certificate(lp: LinearProgram, sol: LPSolution) -> bool:
 
 
 @functools.lru_cache(maxsize=None)
-def _ns_row_nonzeros(scenario: Scenario) -> tuple:
-    """The no-signalling rows of :func:`ns_constraints` as (column,
-    coefficient) pairs, built once per scenario."""
-    scn = scenario
-    rows = []
-    for k in range(scn.parties):
-        others = [j for j in range(scn.parties) if j != k]
-        for xo in itertools.product(range(scn.settings), repeat=len(others)):
-            for xk in range(1, scn.settings):
-                for ao in itertools.product(range(scn.outcomes), repeat=len(others)):
-                    x = [0] * scn.parties
-                    a = [0] * scn.parties
-                    for j, v in zip(others, xo):
-                        x[j] = v
-                    for j, v in zip(others, ao):
-                        a[j] = v
-                    row = []
-                    for ak in range(scn.outcomes):
-                        a[k] = ak
-                        x[k] = xk
-                        row.append((scn.index(x, a), 1))
-                        x[k] = 0
-                        row.append((scn.index(x, a), -1))
-                    rows.append(tuple(row))
-    return tuple(rows)
-
-
-@functools.lru_cache(maxsize=None)
 def _ns_rows(scenario: Scenario) -> tuple[tuple, tuple]:
     """The rows and right-hand sides of :func:`ns_constraints`, each row a
     :class:`_Row` in column order, checked once per scenario."""
     size = scenario.column_size
     norm = [_Row((base + i, 1) for i in range(size)) for base in range(0, scenario.size, size)]
-    ns = [_Row(sorted(row)) for row in _ns_row_nonzeros(scenario)]
+    ns = [_Row([(j, -1) for j in minus] + [(j, 1) for j in plus]) for plus, minus in ns_row_entries(scenario)]
     return tuple(norm + ns), (1,) * len(norm) + (0,) * len(ns)
 
 
@@ -703,44 +669,15 @@ def ns_constraints(scenario: Scenario) -> tuple[list, list]:
     bounds), as fresh lists that a caller may extend.
 
     Normalization first: one row per setting tuple, in column order.  Then
-    no-signalling: for each party k, each setting tuple of the others, each
-    outcome tuple of the others and each x_k > 0, the marginal with party k
-    summed out equals its value at x_k = 0.  Redundancies are tolerated by
-    the solver.  Each row lists its nonzeros in column order and is built
-    and checked once per scenario; the lists are fresh, the rows shared.
+    the no-signalling rows of :func:`scenario.ns_row_entries`, in its order:
+    the marginal with party k summed out at x_k > 0 equals its value at
+    x_k = 0.  Redundancies are tolerated by the solver.  Each row lists its
+    nonzeros in column order (its -1 entries, then its +1 entries) and is
+    built and checked once per scenario; the lists are fresh, the rows
+    shared.
     """
     rows, rhs = _ns_rows(scenario)
     return list(rows), list(rhs)
-
-
-def ns_row_residual(behavior: Behavior):
-    """Largest |A p| over the no-signalling rows A of :func:`ns_constraints`.
-
-    Each row sums out one party, and these rows imply the conditions for
-    every party subset, so the residual is 0 exactly when the behavior is
-    nonsignalling (``scenario.is_nonsignalling`` checks every subset and
-    stays the reference).  The behavior must be exact: its entries are
-    evaluated in integers over their common denominator
-    (:attr:`Behavior.scaled`), each row as the sum at its +1 columns minus
-    that at its -1 columns, and the residual is an exact Fraction.  A float
-    entry raises ValueError.
-    """
-    if behavior.scaled is None:
-        raise ValueError("ns_row_residual needs an exact behavior (int or Fraction entries)")
-    denom, ints = behavior.scaled
-    get = ints.__getitem__
-    rows = _ns_row_split(behavior.scenario)
-    worst = max((abs(sum(map(get, plus)) - sum(map(get, minus))) for plus, minus in rows), default=0)
-    return Fraction(worst, denom)
-
-
-@functools.lru_cache(maxsize=None)
-def _ns_row_split(scenario: Scenario) -> tuple:
-    """Each row of :func:`_ns_row_nonzeros` as (+1 columns, -1 columns)."""
-    return tuple(
-        (tuple(i for i, c in row if c == 1), tuple(i for i, c in row if c == -1))
-        for row in _ns_row_nonzeros(scenario)
-    )
 
 
 def ns_program(

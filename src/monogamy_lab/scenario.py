@@ -10,7 +10,8 @@ use the same convention.
 Probabilities are either exact rationals (``fractions.Fraction``) or floats.
 Exact mode is required wherever a test certifies an equality; floats are for
 quantum numerics and scans.  Mixtures and :func:`is_distribution` are exact
-only.
+only.  No-signalling has its one home here: :func:`is_nonsignalling` checks
+every party subset, and ``polylp`` makes LP rows of :func:`ns_row_entries`.
 """
 
 from __future__ import annotations
@@ -299,6 +300,48 @@ def is_nonsignalling(behavior: Behavior, tol=0) -> tuple[bool, object]:
                     else:
                         worst = worst_of((abs(u - v) for u, v in zip(ref, m)), worst)
     return worst <= tol, worst
+
+
+@functools.lru_cache(maxsize=None)
+def ns_row_entries(scn: Scenario) -> tuple:
+    """The no-signalling rows, built once per scenario: for each party k,
+    each setting tuple of the others, each x_k > 0 and each outcome tuple of
+    the others, the row (+1 entries, -1 entries) of the others' marginal at
+    x_k and at x_k = 0, each in increasing order.
+
+    With per-column normalization and nonnegativity these rows carve out
+    exactly the nonsignalling behaviors: they imply the condition for every
+    party subset S, as summing out the parties outside S one at a time
+    moves each of their settings to 0 without changing S's marginal.
+    """
+    rows = []
+    for k in range(scn.parties):
+        others = tuple(j for j in range(scn.parties) if j != k)
+        groups = [[] for _ in range(scn.outcomes ** len(others))]
+        for i, sub in enumerate(_restriction_indices(scn, others)):
+            groups[sub].append(i)
+        step = scn.settings ** (scn.parties - 1 - k) * scn.column_size  # x_k -> x_k + 1
+        for xo in itertools.product(range(scn.settings), repeat=len(others)):
+            base = scn.column_index(xo[:k] + (0,) + xo[k:]) * scn.column_size
+            for xk in range(1, scn.settings):
+                rows += [(tuple(base + xk * step + i for i in g), tuple(base + i for i in g)) for g in groups]
+    return tuple(rows)
+
+
+def ns_row_residual(behavior: Behavior):
+    """Largest |A p| over the rows A of :func:`ns_row_entries`, an exact
+    Fraction: 0 exactly when the behavior is nonsignalling
+    (:func:`is_nonsignalling` stays the reference).  Each row is evaluated
+    in the integers of :attr:`Behavior.scaled`, as the sum at its +1 entries
+    minus that at its -1 entries; a float entry raises ValueError.
+    """
+    if behavior.scaled is None:
+        raise ValueError("ns_row_residual needs an exact behavior (int or Fraction entries)")
+    denom, ints = behavior.scaled
+    get = ints.__getitem__
+    rows = ns_row_entries(behavior.scenario)
+    worst = max((abs(sum(map(get, plus)) - sum(map(get, minus))) for plus, minus in rows), default=0)
+    return Fraction(worst, denom)
 
 
 def deterministic_vertex(scenario: Scenario, table: Sequence[Sequence[int]]) -> Behavior:

@@ -31,9 +31,10 @@ from fractions import Fraction
 from typing import Sequence
 
 from .bell import modular_groups, recursive_bkp
-from .polylp import ns_row_residual
 from .sampling import random_ns_mixture, random_weights
-from .scenario import Behavior, Scenario, csv_text, is_distribution, is_exact, scaled_sum, validate
+from .scenario import (
+    Behavior, Scenario, csv_text, is_distribution, is_exact, ns_row_residual, scaled_sum, validate,
+)
 
 
 def check_epsilon(epsilon):
@@ -72,8 +73,8 @@ class AdversaryModel:
     and the kept Q(x) stale.
 
     Each strategy must satisfy the no-signalling rows of
-    :func:`polylp.ns_constraints` exactly; a signalling strategy is rejected
-    with its largest row residual.  Each strategy must also be a
+    :func:`scenario.ns_row_entries` exactly; a signalling strategy is
+    rejected with its largest row residual.  Each strategy must also be a
     probability table, checked in integers on :attr:`Behavior.scaled`: no
     negative numerator, and the numerators summing to the denominator times
     the number of columns (no-signalling gives every column the same total,
@@ -352,37 +353,31 @@ class FeasibilityRow:
     variant: str
 
 
-def feasibility_curve(
-    N: int,
-    d: int,
-    epsilon,
-    m_values: Sequence[int],
-    violations: dict | None = None,
-    lam: float | None = None,
-) -> list[FeasibilityRow]:
+def check_curve_sizes(d: int, m_values) -> None:
+    """A feasibility curve needs d >= 2 and every M >= 2."""
+    if d < 2 or any(m < 2 for m in m_values):
+        raise ValueError("need M >= 2 and d >= 2")
+
+
+def feasibility_curve(N: int, d: int, epsilon, violations: dict) -> list[FeasibilityRow]:
     """Upper bounds ((d-1)^2+1)/d * ratio^exponent * I_Q(M, d) over a
     settings range; the sequence tends to zero iff the bias is below the
     matching threshold.
 
-    violations maps M to a quantum value of the functional; alternatively a
-    proxy lam gives I ~ lam/M.  The rows of the per-party exponent N r come
-    first, then those of the common-source exponent 1 + (N-1) r.
+    violations maps each M, in order, to a value of the functional: a
+    quantum value, or a proxy such as lam/M.  The bias factor is
+    :func:`likelihood_ratio_bound` at the float of epsilon.  The rows of the
+    per-party exponent N r come first, then those of the common-source
+    exponent 1 + (N-1) r.
     """
     check_epsilon(epsilon)
-    if violations is None and lam is None:
-        raise ValueError("need measured violations or a lam proxy")
-    if d < 2 or any(m < 2 for m in m_values):
-        raise ValueError("need M >= 2 and d >= 2")
-    if lam is not None and not (math.isfinite(lam) and lam >= 0):
-        raise ValueError(f"lam must be finite and nonnegative, got {lam}")
-    ratio = (1 + 2 * float(epsilon)) / (1 - 2 * float(epsilon))
+    check_curve_sizes(d, violations)
     rows = []
     for variant in ("per-party", "common-source"):
-        for m in m_values:
+        for m, i_q in violations.items():
             r = source_uses(m)
             exponent = N * r if variant == "per-party" else 1 + (N - 1) * r
-            i_q = violations[m] if violations is not None else abs(lam) / m  # -0.0 passes the check
-            factor = ratio**exponent
+            factor = likelihood_ratio_bound(float(epsilon), exponent)
             rows.append(
                 FeasibilityRow(
                     M=m,

@@ -1,5 +1,6 @@
 """Reference constructions that only the tests use."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -56,6 +57,36 @@ def product(b1: Behavior, b2: Behavior) -> Behavior:
                 for a2 in s2.all_outcomes():
                     probs[scn.index(x, a1 + a2)] = p1 * b2.probs[s2.index(x2, a2)]
     return Behavior(scn, tuple(probs))
+
+
+def ref_ns_row_nonzeros(scn: Scenario) -> tuple:
+    """The no-signalling rows as (column, coefficient) pairs, one range-checked
+    ``Scenario.index`` per entry: for each party k, each setting tuple xo of
+    the others, each x_k > 0 and each outcome tuple ao of the others, the pairs
+    ((xo, x_k), (ao, a_k)) with +1 and ((xo, 0), (ao, a_k)) with -1, a_k
+    ascending.  ``scenario.ns_row_entries`` and ``polylp.ns_constraints``
+    must hold the same rows in the same order."""
+    rows = []
+    for k in range(scn.parties):
+        others = [j for j in range(scn.parties) if j != k]
+        for xo in itertools.product(range(scn.settings), repeat=len(others)):
+            for xk in range(1, scn.settings):
+                for ao in itertools.product(range(scn.outcomes), repeat=len(others)):
+                    x = [0] * scn.parties
+                    a = [0] * scn.parties
+                    for j, v in zip(others, xo):
+                        x[j] = v
+                    for j, v in zip(others, ao):
+                        a[j] = v
+                    row = []
+                    for ak in range(scn.outcomes):
+                        a[k] = ak
+                        x[k] = xk
+                        row.append((scn.index(x, a), 1))
+                        x[k] = 0
+                        row.append((scn.index(x, a), -1))
+                    rows.append(tuple(row))
+    return tuple(rows)
 
 
 def random_local_vertex(scenario: Scenario, rng: random.Random) -> Behavior:

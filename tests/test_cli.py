@@ -12,6 +12,7 @@ import monogamy_lab
 from monogamy_lab import monogamy, polylp, quantum
 from monogamy_lab.cli import main
 from monogamy_lab.polylp import LPSolution
+from monogamy_lab.svamp import critical_epsilon
 from monogamy_lab.scenario import (
     Behavior,
     Scenario,
@@ -367,6 +368,29 @@ def test_ra_report(capsys):
 def test_ra_verdict_above(capsys):
     assert main(["ra", "2", "2", "0.2", "--lam", "1.23"]) == 0
     assert "above both thresholds" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "N, epsilon, verdict",
+    [
+        # exactly below 1/6, though each rounds to the float of 1/6
+        (2, "0.1666666666666666666666666666", "between"),
+        (2, "0.16666666666666666", "between"),
+        (2, "1/6", "above"),
+        (2, "0.05", "below"),
+        (2, "0.12", "between"),
+        (2, "0.2", "above"),
+        # the per-party threshold is not itself below it
+        (2, str(Fraction(critical_epsilon(2))), "between"),
+        (3, "0.05", "below"),
+        (3, "0.07", "between"),
+        (3, "0.1", "above"),
+        (3, str(Fraction(critical_epsilon(2))), "above"),
+    ],
+)
+def test_ra_verdict_compares_epsilon_exactly(capsys, N, epsilon, verdict):
+    assert main(["ra", str(N), "2", epsilon, "--lam", "1.23"]) == 0
+    assert capsys.readouterr().out.splitlines()[0].split(" verdict=")[1].startswith(f"{verdict} ")
 
 
 def test_ra_thresholds_decrease_with_n(capsys):

@@ -31,6 +31,24 @@ def test_module_uses_every_import(module):
     assert [name for name in imported_names(tree) if name not in used] == []
 
 
+def import_parts(tree: ast.Module):
+    """Each dotted part of each module and name that the module's import
+    statements name, wherever they stand: ``from .polylp import x``,
+    ``from . import polylp`` and ``import monogamy_lab.polylp`` all give
+    polylp."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for name in [getattr(node, "module", None) or "", *(alias.name for alias in node.names)]:
+                yield from name.split(".")
+
+
+# No-signalling is defined in scenario; polylp only turns its rows into LPs,
+# so no module below the LP layer reads it.
+@pytest.mark.parametrize("module", ["scenario.py", "bell.py", "quantum.py", "svamp.py"])
+def test_module_does_not_import_the_lp_module(module):
+    assert "polylp" not in set(import_parts(ast.parse(FILES[module].read_text(), module)))
+
+
 # Public names that nothing outside the tests calls, kept on purpose.
 KEEP = {
     "bell.classical_minimum": "the classical bound d - 1, over every local deterministic strategy",
@@ -46,7 +64,6 @@ KEEP = {
     "svamp.q_factor_tilde": "the paper's Q~ factor, with input likelihoods",
     "svamp.AdversaryModel.input_probability": "p(x), the input distribution the adversary's mixture shows",
     "svamp.AdversaryModel.posterior": "p(w|x) as Fractions, the Bayes terms that q_factor reads in integers",
-    "svamp.likelihood_ratio_bound": "the source's worst-case likelihood ratio, a bound on Q",
 }
 CALLER_FILES = [*SRC.glob("*.py"), *(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
 

@@ -37,10 +37,11 @@ from monogamy_lab.polylp import (
 from monogamy_lab.scenario import (
     Scenario,
     is_nonsignalling,
+    ns_row_entries,
     uniform_behavior,
     validate,
 )
-from reference import chained_bkp
+from reference import chained_bkp, ref_ns_row_nonzeros
 
 
 def sparse(rows):
@@ -99,6 +100,28 @@ def test_ns_rows_match_dense_rows(dims):
     rows, rhs = ns_constraints(Scenario(*dims))
     pinned = repr([(tuple(sorted(row)), b) for row, b in zip(rows, rhs)])
     assert hashlib.sha256(pinned.encode()).hexdigest() == NS_ROWS_SHA256[dims]
+
+
+NS_ROW_SIZES = [
+    (2, 2, 2), (2, 3, 2), (2, 2, 3), (2, 3, 3), (3, 2, 2), (3, 3, 2),
+    (3, 2, 3), (3, 3, 3), (4, 2, 2), (4, 3, 2), (5, 2, 2),
+]
+
+
+@pytest.mark.parametrize("dims", NS_ROW_SIZES)
+def test_ns_rows_match_the_per_entry_reference(dims):
+    # scenario.ns_row_entries groups the rows from the marginal map; the
+    # reference builds every entry with its own Scenario.index
+    scn = Scenario(*dims)
+    ref = ref_ns_row_nonzeros(scn)
+    assert ns_row_entries(scn) == tuple(
+        (tuple(j for j, c in row if c == 1), tuple(j for j, c in row if c == -1)) for row in ref
+    )
+    size = scn.column_size
+    norm = [tuple((base + i, 1) for i in range(size)) for base in range(0, scn.size, size)]
+    rows, rhs = ns_constraints(scn)
+    assert rows == norm + [tuple(sorted(row)) for row in ref]
+    assert rhs == [1] * len(norm) + [0] * len(ref)
 
 
 @pytest.mark.parametrize(

@@ -15,7 +15,6 @@ import pytest
 import monogamy_lab
 from monogamy_lab.bell import ModularTerm, evaluate, recursive_bkp
 from monogamy_lab.errors import InputFormatError
-from monogamy_lab.polylp import _ns_row_nonzeros, ns_row_residual
 from monogamy_lab.sampling import (
     ns_pool, random_behavior, random_ns_mixture, random_weights,
 )
@@ -27,6 +26,7 @@ from monogamy_lab.scenario import (
     is_nonsignalling,
     marginal,
     mix,
+    ns_row_residual,
     uniform_behavior,
     validate,
 )
@@ -48,7 +48,7 @@ from monogamy_lab.svamp import (
     source_uses,
     variational_bound,
 )
-from reference import chained_bkp, model_from_json, model_to_json, random_local_vertex
+from reference import chained_bkp, model_from_json, model_to_json, random_local_vertex, ref_ns_row_nonzeros
 
 
 @pytest.fixture(scope="module")
@@ -255,8 +255,13 @@ def test_critical_epsilons():
         critical_epsilon(1)
 
 
+def lam_proxy(lam, m_values):
+    """The violations of the CLI's --lam proxy, I ~ |lam|/M."""
+    return {m: abs(lam) / m for m in m_values}
+
+
 def test_feasibility_curve_below_threshold_decreases():
-    rows = feasibility_curve(2, 2, Fraction(1, 20), [2, 4, 8, 16], lam=1.2)
+    rows = feasibility_curve(2, 2, Fraction(1, 20), lam_proxy(1.2, [2, 4, 8, 16]))
     for variant in ("per-party", "common-source"):
         bounds = [r.rhs_bound for r in rows if r.variant == variant]
         assert len(bounds) == 4 and all(a > b for a, b in zip(bounds, bounds[1:]))
@@ -265,13 +270,13 @@ def test_feasibility_curve_below_threshold_decreases():
 def test_feasibility_curve_between_thresholds():
     # eps above the per-party threshold but below the common-source one
     eps = Fraction(12, 100)
-    rows = feasibility_curve(2, 2, eps, [2, 4, 8, 16, 32], lam=1.2)
+    rows = feasibility_curve(2, 2, eps, lam_proxy(1.2, [2, 4, 8, 16, 32]))
     # the per-party rows first, then the common-source rows
     assert [r.variant for r in rows] == ["per-party"] * 5 + ["common-source"] * 5
     per, common = rows[:5], rows[5:]
     # both variants come from one call; no parameter picks one
     with pytest.raises(TypeError, match="variant"):
-        feasibility_curve(2, 2, eps, [2, 4], lam=1.2, variant="per-party")
+        feasibility_curve(2, 2, eps, lam_proxy(1.2, [2, 4]), variant="per-party")
     per_bounds = [r.rhs_bound for r in per]
     common_bounds = [r.rhs_bound for r in common]
     assert per_bounds[-1] > per_bounds[1]  # diverges at doubling steps
@@ -281,19 +286,19 @@ def test_feasibility_curve_between_thresholds():
 @pytest.mark.parametrize("epsilon", [Fraction(-1, 10), Fraction(1, 2), 0.5, 0.7, math.nan])
 def test_feasibility_curve_takes_the_source_epsilon_range(epsilon):
     with pytest.raises(ValueError, match=r"^epsilon must lie in \[0, 1/2\)$"):
-        feasibility_curve(2, 2, epsilon, [2, 4], lam=1.0)
+        feasibility_curve(2, 2, epsilon, lam_proxy(1.0, [2, 4]))
 
 
 def test_feasibility_threshold_independent_of_d():
     for n in (2, 3):
         assert critical_epsilon(n) == critical_epsilon(n)  # d never enters
-    rows2 = feasibility_curve(2, 2, Fraction(1, 20), [2, 4], lam=1.0)
-    rows3 = feasibility_curve(2, 3, Fraction(1, 20), [2, 4], lam=1.0)
+    rows2 = feasibility_curve(2, 2, Fraction(1, 20), lam_proxy(1.0, [2, 4]))
+    rows3 = feasibility_curve(2, 3, Fraction(1, 20), lam_proxy(1.0, [2, 4]))
     assert [r.exponent for r in rows2] == [r.exponent for r in rows3]
 
 
 def test_curve_csv_format():
-    rows = feasibility_curve(2, 2, Fraction(1, 20), [2, 4], lam=1.2)
+    rows = feasibility_curve(2, 2, Fraction(1, 20), lam_proxy(1.2, [2, 4]))
     text = curve_to_csv(2, 2, Fraction(1, 20), rows)
     lines = text.strip().splitlines()
     assert lines[0] == "N,d,epsilon,M,r,exponent,I_Q,rhs_bound,variant"
@@ -512,7 +517,7 @@ def test_ns_row_residual_agrees_with_all_subsets_check(diff_pools):
 
 def ref_sparse_row_residual(b):
     """max |sum_i c_i p_i| over the (column, coefficient) NS rows, in Fractions."""
-    return max(abs(sum(c * b.probs[i] for i, c in row)) for row in _ns_row_nonzeros(b.scenario))
+    return max(abs(sum(c * b.probs[i] for i, c in row)) for row in ref_ns_row_nonzeros(b.scenario))
 
 
 @pytest.mark.parametrize("dims", [(2, 3, 3), (3, 3, 2), (3, 2, 3)])
@@ -903,8 +908,8 @@ def test_index_plans_are_built_on_first_use():
     # a fresh process: this one has built them already
     code = (
         "import monogamy_lab.cli\n"
-        "from monogamy_lab import bell, polylp, svamp\n"
-        "plans = (bell.modular_groups, bell._bkp_terms, polylp._ns_row_split)\n"
+        "from monogamy_lab import bell, scenario, svamp\n"
+        "plans = (bell.modular_groups, bell._bkp_terms, scenario.ns_row_entries)\n"
         "print([plan.cache_info().currsize for plan in plans])\n"
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(monogamy_lab.__file__)))
@@ -1129,9 +1134,8 @@ def test_q_factor_tilde_is_none_when_the_ratio_is_unbounded(pool_222):
             "party out of range",
         ),
         (lambda: critical_epsilon_common(1), "need N >= 2"),
-        (lambda: feasibility_curve(2, 2, Fraction(1, 20), [2, 4]), "need measured violations or a lam proxy"),
     ],
-    ids=["model-scenario", "party", "common-one-party", "no-violations"],
+    ids=["model-scenario", "party", "common-one-party"],
 )
 def test_amplification_input_checks(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
