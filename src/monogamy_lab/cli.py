@@ -94,7 +94,8 @@ def cmd_figures(args) -> int:
 
 
 def cmd_ra(args) -> int:
-    eps = svamp.check_epsilon(scenario.parse_number(args.epsilon, exact=True))
+    eps = scenario.parse_number(args.epsilon, exact=True)
+    svamp.float_epsilon(eps)  # the range check, then the float's, before any violation
     eps_n = svamp.critical_epsilon(args.N)
     eps_common = svamp.critical_epsilon_common(args.N)
     verdict = (  # exact comparisons; eps_n < eps_common for every N >= 2

@@ -51,13 +51,23 @@ if TYPE_CHECKING:
 _MC_BLOCK = 1024
 
 
-@functools.cache
 def _paulis() -> np.ndarray:
     """sigma_u x sigma_v for (u, v) = xx, xz, zx, zz."""
     import numpy as np
     sx = np.array([[0.0, 1.0], [1.0, 0.0]])
     sz = np.array([[1.0, 0.0], [0.0, -1.0]])
     return np.stack([np.kron(su, sv) for su in (sx, sz) for sv in (sx, sz)])
+
+
+@functools.cache
+def _pauli_gather() -> tuple[np.ndarray, np.ndarray]:
+    """(rows, signs) of the signed permutations in :func:`_paulis`: column i
+    of operator p holds signs[p, i] in row rows[p, i] and zeros elsewhere,
+    so (rho P_p)_ii = rho[i, rows[p, i]] * signs[p, i]."""
+    import numpy as np
+    paulis = _paulis()
+    rows = np.abs(paulis).argmax(axis=1)
+    return rows, np.take_along_axis(paulis, rows[:, None], axis=1)[:, 0]
 
 
 def _check_alpha(alpha: float) -> None:
@@ -79,7 +89,11 @@ def _correlation_matrices(
     amplitudes: np.ndarray, n_qubits: int, pair: tuple[int, int]
 ) -> np.ndarray:
     """(k, 2, 2) correlation matrices of one qubit pair for the k real
-    states in the rows of ``amplitudes``."""
+    states in the rows of ``amplitudes``.  Each sigma_u x sigma_v is a signed
+    permutation, so tr(rho sigma_u x sigma_v), rho the pair's reduced density
+    matrix, sums four gathered entries of rho times +-1 (:func:`_pauli_gather`)
+    along the last axis, as ``np.trace`` sums a diagonal: bit for bit the
+    trace of the 4x4 product, signed zeros included."""
     import numpy as np
     i, j = pair
     if i == j or not (0 <= i < n_qubits and 0 <= j < n_qubits):
@@ -88,7 +102,8 @@ def _correlation_matrices(
     psi = amplitudes.reshape((k,) + (2,) * n_qubits)
     psi = np.moveaxis(psi, (i + 1, j + 1), (1, 2)).reshape(k, 4, -1)
     rho = psi @ psi.transpose(0, 2, 1)  # reduced 4x4 density matrices of the pair
-    t = np.trace(rho[:, None] @ _paulis(), axis1=-2, axis2=-1)
+    rows, signs = _pauli_gather()
+    t = (rho[:, np.arange(4), rows] * signs).sum(axis=-1)
     return t.reshape(k, 2, 2)
 
 
@@ -157,8 +172,11 @@ def _random_real_states(k: int, rng: np.random.Generator, n_qubits: int = 3) -> 
     same rng gives the same states drawn in one block or one at a time."""
     import numpy as np
     v = rng.standard_normal((k, 2**n_qubits))
-    # a norm per row: one vectorized norm rounds some amplitudes differently
-    states = v / np.array([np.linalg.norm(row) for row in v])[:, None]
+    # Each row's norm is sqrt(row . row), as np.linalg.norm(row) computes it:
+    # the stacked (1 x 2^n) @ (2^n x 1) products round as that dot does, bit
+    # for bit.  np.linalg.norm(v, axis=1) and einsum round some norms
+    # differently.
+    states = v / np.sqrt(v[:, None, :] @ v[:, :, None])[:, 0]
     _check_normalized(states)
     return states
 

@@ -355,10 +355,14 @@ def deterministic_vertex(scenario: Scenario, table: Sequence[Sequence[int]]) -> 
         for o in row:
             if not 0 <= o < scenario.outcomes:
                 raise ValueError(f"assigned outcome {o} out of range")
+    # the table fits, so each entry's flat index is built without Scenario.index's checks
+    d, column_size = scenario.outcomes, scenario.column_size
     probs = [Fraction(0)] * scenario.size
-    for x in scenario.all_settings():
-        a = tuple(table[k][xk] for k, xk in enumerate(x))
-        probs[scenario.index(x, a)] = Fraction(1)
+    for column, x in enumerate(scenario.all_settings()):
+        outcome = 0
+        for k, xk in enumerate(x):
+            outcome = outcome * d + table[k][xk]
+        probs[column * column_size + outcome] = Fraction(1)
     return Behavior(scenario, tuple(probs))
 
 

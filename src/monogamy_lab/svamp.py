@@ -37,12 +37,23 @@ from .scenario import (
 )
 
 
-def check_epsilon(epsilon):
-    """The bias of an epsilon-source, which must lie in [0, 1/2); returned
-    as given."""
+def check_epsilon(epsilon) -> None:
+    """The bias of an epsilon-source must lie in [0, 1/2)."""
     if not 0 <= epsilon < Fraction(1, 2):
         raise ValueError("epsilon must lie in [0, 1/2)")
-    return epsilon
+
+
+def float_epsilon(epsilon) -> float:
+    """The float of a bias that passes :func:`check_epsilon`.  An epsilon in
+    [1/2 - 2^-55, 1/2) passes that check but rounds to 0.5, where the float
+    bias factor is unbounded; it is refused with its own message."""
+    check_epsilon(epsilon)
+    eps = float(epsilon)
+    if eps == 0.5:
+        raise ValueError(
+            "epsilon is below 1/2 but rounds to 1/2 as a float, where the bias factor is unbounded"
+        )
+    return eps
 
 
 def likelihood_ratio_bound(epsilon, uses: int):
@@ -366,18 +377,18 @@ def feasibility_curve(N: int, d: int, epsilon, violations: dict) -> list[Feasibi
 
     violations maps each M, in order, to a value of the functional: a
     quantum value, or a proxy such as lam/M.  The bias factor is
-    :func:`likelihood_ratio_bound` at the float of epsilon.  The rows of the
+    :func:`likelihood_ratio_bound` at :func:`float_epsilon`.  The rows of the
     per-party exponent N r come first, then those of the common-source
     exponent 1 + (N-1) r.
     """
-    check_epsilon(epsilon)
+    eps = float_epsilon(epsilon)
     check_curve_sizes(d, violations)
     rows = []
     for variant in ("per-party", "common-source"):
         for m, i_q in violations.items():
             r = source_uses(m)
             exponent = N * r if variant == "per-party" else 1 + (N - 1) * r
-            factor = likelihood_ratio_bound(float(epsilon), exponent)
+            factor = likelihood_ratio_bound(eps, exponent)
             rows.append(
                 FeasibilityRow(
                     M=m,

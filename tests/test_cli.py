@@ -412,6 +412,21 @@ def test_ra_epsilon_range_message(capsys, monkeypatch, epsilon):
     assert capsys.readouterr() == ("", "error: epsilon must lie in [0, 1/2)\n")
 
 
+@pytest.mark.parametrize("epsilon", ["0.4999999999999999999999", "4999999999999999999999/10000000000000000000000"])
+def test_ra_epsilon_that_rounds_to_half_is_named_so(capsys, monkeypatch, epsilon):
+    # in [0, 1/2) exactly, but its float is 0.5; refused before any violation is computed
+    monkeypatch.setattr(quantum, "chained_quantum_violation", lambda *args: pytest.fail("violation computed"))
+    assert main(["ra", "2", "2", epsilon]) == 2
+    assert capsys.readouterr() == (
+        "", "error: epsilon is below 1/2 but rounds to 1/2 as a float, where the bias factor is unbounded\n"
+    )
+
+
+def test_ra_largest_float_below_half_is_accepted(capsys):
+    assert main(["ra", "2", "2", "0.49999999999999997", "--m-list", "2,3"]) == 0
+    assert capsys.readouterr().out.startswith("epsilon=0.49999999999999994 ")
+
+
 def test_ra_negative_zero_lam_is_zero(capsys):
     assert main(["ra", "2", "2", "0.12", "--lam=-0"]) == 0
     out = capsys.readouterr().out

@@ -219,6 +219,48 @@ def test_batched_slacks_match_per_state_check():
             assert abs(s - check_qubit_monogamy(state, a).worst_slack) <= 1e-12
 
 
+@pytest.mark.parametrize("k", [1, 7, 1024])
+def test_batched_normalization_matches_the_per_row_norm(k):
+    v = np.random.default_rng(k).standard_normal((k, 8))
+    states = quantum._random_real_states(k, np.random.default_rng(k))
+    expected = np.stack([row / np.linalg.norm(row) for row in v])
+    assert np.array_equal(states, expected)
+
+
+def pauli_trace_reference(states: np.ndarray, pair: tuple[int, int]) -> np.ndarray:
+    """tr(rho sigma_u x sigma_v) at [state, u, v], u, v in (x, z), from the
+    4x4 products, with rho the pair's reduced density matrix."""
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+    sz = np.array([[1.0, 0.0], [0.0, -1.0]])
+    psi = np.moveaxis(states.reshape(-1, 2, 2, 2), (pair[0] + 1, pair[1] + 1), (1, 2))
+    psi = psi.reshape(len(states), 4, 2)
+    rho = psi @ psi.transpose(0, 2, 1)
+    traces = [[np.trace(rho @ np.kron(su, sv), axis1=-2, axis2=-1) for sv in (sx, sz)] for su in (sx, sz)]
+    return np.moveaxis(np.array(traces), -1, 0)
+
+
+def test_correlation_matrices_match_the_pauli_traces():
+    # zero amplitudes (the family's, their negations -0.0, and amplitudes in
+    # {0, +-c}) test signed zeros in the traces
+    family = np.stack([saturating_family(math.pi / 4 * i / 20) for i in range(21)])
+    signs = np.random.default_rng(4).integers(-1, 2, size=(300, 8)).astype(float)
+    signs = signs[signs.any(axis=1)]
+    states = np.concatenate([
+        quantum._random_real_states(10**4, np.random.default_rng(3)),
+        family,
+        -family,
+        signs / np.sqrt(np.sum(signs**2, axis=1))[:, None],
+    ])
+    for pair in ((0, 1), (0, 2), (1, 2)):
+        t = quantum._correlation_matrices(states, 3, pair)
+        expected = pauli_trace_reference(states, pair)
+        assert np.array_equal(t, expected)
+        assert np.array_equal(np.signbit(t), np.signbit(expected))
+        for amps, t_one in zip(family, expected[10**4:]):
+            one = correlation_matrix(amps, pair)
+            assert np.array_equal(one, t_one) and np.array_equal(np.signbit(one), np.signbit(t_one))
+
+
 @pytest.mark.parametrize("n_states", [0, -5])
 def test_monogamy_montecarlo_rejects_empty_runs(n_states):
     with pytest.raises(ValueError):
