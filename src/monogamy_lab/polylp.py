@@ -15,7 +15,10 @@ LP takes as they are.
 HiGHS, through the pybind bindings that scipy ships
 (``scipy.optimize._highspy._core``).  ``linprog`` wraps the same bindings,
 but its input checks and sparse-matrix conversions cost more than HiGHS's
-own solve on these LPs, and it rejects an LP with no variables.  The float
+own solve on these LPs, and it rejects an LP with no variables.  The
+first solve loads the bindings from their file (:func:`_highs_core`):
+importing them by name would also load scipy.optimize, scipy.sparse,
+scipy.linalg and scipy.special, which no line here uses.  The float
 answer is turned into rationals, and an optimum is accepted
 only after an exact check of primal feasibility, dual feasibility
 (``c - A^T y >= 0``, with the sign of c flipped for 'max') and strong
@@ -68,7 +71,11 @@ denominator that is not always the least (see :func:`_dual_feasible`).
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -317,6 +324,36 @@ def _optimal(std: _Standard, x, y, engine: str, iterations: int) -> LPSolution |
     return LPSolution(OPTIMAL, std.sign * value, tuple(x), tuple(y), iterations, engine)
 
 
+_HIGHS_CORE = "scipy.optimize._highspy._core"
+
+
+@functools.cache
+def _highs_core():
+    """scipy's pybind bindings of HiGHS, the extension module
+    ``scipy.optimize._highspy._core``, loaded from its file in scipy's
+    ``optimize/_highspy`` folder.  Importing it by name would first run
+    ``scipy.optimize``'s package ``__init__``, which loads scipy.optimize,
+    scipy.sparse, scipy.linalg and scipy.special: about 0.4 s and 45 MiB
+    that no line of this package uses.  The module is registered in
+    ``sys.modules`` under its own name, so a later ``import scipy.optimize``
+    takes this module object as it is, and a module that scipy.optimize
+    loaded first is returned as it is.  No other line of the package
+    reaches scipy, and only an LP solve calls this."""
+    module = sys.modules.get(_HIGHS_CORE)
+    if module is not None:
+        return module
+    import scipy
+
+    folder = os.path.join(scipy.__path__[0], "optimize", "_highspy")
+    spec = importlib.machinery.PathFinder.find_spec(_HIGHS_CORE, [folder])
+    if spec is None:
+        raise ImportError(f"no HiGHS extension module {_HIGHS_CORE} in {folder}", name=_HIGHS_CORE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[_HIGHS_CORE] = module
+    return module
+
+
 # The options scipy's linprog(method="highs") sets; HiGHS's defaults hold
 # for every other one.
 _HIGHS_OPTIONS = (
@@ -332,13 +369,12 @@ def _highs(std: _Standard):
     basis, iterations) if HiGHS finds an optimum, else None.  The basis is
     HiGHS's final one, a ``HighsBasis`` (see :func:`_basis_lists`).
 
-    The LP goes straight to scipy's pybind bindings of HiGHS
-    (``scipy.optimize._highspy._core``, the module ``linprog`` itself
-    calls), as a row-wise matrix built from the integer rows, so no sparse
-    matrix is built and converted.  scipy is imported here, so that only
-    an LP solve loads it.  A coefficient beyond float range raises
-    ``OverflowError``."""
-    from scipy.optimize._highspy import _core as h
+    The LP goes straight to scipy's pybind bindings of HiGHS, the module
+    ``linprog`` itself calls, as :func:`_highs_core` loads it without the
+    rest of scipy.optimize.  The matrix is row-wise, built from the integer
+    rows, so no sparse matrix is built and converted.  A coefficient
+    beyond float range raises ``OverflowError``."""
+    h = _highs_core()
 
     n = std.n_cols
     start, index, value = [0], [], []
@@ -378,10 +414,10 @@ def _highs(std: _Standard):
 def _basis_lists(basis) -> tuple[list, list]:
     """The basic columns of a HiGHS basis, and the rows whose logical
     (slack) is nonbasic.  Read only when rounding misses, so that the LPs
-    that rounding certifies do not pay for the status lists."""
-    from scipy.optimize._highspy import _core as h
-
-    basic = h.HighsBasisStatus.kBasic
+    that rounding certifies do not pay for the status lists.  The status
+    enum comes from the bindings :func:`_highs` ran, as
+    :func:`_highs_core` loaded them."""
+    basic = _highs_core().HighsBasisStatus.kBasic
     return (
         [j for j, s in enumerate(basis.col_status) if s == basic],
         [i for i, s in enumerate(basis.row_status) if s != basic],

@@ -377,9 +377,10 @@ def feasibility_curve(N: int, d: int, epsilon, violations: dict) -> list[Feasibi
 
     violations maps each M, in order, to a value of the functional: a
     quantum value, or a proxy such as lam/M.  The bias factor is
-    :func:`likelihood_ratio_bound` at :func:`float_epsilon`.  The rows of the
-    per-party exponent N r come first, then those of the common-source
-    exponent 1 + (N-1) r.
+    :func:`likelihood_ratio_bound` at :func:`float_epsilon`; a factor
+    beyond float range raises ``ValueError`` naming its M and exponent.
+    The rows of the per-party exponent N r come first, then those of the
+    common-source exponent 1 + (N-1) r.
     """
     eps = float_epsilon(epsilon)
     check_curve_sizes(d, violations)
@@ -388,7 +389,12 @@ def feasibility_curve(N: int, d: int, epsilon, violations: dict) -> list[Feasibi
         for m, i_q in violations.items():
             r = source_uses(m)
             exponent = N * r if variant == "per-party" else 1 + (N - 1) * r
-            factor = likelihood_ratio_bound(eps, exponent)
+            try:
+                factor = likelihood_ratio_bound(eps, exponent)
+            except OverflowError:
+                raise ValueError(
+                    f"the bias factor at M={m}, exponent {exponent} leaves float range"
+                ) from None
             rows.append(
                 FeasibilityRow(
                     M=m,

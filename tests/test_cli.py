@@ -427,6 +427,16 @@ def test_ra_largest_float_below_half_is_accepted(capsys):
     assert capsys.readouterr().out.startswith("epsilon=0.49999999999999994 ")
 
 
+def test_ra_bias_factor_beyond_float_range_is_an_input_error(capsys):
+    # (1+2eps)/(1-2eps) is about 1.8e16 here, so its 40th power overflows
+    argv = ["ra", "2", "2", "0.49999999999999997", "--m-list", "2,1048576", "--lam", "1"]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: the bias factor at M=1048576, exponent 40 leaves float range\n")
+    # a factor inside float range still prints its row
+    assert main(["ra", "2", "2", "0.45", "--m-list", "2,1048576", "--lam", "1"]) == 0
+    assert "2,2,0.45,1048576,20,40,9.5367431640625e-07,1.3475476308241083e+45,per-party\r\n" in capsys.readouterr().out
+
+
 def test_ra_negative_zero_lam_is_zero(capsys):
     assert main(["ra", "2", "2", "0.12", "--lam=-0"]) == 0
     out = capsys.readouterr().out
@@ -543,7 +553,12 @@ stages = [
     [("tightness", "2", "2", "2")],
 ]
 print(json.dumps([
-    [[run(*argv) for argv in stage], "numpy" in sys.modules, "scipy" in sys.modules]
+    [
+        [run(*argv) for argv in stage],
+        "numpy" in sys.modules,
+        "scipy" in sys.modules,
+        "scipy.optimize" in sys.modules,
+    ]
     for stage in stages
 ]))
 """
@@ -558,10 +573,10 @@ def test_numpy_and_scipy_load_only_where_they_run(tmp_path):
     assert proc.returncode == 0, proc.stderr
     stages = json.loads(proc.stdout)
     assert stages == [
-        [[], False, False],  # import monogamy_lab and monogamy_lab.cli
-        [[0] * 4, False, False],  # exact commands
-        [[0] * 2, True, False],  # float quantum numerics
-        [[0], True, True],  # an LP solve
+        [[], False, False, False],  # import monogamy_lab and monogamy_lab.cli
+        [[0] * 4, False, False, False],  # exact commands
+        [[0] * 2, True, False, False],  # float quantum numerics
+        [[0], True, True, False],  # an LP solve loads HiGHS alone
     ]
 
 

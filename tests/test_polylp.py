@@ -1,13 +1,18 @@
 import hashlib
+import json
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import monogamy_lab
 from monogamy_lab import polylp, sampling
 from monogamy_lab.bell import classical_minimum, evaluate, recursive_bkp
 from monogamy_lab.monogamy import agreement_vector, embedded_bkp
@@ -1007,6 +1012,69 @@ def test_highs_matches_linprog(lp):
 )
 def test_highs_matches_linprog_on_package_lps(lp, optimum):
     assert (assert_highs_matches_linprog(lp) is not None) == optimum
+
+
+# ---------------------------------------------------------------------------
+# The HiGHS loader: each test runs in a fresh interpreter, because this one
+# has loaded the bindings, and scipy.optimize too, already.
+
+
+def run_fresh(code, *args):
+    """The JSON that code prints in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(monogamy_lab.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_loader_first_then_scipy_optimize_shares_its_module():
+    code = """
+import json, sys
+from fractions import Fraction
+from monogamy_lab import polylp
+core = polylp._highs_core()
+before = "scipy.optimize" in sys.modules
+# min 2 x0 + x1 subject to x0 + x1 = 1, x0 - x2 = 1/4: the point (1/4, 3/4, 0)
+lp = polylp.LinearProgram([2, 1, 0], "min", [[(0, 1), (1, 1)], [(0, 1), (2, -1)]], [1, Fraction(1, 4)])
+from scipy.optimize import linprog
+res = linprog([2, 1, 0], A_eq=[[1, 1, 0], [1, 0, -1]], b_eq=[1, 0.25], method="highs")
+print(json.dumps([
+    before,
+    sys.modules["scipy.optimize._highspy._core"] is core,
+    [float(v) for v in polylp.solve(lp).point],
+    res.x.tolist(),
+]))
+"""
+    assert run_fresh(code) == [False, True, [0.25, 0.75, 0.0], [0.25, 0.75, 0.0]]
+
+
+def test_loader_takes_the_module_scipy_optimize_loaded():
+    code = """
+import json
+import scipy.optimize
+from scipy.optimize._highspy import _core
+from monogamy_lab import polylp
+print(json.dumps(polylp._highs_core() is _core))
+"""
+    assert run_fresh(code) is True
+
+
+def test_loader_names_the_folder_it_searched(tmp_path):
+    # scipy's path points at a tree whose optimize/_highspy folder is empty
+    folder = tmp_path / "optimize" / "_highspy"
+    folder.mkdir(parents=True)
+    code = """
+import json, sys
+import scipy
+from monogamy_lab import polylp
+scipy.__path__ = [sys.argv[1]]
+try:
+    polylp._highs_core()
+except ImportError as exc:
+    print(json.dumps(str(exc)))
+"""
+    message = run_fresh(code, str(tmp_path))
+    assert message == f"no HiGHS extension module scipy.optimize._highspy._core in {folder}"
 
 
 # ---------------------------------------------------------------------------
