@@ -193,7 +193,12 @@ def tightness_scan(
     them, and the row at t gets that value, the mix and y, with engine
     'interval'.  The dual of t = 0 is tried first, then that of the
     midpoint (d - 1)/2, solved once.  If neither proves both ends, or an
-    end is not optimal, every in-range target is solved as its own LP."""
+    end is not optimal, every in-range target is solved as its own LP.
+
+    Each solve after the first starts HiGHS from the final basis of the
+    scan's previous solve (``LPSolution.basis``, see ``polylp.solve``):
+    only the pinned row's right side changed, so that basis stays dual
+    feasible and the dual simplex goes on from it."""
     d = scenario.outcomes
     obj = agreement_vector(scenario, k, x_k, x_last, m)
     targets = [Fraction(t) for t in (default_grid(d) if grid is None else grid)]
@@ -201,10 +206,13 @@ def tightness_scan(
     # the Bell row pinned to each target, as (column, coefficient) nonzeros
     i_row = [(j, c) for j, c in enumerate(embedded_bkp(scenario).dense()) if c]
     solved: dict = {}
+    basis = None  # HiGHS's final basis of the scan's previous solve
 
     def solve_at(t: Fraction) -> LPSolution:
+        nonlocal basis
         if t not in solved:
-            solved[t] = optimize_over_ns(scenario, obj, "max", extra_eq=[(i_row, t)])
+            solved[t] = optimize_over_ns(scenario, obj, "max", extra_eq=[(i_row, t)], start=basis)
+            basis = solved[t].basis
         return solved[t]
 
     dual = None

@@ -32,7 +32,8 @@ and ``LPSolution.engine`` names it:
 * ``basis``: the exact solution of HiGHS's final basis, by fraction-free
   elimination and back substitution in integers: ``B x_B = b_R`` on the
   basic columns and the rows R whose logical is nonbasic, every nonbasic
-  column 0, and ``B_R^T y_R = c_B``, every other multiplier 0.  The check
+  column 0, and ``B_R^T y_R = c_B``, every other multiplier 0; a row meets
+  only its own pivots (see :func:`_solve_exact`).  The check
   still reads every row.  For example, maximizing the agreement
   probability ``monogamy.agreement_vector(Scenario(3, 2, 2), 0, 0, 0)``
   over the NS polytope with the Bell row pinned to ``Fraction(1, 10**18)``
@@ -53,6 +54,13 @@ and ``LPSolution.engine`` names it:
 optima at its ends and one dual, with engine ``interval``; each of them
 passes the same exact check on its target's own LP.
 
+A result of the first two stages carries HiGHS's final basis
+(``LPSolution.basis``).  :func:`solve` takes it as the ``start`` of an LP
+with the same columns and rows, such as the next target of a tightness
+scan, where only the pinned row's right side changed: HiGHS then skips
+presolve and goes on from that basis (see :func:`_highs`).  Only the float
+solve starts warm; the stages and checks that follow are the same.
+
 The certificate, not the pivot arithmetic, is the contract: every result
 leaves :func:`solve` with a certificate that :func:`verify_certificate`
 accepts (see :class:`LPSolution`): duals for an optimum, a Farkas vector for
@@ -71,6 +79,7 @@ denominator that is not always the least (see :func:`_dual_feasible`).
 from __future__ import annotations
 
 import functools
+import heapq
 import importlib.machinery
 import importlib.util
 import math
@@ -173,7 +182,12 @@ class LPSolution:
     ``engine`` names the stage of :func:`solve` that produced it ('highs',
     'basis' or 'simplex'), or is 'interval' for an optimum that
     ``monogamy.tightness_scan`` proved from the optima at the ends of its
-    range (see the module docstring)."""
+    range (see the module docstring).
+
+    ``basis`` is HiGHS's final basis (a ``HighsBasis``) for the engines
+    'highs' and 'basis', the start that :func:`solve` takes for an LP of the
+    same shape; None for 'simplex' and 'interval'.  It is not part of the
+    result: equality and ``repr`` ignore it."""
 
     status: str
     value: Fraction | None = None
@@ -182,6 +196,7 @@ class LPSolution:
     iterations: int = 0
     engine: str | None = None
     ray: tuple | None = None
+    basis: object = field(default=None, compare=False, repr=False)
 
     def behavior(self, scenario: Scenario) -> Behavior:
         if self.status != OPTIMAL:
@@ -315,13 +330,13 @@ def _certified(std: _Standard, sol: LPSolution) -> bool:
     return False
 
 
-def _optimal(std: _Standard, x, y, engine: str, iterations: int) -> LPSolution | None:
+def _optimal(std: _Standard, x, y, engine: str, iterations: int, basis) -> LPSolution | None:
     """The optimal LPSolution for standard-form point x and row duals y, or
     None unless they pass the exact check."""
     value = _optimum(std, x, y)
     if value is None:
         return None
-    return LPSolution(OPTIMAL, std.sign * value, tuple(x), tuple(y), iterations, engine)
+    return LPSolution(OPTIMAL, std.sign * value, tuple(x), tuple(y), iterations, engine, basis=basis)
 
 
 _HIGHS_CORE = "scipy.optimize._highspy._core"
@@ -364,10 +379,17 @@ _HIGHS_OPTIONS = (
 )
 
 
-def _highs(std: _Standard):
+def _highs(std: _Standard, start=None):
     """HiGHS on the float image of the standard form: (point, row duals,
     basis, iterations) if HiGHS finds an optimum, else None.  The basis is
     HiGHS's final one, a ``HighsBasis`` (see :func:`_basis_lists`).
+
+    With ``start``, the final basis of an LP with the same columns and rows
+    (``ValueError`` otherwise), HiGHS starts from that basis and skips
+    presolve: after a change of right-hand sides alone the basis stays dual
+    feasible, and its dual simplex goes on from there (Huangfu and Hall,
+    Math. Prog. Comp. 10 (2018)).  A start HiGHS rejects raises
+    ``RuntimeError``.  Without it, HiGHS starts cold, with presolve.
 
     The LP goes straight to scipy's pybind bindings of HiGHS, the module
     ``linprog`` itself calls, as :func:`_highs_core` loads it without the
@@ -377,12 +399,17 @@ def _highs(std: _Standard):
     h = _highs_core()
 
     n = std.n_cols
-    start, index, value = [0], [], []
+    if start is not None and (len(start.col_status), len(start.row_status)) != (n, len(std.rows)):
+        raise ValueError(
+            f"a start basis of {len(start.col_status)} columns and {len(start.row_status)} rows "
+            f"does not fit an LP of {n} columns and {len(std.rows)} rows"
+        )
+    row_start, index, value = [0], [], []
     for row, scale in zip(std.rows, std.scale):
         for j, a in row:
             index.append(j)
             value.append(a / scale)
-        start.append(len(index))
+        row_start.append(len(index))
     rhs = [float(b) for b in std.rhs]
     lp = h.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = n
@@ -392,16 +419,19 @@ def _highs(std: _Standard):
     lp.col_upper_ = [h.kHighsInf] * n
     lp.row_lower_ = lp.row_upper_ = rhs
     lp.a_matrix_.format_ = h.MatrixFormat.kRowwise
-    lp.a_matrix_.start_ = start
+    lp.a_matrix_.start_ = row_start
     lp.a_matrix_.index_ = index
     lp.a_matrix_.value_ = value
 
     highs = h._Highs()
     for option, setting in _HIGHS_OPTIONS:
         highs.setOptionValue(option, setting)
+    if highs.passModel(lp) == h.HighsStatus.kError:
+        return None
+    if start is not None and highs.setBasis(start) == h.HighsStatus.kError:
+        raise RuntimeError("HiGHS rejected the start basis")
     if (
-        highs.passModel(lp) == h.HighsStatus.kError
-        or highs.run() == h.HighsStatus.kError
+        highs.run() == h.HighsStatus.kError
         or highs.getModelStatus() != h.HighsModelStatus.kOptimal
     ):
         return None
@@ -453,28 +483,49 @@ def _solve_exact(equations, n: int) -> tuple[list, int] | None:
     after Bareiss (Math. Comp. 22 (1968)): a row is scaled by each pivot it
     meets and the pivot row subtracted, then divided with its rhs by their
     content gcd; its first remaining unknown is its pivot, so each pivot row
-    holds none of the pivots found before it.  Back substitution runs over D."""
-    pivots: dict = {}  # pivot unknown -> (row dict, rhs), in the order found
+    holds none of the pivots found before it.  So an unknown that a
+    subtraction brings into the row is a later pivot or none, and a row
+    meets only its own pivots, in the order they were found, from a heap of
+    their ranks.  Back substitution runs over D."""
+    pivots: list = []  # (pivot unknown, row dict, rhs), in the order found
+    rank: dict = {}  # pivot unknown -> its index in pivots
     for coeffs, b in equations:
         row = dict(coeffs)
-        for p, (prow, pb) in pivots.items():
-            f = row.get(p)
+        heap = [rank[k] for k in row.keys() & rank.keys()]
+        heapq.heapify(heap)
+        while heap:
+            p, prow, pb = pivots[heapq.heappop(heap)]
+            f = row.get(p)  # None once met: a rank can be pushed twice
             if f:
                 g = prow[p]
                 if g != 1:
                     row = {k: v * g for k, v in row.items()}
-                _subtract(row, f, prow)
+                # row -= f * prow, as _subtract, queueing each pivot it brings in
+                for k, v in prow.items():
+                    w = row.get(k)
+                    if w is None:
+                        row[k] = -f * v
+                        if k in rank:
+                            heapq.heappush(heap, rank[k])
+                    else:
+                        w -= f * v
+                        if w:
+                            row[k] = w
+                        else:
+                            del row[k]
                 b = g * b - f * pb
                 h = math.gcd(b, *row.values())
                 if h > 1:
                     row = {k: v // h for k, v in row.items()}
                     b //= h
         if row:
-            pivots[next(iter(row))] = (row, b)
+            q = next(iter(row))
+            rank[q] = len(pivots)
+            pivots.append((q, row, b))
         elif b:
             return None
     x, d = [0] * n, 1
-    for q, (prow, pb) in reversed(pivots.items()):
+    for q, prow, pb in reversed(pivots):
         # x_q = s / (g D) = (s / h) / ((g / h) D), with g / h > 0
         s = pb * d - sum(v * x[k] for k, v in prow.items() if x[k])
         g = prow[q]
@@ -520,20 +571,23 @@ def _certify_highs(std: _Standard, x_float, y_float, basis, iterations) -> LPSol
     when they miss, the exact point and duals of the basis."""
     x = [_rational(v) for v in x_float]
     y = [_rational(v) for v in y_float]
-    sol = _optimal(std, x, y, "highs", iterations)
+    sol = _optimal(std, x, y, "highs", iterations, basis)
     if sol is None:
         columns, rows = _basis_lists(basis)
         x = _basic_point(std, columns, rows)
-        sol = _optimal(std, x, _basic_duals(std, columns, rows), "basis", iterations)
+        sol = _optimal(std, x, _basic_duals(std, columns, rows), "basis", iterations, basis)
     return sol
 
 
-def solve(lp: LinearProgram) -> LPSolution:
+def solve(lp: LinearProgram, start=None) -> LPSolution:
     """Exact, certified solution of the LP (see the module docstring): an
-    optimum, or a proof of infeasibility or unboundedness."""
+    optimum, or a proof of infeasibility or unboundedness.  ``start`` is
+    the ``basis`` of an earlier solution of an LP with the same columns and
+    rows, which HiGHS starts from (see :func:`_highs`); the checks that
+    follow are the same."""
     std = _standardize(lp)
     try:
-        found = _highs(std)
+        found = _highs(std, start)
     except OverflowError:  # a coefficient beyond float range
         found = None
     if found is not None:
@@ -737,9 +791,10 @@ def optimize_over_ns(
     objective: Sequence,
     sense: str = "min",
     extra_eq: Sequence[tuple] = (),
+    start=None,
 ) -> LPSolution:
     """Optimize a linear functional of the behavior over the NS polytope,
     optionally intersected with extra equality constraints: :func:`solve`
-    on :func:`ns_program`."""
-    return solve(ns_program(scenario, objective, sense, extra_eq))
+    on :func:`ns_program`, from the start basis if one is given."""
+    return solve(ns_program(scenario, objective, sense, extra_eq), start)
 

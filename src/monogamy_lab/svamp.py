@@ -377,8 +377,8 @@ def feasibility_curve(N: int, d: int, epsilon, violations: dict) -> list[Feasibi
 
     violations maps each M, in order, to a value of the functional: a
     quantum value, or a proxy such as lam/M.  The bias factor is
-    :func:`likelihood_ratio_bound` at :func:`float_epsilon`; a factor
-    beyond float range raises ``ValueError`` naming its M and exponent.
+    :func:`likelihood_ratio_bound` at :func:`float_epsilon`; a factor or a
+    bound beyond float range raises ``ValueError`` naming its M and exponent.
     The rows of the per-party exponent N r come first, then those of the
     common-source exponent 1 + (N-1) r.
     """
@@ -395,6 +395,9 @@ def feasibility_curve(N: int, d: int, epsilon, violations: dict) -> list[Feasibi
                 raise ValueError(
                     f"the bias factor at M={m}, exponent {exponent} leaves float range"
                 ) from None
+            rhs_bound = ((d - 1) ** 2 + 1) / d * factor * float(i_q)
+            if not math.isfinite(rhs_bound):
+                raise ValueError(f"the rhs_bound at M={m}, exponent {exponent} leaves float range")
             rows.append(
                 FeasibilityRow(
                     M=m,
@@ -402,7 +405,7 @@ def feasibility_curve(N: int, d: int, epsilon, violations: dict) -> list[Feasibi
                     exponent=exponent,
                     bias_factor=factor,
                     violation=float(i_q),
-                    rhs_bound=((d - 1) ** 2 + 1) / d * factor * float(i_q),
+                    rhs_bound=rhs_bound,
                     variant=variant,
                 )
             )

@@ -248,8 +248,8 @@ def recorded_engines(monkeypatch):
     engines = []
     solve = polylp.solve
 
-    def recording(lp):
-        sol = solve(lp)
+    def recording(lp, start=None):
+        sol = solve(lp, start)
         engines.append(sol.engine)
         return sol
 
@@ -435,6 +435,16 @@ def test_ra_bias_factor_beyond_float_range_is_an_input_error(capsys):
     # a factor inside float range still prints its row
     assert main(["ra", "2", "2", "0.45", "--m-list", "2,1048576", "--lam", "1"]) == 0
     assert "2,2,0.45,1048576,20,40,9.5367431640625e-07,1.3475476308241083e+45,per-party\r\n" in capsys.readouterr().out
+
+
+def test_ra_bound_beyond_float_range_is_an_input_error(capsys):
+    # the bias factor 1.35e45 is finite, but times 1e300 / 1048576 it is not
+    argv = ["ra", "2", "2", "0.45", "--m-list", "2,1048576", "--lam", "1e300"]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: the rhs_bound at M=1048576, exponent 40 leaves float range\n")
+    argv[-1] = "1"
+    assert main(argv) == 0
+    assert "1.3475476308241083e+45" in capsys.readouterr().out
 
 
 def test_ra_negative_zero_lam_is_zero(capsys):

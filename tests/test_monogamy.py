@@ -387,9 +387,9 @@ def counted_solves(monkeypatch):
     targets = []
     solve = monogamy.optimize_over_ns
 
-    def counting(scn, obj, sense, extra_eq):
+    def counting(scn, obj, sense, extra_eq, start=None):
         targets.append(extra_eq[0][1])
-        return solve(scn, obj, sense, extra_eq)
+        return solve(scn, obj, sense, extra_eq, start)
 
     monkeypatch.setattr(monogamy, "optimize_over_ns", counting)
     return targets
@@ -442,8 +442,8 @@ def test_tightness_scan_solves_each_row_when_no_candidate_passes(monkeypatch):
     solve = monogamy.optimize_over_ns
     own = {}
 
-    def moved(scn, obj, sense, extra_eq):
-        sol = solve(scn, obj, sense, extra_eq)
+    def moved(scn, obj, sense, extra_eq, start=None):
+        sol = solve(scn, obj, sense, extra_eq, start)
         own[extra_eq[0][1]] = sol
         return replace(sol, dual=sol.dual[:-1] + (sol.dual[-1] + Fraction(1, 1000),))
 
@@ -454,6 +454,48 @@ def test_tightness_scan_solves_each_row_when_no_candidate_passes(monkeypatch):
     assert all(r.solution.engine != "interval" for r in rows[:-1])
     assert all(r.solution.point == own[r.target].point for r in rows[:-1])
     assert rows[-1].status == "out-of-range" and rows[-1].solution is None
+
+
+@pytest.mark.parametrize(
+    "dims", [(3, 2, 2), (3, 3, 2), (3, 2, 3), (4, 2, 2)], ids=["322", "332", "323", "422"]
+)
+def test_warm_scan_matches_cold_solves(monkeypatch, dims):
+    # every solve of a scan after the first starts from the previous solve's
+    # basis; a scan whose solves all start cold must solve the same targets
+    # and give the same rows, and each row equals its own cold LP's optimum
+    scn = Scenario(*dims)
+    row = bell_row(scn)
+    solve = monogamy.optimize_over_ns
+    solves = []  # (target, started warm, solution) of each pinned LP
+
+    def warm(scn, obj, sense, extra_eq, start=None):
+        sol = solve(scn, obj, sense, extra_eq, start)
+        solves.append((extra_eq[0][1], start is not None, sol))
+        return sol
+
+    def cold(scn, obj, sense, extra_eq, start=None):
+        return warm(scn, obj, sense, extra_eq)
+
+    iterations = {warm: 0, cold: 0}  # of the solves after each scan's first
+    for k, x_k, x_last, m in all_pairings(scn):
+        scans = {}
+        for start in (cold, warm):
+            monkeypatch.setattr(monogamy, "optimize_over_ns", start)
+            solves.clear()
+            scans[start] = tightness_scan(scn, k, x_k, x_last, m=m), list(solves)
+            iterations[start] += sum(sol.iterations for _, _, sol in solves[1:])
+        (rows, warm_solves), (cold_rows, cold_solves) = scans[warm], scans[cold]
+        assert [t for t, _, _ in warm_solves] == [t for t, _, _ in cold_solves]
+        assert [w for _, w, _ in warm_solves] == [False] + [True] * (len(warm_solves) - 1)
+        assert row_fields(rows) == row_fields(cold_rows)
+        obj = agreement_vector(scn, k, x_k, x_last, m)
+        for r in rows:
+            sol = optimize_over_ns(scn, obj, "max", extra_eq=[(row, r.target)])
+            assert (r.status, r.lp_max, r.bound, r.tight) == ("optimal", sol.value, sol.value, True)
+            assert verify_certificate(ns_program(scn, obj, "max", [(row, r.target)]), r.solution)
+            assert r.solution.engine in ("highs", "interval")
+            assert (r.solution.basis is None) == (r.solution.engine == "interval")
+    assert iterations[warm] < iterations[cold]
 
 
 def interval_holds(scn, obj, row, ends, dual, targets):

@@ -46,7 +46,7 @@ from monogamy_lab.scenario import (
     uniform_behavior,
     validate,
 )
-from reference import chained_bkp, ref_ns_row_nonzeros
+from reference import chained_bkp, ref_ns_row_nonzeros, solve_exact_all_pivots
 
 
 def sparse(rows):
@@ -604,6 +604,7 @@ def test_solve_exact_matches_the_fraction_reference(kind, data):
         (({j: Fraction(a) for j, a in row.items()}, Fraction(b)) for row, b in equations), n
     )
     assert as_fractions(solved) == reference
+    assert solved == solve_exact_all_pivots(equations, n)
     if kind == "inconsistent":
         assert solved is None
     else:
@@ -703,6 +704,57 @@ def test_basis_that_misses_by_the_shift_is_solved_exactly(lp):
     sol = solve(lp)
     assert sol.value == _simplex(_standardize(lp)).value
     assert verify_certificate(lp, sol)
+
+
+def recorded_systems(monkeypatch, run) -> list:
+    """Every (equations, n) that the basis stage hands to _solve_exact
+    while run() solves, each equation list in full."""
+    systems = []
+
+    def recording(equations, n):
+        equations = list(equations)
+        systems.append((equations, n))
+        return _solve_exact(equations, n)
+
+    monkeypatch.setattr(polylp, "_solve_exact", recording)
+    run()
+    return systems
+
+
+def projections():
+    # L1 projection LPs like those of the ra-exact workload
+    rng = random.Random(0)
+    for dims in [(2, 2, 2), (2, 3, 2), (2, 2, 3), (3, 2, 2)]:
+        for _ in range(2):
+            sampling.project_to_ns(sampling.random_behavior(Scenario(*dims), rng))
+
+
+@pytest.mark.parametrize(
+    "run, n_systems",
+    [
+        (projections, 14),
+        (lambda: [solve(lp) for lp in BASIS_MISSES], 4),
+        (lambda: optimize_over_ns(*pinned_agreement(Fraction(1, 10**18))), 2),
+    ],
+    ids=["ra-exact-projections", "basis-misses", "pinned-near-tie"],
+)
+def test_own_pivot_elimination_matches_every_pivot_elimination(monkeypatch, run, n_systems):
+    # a point and a duals system per LP that reaches the basis stage (one
+    # of the eight projections is certified by rounding)
+    systems = recorded_systems(monkeypatch, run)
+    assert len(systems) == n_systems
+    for equations, n in systems:
+        assert _solve_exact(equations, n) == solve_exact_all_pivots(equations, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(basis_systems())
+def test_own_pivot_elimination_matches_on_random_basis_systems(system):
+    with pytest.MonkeyPatch.context() as mp:
+        systems = recorded_systems(mp, lambda: (_basic_point(*system), _basic_duals(*system)))
+    assert len(systems) == 2
+    for equations, n in systems:
+        assert _solve_exact(equations, n) == solve_exact_all_pivots(equations, n)
 
 
 @pytest.mark.xfail(
@@ -1012,6 +1064,64 @@ def test_highs_matches_linprog(lp):
 )
 def test_highs_matches_linprog_on_package_lps(lp, optimum):
     assert (assert_highs_matches_linprog(lp) is not None) == optimum
+
+
+# ---------------------------------------------------------------------------
+# A start basis: the final basis of an earlier solve of an LP of the same
+# shape, as tightness_scan passes it from one pinned target to the next.
+
+
+def test_start_basis_from_an_earlier_target_solves_the_same_optimum():
+    end = optimize_over_ns(*pinned_agreement(Fraction(0)))
+    assert end.engine == "highs" and end.basis is not None
+    cold = optimize_over_ns(*pinned_agreement(Fraction(1)))
+    warm = optimize_over_ns(*pinned_agreement(Fraction(1)), start=end.basis)
+    # the same optimum, here at another vertex
+    assert (warm.status, warm.value, warm.engine) == (cold.status, cold.value, "highs")
+    # HiGHS's basis at t = 0 is optimal at t = 1 as well
+    assert warm.iterations == 0 < cold.iterations
+    assert verify_certificate(ns_program(*pinned_agreement(Fraction(1))), warm)
+
+
+@pytest.mark.parametrize(
+    "lp",
+    [
+        # one row fewer: the NS rows without the pinned Bell row
+        ns_program(Scenario(3, 2, 2), agreement_vector(Scenario(3, 2, 2), 0, 0, 0), "max"),
+        # other columns and rows
+        ns_program(Scenario(3, 2, 3), agreement_vector(Scenario(3, 2, 3), 0, 0, 0), "max"),
+    ],
+    ids=["rows", "columns"],
+)
+def test_start_basis_of_another_shape_is_rejected(lp):
+    start = optimize_over_ns(*pinned_agreement(Fraction(0))).basis
+    with pytest.raises(ValueError, match=r"^a start basis of 64 columns and 57 rows does not fit an LP of"):
+        solve(lp, start)
+
+
+def test_start_basis_that_highs_rejects_raises():
+    # a basis HiGHS takes as its own (not alien) with no basic variable
+    h = polylp._highs_core()
+    start = h.HighsBasis()
+    start.alien, start.valid = False, True
+    start.col_status = [h.HighsBasisStatus.kLower] * 64
+    start.row_status = [h.HighsBasisStatus.kLower] * 57
+    with pytest.raises(RuntimeError, match="^HiGHS rejected the start basis$"):
+        optimize_over_ns(*pinned_agreement(Fraction(1)), start=start)
+
+
+def test_only_highs_results_carry_a_basis():
+    assert optimize_over_ns(*pinned_agreement(Fraction(1, 10**18))).basis is not None  # 'basis'
+    assert optimize_over_ns(*pinned_agreement(1 - Fraction(1, 10**18))).basis is None  # 'simplex'
+    infeasible = LinearProgram([1], "min", [[(0, 1)]], [-1])
+    assert solve(infeasible).basis is None
+
+
+def test_solution_equality_and_repr_ignore_the_basis():
+    sol = optimize_over_ns(*pinned_agreement(Fraction(1, 2)))
+    bare = replace(sol, basis=None)
+    assert sol.basis is not None
+    assert sol == bare and repr(sol) == repr(bare) and "basis=" not in repr(sol)
 
 
 # ---------------------------------------------------------------------------

@@ -1138,8 +1138,12 @@ def test_q_factor_tilde_is_none_when_the_ratio_is_unbounded(pool_222):
             lambda: feasibility_curve(2, 2, Fraction(1, 2) - Fraction(1, 10**22), {2: 1.0}),
             "epsilon is below 1/2 but rounds to 1/2 as a float, where the bias factor is unbounded",
         ),
+        (
+            lambda: feasibility_curve(2, 2, Fraction(1, 4), {2: 1e308}),
+            "the rhs_bound at M=2, exponent 2 leaves float range",
+        ),
     ],
-    ids=["model-scenario", "party", "common-one-party", "curve-epsilon-rounds-to-half"],
+    ids=["model-scenario", "party", "common-one-party", "curve-epsilon-rounds-to-half", "curve-bound-overflows"],
 )
 def test_amplification_input_checks(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
