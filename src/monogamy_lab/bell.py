@@ -27,36 +27,12 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .errors import InputFormatError
 from .scenario import (
-    FLOAT_TOL, Behavior, Scenario, csv_text, enumerate_assignments, format_number, integer_form,
-    parse_int, parse_number, read_json, scenario_from_json, scenario_to_json,
+    Behavior, Scenario, csv_text, format_number, integer_form, parse_int, parse_number, read_json,
+    scenario_from_json, scenario_to_json,
 )
-
-
-def modular_mean(dist: Sequence):
-    """<W> = sum_i i P(W = i) for a distribution over {0..d-1}."""
-    total = sum(dist)
-    if abs(total - 1) > FLOAT_TOL if isinstance(total, float) else total != 1:
-        raise ValueError(f"distribution sums to {total}")
-    return sum(i * p for i, p in enumerate(dist))
-
-
-def complement_mean_residuals(dist: Sequence) -> tuple:
-    """Residuals of the two modular-mean identities; both vanish identically.
-
-    For any variable W mod d:
-      (a) <[W]> + <[-W-1]> = d - 1
-      (b) <[W]> + <[-W]>   = d (1 - P([W] = 0))
-    """
-    d = len(dist)
-    neg = [dist[(-i) % d] for i in range(d)]
-    neg_minus1 = [dist[(-i - 1) % d] for i in range(d)]
-    res_a = modular_mean(dist) + modular_mean(neg_minus1) - (d - 1)
-    res_b = modular_mean(dist) + modular_mean(neg) - d * (1 - dist[0])
-    return res_a, res_b
 
 
 @dataclass(frozen=True)
@@ -215,10 +191,9 @@ def modular_groups(scn: Scenario, coeffs: tuple, shift: int = 0) -> tuple[tuple[
     The one map from outcomes to modular classes.  A term's mean is
     sum_omega omega times the sum over group omega (:func:`evaluate`,
     :meth:`BellFunctional.dense`); ((k, x_k, 1), (l, x_l, -1)) groups
-    [a_k - a_l] (``monogamy.pair_difference_distribution``,
-    ``monogamy.agreement_vector``) and ((k, s, 1),) party k's outcomes at
-    setting s (``svamp._deviation_sums``).  Parties are range-checked, not
-    checked for repeats."""
+    [a_k - a_l] (``monogamy.agreement_vector``) and ((k, s, 1),) party k's
+    outcomes at setting s (``svamp._deviation_sums``).  Parties are
+    range-checked, not checked for repeats."""
     x = [0] * scn.parties
     for k, xk, _ in coeffs:
         if not 0 <= k < scn.parties:
@@ -229,26 +204,6 @@ def modular_groups(scn: Scenario, coeffs: tuple, shift: int = 0) -> tuple[tuple[
     for i, a in enumerate(scn.all_outcomes()):
         groups[(shift + sum(sign * a[k] for k, _, sign in coeffs)) % scn.outcomes].append(base + i)
     return tuple(map(tuple, groups))
-
-
-def evaluate_assignment(functional: BellFunctional, table: Sequence[Sequence[int]]):
-    """Value on a local deterministic strategy, without building the behavior."""
-    d = functional.scenario.outcomes
-    total = 0
-    for term in functional.terms:
-        omega = term.shift
-        for party, setting, sign in term.coeffs:
-            omega += sign * table[party][setting]
-        total += term.weight * (omega % d)
-    return total
-
-
-def classical_minimum(functional: BellFunctional):
-    """Exact minimum over all local deterministic strategies."""
-    return min(
-        evaluate_assignment(functional, table)
-        for table in enumerate_assignments(functional.scenario)
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -51,18 +51,6 @@ def _check_shift(scenario: Scenario, m: int) -> None:
         raise ValueError(f"shift {m} out of range for d={scenario.outcomes}")
 
 
-def pair_difference_distribution(
-    behavior: Behavior, k: int, x_k: int, l: int, x_l: int
-) -> tuple:
-    """Distribution of [a_k - a_l] mod d at the given settings, the other
-    settings at 0."""
-    if k == l:
-        raise ValueError("party subset has duplicates")
-    get = behavior.probs.__getitem__
-    groups = modular_groups(behavior.scenario, ((k, x_k, 1), (l, x_l, -1)))
-    return tuple(sum(map(get, idx)) for idx in groups)
-
-
 def monogamy_lhs_general(behavior: Behavior, k: int, x_k: int, x_last: int, check: bool = True):
     """I^{N,M,d} on the first N parties plus both cross means with the last
     party (the terms of :func:`monogamy_functional`); at least d-1 for every
@@ -72,23 +60,6 @@ def monogamy_lhs_general(behavior: Behavior, k: int, x_k: int, x_last: int, chec
     if check:
         _require_ns(behavior)
     return evaluate(monogamy_functional(scn, k, x_k, x_last), behavior)
-
-
-def agreement_probability(
-    behavior: Behavior, k: int, x_k: int, x_last: int, m: int = 0, check: bool = True
-) -> tuple:
-    """p(A^k_{x_k} = [A^{last}_{x_last} + m]) and whether I + 1 >= d p
-    holds; the shift m is one of range(d)."""
-    scn = behavior.scenario
-    d = scn.outcomes
-    _check_party(scn, k)
-    _check_shift(scn, m)
-    if check:
-        _require_ns(behavior)
-    dist = pair_difference_distribution(behavior, k, x_k, scn.parties - 1, x_last)
-    p = dist[m]
-    value = evaluate(embedded_bkp(scn), behavior)
-    return p, value + 1 >= d * p
 
 
 def guessing_bound(violation, d: int):

@@ -568,7 +568,15 @@ def _basic_duals(std: _Standard, columns: list, rows: list) -> list | None:
 def _certify_highs(std: _Standard, x_float, y_float, basis, iterations) -> LPSolution | None:
     """The certified optimum from HiGHS's optimal point, row duals and basis
     (see :func:`_highs`), or None.  The rounded point and duals come first;
-    when they miss, the exact point and duals of the basis."""
+    when they miss, the exact point and duals of the basis.
+
+    Rounding first pays for itself: it costs one :func:`_rational` per entry
+    and certifies most LPs on its own (in one count over the tests, 652
+    solves against 87 that needed the basis), where the basis stage runs
+    two eliminations over the integer rows.  With the basis stage alone,
+    every check kept, the seed-0 ``ns-lp`` benchmark pass took 0.039-0.044
+    reference s against 0.032 (2 vCPUs, five alternating pairs of 8 s
+    runs); ``ra-exact`` did not move."""
     x = [_rational(v) for v in x_float]
     y = [_rational(v) for v in y_float]
     sol = _optimal(std, x, y, "highs", iterations, basis)

@@ -119,19 +119,6 @@ def correlation_matrix(amplitudes: np.ndarray, pair: tuple[int, int]) -> np.ndar
     return _correlation_matrices(states, n_qubits, pair)[0]
 
 
-def alpha_chsh_value(
-    t: np.ndarray, a_angles: tuple[float, float], b_angles: tuple[float, float], alpha: float
-) -> float:
-    """alpha (<A1B1> + <A1B2>) + <A2B1> - <A2B2> at explicit angles.  The
-    observable at angle v is sin(v) sigma_x + cos(v) sigma_z, and
-    <A x B> = a . T b for the directions a, b = (sin v, cos v) of the two."""
-    import numpy as np
-    _check_alpha(alpha)
-    a, b = ([[math.sin(v), math.cos(v)] for v in angles] for angles in (a_angles, b_angles))
-    e = np.array(a) @ t @ np.array(b).T  # e[i, j] = <A_{i+1} B_{j+1}>
-    return float(alpha * (e[0, 0] + e[0, 1]) + e[1, 0] - e[1, 1])
-
-
 def alpha_chsh_max(t: np.ndarray, alpha: float) -> float:
     """Maximum of the alpha-CHSH form over plane observables: 2 sqrt(a^2 l1 + l2),
     with l1 >= l2 the squared singular values of the correlation matrix t."""
@@ -239,16 +226,6 @@ def saturating_family(theta: float) -> np.ndarray:
     return amps
 
 
-def quantum_guessing_bound(violation: float, alpha: float) -> float:
-    """Quantum cap on the guessing probability:
-    (1 + sqrt(1 + alpha^2 - (I/2)^2))/2, clamped to 1."""
-    _check_alpha(alpha)
-    rad = 1.0 + alpha**2 - (violation / 2.0) ** 2
-    if rad < -1e-12:
-        raise ValueError("violation outside the quantum range")
-    return min(1.0, 0.5 * (1.0 + math.sqrt(max(rad, 0.0))))
-
-
 # ---------------------------------------------------------------------------
 # Chained-functional violations on maximally entangled qudit pairs.
 
@@ -315,12 +292,12 @@ def chained_quantum_violation(M: int, d: int, seed: int = 0) -> ViolationResult:
     import numpy as np
     if M > 16 or d > 8:
         raise ValueError("desk-scale only: need M <= 16 and d <= 8")
+    xs, ys, idx = _term_tables(M, d)  # first: its functional rejects M < 2 and d < 2
     # The value depends on th^A_x + th^B_y, so Alice descends while Bob
     # ascends.
     q = np.arange(1, d)
     phases_a = np.stack([2 * math.pi * q * (-x / M) / d for x in range(M)])
     phases_b = np.stack([2 * math.pi * q * ((y + 0.5) / M) / d for y in range(M)])
-    xs, ys, idx = _term_tables(M, d)
     terms = _difference_distributions(phases_a, phases_b)[xs, ys]
     value = float(np.sum(np.take_along_axis(terms, idx, axis=1) * np.arange(1, d)))
     return ViolationResult(

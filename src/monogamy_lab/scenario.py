@@ -154,10 +154,6 @@ class Behavior:
         object.__setattr__(self, "probs", probs)
         return probs
 
-    def __getitem__(self, key) -> object:
-        x, a = key
-        return self.probs[self.scenario.index(x, a)]
-
     @functools.cached_property
     def scaled(self) -> tuple[int, tuple[int, ...]] | None:
         """The entries as integers over one denominator: (D, (n_i)) with
@@ -366,12 +362,6 @@ def deterministic_vertex(scenario: Scenario, table: Sequence[Sequence[int]]) -> 
     return Behavior(scenario, tuple(probs))
 
 
-def enumerate_assignments(scenario: Scenario) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """All d^(N*M) local deterministic strategies, as outcome tables."""
-    rows = itertools.product(range(scenario.outcomes), repeat=scenario.settings)
-    return itertools.product(rows, repeat=scenario.parties)
-
-
 def uniform_behavior(scenario: Scenario) -> Behavior:
     return Behavior(scenario, (Fraction(1, scenario.column_size),) * scenario.size)
 
@@ -416,10 +406,6 @@ def scaled_sum(scn: Scenario, blocks: Sequence) -> Behavior:
     return Behavior._from_scaled(scn, denom // g, tuple(v // g for v in nums))
 
 
-# Tolerance of the float check of a distribution's sum in bell.modular_mean.
-FLOAT_TOL = 1e-9
-
-
 def integer_form(values) -> tuple[int, tuple[int, ...]]:
     """Ints and Fractions as integers over one denominator: (D, (n_i)) with
     v_i = n_i / D and D the least common denominator (1 for no values), the
@@ -441,20 +427,6 @@ def is_distribution(values) -> bool:
         return False
     denom, nums = integer_form(values)
     return sum(nums) == denom and min(nums) >= 0
-
-
-def restrict(behavior: Behavior, parties: Sequence[int]) -> Behavior:
-    """Marginal behavior of a party subset (complement settings fixed to 0)."""
-    scn = behavior.scenario
-    parties = list(parties)
-    sub = Scenario(len(parties), scn.settings, scn.outcomes)
-    probs = [0] * sub.size
-    for xs in sub.all_settings():
-        dist = marginal(behavior, parties, xs)
-        base = sub.column_index(xs) * sub.column_size
-        for a_idx, p in enumerate(dist):
-            probs[base + a_idx] = p
-    return Behavior(sub, tuple(probs))
 
 
 # ---------------------------------------------------------------------------
@@ -524,14 +496,6 @@ def format_number(value) -> str:
     if isinstance(value, Fraction):
         return str(value)
     return repr(float(value))
-
-
-def behavior_to_json(behavior: Behavior) -> dict:
-    return {
-        "scenario": scenario_to_json(behavior.scenario),
-        "encoding": "x-outer-a-inner",
-        "values": [format_number(p) for p in behavior.probs],
-    }
 
 
 def behavior_from_json(obj: dict, exact: bool = True) -> Behavior:

@@ -4,24 +4,145 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from typing import Iterator, Sequence
 
-from monogamy_lab.bell import BellFunctional, _resolved_term
+import numpy as np
+
+from monogamy_lab.bell import BellFunctional, _resolved_term, evaluate, modular_groups
 from monogamy_lab.errors import InputFormatError
+from monogamy_lab.monogamy import _check_party, _check_shift, _require_ns, embedded_bkp
 from monogamy_lab.polylp import _subtract
+from monogamy_lab.quantum import _check_alpha
 from monogamy_lab.sampling import random_assignment
 from monogamy_lab.scenario import (
     Behavior,
     Scenario,
     behavior_from_json,
-    behavior_to_json,
     deterministic_vertex,
     format_number,
+    marginal,
     parse_int,
     parse_number,
     scenario_from_json,
     scenario_to_json,
 )
 from monogamy_lab.svamp import AdversaryModel
+
+# Tolerance of the float check of a distribution's sum in modular_mean.
+FLOAT_TOL = 1e-9
+
+
+def modular_mean(dist: Sequence):
+    """<W> = sum_i i P(W = i) for a distribution over {0..d-1}."""
+    total = sum(dist)
+    if abs(total - 1) > FLOAT_TOL if isinstance(total, float) else total != 1:
+        raise ValueError(f"distribution sums to {total}")
+    return sum(i * p for i, p in enumerate(dist))
+
+
+def complement_mean_residuals(dist: Sequence) -> tuple:
+    """Residuals of the two modular-mean identities; both vanish identically.
+
+    For any variable W mod d:
+      (a) <[W]> + <[-W-1]> = d - 1
+      (b) <[W]> + <[-W]>   = d (1 - P([W] = 0))
+    """
+    d = len(dist)
+    neg = [dist[(-i) % d] for i in range(d)]
+    neg_minus1 = [dist[(-i - 1) % d] for i in range(d)]
+    res_a = modular_mean(dist) + modular_mean(neg_minus1) - (d - 1)
+    res_b = modular_mean(dist) + modular_mean(neg) - d * (1 - dist[0])
+    return res_a, res_b
+
+
+def enumerate_assignments(scenario: Scenario) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """All d^(N*M) local deterministic strategies, as outcome tables."""
+    rows = itertools.product(range(scenario.outcomes), repeat=scenario.settings)
+    return itertools.product(rows, repeat=scenario.parties)
+
+
+def evaluate_assignment(functional: BellFunctional, table: Sequence[Sequence[int]]):
+    """Value on a local deterministic strategy, without building the behavior."""
+    d = functional.scenario.outcomes
+    total = 0
+    for term in functional.terms:
+        omega = term.shift
+        for party, setting, sign in term.coeffs:
+            omega += sign * table[party][setting]
+        total += term.weight * (omega % d)
+    return total
+
+
+def classical_minimum(functional: BellFunctional):
+    """Exact minimum over all local deterministic strategies."""
+    return min(
+        evaluate_assignment(functional, table)
+        for table in enumerate_assignments(functional.scenario)
+    )
+
+
+def restrict(behavior: Behavior, parties: Sequence[int]) -> Behavior:
+    """Marginal behavior of a party subset (complement settings fixed to 0)."""
+    scn = behavior.scenario
+    parties = list(parties)
+    sub = Scenario(len(parties), scn.settings, scn.outcomes)
+    probs = [0] * sub.size
+    for xs in sub.all_settings():
+        dist = marginal(behavior, parties, xs)
+        base = sub.column_index(xs) * sub.column_size
+        for a_idx, p in enumerate(dist):
+            probs[base + a_idx] = p
+    return Behavior(sub, tuple(probs))
+
+
+def behavior_to_json(behavior: Behavior) -> dict:
+    """The behavior file that ``validate`` and ``bell`` read."""
+    return {
+        "scenario": scenario_to_json(behavior.scenario),
+        "encoding": "x-outer-a-inner",
+        "values": [format_number(p) for p in behavior.probs],
+    }
+
+
+def pair_difference_distribution(
+    behavior: Behavior, k: int, x_k: int, l: int, x_l: int
+) -> tuple:
+    """Distribution of [a_k - a_l] mod d at the given settings, the other
+    settings at 0."""
+    if k == l:
+        raise ValueError("party subset has duplicates")
+    get = behavior.probs.__getitem__
+    groups = modular_groups(behavior.scenario, ((k, x_k, 1), (l, x_l, -1)))
+    return tuple(sum(map(get, idx)) for idx in groups)
+
+
+def agreement_probability(
+    behavior: Behavior, k: int, x_k: int, x_last: int, m: int = 0, check: bool = True
+) -> tuple:
+    """p(A^k_{x_k} = [A^{last}_{x_last} + m]) and whether I + 1 >= d p
+    holds; the shift m is one of range(d)."""
+    scn = behavior.scenario
+    d = scn.outcomes
+    _check_party(scn, k)
+    _check_shift(scn, m)
+    if check:
+        _require_ns(behavior)
+    dist = pair_difference_distribution(behavior, k, x_k, scn.parties - 1, x_last)
+    p = dist[m]
+    value = evaluate(embedded_bkp(scn), behavior)
+    return p, value + 1 >= d * p
+
+
+def alpha_chsh_value(
+    t: np.ndarray, a_angles: tuple[float, float], b_angles: tuple[float, float], alpha: float
+) -> float:
+    """alpha (<A1B1> + <A1B2>) + <A2B1> - <A2B2> at explicit angles.  The
+    observable at angle v is sin(v) sigma_x + cos(v) sigma_z, and
+    <A x B> = a . T b for the directions a, b = (sin v, cos v) of the two."""
+    _check_alpha(alpha)
+    a, b = ([[math.sin(v), math.cos(v)] for v in angles] for angles in (a_angles, b_angles))
+    e = np.array(a) @ t @ np.array(b).T  # e[i, j] = <A_{i+1} B_{j+1}>
+    return float(alpha * (e[0, 0] + e[0, 1]) + e[1, 0] - e[1, 1])
 
 
 def chained_bkp(M: int, d: int) -> BellFunctional:

@@ -8,12 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from monogamy_lab.bell import (
-    classical_minimum,
-    complement_mean_residuals,
-    evaluate,
-    recursive_bkp,
-)
+from monogamy_lab.bell import evaluate, recursive_bkp
 from monogamy_lab.monogamy import (
     guessing_bound,
     guessing_bound_prior,
@@ -40,6 +35,7 @@ from monogamy_lab.svamp import (
     random_adversary_model,
     variational_bound,
 )
+from reference import classical_minimum, complement_mean_residuals
 
 
 def report(number: int, ok: bool, detail: str) -> None:

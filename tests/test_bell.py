@@ -10,16 +10,12 @@ from hypothesis import given, settings, strategies as st
 from monogamy_lab.bell import (
     BellFunctional,
     ModularTerm,
-    classical_minimum,
-    complement_mean_residuals,
     dense_csv,
     evaluate,
-    evaluate_assignment,
     functional_from_json,
     load_functional,
     functional_to_json,
     modular_groups,
-    modular_mean,
     recursive_bkp,
 )
 from monogamy_lab.monogamy import embedded_bkp, monogamy_functional
@@ -27,12 +23,18 @@ from monogamy_lab.scenario import (
     Behavior,
     Scenario,
     deterministic_vertex,
-    enumerate_assignments,
     mix,
     uniform_behavior,
 )
 from monogamy_lab.sampling import random_behavior
-from reference import chained_bkp
+from reference import (
+    chained_bkp,
+    classical_minimum,
+    complement_mean_residuals,
+    enumerate_assignments,
+    evaluate_assignment,
+    modular_mean,
+)
 
 
 def rational_dist(d, seed):

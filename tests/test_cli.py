@@ -16,10 +16,10 @@ from monogamy_lab.svamp import critical_epsilon
 from monogamy_lab.scenario import (
     Behavior,
     Scenario,
-    behavior_to_json,
     json_text,
     uniform_behavior,
 )
+from reference import behavior_to_json
 
 
 def write_behavior(tmp_path, behavior, name="behavior.json"):
@@ -508,6 +508,8 @@ def test_quantum_monogamy_check_stdout_is_stable(capsys):
     ["bell", "2", "1", "2"],
     ["figures", "2b", "--max-m", "1"],
     ["figures", "2b", "--max-m", "-3"],
+    ["quantum", "violation", "--M", "0"],
+    ["quantum", "violation", "--M", "-3"],
 ])
 def test_quantum_rejects_bad_values(capsys, args):
     assert main(args) == 2
@@ -613,6 +615,11 @@ GOLDEN_COMMANDS = {
     "tightness-422": ["tightness", "3", "2", "2"],
     "bell-243-float": ["bell", "2", "4", "3", os.path.join(GOLDEN, "violation-243.json"), "--mode", "float"],
     "bell-322-float": ["bell", "3", "2", "2", os.path.join(GOLDEN, "random-322.json"), "--mode", "float"],
+    # exact mode finds eight column sums off by about 1e-17; float mode passes them
+    "validate-322": ["validate", os.path.join(GOLDEN, "random-322.json")],
+    "validate-322-float": ["validate", os.path.join(GOLDEN, "random-322.json"), "--mode", "float"],
+    "quantum-violation-33": ["quantum", "violation", "--M", "3", "--d", "3"],
+    "quantum-monogamy-check": ["quantum", "monogamy-check", "--samples", "200"],
 }
 
 

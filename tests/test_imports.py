@@ -1,6 +1,7 @@
 """Every module-level import in the package and the scripts is used, and
 every public name of the package, public methods and properties included,
-has a caller outside the tests (no linter needed)."""
+has a caller outside the tests or a place on the keep list (no linter
+needed)."""
 
 import ast
 from pathlib import Path
@@ -49,21 +50,26 @@ def test_module_does_not_import_the_lp_module(module):
     assert "polylp" not in set(import_parts(ast.parse(FILES[module].read_text(), module)))
 
 
-# Public names that nothing outside the tests calls, kept on purpose.
+# The functions of src/ that no production path reaches (test_reach.py),
+# kept on purpose, each with its reason; ROADMAP items are cited by number.
+# Its public names are also the ones the caller check below lets pass.
 KEEP = {
-    "bell.classical_minimum": "the classical bound d - 1, over every local deterministic strategy",
-    "bell.complement_mean_residuals": "the paper's two modular-mean identities",
-    "bell.load_functional": "reads what `bell --format json` writes, for tightness on any functional",
-    "monogamy.agreement_probability": "the agreement term of the monogamy relation, I + 1 >= d p",
-    "polylp.verify_certificate": "the public checker that trusts no solver",
-    "quantum.alpha_chsh_value": "the alpha-CHSH form at explicit angles",
-    "quantum.quantum_guessing_bound": "the paper's quantum cap on the guessing probability",
-    "quantum.violation_behavior": "the behavior that attains the chained quantum value",
-    "scenario.behavior_to_json": "writes the behavior file that validate and bell read",
-    "scenario.restrict": "the marginal behavior of a party subset",
-    "svamp.q_factor_tilde": "the paper's Q~ factor, with input likelihoods",
-    "svamp.AdversaryModel.input_probability": "p(x), the input distribution the adversary's mixture shows",
-    "svamp.AdversaryModel.posterior": "p(w|x) as Fractions, the Bayes terms that q_factor reads in integers",
+    "polylp._simplex": "the last-resort stage of solve, for an LP that HiGHS's result does not certify (item 4)",
+    "polylp._run_simplex": "the pivot loop of _simplex (item 4)",
+    "polylp._pivot": "one pivot of _simplex (item 4)",
+    "polylp._priced": "the reduced costs of _simplex (item 4)",
+    "polylp._subtract": "the sparse row update of _simplex (item 4)",
+    "polylp.verify_certificate": "the public checker that trusts no solver (items 11 and 16)",
+    "polylp.verify_certificate.<locals>.exact": "verify_certificate's reading of a vector as Fractions (items 11 and 16)",
+    "polylp._certified": "the exact test behind verify_certificate and the simplex stage (items 11 and 16)",
+    "bell.load_functional": "reads what `bell --format json` writes, for tightness on any functional (item 7)",
+    "bell.functional_from_json": "the object reader of load_functional (item 7)",
+    "quantum.violation_behavior": "the behavior that attains the chained quantum value (item 13)",
+    "svamp.q_factor_tilde": "the paper's Q~ factor, with input likelihoods (item 8)",
+    "svamp.AdversaryModel.input_probability": "p(x), the input distribution the adversary's mixture shows (item 8)",
+    "svamp.AdversaryModel.posterior": "p(w|x) as Fractions, the Bayes terms that q_factor reads in integers (item 8)",
+    "monogamy._require_ns": "the default check of monogamy_lhs_general; the ns-lp workload passes check=False",
+    "scenario.Behavior.__getattr__": "builds the probs of a scaled_sum behavior on first read; the workloads read only scaled",
 }
 CALLER_FILES = [*SRC.glob("*.py"), *(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
 
@@ -128,7 +134,7 @@ def test_public_names_have_a_caller_outside_the_tests():
         uncalled.update(
             f"{module}.{cls}.{node.name}" for cls, node in public_methods(trees[path]) if node.name not in attributes
         )
-    # give each name a caller outside the tests, or move it into them
+    # give each name a caller outside the tests, or move it into them; a kept
+    # name may have a caller that is itself unreached, and test_reach.py
+    # drops it from KEEP once it is reached or gone
     assert sorted(uncalled - KEEP.keys()) == []
-    # drop a kept name once it has a caller or is gone
-    assert sorted(KEEP.keys() - uncalled) == []

