@@ -6,11 +6,15 @@ Every LP has the form of the no-signalling polytope itself::
 
 with equality rows only and every variable nonnegative.  Each row of A is
 a sequence of (column, coefficient) pairs; only the objective is dense.
-The no-signalling rows of a scenario (:func:`scenario.ns_row_entries`)
-are the same in every LP over it, so they are checked and standardized once
-per scenario: :func:`ns_constraints` hands out cached rows in standard form
-(integer nonzeros in column order, checked when they were built), which an
-LP takes as they are.
+The no-signalling rows of a scenario are the same in every LP over it, so
+they are checked and standardized once per scenario: :func:`ns_constraints`
+hands out cached rows in standard form (integer nonzeros in column order,
+checked when they were built), which an LP takes as they are.  They are a
+basis of the equalities: column 0's normalization row and the basis of
+:func:`scenario.ns_row_entries`, (Md)^N - (M(d - 1) + 1)^N + 1 rows with
+none redundant, about a third fewer than all the normalization and
+no-signalling rows.  Every stage below, and the certificate, runs on those
+rows.
 :func:`solve` returns certified results.  It solves the LP in floats with
 HiGHS, through the pybind bindings that scipy ships
 (``scipy.optimize._highspy._core``).  ``linprog`` wraps the same bindings,
@@ -385,7 +389,8 @@ def _highs(std: _Standard, start=None):
     HiGHS's final one, a ``HighsBasis`` (see :func:`_basis_lists`).
 
     With ``start``, the final basis of an LP with the same columns and rows
-    (``ValueError`` otherwise), HiGHS starts from that basis and skips
+    (``ValueError`` otherwise, and for a basis that is alien or not valid,
+    which HiGHS would repair silently), HiGHS starts from that basis and skips
     presolve: after a change of right-hand sides alone the basis stays dual
     feasible, and its dual simplex goes on from there (Huangfu and Hall,
     Math. Prog. Comp. 10 (2018)).  A start HiGHS rejects raises
@@ -404,6 +409,8 @@ def _highs(std: _Standard, start=None):
             f"a start basis of {len(start.col_status)} columns and {len(start.row_status)} rows "
             f"does not fit an LP of {n} columns and {len(std.rows)} rows"
         )
+    if start is not None and (start.alien or not start.valid):
+        raise ValueError("a start basis must be valid and not alien, as LPSolution.basis is")
     row_start, index, value = [0], [], []
     for row, scale in zip(std.rows, std.scale):
         for j, a in row:
@@ -756,23 +763,24 @@ def verify_certificate(lp: LinearProgram, sol: LPSolution) -> bool:
 def _ns_rows(scenario: Scenario) -> tuple[tuple, tuple]:
     """The rows and right-hand sides of :func:`ns_constraints`, each row a
     :class:`_Row` in column order, checked once per scenario."""
-    size = scenario.column_size
-    norm = [_Row((base + i, 1) for i in range(size)) for base in range(0, scenario.size, size)]
+    norm = _Row((i, 1) for i in range(scenario.column_size))
     ns = [_Row([(j, -1) for j in minus] + [(j, 1) for j in plus]) for plus, minus in ns_row_entries(scenario)]
-    return tuple(norm + ns), (1,) * len(norm) + (0,) * len(ns)
+    return (norm, *ns), (1,) + (0,) * len(ns)
 
 
 def ns_constraints(scenario: Scenario) -> tuple[list, list]:
     """Sparse equalities (rows, rhs) cutting out the NS polytope (with x >= 0
     bounds), as fresh lists that a caller may extend.
 
-    Normalization first: one row per setting tuple, in column order.  Then
-    the no-signalling rows of :func:`scenario.ns_row_entries`, in its order:
-    the marginal with party k summed out at x_k > 0 equals its value at
-    x_k = 0.  Redundancies are tolerated by the solver.  Each row lists its
-    nonzeros in column order (its -1 entries, then its +1 entries) and is
-    built and checked once per scenario; the lists are fresh, the rows
-    shared.
+    Column 0's normalization row first, then the no-signalling basis rows
+    of :func:`scenario.ns_row_entries`, in its order: the marginal with
+    party k summed out at x_k > 0 equals its value at x_k = 0.  No row is
+    redundant: there are (Md)^N - (M(d - 1) + 1)^N + 1 rows, the rank of
+    all the normalization and no-signalling rows, and every other column's
+    normalization and every dropped no-signalling row is an exact
+    combination of them.  Each row lists its nonzeros in column order (its
+    -1 entries, then its +1 entries) and is built and checked once per
+    scenario; the lists are fresh, the rows shared.
     """
     rows, rhs = _ns_rows(scenario)
     return list(rows), list(rhs)

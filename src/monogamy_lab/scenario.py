@@ -300,34 +300,56 @@ def is_nonsignalling(behavior: Behavior, tol=0) -> tuple[bool, object]:
 
 @functools.lru_cache(maxsize=None)
 def ns_row_entries(scn: Scenario) -> tuple:
-    """The no-signalling rows, built once per scenario: for each party k,
-    each setting tuple of the others, each x_k > 0 and each outcome tuple of
-    the others, the row (+1 entries, -1 entries) of the others' marginal at
-    x_k and at x_k = 0, each in increasing order.
+    """A basis of the no-signalling rows, built once per scenario.  For
+    each party k, each setting tuple x_o of the others, each x_k > 0 and
+    each outcome tuple a_o of the others, in that order, the row (+1
+    entries, -1 entries) of the others' marginal at x_k and at x_k = 0, each
+    in increasing order.  A row is kept unless some party j < k has
+    x_j != 0 and a_j = d - 1.
 
-    With per-column normalization and nonnegativity these rows carve out
+    The kept rows are a basis of the span of all these rows.  Write
+    e_(x,a) for one party's point functional and w_x = s_x - s_0, where s_x
+    sums e_(x,a) over a.  The row is w_(x_k) at party k times e_(x_j,a_j)
+    at each other party j.  For one party, the w_x (x > 0) and the
+    M(d - 1) + 1 functionals e_(x,a) with a <= d - 2 or (x, a) = (0, d - 1)
+    form a basis, since e_(x,d-1) = w_x + s_0 - sum over a < d - 1 of
+    e_(x,a); let C be the span of the latter.  The rows span the products
+    with at least one w factor, the direct sum over k (the first w factor)
+    of C at each j < k, w at k and any functional at each j > k.  The kept
+    rows are exactly the product basis of that sum, so they are independent
+    and number (Md)^N - (M(d - 1) + 1)^N.  Every dropped row follows
+    exactly, and so does every column's normalization from column 0's:
+    s_(x_1) ... s_(x_N) is s_0 ... s_0 plus products with a w factor
+    (Collins and Gisin, J. Phys. A 37, 1775 (2004), count the same rank).
+
+    With column 0's normalization and nonnegativity these rows carve out
     exactly the nonsignalling behaviors: they imply the condition for every
     party subset S, as summing out the parties outside S one at a time
     moves each of their settings to 0 without changing S's marginal.
     """
+    d = scn.outcomes
     rows = []
     for k in range(scn.parties):
         others = tuple(j for j in range(scn.parties) if j != k)
-        groups = [[] for _ in range(scn.outcomes ** len(others))]
+        groups = [[] for _ in range(d ** len(others))]
         for i, sub in enumerate(_restriction_indices(scn, others)):
             groups[sub].append(i)
+        outcome_tuples = list(itertools.product(range(d), repeat=len(others)))
         step = scn.settings ** (scn.parties - 1 - k) * scn.column_size  # x_k -> x_k + 1
         for xo in itertools.product(range(scn.settings), repeat=len(others)):
             base = scn.column_index(xo[:k] + (0,) + xo[k:]) * scn.column_size
+            moved = [j for j in range(k) if xo[j]]  # parties j < k off setting 0
+            kept = [g for g, ao in zip(groups, outcome_tuples) if all(ao[j] != d - 1 for j in moved)]
             for xk in range(1, scn.settings):
-                rows += [(tuple(base + xk * step + i for i in g), tuple(base + i for i in g)) for g in groups]
+                rows += [(tuple(base + xk * step + i for i in g), tuple(base + i for i in g)) for g in kept]
     return tuple(rows)
 
 
 def ns_row_residual(behavior: Behavior):
-    """Largest |A p| over the rows A of :func:`ns_row_entries`, an exact
-    Fraction: 0 exactly when the behavior is nonsignalling
-    (:func:`is_nonsignalling` stays the reference).  Each row is evaluated
+    """Largest |A p| over the rows A of :func:`ns_row_entries`, the kept
+    basis rows, an exact Fraction: 0 exactly when the behavior is
+    nonsignalling, since every dropped row is a combination of the kept
+    ones (:func:`is_nonsignalling` stays the reference).  Each row is evaluated
     in the integers of :attr:`Behavior.scaled`, as the sum at its +1 entries
     minus that at its -1 entries; a float entry raises ValueError.
     """

@@ -182,13 +182,13 @@ def product(b1: Behavior, b2: Behavior) -> Behavior:
     return Behavior(scn, tuple(probs))
 
 
-def ref_ns_row_nonzeros(scn: Scenario) -> tuple:
-    """The no-signalling rows as (column, coefficient) pairs, one range-checked
+def ref_ns_rows_labelled(scn: Scenario) -> tuple:
+    """(kept, row) for every no-signalling row, one range-checked
     ``Scenario.index`` per entry: for each party k, each setting tuple xo of
-    the others, each x_k > 0 and each outcome tuple ao of the others, the pairs
-    ((xo, x_k), (ao, a_k)) with +1 and ((xo, 0), (ao, a_k)) with -1, a_k
-    ascending.  ``scenario.ns_row_entries`` and ``polylp.ns_constraints``
-    must hold the same rows in the same order."""
+    the others, each x_k > 0 and each outcome tuple ao of the others, the
+    row holds the pairs ((xo, x_k), (ao, a_k)) with +1 and ((xo, 0), (ao,
+    a_k)) with -1, a_k ascending.  ``kept`` is the basis rule of
+    ``scenario.ns_row_entries``: no party j < k has x_j != 0 and a_j = d - 1."""
     rows = []
     for k in range(scn.parties):
         others = [j for j in range(scn.parties) if j != k]
@@ -208,8 +208,70 @@ def ref_ns_row_nonzeros(scn: Scenario) -> tuple:
                         row.append((scn.index(x, a), 1))
                         x[k] = 0
                         row.append((scn.index(x, a), -1))
-                    rows.append(tuple(row))
+                    kept = not any(x[j] and a[j] == scn.outcomes - 1 for j in range(k))
+                    rows.append((kept, tuple(row)))
     return tuple(rows)
+
+
+def ref_ns_row_nonzeros(scn: Scenario) -> tuple:
+    """Every no-signalling row of :func:`ref_ns_rows_labelled` as
+    (column, coefficient) pairs, kept or not."""
+    return tuple(row for _, row in ref_ns_rows_labelled(scn))
+
+
+def ref_ns_basis_rows(scn: Scenario) -> tuple:
+    """The rows of :func:`ref_ns_row_nonzeros` that the basis rule keeps, in
+    order.  ``scenario.ns_row_entries`` and the no-signalling rows of
+    ``polylp.ns_constraints`` must hold the same rows in the same order."""
+    return tuple(row for kept, row in ref_ns_rows_labelled(scn) if kept)
+
+
+def ref_normalization_rows(scn: Scenario) -> list:
+    """One row per setting tuple, in column order: its column sums to 1."""
+    size = scn.column_size
+    return [tuple((base + i, 1) for i in range(size)) for base in range(0, scn.size, size)]
+
+
+class IntegerSpan:
+    """The exact span of integer rows, held in echelon form over the
+    integers.  Each held row is a {column: int} dict whose lowest column is
+    its pivot, no two alike.  A row is reduced by the held row of its lowest
+    column, scaled without fractions (row = g row - f pivot row), and
+    divided by its content, until its lowest column has no held row or
+    nothing is left."""
+
+    def __init__(self):
+        self.pivots = {}
+
+    def reduce(self, pairs) -> dict:
+        row = {j: a for j, a in pairs if a}
+        while row:
+            p = min(row)
+            prow = self.pivots.get(p)
+            if prow is None:
+                break
+            f, g = row[p], prow[p]
+            row = {j: g * v for j, v in row.items()}
+            for j, v in prow.items():
+                w = row.get(j, 0) - f * v
+                if w:
+                    row[j] = w
+                else:
+                    row.pop(j, None)
+            h = math.gcd(*row.values()) if row else 1
+            if h > 1:
+                row = {j: v // h for j, v in row.items()}
+        return row
+
+    def add(self, pairs) -> bool:
+        """Hold the row; False if it was already in the span."""
+        row = self.reduce(pairs)
+        if row:
+            self.pivots[min(row)] = row
+        return bool(row)
+
+    def __contains__(self, pairs) -> bool:
+        return not self.reduce(pairs)
 
 
 def solve_exact_all_pivots(equations, n: int) -> tuple[list, int] | None:

@@ -398,9 +398,9 @@ def all_pairings(scn):
 @pytest.mark.parametrize(
     "dims, pairings, solves",
     [
-        ((3, 2, 2), None, [0, 1]),
-        ((3, 2, 3), None, [0, 2]),
-        ((4, 2, 2), [(2, 1, 0, 1)], [0, 1, Fraction(1, 2)]),
+        ((3, 2, 2), None, {0: [0, 1], 1: [0, 1]}),
+        ((3, 2, 3), None, {0: [0, 2], 1: [0, 2, 1]}),
+        ((4, 2, 2), [(2, 1, 0, 1)], {0: [0, 1, Fraction(1, 2)]}),
     ],
     ids=["322-all", "323-all", "422-one"],
 )
@@ -411,9 +411,10 @@ def test_tightness_scan_matches_per_target_lps(monkeypatch, dims, pairings, solv
     for k, x_k, x_last, m in pairings or all_pairings(scn):
         solved.clear()
         rows = tightness_scan(scn, k, x_k, x_last, m=m)
-        # the two ends, and at (4,2,2) the midpoint, whose dual proves the
-        # interval where the dual of t = 0 does not
-        assert solved == solves
+        # the two ends, and the midpoint where the dual of t = 0 does not
+        # prove the interval and the midpoint's dual does: at (4,2,2), and
+        # at (3,2,3) for x_last = 1 (the solves of each x_last)
+        assert solved == solves[x_last]
         obj = agreement_vector(scn, k, x_k, x_last, m)
         direct = []
         for r in rows:

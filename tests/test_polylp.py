@@ -1,4 +1,6 @@
 import hashlib
+import importlib.util
+import itertools
 import json
 import math
 import os
@@ -15,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 import monogamy_lab
 from monogamy_lab import polylp, sampling
 from monogamy_lab.bell import evaluate, recursive_bkp
-from monogamy_lab.monogamy import agreement_vector, embedded_bkp
+from monogamy_lab.monogamy import agreement_vector, embedded_bkp, tightness_scan
 from monogamy_lab.polylp import (
     INFEASIBLE,
     LinearProgram,
@@ -40,13 +42,23 @@ from monogamy_lab.polylp import (
     verify_certificate,
 )
 from monogamy_lab.scenario import (
+    Behavior,
     Scenario,
     is_nonsignalling,
     ns_row_entries,
     uniform_behavior,
     validate,
 )
-from reference import chained_bkp, classical_minimum, ref_ns_row_nonzeros, solve_exact_all_pivots
+from reference import (
+    IntegerSpan,
+    chained_bkp,
+    classical_minimum,
+    ref_normalization_rows,
+    ref_ns_basis_rows,
+    ref_ns_row_nonzeros,
+    ref_ns_rows_labelled,
+    solve_exact_all_pivots,
+)
 
 
 def sparse(rows):
@@ -83,15 +95,17 @@ def test_degenerate_redundant_rows():
 
 
 def test_ns_constraint_counts():
-    # the normalization rows (rhs 1) come first, then the NS rows (rhs 0)
+    # column 0's normalization row (rhs 1) comes first, then the NS basis
+    # rows (rhs 0): (Md)^N - (M(d-1)+1)^N of them
     rows, rhs = ns_constraints(Scenario(2, 2, 2))
-    assert len(rows) == 12 and rhs == [1] * 4 + [0] * 8
+    assert len(rows) == 8 and rhs == [1] + [0] * (16 - 9)
     rows, rhs = ns_constraints(Scenario(2, 3, 2))
-    assert len(rows) == 33 and rhs == [1] * 9 + [0] * (2 * 2 * 3 * 2)  # (M-1) M d per party
+    assert len(rows) == 21 and rhs == [1] + [0] * (36 - 16)
 
 
-# sha256 of repr([(row nonzeros in column order, rhs), ...]) over the rows of
-# ns_constraints, computed from the dense rows it built before rows were sparse
+# sha256 of repr([(row nonzeros in column order, rhs), ...]) over every
+# normalization row and every reference NS row, computed from the dense rows
+# ns_constraints built before its rows were sparse and became a basis
 NS_ROWS_SHA256 = {
     (2, 2, 2): "76d2b2a662ad8ae102654eee5c8c5dff7a41349fa9bc5481b879b1a77c676f11",
     (2, 3, 2): "6265662d04e4fc2135751ca9af0f453ee253c817e6692427964348af87c6ab09",
@@ -102,7 +116,9 @@ NS_ROWS_SHA256 = {
 
 @pytest.mark.parametrize("dims", sorted(NS_ROWS_SHA256))
 def test_ns_rows_match_dense_rows(dims):
-    rows, rhs = ns_constraints(Scenario(*dims))
+    scn = Scenario(*dims)
+    norm, ns = ref_normalization_rows(scn), ref_ns_row_nonzeros(scn)
+    rows, rhs = [*norm, *ns], [1] * len(norm) + [0] * len(ns)
     pinned = repr([(tuple(sorted(row)), b) for row, b in zip(rows, rhs)])
     assert hashlib.sha256(pinned.encode()).hexdigest() == NS_ROWS_SHA256[dims]
 
@@ -116,17 +132,123 @@ NS_ROW_SIZES = [
 @pytest.mark.parametrize("dims", NS_ROW_SIZES)
 def test_ns_rows_match_the_per_entry_reference(dims):
     # scenario.ns_row_entries groups the rows from the marginal map; the
-    # reference builds every entry with its own Scenario.index
+    # reference builds every entry with its own Scenario.index and keeps the
+    # rows of the basis rule
     scn = Scenario(*dims)
-    ref = ref_ns_row_nonzeros(scn)
+    ref = ref_ns_basis_rows(scn)
     assert ns_row_entries(scn) == tuple(
         (tuple(j for j, c in row if c == 1), tuple(j for j, c in row if c == -1)) for row in ref
     )
-    size = scn.column_size
-    norm = [tuple((base + i, 1) for i in range(size)) for base in range(0, scn.size, size)]
     rows, rhs = ns_constraints(scn)
-    assert rows == norm + [tuple(sorted(row)) for row in ref]
-    assert rhs == [1] * len(norm) + [0] * len(ref)
+    assert rows == ref_normalization_rows(scn)[:1] + [tuple(sorted(row)) for row in ref]
+    assert rhs == [1] + [0] * len(ref)
+
+
+@pytest.mark.parametrize("dims", NS_ROW_SIZES + [(2, 4, 2)])
+def test_ns_rows_are_a_basis(dims):
+    # the rows of ns_constraints are independent, as many as the rank, and
+    # span every normalization row and every reference NS row exactly
+    N, M, d = dims
+    scn = Scenario(*dims)
+    rows, _ = ns_constraints(scn)
+    assert len(rows) == (M * d) ** N - (M * (d - 1) + 1) ** N + 1
+    full = ref_ns_row_nonzeros(scn)
+    remaining = iter(tuple(sorted(row)) for row in full)
+    assert all(row in remaining for row in rows[1:])  # a subsequence, in order
+    span = IntegerSpan()
+    assert all(span.add(row) for row in rows)
+    assert all(row in span for row in [*ref_normalization_rows(scn), *full])
+
+
+def ns_scenario(lp):
+    """The scenario whose ns_constraints rows lead the LP's rows (the
+    leading rows of type _Row), and their number."""
+    n_ns = next((i for i, row in enumerate(lp.eq_rows) if type(row) is not _Row), len(lp.eq_rows))
+    prefix = lp.eq_rows[:n_ns]
+    column_size, size = len(prefix[0]), 1 + max(row[-1][0] for row in prefix)
+    for N, d, M in itertools.product(range(1, 8), range(2, 6), range(2, 6)):
+        if d**N == column_size and (M * d) ** N == size and ns_constraints(Scenario(N, M, d))[0] == prefix:
+            return Scenario(N, M, d), n_ns
+    raise AssertionError(f"no scenario's NS rows lead an LP of {lp.n_vars} columns")
+
+
+def on_full_rows(lp, sol):
+    """The LP with its NS rows replaced by every normalization row and every
+    reference NS row, the solution's duals extended with zeros on the rows
+    the basis drops, and the scenario."""
+    scn, n_ns = ns_scenario(lp)
+    labelled = ref_ns_rows_labelled(scn)
+    norm = ref_normalization_rows(scn)
+    assert sum(kept for kept, _ in labelled) == n_ns - 1
+    full = LinearProgram(
+        lp.objective,
+        lp.sense,
+        [*norm, *(row for _, row in labelled), *lp.eq_rows[n_ns:]],
+        [1] * len(norm) + [0] * len(labelled) + list(lp.eq_rhs[n_ns:]),
+    )
+    if sol.dual is not None:
+        kept_duals = iter(sol.dual[1:n_ns])
+        dual = (
+            sol.dual[0],
+            *[0] * (len(norm) - 1),
+            *(next(kept_duals) if kept else 0 for kept, _ in labelled),
+            *sol.dual[n_ns:],
+        )
+        sol = replace(sol, dual=dual)
+    return scn, full, sol
+
+
+def assert_certifies_the_full_lp(lp, sol):
+    scn, full, extended = on_full_rows(lp, sol)
+    assert verify_certificate(full, extended)
+    if sol.status == OPTIMAL:
+        assert is_nonsignalling(Behavior(scn, tuple(sol.point[: scn.size])), 0)[0]
+
+
+def load_workloads(monkeypatch):
+    """perfbench/workloads.py, loaded from its file for this test alone."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", module)  # its dataclass looks itself up there
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload", ["ns-lp", "ra-exact"])
+def test_reduced_certificate_certifies_the_full_lp_of_each_workload_solve(monkeypatch, workload):
+    # every LP of one tiny seed-0 pass, each solved on the basis rows; its
+    # certificate, with zero duals on the dropped rows, proves the LP on all
+    # the normalization and NS rows
+    ops = load_workloads(monkeypatch).build(workload, 0, "tiny")
+    solved = []
+
+    def recording(lp, start=None):
+        sol = solve(lp, start)
+        solved.append((lp, sol))
+        return sol
+
+    for module in vars(monogamy_lab).values():
+        if getattr(module, "solve", None) is solve:
+            monkeypatch.setattr(module, "solve", recording)
+    for op in ops:
+        assert op.check(op.run()) == []
+    assert solved
+    for lp, sol in solved:
+        assert_certifies_the_full_lp(lp, sol)
+
+
+@pytest.mark.parametrize("dims", [(3, 2, 2), (3, 2, 3)])
+def test_reduced_certificate_certifies_the_full_lp_of_every_scan_row(dims):
+    scn = Scenario(*dims)
+    bell = [(j, c) for j, c in enumerate(embedded_bkp(scn).dense()) if c]
+    pairings = itertools.product(
+        range(scn.parties - 1), range(scn.settings), range(scn.settings), range(scn.outcomes)
+    )
+    for k, x_k, x_last, m in pairings:
+        obj = agreement_vector(scn, k, x_k, x_last, m)
+        for row in tightness_scan(scn, k, x_k, x_last, m=m):
+            assert_certifies_the_full_lp(ns_program(scn, obj, "max", [(bell, row.target)]), row.solution)
 
 
 @pytest.mark.parametrize(
@@ -1095,7 +1217,7 @@ def test_start_basis_from_an_earlier_target_solves_the_same_optimum():
 )
 def test_start_basis_of_another_shape_is_rejected(lp):
     start = optimize_over_ns(*pinned_agreement(Fraction(0))).basis
-    with pytest.raises(ValueError, match=r"^a start basis of 64 columns and 57 rows does not fit an LP of"):
+    with pytest.raises(ValueError, match=r"^a start basis of 64 columns and 39 rows does not fit an LP of"):
         solve(lp, start)
 
 
@@ -1105,8 +1227,24 @@ def test_start_basis_that_highs_rejects_raises():
     start = h.HighsBasis()
     start.alien, start.valid = False, True
     start.col_status = [h.HighsBasisStatus.kLower] * 64
-    start.row_status = [h.HighsBasisStatus.kLower] * 57
+    start.row_status = [h.HighsBasisStatus.kLower] * 39
     with pytest.raises(RuntimeError, match="^HiGHS rejected the start basis$"):
+        optimize_over_ns(*pinned_agreement(Fraction(1)), start=start)
+
+
+@pytest.mark.parametrize(
+    "alien, valid", [(None, None), (True, True), (False, False)], ids=["fresh", "alien", "invalid"]
+)
+def test_start_basis_that_is_alien_or_invalid_is_rejected(alien, valid):
+    # HiGHS would repair such a basis silently (a fresh HighsBasis is alien
+    # and not valid), so it is refused before HiGHS sees it
+    h = polylp._highs_core()
+    start = h.HighsBasis()
+    if alien is not None:
+        start.alien, start.valid = alien, valid
+    start.col_status = [h.HighsBasisStatus.kLower] * 64
+    start.row_status = [h.HighsBasisStatus.kLower] * 39
+    with pytest.raises(ValueError, match="^a start basis must be valid and not alien"):
         optimize_over_ns(*pinned_agreement(Fraction(1)), start=start)
 
 
