@@ -69,15 +69,16 @@ The certificate, not the pivot arithmetic, is the contract: every result
 leaves :func:`solve` with a certificate that :func:`verify_certificate`
 accepts (see :class:`LPSolution`): duals for an optimum, a Farkas vector for
 an infeasible LP, a feasible point and an improving ray for an unbounded one.
-The check runs in integers.  Each standard-form row holds integer
-coefficients over one positive integer scale, the lcm of the row's
-denominators (1 for all the rows this package builds, except a Bell row
-with fractional weights).  The objective is held the same way, as integers
-over the lcm of its denominators.  Each vector of the certificate is
-brought over one common denominator, so that no ``Fraction`` is built per
-coefficient.  Each of these is the :func:`scenario.integer_form` of its
-entries, except in the dual check, where the y_i / L_i share a common
-denominator that is not always the least (see :func:`_dual_feasible`).
+The check runs in integers, on one form.  Row i holds integer coefficients
+over one positive scale L_i, the lcm of its denominators (1 for all the rows
+this package builds, except a Bell row with fractional weights), and the
+objective integers c' over the lcm C of its denominators.  A point is
+(D, X) with x = X / D, and duals are (E, W) with y_i / L_i = W_i / E, over
+positive D and E.  The ``highs`` stage rounds each float to an integer pair
+and brings the pairs to this form, the ``basis`` stage solves for it, and
+the simplex result and :func:`verify_certificate` bring their Fractions to
+it once.  A ``Fraction`` is built only for the nonzero entries of a
+certified result.
 """
 
 from __future__ import annotations
@@ -259,88 +260,102 @@ def _standardize(lp: LinearProgram) -> _Standard:
     return _Standard([r for r, _ in rows], [s for _, s in rows], rhs, cost, cost_scale, sign)
 
 
-def _dot(u, v) -> Fraction:
-    """u.v, summed in integers over the product of the two common denominators."""
-    du, nu = integer_form(u)
-    dv, nv = integer_form(v)
-    return Fraction(sum(a * b for a, b in zip(nu, nv)), du * dv)
+def _form(pairs, scales=None) -> tuple[int, list]:
+    """The form the check reads of the fractions n_i / q_i (q_i > 0), each
+    over its scale s_i if given: (D, [m_i]), n_i / (q_i s_i) = m_i / D."""
+    qs = [q for _, q in pairs] if scales is None else [q * s for (_, q), s in zip(pairs, scales)]
+    d = math.lcm(*qs)
+    return d, [n * (d // q) for (n, _), q in zip(pairs, qs)]
 
 
-def _objective(std: _Standard, x) -> Fraction:
-    """c.x, summed in integers over the cost scale times x's common denominator."""
-    d, n = integer_form(x)
-    return Fraction(sum(a * b for a, b in zip(std.cost, n)), std.cost_scale * d)
+def _objective(std: _Standard, x) -> tuple[int, int]:
+    """c.x = sum_j c'_j X_j / (C D) for the point x = (D, X), as (num, den)."""
+    d, n = x
+    return sum(a * b for a, b in zip(std.cost, n)), std.cost_scale * d
+
+
+def _rhs_dot(std: _Standard, y) -> tuple[int, int]:
+    """b.y = sum_i b_i L_i W_i / E for the duals y = (E, W), as (num, den)
+    over R E, R the lcm of the b_i that count."""
+    e, w = y
+    terms = [(b, s * wi) for b, s, wi in zip(std.rhs, std.scale, w) if wi and b]
+    r = math.lcm(*(b.denominator for b, _ in terms))
+    return sum(b.numerator * (r // b.denominator) * v for b, v in terms), r * e
 
 
 def _primal_feasible(std: _Standard, x) -> bool:
-    """x >= 0 and A x = b.  With x = n / D, row i holds when
-    ``sum_j a_ij n_j * den(b_i) == num(b_i) * L_i * D``."""
-    if x is None or len(x) != std.n_cols:
+    """x >= 0 and A x = b for the point x = (D, X), x_j = X_j / D: row i
+    holds when ``sum_j a_ij X_j * den(b_i) == num(b_i) * L_i * D``."""
+    if x is None or len(x[1]) != std.n_cols or min(x[1], default=0) < 0:
         return False
-    d, n = integer_form(x)
-    if any(v < 0 for v in n):
-        return False
-    return all(
-        sum(a * n[j] for j, a in row) * b.denominator == b.numerator * scale * d
-        for row, scale, b in zip(std.rows, std.scale, std.rhs)
-    )
+    d, n = x
+    for row, scale, b in zip(std.rows, std.scale, std.rhs):
+        ax = 0
+        for j, a in row:
+            ax += a * n[j]
+        if ax * b.denominator != b.numerator * scale * d:
+            return False
+    return True
 
 
 def _dual_feasible(std: _Standard, y) -> bool:
-    """c - A^T y >= 0, one multiplier per row.  With y_i / L_i = w_i / E and
-    c = c' / C (the cost and its scale), column j holds when
-    ``c'_j * E >= C * sum_i w_i a_ij``."""
-    if y is None or len(y) != len(std.rows):
+    """c - A^T y >= 0 for the duals y = (E, W), y_i / L_i = W_i / E.  With
+    c = c' / C, column j holds when ``c'_j * E >= C * sum_i W_i a_ij``."""
+    if y is None or len(y[1]) != len(std.rows):
         return False
-    # E is a common denominator of the y_i / L_i, not always the least one
-    e = math.lcm(*(yi.denominator * scale for yi, scale in zip(y, std.scale)))
+    e, w = y
     acc = [0] * std.n_cols
-    for yi, scale, row in zip(y, std.scale, std.rows):
-        if yi:
-            w = yi.numerator * (e // (yi.denominator * scale))
+    for wi, row in zip(w, std.rows):
+        if wi:
             for j, a in row:
-                acc[j] += w * a
+                acc[j] += wi * a
     return all(cj * e >= std.cost_scale * aj for cj, aj in zip(std.cost, acc))
 
 
 def _optimum(std: _Standard, x, y) -> Fraction | None:
-    """c.x if point x and row duals y prove it the optimum of the standard
-    form (primal and dual feasibility and strong duality, b.y = c.x), else
-    None; the entries must be exact."""
+    """c.x if the point x = (D, X) and the duals y = (E, W) prove it optimal
+    (primal and dual feasibility and strong duality, b.y = c.x), else None."""
     if not (_primal_feasible(std, x) and _dual_feasible(std, y)):
         return None
-    value = _objective(std, x)
-    return value if _dot(std.rhs, y) == value else None
+    (cx, cd), (by, bd) = _objective(std, x), _rhs_dot(std, y)
+    return Fraction(cx, cd) if cx * bd == by * cd else None
 
 
 def _certified(std: _Standard, sol: LPSolution) -> bool:
     """Whether sol carries a valid certificate of its status for the
-    standard form (see :class:`LPSolution`); the entries must be exact.  Each
-    test runs in integers over the common denominators of the vectors."""
+    standard form (see :class:`LPSolution`).  Its int or Fraction vectors
+    are brought to their integer forms once, which the checks read."""
+    x, y, r = (
+        None if v is None else _form([(e.numerator, e.denominator) for e in v], scales)
+        for v, scales in ((sol.point, None), (sol.dual, std.scale), (sol.ray, None))
+    )
     if sol.status == OPTIMAL:
-        value = _optimum(std, sol.point, sol.dual)
+        value = _optimum(std, x, y)
         return value is not None and std.sign * value == sol.value
     if sol.status == INFEASIBLE:
         # Farkas: c = 0 turns the dual check into A^T y <= 0
         no_cost = std._replace(cost=[0] * std.n_cols)
-        return _dual_feasible(no_cost, sol.dual) and _dot(std.rhs, sol.dual) > 0
+        return _dual_feasible(no_cost, y) and _rhs_dot(std, y)[0] > 0
     if sol.status == UNBOUNDED:
         homogeneous = std._replace(rhs=[_ZERO] * len(std.rows))
         return (
-            _primal_feasible(std, sol.point)
-            and _primal_feasible(homogeneous, sol.ray)
-            and _objective(std, sol.ray) < 0
+            _primal_feasible(std, x)
+            and _primal_feasible(homogeneous, r)
+            and _objective(std, r)[0] < 0
         )
     return False
 
 
 def _optimal(std: _Standard, x, y, engine: str, iterations: int, basis) -> LPSolution | None:
-    """The optimal LPSolution for standard-form point x and row duals y, or
-    None unless they pass the exact check."""
+    """The optimal LPSolution for the point x = (D, X) and duals y = (E, W),
+    or None unless they pass the check; only nonzero entries become Fractions."""
     value = _optimum(std, x, y)
     if value is None:
         return None
-    return LPSolution(OPTIMAL, std.sign * value, tuple(x), tuple(y), iterations, engine, basis=basis)
+    (d, n), (e, w) = x, y
+    point = tuple(Fraction(v, d) if v else _ZERO for v in n)
+    dual = tuple(Fraction(v * s, e) if v else _ZERO for v, s in zip(w, std.scale))
+    return LPSolution(OPTIMAL, std.sign * value, point, dual, iterations, engine, basis=basis)
 
 
 _HIGHS_CORE = "scipy.optimize._highspy._core"
@@ -461,16 +476,27 @@ def _basis_lists(basis) -> tuple[list, list]:
     )
 
 
-def _rational(v: float) -> Fraction:
-    """The fraction nearest v with denominator at most _DENOMINATOR_CAP:
-    ``Fraction(v).limit_denominator(_DENOMINATOR_CAP)``, without the search
-    when v's exact denominator is already within the cap."""
-    if not v:
-        return _ZERO
+def _rounded(v: float) -> tuple[int, int]:
+    """``Fraction(v).limit_denominator(_DENOMINATOR_CAP)`` in ints, as (n, q)
+    in lowest terms with q > 0: the same continued-fraction search, and the
+    same tie rule, with the two candidates' distances cross-multiplied."""
     n, d = v.as_integer_ratio()
     if d <= _DENOMINATOR_CAP:
-        return Fraction(n, d)
-    return Fraction(n, d).limit_denominator(_DENOMINATOR_CAP)
+        return n, d
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    a, b = n, d
+    while True:
+        k = a // b
+        q2 = q0 + k * q1
+        if q2 > _DENOMINATOR_CAP:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + k * p1, q2
+        a, b = b, a - k * b
+    k = (_DENOMINATOR_CAP - q0) // q1
+    p2, q2 = p0 + k * p1, q0 + k * q1
+    if abs(p1 * d - n * q1) * q2 <= abs(p2 * d - n * q2) * q1:
+        return p1, q1
+    return p2, q2
 
 
 def _subtract(row: dict, f, other: dict) -> None:
@@ -544,32 +570,31 @@ def _solve_exact(equations, n: int) -> tuple[list, int] | None:
     return x, d
 
 
-def _basic_point(std: _Standard, columns: list, rows: list) -> list | None:
+def _basic_point(std: _Standard, columns: list, rows: list) -> tuple | None:
     """``B x_B = b_R`` solved exactly on the basic columns and the rows R
     whose logical is nonbasic (see :func:`_basis_lists`), every nonbasic
     column 0; None if inconsistent.  It is solved on the integer rows, with
-    right sides b_i L_i over the common denominator E of b_R: x = X / (D E)."""
+    right sides b_i L_i over the common denominator E of b_R: (D E, X)."""
     basic = set(columns)
     e, rhs = integer_form([std.rhs[i] for i in rows])
     equations = (
         ({j: a for j, a in std.rows[i] if j in basic}, b * std.scale[i]) for i, b in zip(rows, rhs)
     )
     x = _solve_exact(equations, std.n_cols)
-    return x and [Fraction(v, x[1] * e) if v else _ZERO for v in x[0]]
+    return x and (x[1] * e, x[0])
 
 
-def _basic_duals(std: _Standard, columns: list, rows: list) -> list | None:
+def _basic_duals(std: _Standard, columns: list, rows: list) -> tuple | None:
     """``B_R^T y_R = c_B`` solved exactly, every other row's multiplier 0;
     None if inconsistent.  It is solved for z_i = y_i / L_i on the integer
-    rows, with the integer costs as right sides: y_i = L_i Z_i / (D C)."""
+    rows, with the integer costs as right sides: (D C, Z)."""
     basic = {j: {} for j in columns}
     for i in rows:
         for j, a in std.rows[i]:
             if j in basic:
                 basic[j][i] = a
     z = _solve_exact(((basic[j], std.cost[j]) for j in columns), len(std.rows))
-    d = z and z[1] * std.cost_scale
-    return z and [Fraction(v * s, d) if v else _ZERO for v, s in zip(z[0], std.scale)]
+    return z and (z[1] * std.cost_scale, z[0])
 
 
 def _certify_highs(std: _Standard, x_float, y_float, basis, iterations) -> LPSolution | None:
@@ -577,15 +602,16 @@ def _certify_highs(std: _Standard, x_float, y_float, basis, iterations) -> LPSol
     (see :func:`_highs`), or None.  The rounded point and duals come first;
     when they miss, the exact point and duals of the basis.
 
-    Rounding first pays for itself: it costs one :func:`_rational` per entry
-    and certifies most LPs on its own (in one count over the tests, 652
-    solves against 87 that needed the basis), where the basis stage runs
-    two eliminations over the integer rows.  With the basis stage alone,
-    every check kept, the seed-0 ``ns-lp`` benchmark pass took 0.039-0.044
-    reference s against 0.032 (2 vCPUs, five alternating pairs of 8 s
-    runs); ``ra-exact`` did not move."""
-    x = [_rational(v) for v in x_float]
-    y = [_rational(v) for v in y_float]
+    Rounding first pays for itself: it costs one :func:`_rounded` per
+    nonzero entry and certifies most LPs on its own (in one count over the
+    tests, 652 solves against 87 that needed the basis), where the basis
+    stage runs two eliminations over the integer rows.  With the basis
+    stage alone, every check kept, the seed-0 ``ns-lp`` benchmark pass took
+    0.0376-0.0383 reference s against 0.0223-0.0236 (2 vCPUs, three
+    alternating pairs of 8 s runs, measured 2026-10-20)."""
+    # most entries are 0, which skip the call
+    x = _form([_rounded(v) if v else (0, 1) for v in x_float])
+    y = _form([_rounded(v) if v else (0, 1) for v in y_float], std.scale)
     sol = _optimal(std, x, y, "highs", iterations, basis)
     if sol is None:
         columns, rows = _basis_lists(basis)
@@ -731,9 +757,8 @@ def _simplex(std: _Standard) -> LPSolution:
     # reduced cost -y_i (sign-adjusted for rows negated during the b >= 0
     # normalization).
     y = [-z.get(n + i, _ZERO) * row_sign[i] for i in range(m)]
-    return LPSolution(
-        OPTIMAL, std.sign * _objective(std, x), tuple(x), tuple(y), total_iters, "simplex"
-    )
+    value = Fraction(*_objective(std, integer_form(x)))
+    return LPSolution(OPTIMAL, std.sign * value, tuple(x), tuple(y), total_iters, "simplex")
 
 
 def verify_certificate(lp: LinearProgram, sol: LPSolution) -> bool:

@@ -31,7 +31,7 @@ from monogamy_lab.polylp import (
     _basis_lists,
     _certified,
     _highs,
-    _rational,
+    _rounded,
     _simplex,
     _solve_exact,
     _standardize,
@@ -215,12 +215,10 @@ def load_workloads(monkeypatch):
     return module
 
 
-@pytest.mark.parametrize("workload", ["ns-lp", "ra-exact"])
-def test_reduced_certificate_certifies_the_full_lp_of_each_workload_solve(monkeypatch, workload):
-    # every LP of one tiny seed-0 pass, each solved on the basis rows; its
-    # certificate, with zero duals on the dropped rows, proves the LP on all
-    # the normalization and NS rows
-    ops = load_workloads(monkeypatch).build(workload, 0, "tiny")
+def workload_solves(monkeypatch, workload, seed, size):
+    """Every (lp, solution) that one pass of the benchmark workload solves,
+    in order; each operation's own check must pass."""
+    ops = load_workloads(monkeypatch).build(workload, seed, size)
     solved = []
 
     def recording(lp, start=None):
@@ -234,8 +232,36 @@ def test_reduced_certificate_certifies_the_full_lp_of_each_workload_solve(monkey
     for op in ops:
         assert op.check(op.run()) == []
     assert solved
-    for lp, sol in solved:
+    return solved
+
+
+@pytest.mark.parametrize("workload", ["ns-lp", "ra-exact"])
+def test_reduced_certificate_certifies_the_full_lp_of_each_workload_solve(monkeypatch, workload):
+    # every LP of one tiny seed-0 pass, each solved on the basis rows; its
+    # certificate, with zero duals on the dropped rows, proves the LP on all
+    # the normalization and NS rows
+    for lp, sol in workload_solves(monkeypatch, workload, 0, "tiny"):
         assert_certifies_the_full_lp(lp, sol)
+
+
+# SHA-256 of the repr of (status, value, point, dual, ray, engine,
+# iterations) of every LP of one full pass, in order, recorded before the
+# certificate check moved to integers: the reprs name each entry's type
+WORKLOAD_SOLVE_DIGESTS = {
+    ("ns-lp", 0): "98f61cefd667a4f5b13ed67b510a878f3eab3dec59406ce84f5fdba9899c90f0",
+    ("ns-lp", 5150): "2b062c4460d696e19d7ff52e5b9f26f5557cb32c4ef52a377526fe955b80d0eb",
+    ("ra-exact", 0): "8521194d357763dc7267f47932fa8aed196824fade36863298c92e96266b35d7",
+    ("ra-exact", 5150): "6497a6753b84fc8114ab2533aae6f8dfb685375a3da69427057081edcce24022",
+}
+
+
+@pytest.mark.parametrize("workload, seed", sorted(WORKLOAD_SOLVE_DIGESTS))
+def test_workload_solves_are_pinned(monkeypatch, workload, seed):
+    solved = workload_solves(monkeypatch, workload, seed, "full")
+    text = "\n".join(
+        repr((s.status, s.value, s.point, s.dual, s.ray, s.engine, s.iterations)) for _, s in solved
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == WORKLOAD_SOLVE_DIGESTS[workload, seed]
 
 
 @pytest.mark.parametrize("dims", [(3, 2, 2), (3, 2, 3)])
@@ -665,6 +691,13 @@ def ref_basic_duals(std, columns, rows):
     return ref_solve_exact(costs, len(std.rows))
 
 
+def form_fractions(form, scales=None):
+    """The Fractions that the check's integer form stands for: x = X / D for
+    a point (D, X), y_i = L_i W_i / E for duals (E, W) over the scales L."""
+    d, nums = form
+    return [Fraction(v * s, d) for v, s in zip(nums, scales or [1] * len(nums))]
+
+
 def as_fractions(solved):
     """A solution (X, D) of _solve_exact as Fractions, None as it is."""
     return solved and [Fraction(v, solved[1]) for v in solved[0]]
@@ -756,8 +789,10 @@ def basis_systems(draw):
 @given(basis_systems())
 def test_basis_solves_match_the_fraction_reference(system):
     point, duals = _basic_point(*system), _basic_duals(*system)
-    assert point == ref_basic_point(*system) and duals == ref_basic_duals(*system)
-    assert all(type(v) is Fraction for v in (point or []) + (duals or []))
+    for form in (point, duals):
+        assert form is None or (form[0] > 0 and all(type(v) is int for v in (form[0], *form[1])))
+    assert (point and form_fractions(point)) == ref_basic_point(*system)
+    assert (duals and form_fractions(duals, system[0].scale)) == ref_basic_duals(*system)
 
 
 @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2), (2, 2, 3), (3, 2, 2), (3, 2, 3)])
@@ -1096,6 +1131,57 @@ def test_integer_check_matches_fraction_reference_per_status(lp, status):
     assert assert_check_matches_reference(lp) == status
 
 
+def highs_answers(std):
+    """HiGHS's optimum of the standard form as the highs stage rounds it,
+    then the exact solution of HiGHS's final basis where its systems are
+    consistent: (point, dual) pairs of Fraction lists."""
+    x_float, y_float, basis, _ = _highs(std)
+    yield [Fraction(*_rounded(v)) for v in x_float], [Fraction(*_rounded(v)) for v in y_float]
+    columns, rows = _basis_lists(basis)
+    point, duals = _basic_point(std, columns, rows), _basic_duals(std, columns, rows)
+    if point and duals:
+        yield form_fractions(point), form_fractions(duals, std.scale)
+
+
+def mutated_answers(point, dual, value, rng):
+    """The answer, then copies with the claimed value changed, one dual
+    entry moved, one point entry made negative and one point entry nudged,
+    each by 10^-6 (three entries of each kind, drawn from rng)."""
+    step = Fraction(1, 10**6)
+    yield point, dual, value
+    yield point, dual, value + step
+
+    def changed(vec, change):
+        i = rng.randrange(len(vec))
+        return [change(v) if k == i else v for k, v in enumerate(vec)]
+
+    for _ in range(3):
+        if dual:
+            yield point, changed(dual, lambda v: v + rng.choice([step, -step])), value
+        if point:
+            yield changed(point, lambda v: -v if v else -step), dual, value
+            yield changed(point, lambda v: v + step), dual, value
+
+
+@pytest.mark.parametrize("workload", ["ns-lp", "ra-exact"])
+def test_integer_check_matches_fraction_reference_on_workload_lps(monkeypatch, workload):
+    # every LP of one tiny seed-0 pass: HiGHS's rounded answer and its
+    # basis's answer, and their one-entry changes, are accepted by the
+    # integer check exactly when the Fraction reference accepts them
+    rng = random.Random(f"check/{workload}")
+    verdicts = []
+    for lp, _ in workload_solves(monkeypatch, workload, 0, "tiny"):
+        std = _standardize(lp)
+        _, _, c, sign = ref_standardize(lp)
+        for point, dual in highs_answers(std):
+            for cand in mutated_answers(point, dual, sign * ref_dot(c, point), rng):
+                sol = LPSolution(OPTIMAL, cand[2], tuple(cand[0]), tuple(cand[1]))
+                verdict = ref_certified(lp, sol)
+                assert _certified(std, sol) == verdict == verify_certificate(lp, sol)
+                verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
+
+
 def test_certificate_given_in_exact_floats_is_accepted():
     # min x0 + x1 subject to x0 / 2 + x1 = 3/4: a row of scale 2
     lp = LinearProgram([1, 1], "min", [[(0, Fraction(1, 2)), (1, 1)]], [Fraction(3, 4)])
@@ -1432,7 +1518,15 @@ def test_ns_constraints_lists_are_fresh():
 
 
 # ---------------------------------------------------------------------------
-# Rounding HiGHS's floats: _rational is Fraction(v).limit_denominator(cap).
+# Rounding HiGHS's floats: _rounded(v) is the pair (n, q) of
+# Fraction(v).limit_denominator(cap).
+
+
+def assert_rounds_as_limit_denominator(v):
+    n, q = _rounded(v)
+    assert type(n) is int and type(q) is int
+    assert q > 0 and math.gcd(n, q) == 1
+    assert Fraction(n, q) == Fraction(v).limit_denominator(_DENOMINATOR_CAP)
 
 
 @pytest.mark.parametrize(
@@ -1445,9 +1539,7 @@ def test_ns_constraints_lists_are_fresh():
     ],
 )
 def test_rational_matches_limit_denominator(v):
-    got = _rational(v)
-    assert type(got) is Fraction
-    assert got == Fraction(v).limit_denominator(_DENOMINATOR_CAP)
+    assert_rounds_as_limit_denominator(v)
 
 
 @settings(max_examples=500, deadline=None)
@@ -1460,9 +1552,25 @@ def test_rational_matches_limit_denominator(v):
     )
 )
 def test_rational_matches_limit_denominator_on_any_float(v):
-    got = _rational(v)
-    assert type(got) is Fraction
-    assert got == Fraction(v).limit_denominator(_DENOMINATOR_CAP)
+    assert_rounds_as_limit_denominator(v)
+
+
+# No float is a tie at the cap of 10^6.  The two candidates p1/q1 and p2/q2
+# are adjacent (p1 q2 - p2 q1 = +-1), so their midpoint has the denominator
+# 2 q1 q2 and is a float only if q1 q2 is a power of two: denominators 1 and
+# the cap.  Caps that are powers of two have ties, which go to p1/q1, the
+# candidate of the smaller denominator.
+@pytest.mark.parametrize(
+    "v, cap, pair",
+    [
+        (0.5, 1, (0, 1)), (-0.5, 1, (-1, 1)), (2.5, 1, (2, 1)), (1 / 16, 8, (0, 1)),
+        (-1 / 16, 8, (0, 1)), (3 + 1 / 2048, 1024, (3, 1)), (-7 - 1 / 2048, 1024, (-7, 1)),
+    ],
+)
+def test_rational_ties_go_to_the_smaller_denominator(monkeypatch, v, cap, pair):
+    monkeypatch.setattr(polylp, "_DENOMINATOR_CAP", cap)
+    assert _rounded(v) == pair
+    assert Fraction(*pair) == Fraction(v).limit_denominator(cap)
 
 
 @pytest.mark.parametrize(
