@@ -67,7 +67,7 @@ def cmd_bell(args) -> int:
 def cmd_tightness(args) -> int:
     scn = scenario.Scenario(args.N + 1, args.M, args.d)
     grid = None
-    if args.grid:
+    if args.grid is not None:
         grid = [scenario.parse_number(t, exact=True) for t in args.grid.split(",")]
     rows = monogamy.tightness_scan(scn, args.k, args.x_k, args.x_last, grid, args.m)
     if args.format == "json":

@@ -64,7 +64,7 @@ def monogamy_lhs_general(behavior: Behavior, k: int, x_k: int, x_last: int, chec
 
 def guessing_bound(violation, d: int):
     """Tight cap (1 + I)/d on any outcome probability, clamped to 1."""
-    if violation < 0:
+    if not violation >= 0:  # NaN too
         raise ValueError("violation must be nonnegative")
     if isinstance(violation, float):
         return min((1 + violation) / d, 1.0)
@@ -76,7 +76,7 @@ def guessing_bound_prior(violation, N: int, d: int):
 
     Nontrivial only while I < 4(d-1)/(d^N (N-1)).
     """
-    if violation < 0:
+    if not violation >= 0:  # NaN too
         raise ValueError("violation must be nonnegative")
     if N < 2:
         raise ValueError("need N >= 2")
@@ -204,8 +204,8 @@ def tightness_scan(
     def interval_optimum(t: Fraction) -> LPSolution:
         s = t / top
         x_0, x_top = ends[0].point, ends[1].point
-        point = tuple(a if a == b else (1 - s) * a + s * b for a, b in zip(x_0, x_top))
-        value = (1 - s) * ends[0].value + s * ends[1].value
+        point = tuple(a if a == b else a + s * (b - a) for a, b in zip(x_0, x_top))
+        value = ends[0].value + s * (ends[1].value - ends[0].value)
         return LPSolution("optimal", value, point, dual, 0, "interval")
 
     rows = []

@@ -36,13 +36,13 @@ and ``LPSolution.engine`` names it:
 * ``basis``: the exact solution of HiGHS's final basis, by fraction-free
   elimination and back substitution in integers: ``B x_B = b_R`` on the
   basic columns and the rows R whose logical is nonbasic, every nonbasic
-  column 0, and ``B_R^T y_R = c_B``, every other multiplier 0; a row meets
-  only its own pivots (see :func:`_solve_exact`).  The check
-  still reads every row.  For example, maximizing the agreement
-  probability ``monogamy.agreement_vector(Scenario(3, 2, 2), 0, 0, 0)``
-  over the NS polytope with the Bell row pinned to ``Fraction(1, 10**18)``
-  by :func:`optimize_over_ns`'s ``extra_eq`` gives a target that HiGHS
-  reads as 0, and this stage certifies the optimum 1/2 + 10^-18/2;
+  column 0, and ``B_R^T y_R = c_B``, every other multiplier 0 (see
+  :func:`_solve_exact`).  The check still reads every row.  For example,
+  maximizing the agreement probability
+  ``monogamy.agreement_vector(Scenario(3, 2, 2), 0, 0, 0)`` over the NS
+  polytope with the Bell row pinned to ``Fraction(1, 10**18)`` by
+  :func:`optimize_over_ns`'s ``extra_eq`` gives a target that HiGHS reads
+  as 0, and this stage certifies the optimum 1/2 + 10^-18/2;
 * ``simplex``: a two-phase primal simplex on Fractions that pivots on the
   sparse rows, with Bland's rule, which cannot cycle.  It decides every
   infeasible or unbounded HiGHS status, and every optimum whose float image
@@ -84,7 +84,6 @@ certified result.
 from __future__ import annotations
 
 import functools
-import heapq
 import importlib.machinery
 import importlib.util
 import math
@@ -513,52 +512,32 @@ def _solve_exact(equations, n: int) -> tuple[list, int] | None:
     """One solution (X, D), x = X / D with D > 0, of the linear system in the
     unknowns 0..n-1 given as (int coefficient dict, int rhs) pairs, every
     free unknown 0; None if it is inconsistent.  Fraction-free elimination,
-    after Bareiss (Math. Comp. 22 (1968)): a row is scaled by each pivot it
-    meets and the pivot row subtracted, then divided with its rhs by their
-    content gcd; its first remaining unknown is its pivot, so each pivot row
-    holds none of the pivots found before it.  So an unknown that a
-    subtraction brings into the row is a later pivot or none, and a row
-    meets only its own pivots, in the order they were found, from a heap of
-    their ranks.  Back substitution runs over D."""
-    pivots: list = []  # (pivot unknown, row dict, rhs), in the order found
-    rank: dict = {}  # pivot unknown -> its index in pivots
+    after Bareiss (Math. Comp. 22 (1968)): a row meets every earlier pivot
+    in the order found, and where it holds one it is scaled by the pivot,
+    the pivot row subtracted (:func:`_subtract`), and the row divided with
+    its rhs by their content gcd; its first remaining unknown is its pivot.
+    Back substitution runs over D."""
+    pivots: dict = {}  # pivot unknown -> (row dict, rhs), in the order found
     for coeffs, b in equations:
         row = dict(coeffs)
-        heap = [rank[k] for k in row.keys() & rank.keys()]
-        heapq.heapify(heap)
-        while heap:
-            p, prow, pb = pivots[heapq.heappop(heap)]
-            f = row.get(p)  # None once met: a rank can be pushed twice
+        for p, (prow, pb) in pivots.items():
+            f = row.get(p)
             if f:
                 g = prow[p]
                 if g != 1:
                     row = {k: v * g for k, v in row.items()}
-                # row -= f * prow, as _subtract, queueing each pivot it brings in
-                for k, v in prow.items():
-                    w = row.get(k)
-                    if w is None:
-                        row[k] = -f * v
-                        if k in rank:
-                            heapq.heappush(heap, rank[k])
-                    else:
-                        w -= f * v
-                        if w:
-                            row[k] = w
-                        else:
-                            del row[k]
+                _subtract(row, f, prow)
                 b = g * b - f * pb
                 h = math.gcd(b, *row.values())
                 if h > 1:
                     row = {k: v // h for k, v in row.items()}
                     b //= h
         if row:
-            q = next(iter(row))
-            rank[q] = len(pivots)
-            pivots.append((q, row, b))
+            pivots[next(iter(row))] = (row, b)
         elif b:
             return None
     x, d = [0] * n, 1
-    for q, prow, pb in reversed(pivots):
+    for q, (prow, pb) in reversed(pivots.items()):
         # x_q = s / (g D) = (s / h) / ((g / h) D), with g / h > 0
         s = pb * d - sum(v * x[k] for k, v in prow.items() if x[k])
         g = prow[q]
@@ -819,7 +798,9 @@ def ns_program(
 ) -> LinearProgram:
     """The LP of a linear functional of the behavior over the NS polytope:
     the rows of :func:`ns_constraints`, then the extra (row, rhs) equality
-    constraints, whose rows are sparse (column, coefficient) pairs."""
+    constraints, whose rows are sparse (column, coefficient) pairs.  An
+    objective longer than the behavior adds nonnegative columns after it
+    for the extra rows, such as the L1 slacks of ``sampling.project_to_ns``."""
     rows, rhs = ns_constraints(scenario)
     for row, b in extra_eq:
         rows.append(row)

@@ -344,6 +344,7 @@ def min_settings(
 ) -> int | None:
     """Smallest M with key_rate(M, d) >= target_rate, or None if the target
     is unreachable (rate can never exceed log2 d) or not reached by max_m."""
+    _check_outcomes(d)
     _check_max_m(max_m)
     if target_rate > math.log2(d):
         return None

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .bell import recursive_bkp
-from .polylp import LinearProgram, ns_constraints, optimize_over_ns, solve
+from .polylp import optimize_over_ns
 from .scenario import Behavior, Scenario, deterministic_vertex, mix, uniform_behavior
 
 
@@ -80,11 +80,8 @@ def project_to_ns(behavior: Behavior) -> Behavior:
     """
     scn = behavior.scenario
     n = scn.size
-    rows, rhs = ns_constraints(scn)
-    for i, q in enumerate(behavior.probs):
-        rows.append(((i, 1), (n + i, -1), (2 * n + i, 1)))
-        rhs.append(Fraction(q))
-    sol = solve(LinearProgram([0] * n + [1] * (2 * n), "min", rows, rhs))
+    extra_eq = [(((i, 1), (n + i, -1), (2 * n + i, 1)), Fraction(q)) for i, q in enumerate(behavior.probs)]
+    sol = optimize_over_ns(scn, [0] * n + [1] * (2 * n), "min", extra_eq)
     if sol.status != "optimal":
         raise RuntimeError(f"projection LP ended with status {sol.status}")
     return Behavior(scn, tuple(sol.point[:n]))

@@ -11,7 +11,6 @@ import numpy as np
 from monogamy_lab.bell import BellFunctional, _resolved_term, evaluate, modular_groups
 from monogamy_lab.errors import InputFormatError
 from monogamy_lab.monogamy import _check_party, _check_shift, _require_ns, embedded_bkp
-from monogamy_lab.polylp import _subtract
 from monogamy_lab.quantum import _check_alpha
 from monogamy_lab.sampling import random_assignment
 from monogamy_lab.scenario import (
@@ -272,43 +271,6 @@ class IntegerSpan:
 
     def __contains__(self, pairs) -> bool:
         return not self.reduce(pairs)
-
-
-def solve_exact_all_pivots(equations, n: int) -> tuple[list, int] | None:
-    """The fraction-free elimination of ``polylp._solve_exact`` as it was
-    before each row met only its own pivots: every new row looks up every
-    pivot found before it, in the order found.  ``_solve_exact`` must return
-    the same (X, D) and None on every system."""
-    pivots: dict = {}  # pivot unknown -> (row dict, rhs), in the order found
-    for coeffs, b in equations:
-        row = dict(coeffs)
-        for p, (prow, pb) in pivots.items():
-            f = row.get(p)
-            if f:
-                g = prow[p]
-                if g != 1:
-                    row = {k: v * g for k, v in row.items()}
-                _subtract(row, f, prow)
-                b = g * b - f * pb
-                h = math.gcd(b, *row.values())
-                if h > 1:
-                    row = {k: v // h for k, v in row.items()}
-                    b //= h
-        if row:
-            pivots[next(iter(row))] = (row, b)
-        elif b:
-            return None
-    x, d = [0] * n, 1
-    for q, (prow, pb) in reversed(pivots.items()):
-        # x_q = s / (g D) = (s / h) / ((g / h) D), with g / h > 0
-        s = pb * d - sum(v * x[k] for k, v in prow.items() if x[k])
-        g = prow[q]
-        h = math.gcd(s, g) if g > 0 else -math.gcd(s, g)
-        if g != h:
-            x = [v * (g // h) for v in x]
-            d *= g // h
-        x[q] = s // h
-    return x, d
 
 
 def random_local_vertex(scenario: Scenario, rng: random.Random) -> Behavior:

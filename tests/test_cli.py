@@ -510,6 +510,9 @@ def test_quantum_monogamy_check_stdout_is_stable(capsys):
     ["figures", "2b", "--max-m", "-3"],
     ["quantum", "violation", "--M", "0"],
     ["quantum", "violation", "--M", "-3"],
+    ["tightness", "2", "2", "2", "--grid", ""],
+    ["tightness", "2", "2", "2", "--x-k", "2"],
+    ["tightness", "2", "2", "2", "--x-last", "-1"],
 ])
 def test_quantum_rejects_bad_values(capsys, args):
     assert main(args) == 2

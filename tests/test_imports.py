@@ -58,7 +58,6 @@ KEEP = {
     "polylp._run_simplex": "the pivot loop of _simplex (item 4)",
     "polylp._pivot": "one pivot of _simplex (item 4)",
     "polylp._priced": "the reduced costs of _simplex (item 4)",
-    "polylp._subtract": "the sparse row update of _simplex (item 4)",
     "polylp.verify_certificate": "the public checker that trusts no solver (items 11 and 16)",
     "polylp.verify_certificate.<locals>.exact": "verify_certificate's reading of a vector as Fractions (items 11 and 16)",
     "polylp._certified": "the exact test behind verify_certificate and the simplex stage (items 11 and 16)",

@@ -575,8 +575,10 @@ def test_report_and_csv(minimizer_222):
         ),
         (lambda: guessing_bound_prior(Fraction(-1, 10), 2, 2), "violation must be nonnegative"),
         (lambda: guessing_bound_prior(Fraction(1, 10), 1, 2), "need N >= 2"),
+        (lambda: guessing_bound(float("nan"), 2), "violation must be nonnegative"),
+        (lambda: guessing_bound_prior(float("nan"), 2, 2), "violation must be nonnegative"),
     ],
-    ids=["two-parties", "same-party", "negative-violation", "one-party"],
+    ids=["two-parties", "same-party", "negative-violation", "one-party", "nan-violation", "nan-violation-prior"],
 )
 def test_monogamy_input_checks(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -57,7 +57,6 @@ from reference import (
     ref_ns_basis_rows,
     ref_ns_row_nonzeros,
     ref_ns_rows_labelled,
-    solve_exact_all_pivots,
 )
 
 
@@ -672,6 +671,13 @@ def ref_solve_exact(equations, n):
     return x
 
 
+def ref_solve_int_system(equations, n):
+    """ref_solve_exact on a system in the int form of _solve_exact."""
+    return ref_solve_exact(
+        (({j: Fraction(a) for j, a in row.items()}, Fraction(b)) for row, b in equations), n
+    )
+
+
 def ref_basic_point(std, columns, rows):
     basic = set(columns)
     equations = (
@@ -755,11 +761,7 @@ def linear_systems(draw, kind):
 def test_solve_exact_matches_the_fraction_reference(kind, data):
     equations, n = data.draw(linear_systems(kind))
     solved = _solve_exact(equations, n)
-    reference = ref_solve_exact(
-        (({j: Fraction(a) for j, a in row.items()}, Fraction(b)) for row, b in equations), n
-    )
-    assert as_fractions(solved) == reference
-    assert solved == solve_exact_all_pivots(equations, n)
+    assert as_fractions(solved) == ref_solve_int_system(equations, n)
     if kind == "inconsistent":
         assert solved is None
     else:
@@ -803,12 +805,12 @@ def test_projection_is_certified_on_the_basis(dims, monkeypatch):
     # reference
     solved = []
 
-    def recording_solve(lp):
-        sol = solve(lp)
+    def recording_solve(lp, start=None):
+        sol = solve(lp, start)
         solved.append((lp, sol))
         return sol
 
-    monkeypatch.setattr(sampling, "solve", recording_solve)
+    monkeypatch.setattr(polylp, "solve", recording_solve)
     scn = Scenario(*dims)
     rng = random.Random(3)
     for _ in range(3):
@@ -895,23 +897,13 @@ def projections():
     ],
     ids=["ra-exact-projections", "basis-misses", "pinned-near-tie"],
 )
-def test_own_pivot_elimination_matches_every_pivot_elimination(monkeypatch, run, n_systems):
+def test_basis_stage_systems_match_the_fraction_reference(monkeypatch, run, n_systems):
     # a point and a duals system per LP that reaches the basis stage (one
     # of the eight projections is certified by rounding)
     systems = recorded_systems(monkeypatch, run)
     assert len(systems) == n_systems
     for equations, n in systems:
-        assert _solve_exact(equations, n) == solve_exact_all_pivots(equations, n)
-
-
-@settings(max_examples=150, deadline=None)
-@given(basis_systems())
-def test_own_pivot_elimination_matches_on_random_basis_systems(system):
-    with pytest.MonkeyPatch.context() as mp:
-        systems = recorded_systems(mp, lambda: (_basic_point(*system), _basic_duals(*system)))
-    assert len(systems) == 2
-    for equations, n in systems:
-        assert _solve_exact(equations, n) == solve_exact_all_pivots(equations, n)
+        assert as_fractions(_solve_exact(equations, n)) == ref_solve_int_system(equations, n)
 
 
 @pytest.mark.xfail(

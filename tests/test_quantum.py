@@ -447,6 +447,18 @@ def test_min_settings_unreachable_target():
     assert min_settings(2, 1.5, violation=lambda m, d: 0.0) is None
 
 
+@pytest.mark.parametrize("d, target", [(1, 0.5), (1, 0.0), (0, 0.0)])
+def test_min_settings_needs_two_outcomes(d, target):
+    with pytest.raises(ValueError, match=f"^need d >= 2 outcomes, got {d}$"):
+        min_settings(d, target)
+
+
+@pytest.mark.parametrize("bound", ["tight", "prior"])
+def test_key_rate_rejects_nan_violation(bound):
+    with pytest.raises(ValueError, match="^violation must be nonnegative$"):
+        key_rate(2, 2, bound=bound, violation=float("nan"))
+
+
 @pytest.mark.parametrize("max_m", [1, 0, -3])
 def test_settings_ladder_needs_two_settings(max_m):
     # an unreachable target (rate above log2 d) is rejected too, not answered None
